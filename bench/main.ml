@@ -1066,6 +1066,8 @@ type parallel_sample = {
   p_speedup : float;
   p_alloc_words_per_packet : float;
   p_identical : bool;
+  p_shard_events : int array;
+  p_imbalance : float;
 }
 
 (* The sharded scenario is bigger than the sequential regression one
@@ -1114,6 +1116,8 @@ let measure_parallel ~shards =
     p_speedup = wall1 /. walln;
     p_alloc_words_per_packet = rn.P.alloc_bytes /. word /. float_of_int (max 1 txn);
     p_identical = identical;
+    p_shard_events = P.shard_events rn;
+    p_imbalance = P.imbalance rn;
   }
 
 (* the shard-speedup assertion is armed only when the hardware can show a
@@ -1126,10 +1130,13 @@ let parallel_to_json p =
     "{ \"shards\": %d, \"cores\": %d, \"mode\": %S, \"packets\": %d, \"events\": %d, \
      \"windows\": %d, \"exchanged\": %d, \"wall_s\": %.3f, \"packets_per_sec\": %.0f, \
      \"baseline_pps\": %.0f, \"speedup_vs_1\": %.2f, \"speedup_armed\": %b, \
-     \"alloc_words_per_packet\": %.1f, \"counts_identical\": %b }"
+     \"alloc_words_per_packet\": %.1f, \"counts_identical\": %b, \"shard_events\": [%s], \
+     \"shard_imbalance\": %.3f }"
     p.p_shards p.p_cores p.p_mode p.p_packets p.p_events p.p_windows p.p_exchanged
     p.p_wall_s p.p_pps p.p_baseline_pps p.p_speedup (speedup_armed p)
     p.p_alloc_words_per_packet p.p_identical
+    (String.concat ", " (Array.to_list (Array.map string_of_int p.p_shard_events)))
+    p.p_imbalance
 
 (* The sharded path has its own allocation budget: a 'shard: <N>' line in
    bench/ALLOC_BUDGET (mailbox drains and window bookkeeping allocate a
@@ -1146,6 +1153,15 @@ let read_sharded_alloc_budget () =
                (String.trim (String.sub line 6 (String.length line - 6)))
            else None)
 
+(* Per-shard engine events, max / mean. The weighted partition measures
+   1.29 on this scenario at 2 shards; the count-balanced one it replaced
+   measured 1.82. *)
+let max_shard_imbalance = 1.4
+
+let shard_balance_cell events imbalance =
+  Printf.sprintf "%.3f (events %s)" imbalance
+    (String.concat "/" (Array.to_list (Array.map string_of_int events)))
+
 let check_parallel p =
   if not p.p_identical then begin
     Printf.printf
@@ -1157,6 +1173,20 @@ let check_parallel p =
   end;
   Printf.printf "[perf] determinism check ok: %d shards bit-identical to 1 shard\n"
     p.p_shards;
+  (* a count, not a timing: the partition either spreads the events or it
+     does not, on any machine *)
+  if p.p_imbalance > max_shard_imbalance then begin
+    Printf.printf
+      "[perf] FAIL: shard imbalance %s exceeds %.2f\n\
+       [perf] the region partition no longer spreads the work: the busiest shard bounds \
+       the speedup at %.2fx\n"
+      (shard_balance_cell p.p_shard_events p.p_imbalance)
+      max_shard_imbalance
+      (float_of_int p.p_shards /. p.p_imbalance);
+    exit 1
+  end;
+  Printf.printf "[perf] shard balance check ok: imbalance %.3f <= %.2f\n" p.p_imbalance
+    max_shard_imbalance;
   (match read_sharded_alloc_budget () with
   | None ->
     Printf.printf "[perf] no 'shard:' line in %s; skipping sharded allocation check\n"
@@ -1524,6 +1554,7 @@ let perf () =
           [ "sim events"; string_of_int p.p_events ];
           [ "windows"; string_of_int p.p_windows ];
           [ "cross-shard msgs"; string_of_int p.p_exchanged ];
+          [ "shard imbalance"; shard_balance_cell p.p_shard_events p.p_imbalance ];
           [ "wall (s)"; Printf.sprintf "%.3f" p.p_wall_s ];
           [ "packets/s"; Printf.sprintf "%.0f" p.p_pps ];
           [ "baseline packets/s"; Printf.sprintf "%.0f" p.p_baseline_pps ];

@@ -156,6 +156,10 @@ let parallel_cmd shards k duration rate_pps seq =
         [ "windows"; string_of_int r.Ff_parallel.Psim.windows ];
         [ "cross-shard msgs"; string_of_int r.Ff_parallel.Psim.exchanged ];
         [ "sim events"; string_of_int r.Ff_parallel.Psim.events ];
+        [ "events per shard";
+          String.concat "/"
+            (Array.to_list (Array.map string_of_int (Ff_parallel.Psim.shard_events r))) ];
+        [ "shard imbalance (max/mean)"; Printf.sprintf "%.3f" (Ff_parallel.Psim.imbalance r) ];
         [ "hop transmissions"; string_of_int tx ];
         [ "packets delivered";
           string_of_int (Ff_parallel.Workload.total_delivered counters) ];

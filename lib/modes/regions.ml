@@ -1,66 +1,103 @@
 module Topology = Ff_topology.Topology
 
-(* Balanced BFS-grow partition. Each region is grown breadth-first from
-   the lowest-id unassigned switch, taking switches in BFS order until the
-   region reaches its share of the remaining switch count. BFS keeps the
-   regions contiguous where the graph allows (maximizing internal links,
-   minimizing the cross-shard traffic the parallel engine has to exchange);
-   the lowest-id seed and [Topology.neighbors] traversal order make the
-   result a pure function of the topology, which the deterministic
-   cross-shard tie rule depends on. Hosts inherit the region of their
-   access switch, so host links almost never cross a boundary. *)
+(* Weight-balanced greedy-growth partition.
+
+   Work in a packet simulation follows the hosts: every flow's first and
+   last hops run on the shard owning its endpoints. So a switch weighs 1
+   plus the hosts it serves (hosts whose first neighbor it is), and each
+   region is grown to its share of the remaining weight, not of the
+   switch count — a count-balanced split of a fat-tree puts most edge
+   switches, and so most hosts, on one shard.
+
+   Growth is greedy rather than breadth-first. A region is seeded at the
+   lowest-id unassigned switch with the fewest unassigned switch
+   neighbors (a periphery switch: an edge switch in a fat-tree), then
+   repeatedly takes the frontier switch with the best gain — links into
+   the region minus links to unassigned switches — ties broken by lowest
+   id. Preferring switches whose neighbors are already inside keeps the
+   region compact (whole pods before stray cores), which keeps the
+   cross-shard traffic the parallel engine must exchange low. Seeds, gains
+   and ties depend only on the topology, so the result is a pure function
+   of it, as the deterministic cross-shard tie rule requires. *)
 let partition topo ~shards =
   let n = Topology.num_nodes topo in
-  let switches = Topology.switches topo in
-  let n_sw = List.length switches in
+  let n_sw = List.length (Topology.switches topo) in
   if shards < 1 then invalid_arg "Regions.partition: shards < 1";
   if shards > n_sw then
     invalid_arg
       (Printf.sprintf "Regions.partition: %d shards > %d switches" shards n_sw);
-  let shard_of = Array.make n (-1) in
-  let assigned = ref 0 in
-  let next_seed () =
-    (* lowest-id unassigned switch: deterministic, and on generated
-       topologies (fat-tree pods, rings) low ids cluster structurally *)
-    List.find_opt
-      (fun (nd : Topology.node) -> shard_of.(nd.Topology.id) < 0)
-      switches
+  let is_switch = Array.make n false in
+  List.iter
+    (fun (nd : Topology.node) -> is_switch.(nd.Topology.id) <- nd.Topology.kind = Topology.Switch)
+    (Topology.nodes topo);
+  let switch_peers =
+    Array.init n (fun v ->
+        if is_switch.(v) then
+          List.filter_map
+            (fun (peer, _) -> if is_switch.(peer) then Some peer else None)
+            (Topology.neighbors topo v)
+        else [])
   in
+  (* hosts follow their first neighbor (matching [Net.access_switch]) *)
+  let access h = match Topology.neighbors topo h with (peer, _) :: _ -> Some peer | [] -> None in
+  let weight = Array.map (fun sw -> if sw then 1 else 0) is_switch in
+  List.iter
+    (fun (nd : Topology.node) ->
+      match access nd.Topology.id with
+      | Some sw when is_switch.(sw) -> weight.(sw) <- weight.(sw) + 1
+      | _ -> ())
+    (Topology.hosts topo);
+  let shard_of = Array.make n (-1) in
+  (* per unassigned switch: links into the region being grown, and links
+     to switches not yet in any region *)
+  let inside = Array.make n 0 in
+  let outside = Array.map List.length switch_peers in
+  let free = ref n_sw and rest = ref (Array.fold_left ( + ) 0 weight) in
+  let take s u =
+    shard_of.(u) <- s;
+    decr free;
+    rest := !rest - weight.(u);
+    List.iter
+      (fun v ->
+        outside.(v) <- outside.(v) - 1;
+        if shard_of.(v) < 0 then inside.(v) <- inside.(v) + 1)
+      switch_peers.(u);
+    weight.(u)
+  in
+  (* the unassigned switch with the highest score, lowest id among equals;
+     [-1] when none qualifies *)
+  let best ~frontier score =
+    let pick = ref (-1) in
+    for v = 0 to n - 1 do
+      if is_switch.(v) && shard_of.(v) < 0 && ((not frontier) || inside.(v) > 0)
+         && (!pick < 0 || score v > score !pick)
+      then pick := v
+    done;
+    !pick
+  in
+  let seed () = best ~frontier:false (fun v -> -outside.(v)) in
   for s = 0 to shards - 1 do
-    (* even split of whatever is left: region sizes differ by at most 1 *)
-    let target = (n_sw - !assigned + (shards - s - 1)) / (shards - s) in
-    let taken = ref 0 in
-    let q = Queue.create () in
-    while !taken < target do
-      if Queue.is_empty q then begin
-        match next_seed () with
-        | Some nd -> Queue.add nd.Topology.id q
-        | None -> invalid_arg "Regions.partition: ran out of switches"
-      end;
-      let u = Queue.pop q in
-      if shard_of.(u) < 0 then begin
-        shard_of.(u) <- s;
-        incr assigned;
-        incr taken;
-        if !taken < target then
-          List.iter
-            (fun (peer, _) ->
-              if
-                shard_of.(peer) < 0
-                && (Topology.node topo peer).Topology.kind = Topology.Switch
-              then Queue.add peer q)
-            (Topology.neighbors topo u)
-      end
+    Array.fill inside 0 n 0;
+    (* share of the remaining weight, rounded up; the last region takes
+       everything, and every later region keeps at least one switch *)
+    let target = (!rest + (shards - s - 1)) / (shards - s) in
+    let taken = ref (take s (seed ())) in
+    while !taken < target && !free > shards - s - 1 do
+      let u =
+        match best ~frontier:true (fun v -> inside.(v) - outside.(v)) with
+        | -1 -> seed () (* frontier exhausted: continue in another component *)
+        | u -> u
+      in
+      taken := !taken + take s u
     done
   done;
-  (* hosts follow their access switch (first neighbor, matching
-     [Net.access_switch]); isolated hosts land in region 0 *)
+  (* hosts join their access switch's region; isolated hosts (or hosts
+     behind another host) land in region 0 *)
   List.iter
     (fun (nd : Topology.node) ->
       let id = nd.Topology.id in
-      match Topology.neighbors topo id with
-      | (peer, _) :: _ -> shard_of.(id) <- shard_of.(peer)
-      | [] -> shard_of.(id) <- 0)
+      shard_of.(id) <-
+        (match access id with Some sw when is_switch.(sw) -> shard_of.(sw) | _ -> 0))
     (Topology.hosts topo);
   shard_of
 

@@ -8,14 +8,18 @@
     the minimum propagation delay of any cross-region link. *)
 
 val partition : Ff_topology.Topology.t -> shards:int -> int array
-(** Deterministic balanced partition of the topology into [shards]
-    regions; the result maps node id to region id in [0, shards). Regions
-    are grown breadth-first from the lowest-id unassigned switch, so equal
-    inputs always produce equal partitions (the cross-shard event tie rule
-    orders by shard id, which must therefore be stable). Region switch
-    counts differ by at most one; hosts join their access switch's region.
-    Raises [Invalid_argument] when [shards < 1] or exceeds the switch
-    count. *)
+(** Deterministic weight-balanced partition of the topology into [shards]
+    regions; the result maps node id to region id in [0, shards). A switch
+    weighs 1 plus the hosts it serves, since flows start and end at hosts.
+    Each region is grown greedily to its share of the remaining weight:
+    seeded at the lowest-id unassigned switch with the fewest unassigned
+    switch neighbors, then extended by the frontier switch with the most
+    links into the region minus links to unassigned switches (lowest id
+    on ties). Equal inputs always produce equal partitions (the
+    cross-shard event tie rule orders by shard id, which must therefore be
+    stable). Every region owns at least one switch; hosts join the region
+    of their first neighbor (region 0 when that is not a switch). Raises
+    [Invalid_argument] when [shards < 1] or exceeds the switch count. *)
 
 val lookahead : Ff_topology.Topology.t -> shard_of:int array -> float
 (** Minimum propagation delay over links whose endpoints fall in different

@@ -173,8 +173,10 @@ let run t ~until =
 (* The conservative-PDES window: execute events strictly before [horizon],
    then park the clock at the horizon. Exclusive, unlike [run] — an event
    at exactly the horizon may tie with a cross-shard arrival that another
-   shard has not yet sent, so it must wait for the next window, where the
-   documented (time, shard, seq) drain order resolves the tie. Leaving the
+   shard has not yet sent, so it must wait for the next window. There the
+   drained arrivals are scheduled in (source shard, push) order, and the
+   (time, seq) dispatch order turns that into the documented (time,
+   source shard, push index) tie rule with no sort. Leaving the
    clock at [horizon] is safe precisely because conservative lookahead
    guarantees every future cross-shard arrival lands at or after it. *)
 let run_window t ~horizon =

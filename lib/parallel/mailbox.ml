@@ -65,24 +65,22 @@ let push t ~at ~to_node ~from_node pkt =
 let drain t f =
   let tail = Atomic.get t.tail in
   let head = Atomic.get t.head in
-  let idx = ref 0 in
   for pos = head to tail - 1 do
     let i = pos land t.mask in
-    f ~at:t.ats.(i) ~to_node:t.tos.(i) ~from_node:t.froms.(i) ~idx:!idx t.pkts.(i);
+    f ~at:t.ats.(i) ~to_node:t.tos.(i) ~from_node:t.froms.(i) t.pkts.(i);
     (* release the packet: a drained mailbox keeps nothing alive *)
-    t.pkts.(i) <- nil ();
-    incr idx
+    t.pkts.(i) <- nil ()
   done;
   Atomic.set t.head tail;
-  if t.overflow <> [] then begin
-    List.iter
-      (fun (at, to_node, from_node, pkt) ->
-        f ~at ~to_node ~from_node ~idx:!idx pkt;
-        incr idx)
-      (List.rev t.overflow);
-    t.overflow <- []
-  end;
-  !idx
+  match t.overflow with
+  | [] -> tail - head
+  | spill ->
+    t.overflow <- [];
+    List.fold_left
+      (fun count (at, to_node, from_node, pkt) ->
+        f ~at ~to_node ~from_node pkt;
+        count + 1)
+      (tail - head) (List.rev spill)
 
 let overflowed t = t.overflowed
 

@@ -18,14 +18,15 @@ val push : t -> at:float -> to_node:int -> from_node:int -> Ff_dataplane.Packet.
 (** Producer side only — single producer per mailbox. *)
 
 val drain :
-  t ->
-  (at:float -> to_node:int -> from_node:int -> idx:int -> Ff_dataplane.Packet.t -> unit) ->
-  int
+  t -> (at:float -> to_node:int -> from_node:int -> Ff_dataplane.Packet.t -> unit) -> int
 (** Consumer side: invoke the callback on every queued message in push
-    order ([idx] counts from 0 within this drain — the third key of the
-    cross-shard tie rule), release the slots, and return the count. Must
-    not run concurrently with {!push} on the same mailbox; the engine's
-    barrier schedule guarantees that. *)
+    order (ring first, then the spill), release the slots, and return the
+    count. Push order is the last key of the cross-shard tie rule: the
+    parallel engine hands each message straight to
+    {!Ff_netsim.Engine.schedule_packet}, whose sequence numbers then
+    record it (see {!Psim.drain_inbox}). Must not run concurrently with
+    {!push} on the same mailbox; the engine's barrier schedule guarantees
+    that. *)
 
 val overflowed : t -> int
 (** Messages that missed the ring since creation (delivered anyway, via

@@ -30,7 +30,7 @@ type st = {
   la : float;
   barrier : Barrier.t;
   next_times : float array;
-  mail : Mailbox.t array array; (* [src].(dst) *)
+  inbox : Mailbox.t array array; (* [dst].(src) *)
   mutable horizon : float;
   mutable final : bool;
   mutable windows : int; (* coordinator only *)
@@ -39,38 +39,27 @@ type st = {
   errors : exn option array;
 }
 
-(* Drain every mailbox addressed to shard [me] and schedule the arrivals
-   into its engine under the documented cross-shard tie rule: messages are
-   ordered by [(time, source shard, push index)] before scheduling, and
-   the engine then assigns its local sequence numbers in that order — so
-   same-instant cross-shard arrivals fire in an order that is a pure
-   function of the partition, never of domain scheduling. *)
-let drain_into st ~me engine =
-  let msgs = ref [] in
+(* Schedule every arrival addressed to shard [me] into its engine under
+   the documented cross-shard tie rule, [(time, source shard, push
+   index)], without sorting: mailboxes are drained in ascending source
+   shard, each in push order, straight into [Engine.schedule_packet]. The
+   engine dispatches by [(time, seq)] and draws [seq] at schedule time, so
+   among same-instant arrivals the scheduling order — (source, push) — is
+   the dispatch order, exactly as if the batch had been sorted by
+   [(time, source, push)] first. Nothing is clamped on the way in: every
+   arrival is at or after the window horizon the clock is parked at. *)
+let drain_inbox inbox ~me engine =
+  let schedule = Engine.schedule_packet engine in
   let count = ref 0 in
-  for src = 0 to st.n - 1 do
-    if src <> me then
-      count :=
-        !count
-        + Mailbox.drain st.mail.(src).(me) (fun ~at ~to_node ~from_node ~idx pkt ->
-              msgs := (at, src, idx, to_node, from_node, pkt) :: !msgs)
+  for src = 0 to Array.length inbox - 1 do
+    if src <> me then count := !count + Mailbox.drain inbox.(src) schedule
   done;
-  if !count > 0 then begin
-    let arr = Array.of_list !msgs in
-    Array.sort
-      (fun (a1, s1, i1, _, _, _) (a2, s2, i2, _, _, _) ->
-        let c = Float.compare a1 a2 in
-        if c <> 0 then c
-        else
-          let c = Int.compare s1 s2 in
-          if c <> 0 then c else Int.compare i1 i2)
-      arr;
-    Array.iter
-      (fun (at, _, _, to_node, from_node, pkt) ->
-        Engine.schedule_packet engine ~at ~to_node ~from_node pkt)
-      arr
-  end;
   !count
+
+(* The exchange phase that opens every window, in both modes *)
+let drain_and_publish st sh =
+  st.exchanged.(sh.id) <- st.exchanged.(sh.id) + drain_inbox st.inbox.(sh.id) ~me:sh.id sh.engine;
+  st.next_times.(sh.id) <- Engine.next_time sh.engine
 
 (* One shard's window loop (both modes run exactly this phase sequence):
 
@@ -93,8 +82,7 @@ let drain_into st ~me engine =
    strictly greater times, which the sequential engine would not execute
    either. *)
 let rec worker st (sh : shard) =
-  st.exchanged.(sh.id) <- st.exchanged.(sh.id) + drain_into st ~me:sh.id sh.engine;
-  st.next_times.(sh.id) <- Engine.next_time sh.engine;
+  drain_and_publish st sh;
   Barrier.wait st.barrier;
   if sh.id = 0 then begin
     let t_min = Array.fold_left Float.min infinity st.next_times in
@@ -125,7 +113,7 @@ let guarded_worker st sh =
 
 (* Sequential cooperative mode: the same windowed algorithm, every phase
    executed shard-by-shard (ascending id) on the calling domain. Because
-   the phase structure, drain order and tie rule are identical, the event
+   the phase structure and drain order are identical, the event
    interleaving — and therefore every counter and delivery time — is
    bit-identical to what the Domains mode produces. This is the fallback
    for machines with fewer cores than shards, and the reference the
@@ -134,11 +122,7 @@ let run_sequential st shards =
   let a0 = Gc.allocated_bytes () in
   let continue_ = ref true in
   while !continue_ do
-    Array.iter
-      (fun sh ->
-        st.exchanged.(sh.id) <- st.exchanged.(sh.id) + drain_into st ~me:sh.id sh.engine;
-        st.next_times.(sh.id) <- Engine.next_time sh.engine)
-      shards;
+    Array.iter (drain_and_publish st) shards;
     let t_min = Array.fold_left Float.min infinity st.next_times in
     if t_min >= st.until then begin
       Array.iter (fun sh -> Engine.run sh.engine ~until:st.until) shards;
@@ -185,7 +169,7 @@ let run ?(mode = Auto) ~shards:n ~topo ~setup ~until () =
       la;
       barrier = Barrier.create ~parties:n;
       next_times = Array.make n infinity;
-      mail;
+      inbox = Array.init n (fun dst -> Array.init n (fun src -> mail.(src).(dst)));
       horizon = 0.;
       final = false;
       windows = 0;
@@ -229,6 +213,16 @@ let run ?(mode = Auto) ~shards:n ~topo ~setup ~until () =
    directed link's tx/drop counters are only ever touched in the net copy
    of the shard owning its sending node, and a node's drops only in its
    owner's copy, so summing across shards counts each exactly once. *)
+
+let shard_events r = Array.map (fun sh -> Engine.steps sh.engine) r.shards
+
+let imbalance r =
+  let events = shard_events r in
+  let total = Array.fold_left ( + ) 0 events in
+  if total = 0 then 1.
+  else
+    float_of_int (Array.fold_left max 0 events)
+    *. float_of_int (Array.length events) /. float_of_int total
 
 let total_tx r =
   Array.fold_left (fun acc sh -> acc + Net.total_tx_packets sh.net) 0 r.shards

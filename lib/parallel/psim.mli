@@ -10,8 +10,10 @@
     through per-shard-pair SPSC mailboxes between windows.
 
     {b Determinism.} Results are a pure function of (topology, setup,
-    shard count): cross-shard arrivals are scheduled under the global
-    [(time, source shard, push index)] tie rule, so repeated runs — and
+    shard count): cross-shard arrivals are dispatched under the global
+    [(time, source shard, push index)] tie rule (see {!drain_inbox}: no
+    sort is needed, the engine's [(time, seq)] order already yields it),
+    so repeated runs — and
     the {!Domains} and {!Sequential} modes — produce bit-identical packet,
     drop and event counts. Agreement with a plain single-engine run
     additionally requires the workload not to schedule distinct events at
@@ -60,6 +62,26 @@ val run :
     With [shards = 1] this degenerates to a windowless single-engine run.
     An exception in any worker poisons the barrier, unwinds every domain,
     and re-raises on the caller. *)
+
+val drain_inbox : Mailbox.t array -> me:int -> Ff_netsim.Engine.t -> int
+(** [drain_inbox inbox ~me engine] drains [inbox.(src)] — the mailbox
+    from shard [src] to shard [me] — for every [src <> me] in ascending
+    order, each in push order, straight into
+    {!Ff_netsim.Engine.schedule_packet}, and returns the message count.
+    The engine dispatches by [(time, seq)] with [seq] drawn at schedule
+    time, so arrivals fire in [(time, source shard, push index)] order:
+    the same order a sort of the drained batch by that key would give,
+    without building or sorting one. The window loop runs this between
+    barriers for every shard. *)
+
+val shard_events : result -> int array
+(** Engine events executed per shard, indexed by shard id. *)
+
+val imbalance : result -> float
+(** Max over mean of {!shard_events}: 1.0 is an even split, and the
+    window loop can go no faster than [shards / imbalance] times one
+    shard. A count, not a timing, so it repeats exactly run to run. 1.0
+    for a run with no events. *)
 
 val total_tx : result -> int
 (** Per-hop transmissions summed across shards; each directed link is
