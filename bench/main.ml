@@ -362,17 +362,7 @@ let abl_scaling () =
     let topo = lm.T.Fig2.topo in
     let engine = Ff_netsim.Engine.create () in
     let net = Ff_netsim.Net.create engine topo in
-    let hosts = T.hosts topo in
-    List.iter
-      (fun (h1 : T.node) ->
-        List.iter
-          (fun (h2 : T.node) ->
-            if h1.T.id <> h2.T.id then
-              match T.shortest_path topo ~src:h1.T.id ~dst:h2.T.id with
-              | Some p -> Ff_netsim.Net.install_path net ~dst:h2.T.id p
-              | None -> ())
-          hosts)
-      hosts;
+    Ff_netsim.Net.install_shortest_paths net;
     let mid_of (l : T.link) = if l.T.a = lm.T.Fig2.agg then l.T.b else l.T.a in
     let m1 = mid_of (List.hd lm.T.Fig2.critical) in
     let src = List.hd lm.T.Fig2.normal_sources in
@@ -423,17 +413,7 @@ let abl_pulse () =
     let topo = lm.T.Fig2.topo in
     let engine = Ff_netsim.Engine.create () in
     let net = Ff_netsim.Net.create engine topo in
-    let hosts = T.hosts topo in
-    List.iter
-      (fun (h1 : T.node) ->
-        List.iter
-          (fun (h2 : T.node) ->
-            if h1.T.id <> h2.T.id then
-              match T.shortest_path topo ~src:h1.T.id ~dst:h2.T.id with
-              | Some p -> Ff_netsim.Net.install_path net ~dst:h2.T.id p
-              | None -> ())
-          hosts)
-      hosts;
+    Ff_netsim.Net.install_shortest_paths net;
     let matrix = Ff_te.Traffic_matrix.empty () in
     List.iter
       (fun n -> Ff_te.Traffic_matrix.set matrix ~src:n ~dst:lm.T.Fig2.victim 2_300_000.)
@@ -490,17 +470,7 @@ let abl_sync () =
     let topo = lm.T.Fig2.topo in
     let engine = Ff_netsim.Engine.create () in
     let net = Ff_netsim.Net.create engine topo in
-    let hosts = T.hosts topo in
-    List.iter
-      (fun (h1 : T.node) ->
-        List.iter
-          (fun (h2 : T.node) ->
-            if h1.T.id <> h2.T.id then
-              match T.shortest_path topo ~src:h1.T.id ~dst:h2.T.id with
-              | Some p -> Ff_netsim.Net.install_path net ~dst:h2.T.id p
-              | None -> ())
-          hosts)
-      hosts;
+    Ff_netsim.Net.install_shortest_paths net;
     let e1 = (T.node_by_name topo "e1").T.id and e2 = (T.node_by_name topo "e2").T.id in
     let threshold = 6_000_000. in
     (* local-only detector: the same per-destination logic but with a view
@@ -561,17 +531,7 @@ let abl_topo () =
     let engine = Ff_netsim.Engine.create () in
     let net = Ff_netsim.Net.create engine topo in
     let id name = (T.node_by_name topo name).T.id in
-    let hosts = T.hosts topo in
-    List.iter
-      (fun (h1 : T.node) ->
-        List.iter
-          (fun (h2 : T.node) ->
-            if h1.T.id <> h2.T.id then
-              match T.shortest_path topo ~src:h1.T.id ~dst:h2.T.id with
-              | Some p -> Ff_netsim.Net.install_path net ~dst:h2.T.id p
-              | None -> ())
-          hosts)
-      hosts;
+    Ff_netsim.Net.install_shortest_paths net;
     let victim = id "h0_0_0" in
     let decoy1 = id "h0_1_0" and decoy2 = id "h0_1_1" in
     (* pin each decoy behind a different aggregation path into pod 0
@@ -888,17 +848,7 @@ let perf_scenario () =
   let engine = Ff_netsim.Engine.create () in
   let net = Ff_netsim.Net.create engine topo in
   let id name = (T.node_by_name topo name).T.id in
-  let hosts = T.hosts topo in
-  List.iter
-    (fun (h1 : T.node) ->
-      List.iter
-        (fun (h2 : T.node) ->
-          if h1.T.id <> h2.T.id then
-            match T.shortest_path topo ~src:h1.T.id ~dst:h2.T.id with
-            | Some p -> Ff_netsim.Net.install_path net ~dst:h2.T.id p
-            | None -> ())
-        hosts)
-    hosts;
+  Ff_netsim.Net.install_shortest_paths net;
   let victim = id "h0_0_0" in
   let decoy1 = id "h0_1_0" and decoy2 = id "h0_1_1" in
   ignore (Orchestrator.deploy_wide net ~protect:[ victim; decoy1; decoy2 ] ());
@@ -1737,12 +1687,6 @@ let adversarial () =
                 ~hardened:true ~seed ()
             in
             Printf.printf " %.1fs\n%!" (Unix.gettimeofday () -. t0);
-            if Sys.getenv_opt "ADVERSARIAL_DEBUG" <> None then
-              List.iter
-                (fun r ->
-                  Format.printf "    %a" Scenario.pp_adversarial r;
-                  List.iter (fun l -> Printf.printf "      | %s\n" l) r.Scenario.ar_log)
-                [ open_loop; adaptive; hardened ];
             let tag = Printf.sprintf "%s/seed=%d" sname seed in
             (* the adaptive loop must beat the defense the blast cannot *)
             check tag

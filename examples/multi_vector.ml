@@ -28,17 +28,7 @@ let () =
   let net = Net.create engine topo in
 
   (* default routes + TE for the normal demand, as in the scenario driver *)
-  let hosts = T.hosts topo in
-  List.iter
-    (fun (h1 : T.node) ->
-      List.iter
-        (fun (h2 : T.node) ->
-          if h1.T.id <> h2.T.id then
-            match T.shortest_path topo ~src:h1.T.id ~dst:h2.T.id with
-            | Some p -> Net.install_path net ~dst:h2.T.id p
-            | None -> ())
-        hosts)
-    hosts;
+  Net.install_shortest_paths net;
   let matrix = Ff_te.Traffic_matrix.empty () in
   List.iter
     (fun n -> Ff_te.Traffic_matrix.set matrix ~src:n ~dst:lm.T.Fig2.victim 2_300_000.)
@@ -46,26 +36,21 @@ let () =
   let plan = Ff_te.Solver.solve ~k:2 topo matrix in
   Ff_te.Solver.install net plan;
 
-  (* one mode protocol; the attack->modes map comes from the orchestrator.
-     region_ttl 3 keeps each attack's modes scoped near its detector, so
-     the two defenses coexist in different regions *)
-  let protocol =
-    Protocol.create net ~modes_for:Fastflex.Orchestrator.modes_for ~min_dwell:1.0
-      ~region_ttl:3 ()
+  (* one mode protocol behind the orchestrator's alarm sink. region_ttl 3
+     keeps each attack's modes scoped near its detector, so the two
+     defenses coexist in different regions *)
+  let sink =
+    Fastflex.Orchestrator.sink net
+      { Fastflex.Orchestrator.default_config with region_ttl = 3 }
   in
-  let raise_alarm (a : B.Lfa_detector.alarm) =
-    Printf.printf "t=%6.2fs  ALARM  %-10s at %s\n"
-      (Net.now net)
+  let protocol = sink.Fastflex.Orchestrator.s_protocol in
+  let log verb (a : B.Lfa_detector.alarm) =
+    Printf.printf "t=%6.2fs  %s  %-10s at %s\n" (Net.now net) verb
       (Packet.attack_kind_to_string a.B.Lfa_detector.attack)
-      (T.node topo a.B.Lfa_detector.switch).T.name;
-    Protocol.raise_alarm protocol ~sw:a.B.Lfa_detector.switch a.B.Lfa_detector.attack
+      (T.node topo a.B.Lfa_detector.switch).T.name
   in
-  let clear_alarm (a : B.Lfa_detector.alarm) =
-    Printf.printf "t=%6.2fs  CLEAR  %-10s at %s\n" (Net.now net)
-      (Packet.attack_kind_to_string a.B.Lfa_detector.attack)
-      (T.node topo a.B.Lfa_detector.switch).T.name;
-    Protocol.clear_alarm protocol ~sw:a.B.Lfa_detector.switch a.B.Lfa_detector.attack
-  in
+  let raise_alarm a = log "ALARM" a; sink.Fastflex.Orchestrator.on_alarm a in
+  let clear_alarm a = log "CLEAR" a; sink.Fastflex.Orchestrator.on_clear a in
 
   (* region 1: LFA defense at the aggregation switch *)
   let watched =

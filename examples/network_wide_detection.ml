@@ -25,17 +25,7 @@ let () =
   let topo = lm.T.Fig2.topo in
   let engine = Engine.create () in
   let net = Net.create engine topo in
-  let hosts = T.hosts topo in
-  List.iter
-    (fun (h1 : T.node) ->
-      List.iter
-        (fun (h2 : T.node) ->
-          if h1.T.id <> h2.T.id then
-            match T.shortest_path topo ~src:h1.T.id ~dst:h2.T.id with
-            | Some p -> Net.install_path net ~dst:h2.T.id p
-            | None -> ())
-        hosts)
-    hosts;
+  Net.install_shortest_paths net;
 
   let e1 = (T.node_by_name topo "e1").T.id and e2 = (T.node_by_name topo "e2").T.id in
   let name i = (T.node topo i).T.name in

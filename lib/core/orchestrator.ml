@@ -60,13 +60,164 @@ let default_config =
     hardening = None;
   }
 
-(* Detector hardening args from the config; the unhardened triple matches
-   [Lfa_detector.install]'s defaults so a [None] config stays
+type sink = {
+  s_protocol : Ff_modes.Protocol.t;
+  on_alarm : B.Lfa_detector.alarm -> unit;
+  on_clear : B.Lfa_detector.alarm -> unit;
+}
+
+let modes_for = function
+  | Packet.Lfa ->
+    [ B.Common.mode_classify; B.Common.mode_reroute; B.Common.mode_obfuscate;
+      B.Common.mode_drop ]
+  | Packet.Volumetric -> [ B.Common.mode_drop; B.Common.mode_hcf ]
+  | Packet.Pulsing -> [ B.Common.mode_reroute; B.Common.mode_drop ]
+  | Packet.Recon -> [ B.Common.mode_obfuscate ]
+  | Packet.Synflood -> [ B.Common.mode_syn_guard ]
+
+(* The switches a mode probe flooded from [sw] reaches: [ttl] switch hops. *)
+let region net ~ttl sw =
+  let seen = Hashtbl.create 16 in
+  Hashtbl.replace seen sw ();
+  let frontier = ref [ sw ] in
+  for _ = 1 to ttl do
+    frontier :=
+      List.concat_map
+        (fun s ->
+          List.filter
+            (fun p ->
+              let fresh = not (Hashtbl.mem seen p) in
+              if fresh then Hashtbl.replace seen p ();
+              fresh)
+            (Net.neighbors_of net s))
+        !frontier
+  done;
+  seen
+
+let sink net config =
+  let protocol =
+    Ff_modes.Protocol.create net ~region_ttl:config.region_ttl ~min_dwell:config.min_dwell
+      ~anti_entropy:config.anti_entropy ~modes_for ()
+  in
+  (* Several independent detectors can feed the same protocol alarm per
+     attack class, but [Protocol.clear_alarm] floods a region-wide
+     deactivation unconditionally while [raise_alarm] is a no-op when the
+     attack is already active. Without reference counting, one source's
+     clear switches mitigation off for everyone, and a still-alarmed
+     detector never re-raises — the mode deadlocks off while the attack
+     runs. Count raises per attack class and only forward the final
+     clear. That clear reaches only [region_ttl] hops from where it is
+     sent, so it also goes out from every switch that raised since the
+     last one and whose region it would miss: a region activated around
+     a distant detector is switched off too. *)
+  let raised : (Packet.attack_kind, int * int list) Hashtbl.t = Hashtbl.create 4 in
+  let find att = match Hashtbl.find_opt raised att with Some r -> r | None -> (0, []) in
+  {
+    s_protocol = protocol;
+    on_alarm =
+      (fun a ->
+        let att = a.B.Lfa_detector.attack and sw = a.B.Lfa_detector.switch in
+        let n, sites = find att in
+        Hashtbl.replace raised att (n + 1, if List.mem sw sites then sites else sw :: sites);
+        Ff_modes.Protocol.raise_alarm protocol ~sw att);
+    on_clear =
+      (fun a ->
+        let att = a.B.Lfa_detector.attack and sw = a.B.Lfa_detector.switch in
+        let n, sites = find att in
+        if n > 1 then Hashtbl.replace raised att (n - 1, sites)
+        else begin
+          Hashtbl.remove raised att;
+          (* a site whose region the clears sent so far already cover
+             needs no clear of its own; the clearing switch goes last,
+             with the freshest epoch *)
+          let covered = region net ~ttl:config.region_ttl sw in
+          let uncovered s =
+            let r = region net ~ttl:config.region_ttl s in
+            let fresh = Hashtbl.fold (fun p () acc -> acc || not (Hashtbl.mem covered p)) r false in
+            if fresh then Hashtbl.iter (fun p () -> Hashtbl.replace covered p ()) r;
+            fresh
+          in
+          List.iter
+            (fun s -> Ff_modes.Protocol.clear_alarm protocol ~sw:s att)
+            (List.filter uncovered (List.rev sites));
+          Ff_modes.Protocol.clear_alarm protocol ~sw att
+        end);
+  }
+
+(* Hardening is resolved once per booster family below. Each unhardened
+   tuple matches the booster's install defaults, so a [None] config stays
    bit-identical to the pre-hardening deploys. *)
-let det_jitter config =
-  match config.hardening with
-  | None -> (0., 2.0, 0x1FA_D)
-  | Some h -> (h.h_threshold_jitter, h.h_jitter_period, h.h_seed)
+
+let install_detector net config sink ~sw ~watched =
+  let threshold_jitter, jitter_period, seed =
+    match config.hardening with
+    | None -> (0., 2.0, 0x1FA_D)
+    | Some h -> (h.h_threshold_jitter, h.h_jitter_period, h.h_seed)
+  in
+  B.Lfa_detector.install net ~sw ~watched ~check_period:config.check_period
+    ~high_threshold:config.high_threshold ~threshold_jitter ~jitter_period ~seed
+    ~suspicious_rate:config.suspicious_rate ~min_age:config.min_age
+    ~clear_hold:config.clear_hold ~dst_flows_min:config.dst_flows_min
+    ~on_alarm:sink.on_alarm ~on_clear:sink.on_clear ()
+
+let install_heavy_hitter net config sink ~sw ~threshold_bps ?stages ?slots ?key_of () =
+  let epoch_jitter, threshold_jitter, rotate_period, src_hold, seed =
+    match config.hardening with
+    | None -> (0., 0., 0., 0., 0x44_11)
+    | Some h ->
+      (h.h_epoch_jitter, h.h_hh_threshold_jitter, h.h_rotate_period, h.h_src_hold, h.h_seed)
+  in
+  let hh =
+    B.Heavy_hitter.install net ~sw ?stages ?slots ?key_of ~threshold_bps ~epoch_jitter
+      ~threshold_jitter ~rotate_period ~src_hold ~seed ~on_alarm:sink.on_alarm
+      ~on_clear:sink.on_clear ()
+  in
+  (* marking must precede policing in the stage pipeline *)
+  Net.add_stage net ~sw (B.Heavy_hitter.mark_offenders_stage hh);
+  hh
+
+(* Detectors exchange their suspicious-source sets through sync probes
+   (paper 3.3: detectors "exchange information with each other"), so a
+   switch upstream of the congestion — where the path diversity is — can
+   mark and police flows its own local evidence could never convict. *)
+let source_sync net config detectors =
+  let period_jitter, seed =
+    match config.hardening with
+    | None -> (0., 0x5C11)
+    | Some h -> (h.h_epoch_jitter, h.h_seed)
+  in
+  Ff_modes.Sync.create net ~participants:(List.map fst detectors)
+    ~period:(4. *. config.check_period) ~period_jitter ~seed
+    ~local_view:(fun ~sw ->
+      match List.assoc_opt sw detectors with
+      | None -> []
+      | Some det ->
+        List.filter_map
+          (fun host ->
+            if B.Lfa_detector.is_suspicious_source det host then Some (host, 1.) else None)
+          (Net.host_ids net))
+    ~probe_class:9 ()
+
+(* The virtual topology is the default-mode forwarding as it stands at
+   deploy time. FastFlex's rerouting never rewrites the tables (it
+   overrides forwarding per packet), so walking the tables always
+   reconstructs the pre-attack path; [fallback] covers pairs the tables
+   cannot reach. *)
+let install_obfuscator net ~fallback =
+  let vcache : (int * int, int list option) Hashtbl.t = Hashtbl.create 64 in
+  let virtual_path ~src ~dst =
+    match Hashtbl.find_opt vcache (src, dst) with
+    | Some p -> p
+    | None ->
+      let p =
+        match Net.current_path net ~src ~dst with
+        | Some _ as p -> p
+        | None -> fallback ~src ~dst
+      in
+      Hashtbl.replace vcache (src, dst) p;
+      p
+  in
+  B.Obfuscator.install net ~virtual_path ()
 
 type t = {
   protocol : Ff_modes.Protocol.t;
@@ -79,21 +230,9 @@ type t = {
   mutable state_transfer : Transfer.t option;
 }
 
-let modes_for = function
-  | Packet.Lfa ->
-    [ B.Common.mode_classify; B.Common.mode_reroute; B.Common.mode_obfuscate;
-      B.Common.mode_drop ]
-  | Packet.Volumetric -> [ B.Common.mode_drop; B.Common.mode_hcf ]
-  | Packet.Pulsing -> [ B.Common.mode_reroute; B.Common.mode_drop ]
-  | Packet.Recon -> [ B.Common.mode_obfuscate ]
-  | Packet.Synflood -> [ B.Common.mode_syn_guard ]
-
 let deploy net ~landmarks ~default_plan ?(config = default_config) () =
   let lm : Topology.Fig2.landmarks = landmarks in
-  let protocol =
-    Ff_modes.Protocol.create net ~region_ttl:config.region_ttl ~min_dwell:config.min_dwell
-      ~anti_entropy:config.anti_entropy ~modes_for ()
-  in
+  let sink = sink net config in
   let watched =
     List.map
       (fun (l : Topology.link) ->
@@ -119,20 +258,17 @@ let deploy net ~landmarks ~default_plan ?(config = default_config) () =
              ~into:victim_sketch ())
     | _ -> ()
   in
-  let threshold_jitter, jitter_period, h_seed = det_jitter config in
   let detector =
-    B.Lfa_detector.install net ~sw:lm.Topology.Fig2.agg ~watched
-      ~check_period:config.check_period ~high_threshold:config.high_threshold
-      ~threshold_jitter ~jitter_period ~seed:h_seed
-      ~suspicious_rate:config.suspicious_rate ~min_age:config.min_age
-      ~clear_hold:config.clear_hold ~dst_flows_min:config.dst_flows_min
-      ~on_alarm:(fun a ->
-        Ff_modes.Protocol.raise_alarm protocol ~sw:a.B.Lfa_detector.switch a.B.Lfa_detector.attack;
-        (* let the classify mode mark traffic for ~2 s before snapshotting *)
-        Engine.after (Net.engine net) ~delay:2.0 ship_sketch)
-      ~on_clear:(fun a ->
-        Ff_modes.Protocol.clear_alarm protocol ~sw:a.B.Lfa_detector.switch a.B.Lfa_detector.attack)
-      ()
+    install_detector net config
+      {
+        sink with
+        on_alarm =
+          (fun a ->
+            sink.on_alarm a;
+            (* let the classify mode mark traffic for ~2 s before snapshotting *)
+            Engine.after (Net.engine net) ~delay:2.0 ship_sketch);
+      }
+      ~sw:lm.Topology.Fig2.agg ~watched
   in
   (* after the detector's classifier, so marks are visible; before the
      dropper, so policed packets still count as evidence *)
@@ -158,26 +294,12 @@ let deploy net ~landmarks ~default_plan ?(config = default_config) () =
       ~roots:(lm.Topology.Fig2.victim :: lm.Topology.Fig2.decoys)
       ~probe_interval:config.probe_interval ()
   in
-  (* The virtual topology is the default-mode forwarding as it stands at
-     deploy time. FastFlex's rerouting never rewrites the tables (it
-     overrides forwarding per packet), so walking the tables always
-     reconstructs the pre-attack path. *)
-  let vcache : (int * int, int list option) Hashtbl.t = Hashtbl.create 64 in
-  let virtual_path ~src ~dst =
-    match Hashtbl.find_opt vcache (src, dst) with
-    | Some p -> p
-    | None ->
-      let p =
-        match Net.current_path net ~src ~dst with
-        | Some _ as p -> p
-        | None -> Ff_te.Solver.plan_path default_plan ~src ~dst
-      in
-      Hashtbl.replace vcache (src, dst) p;
-      p
+  let obfuscator =
+    install_obfuscator net ~fallback:(fun ~src ~dst ->
+        Ff_te.Solver.plan_path default_plan ~src ~dst)
   in
-  let obfuscator = B.Obfuscator.install net ~virtual_path () in
   let t =
-    { protocol; detector; reroute; obfuscator; droppers; suspect_sketch;
+    { protocol = sink.s_protocol; detector; reroute; obfuscator; droppers; suspect_sketch;
       victim_sketch; state_transfer = None }
   in
   self := Some t;
@@ -200,34 +322,13 @@ type volumetric = {
 }
 
 let deploy_volumetric net ~sw ?(config = default_config) ?(threshold_bps = 4_000_000.) () =
-  let protocol =
-    Ff_modes.Protocol.create net ~region_ttl:config.region_ttl ~min_dwell:config.min_dwell
-      ~anti_entropy:config.anti_entropy ~modes_for ()
-  in
-  let epoch_jitter, hh_threshold_jitter, rotate_period, src_hold, hh_seed =
-    match config.hardening with
-    | None -> (0., 0., 0., 0., 0x44_11)
-    | Some h ->
-      (h.h_epoch_jitter, h.h_hh_threshold_jitter, h.h_rotate_period, h.h_src_hold, h.h_seed)
-  in
-  let hh =
-    B.Heavy_hitter.install net ~sw ~threshold_bps ~epoch_jitter
-      ~threshold_jitter:hh_threshold_jitter ~rotate_period ~src_hold ~seed:hh_seed
-      ~on_alarm:(fun a ->
-        Ff_modes.Protocol.raise_alarm protocol ~sw:a.B.Lfa_detector.switch
-          a.B.Lfa_detector.attack)
-      ~on_clear:(fun a ->
-        Ff_modes.Protocol.clear_alarm protocol ~sw:a.B.Lfa_detector.switch
-          a.B.Lfa_detector.attack)
-      ()
-  in
-  (* marking must precede policing in the stage pipeline *)
-  Net.add_stage net ~sw (B.Heavy_hitter.mark_offenders_stage hh);
+  let sink = sink net config in
+  let hh = install_heavy_hitter net config sink ~sw ~threshold_bps () in
   let dropper =
     B.Dropper.install net ~sw ~rate_limit:config.drop_rate_limit ~drop_prob:config.drop_prob ()
   in
   let hcf = B.Hop_count_filter.install net ~sw () in
-  { v_protocol = protocol; v_hh = hh; v_dropper = dropper; v_hcf = hcf }
+  { v_protocol = sink.s_protocol; v_hh = hh; v_dropper = dropper; v_hcf = hcf }
 
 type synguard = {
   sg_protocol : Ff_modes.Protocol.t;
@@ -236,27 +337,18 @@ type synguard = {
 
 let deploy_synguard net ~sw ~protect ?(config = default_config)
     ?(tracker_capacity = 4096) ?(syn_threshold_pps = 200.) () =
-  let protocol =
-    Ff_modes.Protocol.create net ~region_ttl:config.region_ttl ~min_dwell:config.min_dwell
-      ~anti_entropy:config.anti_entropy ~modes_for ()
-  in
-  let threshold_jitter, rotate_period, sg_seed =
+  let sink = sink net config in
+  let threshold_jitter, rotate_period, seed =
     match config.hardening with
     | None -> (0., 0., 0x5EED)
     | Some h -> (h.h_threshold_jitter, h.h_rotate_period, h.h_seed)
   in
   let guard =
     B.Syn_guard.install net ~sw ~protect ~tracker_capacity ~syn_threshold_pps
-      ~clear_hold:config.clear_hold ~threshold_jitter ~rotate_period ~seed:sg_seed
-      ~on_alarm:(fun a ->
-        Ff_modes.Protocol.raise_alarm protocol ~sw:a.B.Lfa_detector.switch
-          a.B.Lfa_detector.attack)
-      ~on_clear:(fun a ->
-        Ff_modes.Protocol.clear_alarm protocol ~sw:a.B.Lfa_detector.switch
-          a.B.Lfa_detector.attack)
-      ()
+      ~clear_hold:config.clear_hold ~threshold_jitter ~rotate_period ~seed
+      ~on_alarm:sink.on_alarm ~on_clear:sink.on_clear ()
   in
-  { sg_protocol = protocol; sg_guard = guard }
+  { sg_protocol = sink.s_protocol; sg_guard = guard }
 
 type wide = {
   w_protocol : Ff_modes.Protocol.t;
@@ -268,63 +360,22 @@ type wide = {
 
 let deploy_wide net ~protect ?(config = default_config) ?on_mode () =
   let topo = Net.topology net in
-  let protocol =
-    Ff_modes.Protocol.create net ~region_ttl:config.region_ttl ~min_dwell:config.min_dwell
-      ~anti_entropy:config.anti_entropy ~modes_for ()
-  in
+  let sink = sink net config in
   (match on_mode with
-  | Some f -> Ff_modes.Protocol.on_transition protocol f
+  | Some f -> Ff_modes.Protocol.on_transition sink.s_protocol f
   | None -> ());
-  let core_egress sw =
-    List.map (fun peer -> (sw, peer)) (Net.neighbors_of net sw)
-  in
   let detectors =
     List.filter_map
       (fun sw ->
-        match core_egress sw with
+        match Net.neighbors_of net sw with
         | [] -> None
-        | watched ->
-          let threshold_jitter, jitter_period, h_seed = det_jitter config in
-          let det =
-            B.Lfa_detector.install net ~sw ~watched ~check_period:config.check_period
-              ~high_threshold:config.high_threshold ~suspicious_rate:config.suspicious_rate
-              ~threshold_jitter ~jitter_period ~seed:h_seed
-              ~min_age:config.min_age ~clear_hold:config.clear_hold
-              ~dst_flows_min:config.dst_flows_min
-              ~on_alarm:(fun a ->
-                Ff_modes.Protocol.raise_alarm protocol ~sw:a.B.Lfa_detector.switch
-                  a.B.Lfa_detector.attack)
-              ~on_clear:(fun a ->
-                Ff_modes.Protocol.clear_alarm protocol ~sw:a.B.Lfa_detector.switch
-                  a.B.Lfa_detector.attack)
-              ()
-          in
-          Some (sw, det))
+        | peers ->
+          let watched = List.map (fun peer -> (sw, peer)) peers in
+          Some (sw, install_detector net config sink ~sw ~watched))
       (Net.switch_ids net)
   in
-  (* Detectors exchange their suspicious-source sets through sync probes
-     (paper 3.3: detectors "exchange information with each other"), so a
-     switch upstream of the congestion — where the path diversity is — can
-     mark and police flows its own local evidence could never convict. *)
   let detector_switches = List.map fst detectors in
-  let sync_jitter, sync_seed =
-    match config.hardening with
-    | None -> (0., 0x5C11)
-    | Some h -> (h.h_epoch_jitter, h.h_seed)
-  in
-  let source_sync =
-    Ff_modes.Sync.create net ~participants:detector_switches ~period:(4. *. config.check_period)
-      ~period_jitter:sync_jitter ~seed:sync_seed
-      ~local_view:(fun ~sw ->
-        match List.assoc_opt sw detectors with
-        | None -> []
-        | Some det ->
-          List.filter_map
-            (fun host ->
-              if B.Lfa_detector.is_suspicious_source det host then Some (host, 1.) else None)
-            (Net.host_ids net))
-      ~probe_class:9 ()
-  in
+  let source_sync = source_sync net config detectors in
   let classify_key = B.Common.mode_key B.Common.mode_classify in
   (* Per-packet equivalent of [Sync.global_value ... > 0.]: the local view's
      entries are exactly this switch's suspicious sources (value 1.), so the
@@ -358,27 +409,15 @@ let deploy_wide net ~protect ?(config = default_config) ?on_mode () =
   let droppers =
     List.map
       (fun sw ->
-        ( sw,
-          B.Dropper.install net ~sw ~rate_limit:config.drop_rate_limit
-            ~drop_prob:config.drop_prob () ))
+        (sw, B.Dropper.install net ~sw ~rate_limit:config.drop_rate_limit
+               ~drop_prob:config.drop_prob ()))
       detector_switches
   in
   let reroute = B.Reroute.install net ~roots:protect ~probe_interval:config.probe_interval () in
-  let vcache : (int * int, int list option) Hashtbl.t = Hashtbl.create 64 in
-  let virtual_path ~src ~dst =
-    match Hashtbl.find_opt vcache (src, dst) with
-    | Some p -> p
-    | None ->
-      let p =
-        match Net.current_path net ~src ~dst with
-        | Some _ as p -> p
-        | None -> Topology.shortest_path topo ~src ~dst
-      in
-      Hashtbl.replace vcache (src, dst) p;
-      p
+  let obfuscator =
+    install_obfuscator net ~fallback:(fun ~src ~dst -> Topology.shortest_path topo ~src ~dst)
   in
-  let obfuscator = B.Obfuscator.install net ~virtual_path () in
-  { w_protocol = protocol; w_detectors = detectors; w_reroute = reroute;
+  { w_protocol = sink.s_protocol; w_detectors = detectors; w_reroute = reroute;
     w_obfuscator = obfuscator; w_droppers = droppers }
 
 let wide_mode_log w = Ff_modes.Protocol.log w.w_protocol

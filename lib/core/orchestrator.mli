@@ -48,6 +48,61 @@ type config = {
 
 val default_config : config
 
+val modes_for : Ff_dataplane.Packet.attack_kind -> string list
+(** The attack -> booster-mode mapping the protocol distributes. *)
+
+(** {1 The alarm path}
+
+    Every detector reaches the mode protocol through a {!sink}: the
+    [deploy_*] functions below and the scenario drivers all build one, and
+    nothing else creates a protocol for detectors or calls
+    {!Ff_modes.Protocol.raise_alarm}/[clear_alarm] on their behalf. *)
+
+type sink = {
+  s_protocol : Ff_modes.Protocol.t;
+  on_alarm : Ff_boosters.Lfa_detector.alarm -> unit;
+  on_clear : Ff_boosters.Lfa_detector.alarm -> unit;
+}
+
+val sink : Ff_netsim.Net.t -> config -> sink
+(** Creates the mode protocol from [config] ([region_ttl], [min_dwell],
+    [anti_entropy], {!modes_for}) and a reference-counted alarm pair for
+    it. [on_alarm] counts one raise for the alarm's attack class and
+    raises it at the alarm's switch. [on_clear] drops one count and
+    forwards the clear only when the count reaches zero, so with several
+    detectors sharing an attack class the mode stays up until the last of
+    them clears — a bare [Protocol.clear_alarm] would deactivate the whole
+    region while another detector is still alarmed, and that detector
+    would never re-raise. A clear floods only [region_ttl] hops, so the
+    final clear is sent from the clearing switch and also from every
+    switch that raised since the last final clear whose [region_ttl]-hop
+    region those clears would otherwise miss: every region an alarm
+    switched on is switched off. Callers that need an extra action on an alarm
+    wrap the closures ([{ sink with on_alarm = ... }]) and still call
+    through. *)
+
+val install_detector :
+  Ff_netsim.Net.t -> config -> sink -> sw:int -> watched:(int * int) list ->
+  Ff_boosters.Lfa_detector.t
+(** An LFA detector at [sw] watching the directed [watched] links, with
+    its thresholds, timers and (if any) hardening taken from [config] and
+    its alarms wired to [sink]. *)
+
+val install_heavy_hitter :
+  Ff_netsim.Net.t -> config -> sink -> sw:int -> threshold_bps:float -> ?stages:int ->
+  ?slots:int -> ?key_of:(Ff_dataplane.Packet.t -> int) -> unit ->
+  Ff_boosters.Heavy_hitter.t
+(** A HashPipe heavy hitter at [sw] wired to [sink], hardened from
+    [config], followed by its offender-marking stage (so a dropper
+    installed afterwards polices the marked flows). [stages], [slots] and
+    [key_of] default as in {!Ff_boosters.Heavy_hitter.install}. *)
+
+val source_sync :
+  Ff_netsim.Net.t -> config -> (int * Ff_boosters.Lfa_detector.t) list -> Ff_modes.Sync.t
+(** View synchronization among the given (switch, detector) pairs: each
+    advertises its suspicious sources every [4 * check_period] (jittered
+    under hardening), on probe class 9. *)
+
 type t = {
   protocol : Ff_modes.Protocol.t;
   detector : Ff_boosters.Lfa_detector.t;
@@ -72,9 +127,6 @@ val deploy :
 (** Installs (in stage order at the aggregation switch): obfuscation (ahead
     of TTL processing), mode protocol, LFA detection, dropping, rerouting.
     The default TE plan doubles as the obfuscator's virtual topology. *)
-
-val modes_for : Ff_dataplane.Packet.attack_kind -> string list
-(** The attack -> booster-mode mapping the protocol distributes. *)
 
 type volumetric = {
   v_protocol : Ff_modes.Protocol.t;
@@ -141,7 +193,9 @@ val deploy_wide :
     detector watching them plus a dropper; rerouting probes advertise
     paths toward the [protect]ed hosts (the victim-side prefix);
     obfuscation snapshots the current tables as the virtual topology.
-    Alarms from any detector drive one shared mode protocol. [on_mode]
+    Alarms from any detector drive one shared mode protocol through one
+    {!sink}, so an attack's modes stay up until the last alarmed detector
+    clears. [on_mode]
     observes every applied mode transition — the hybrid fluid tier
     registers its demotion predicate here, so flows crossing a
     mode-changing region drop to packet fidelity. *)

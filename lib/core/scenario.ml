@@ -43,25 +43,20 @@ type result = {
   probes_sent : int;
 }
 
-(* Default connectivity: per-destination shortest-path routes for every
-   host, with the two victim-side decoys deliberately spread over the two
-   critical links (decoy1 via m1, decoy2 via m2) — the path diversity a
-   Crossfire attacker exploits to choose its target link. *)
-let install_default_routes net (lm : Topology.Fig2.landmarks) =
-  let topo = Net.topology net in
-  let hosts = Topology.hosts topo in
-  List.iter
-    (fun (dst : Topology.node) ->
-      List.iter
-        (fun (src : Topology.node) ->
-          if src.Topology.id <> dst.Topology.id then
-            match Topology.shortest_path topo ~src:src.Topology.id ~dst:dst.Topology.id with
-            | Some p -> Net.install_path net ~dst:dst.Topology.id p
-            | None -> ())
-        hosts)
-    hosts;
-  (* pin each decoy behind a distinct critical link *)
-  match (lm.Topology.Fig2.decoys, lm.Topology.Fig2.critical) with
+(* The Figure 2 testbed every case-study driver starts from: default
+   shortest-path routes for every host, with the two victim-side decoys
+   deliberately spread over the two critical links (decoy1 via m1, decoy2
+   via m2) — the path diversity a Crossfire attacker exploits to choose
+   its target link — and on top the default mode: the optimal
+   configuration from centralized TE for the normal demand. k = 2 keeps
+   the default plan on the two shortest (critical-link) paths; the longer
+   detour is capacity the defenses tap into under attack. *)
+let fig2_testbed ?(bots = 8) ?(normals = 4) () =
+  let lm = Topology.Fig2.build ~bots ~normals () in
+  let topo = lm.Topology.Fig2.topo in
+  let net = Net.create (Engine.create ()) topo in
+  Net.install_shortest_paths net;
+  (match (lm.Topology.Fig2.decoys, lm.Topology.Fig2.critical) with
   | [ d1; d2 ], [ c1; c2 ] ->
     let mid_of (l : Topology.link) =
       if l.Topology.a = lm.Topology.Fig2.agg then l.Topology.b else l.Topology.a
@@ -71,28 +66,28 @@ let install_default_routes net (lm : Topology.Fig2.landmarks) =
     Net.set_route net ~sw:m1 ~dst:d1 ~next_hop:lm.Topology.Fig2.victim_agg;
     Net.set_route net ~sw:lm.Topology.Fig2.agg ~dst:d2 ~next_hop:m2;
     Net.set_route net ~sw:m2 ~dst:d2 ~next_hop:lm.Topology.Fig2.victim_agg
-  | _ -> ()
-
-let normal_matrix (lm : Topology.Fig2.landmarks) ~per_flow_bps =
-  let m = Ff_te.Traffic_matrix.empty () in
+  | _ -> ());
+  let matrix = Ff_te.Traffic_matrix.empty () in
   List.iter
-    (fun n -> Ff_te.Traffic_matrix.set m ~src:n ~dst:lm.Topology.Fig2.victim per_flow_bps)
+    (fun n -> Ff_te.Traffic_matrix.set matrix ~src:n ~dst:lm.Topology.Fig2.victim 2_300_000.)
     lm.Topology.Fig2.normal_sources;
-  m
+  let default_plan = Ff_te.Solver.solve ~k:2 topo matrix in
+  Ff_te.Solver.install net default_plan;
+  (lm, net, default_plan)
+
+let window series t0 t1 =
+  List.filter_map (fun (t, v) -> if t >= t0 && t <= t1 then Some v else None) (Series.points series)
+
+(* The normalizer: mean goodput over the steady state just before the
+   attack (at least 1, so an idle run stays finite). *)
+let pre_attack_baseline series ~attack_start =
+  let lo = Float.max 2. (attack_start -. 6.) and hi = Float.max 4. (attack_start -. 1.) in
+  Float.max 1. (Ff_util.Stats.mean (window series lo hi))
 
 let run_lfa ~defense ?(attack = Some default_attack) ?(duration = 120.)
     ?(sample_period = 0.5) ?(normals = 4) ?(bots = 8) ?on_ready () =
-  let lm = Topology.Fig2.build ~bots ~normals () in
-  let topo = lm.Topology.Fig2.topo in
-  let engine = Engine.create () in
-  let net = Net.create engine topo in
-  install_default_routes net lm;
-  (* default mode: optimal configuration from centralized TE. k = 2 keeps
-     the default plan on the two shortest (critical-link) paths; the longer
-     detour is capacity the defenses tap into under attack. *)
-  let matrix = normal_matrix lm ~per_flow_bps:2_300_000. in
-  let default_plan = Ff_te.Solver.solve ~k:2 topo matrix in
-  Ff_te.Solver.install net default_plan;
+  let lm, net, default_plan = fig2_testbed ~bots ~normals () in
+  let engine = Net.engine net in
   (* normal traffic: one long-lived TCP flow per normal host *)
   let normal_flows =
     List.map
@@ -143,17 +138,9 @@ let run_lfa ~defense ?(attack = Some default_attack) ?(duration = 120.)
   | Some f -> f net lm normal_flows
   | None -> ());
   Engine.run engine ~until:duration;
-  (* normalizer: steady state before the attack (or over the whole run) *)
+  (* without an attack the whole run is the steady state *)
   let attack_start = match attack with Some a -> a.start | None -> duration in
-  let calib_lo = Float.max 2. (attack_start -. 6.) and calib_hi = Float.max 4. (attack_start -. 1.) in
-  let calib =
-    List.filter_map
-      (fun (t, v) -> if t >= calib_lo && t <= calib_hi then Some v else None)
-      (Series.points raw_goodput)
-  in
-  let baseline_goodput =
-    match calib with [] -> 1. | vs -> Float.max 1. (Ff_util.Stats.mean vs)
-  in
+  let baseline_goodput = pre_attack_baseline raw_goodput ~attack_start in
   let normalized = Series.create ~name:"normalized" in
   List.iter
     (fun (t, v) -> Series.add normalized ~time:t (v /. baseline_goodput))
@@ -226,14 +213,7 @@ type volumetric_result = {
 }
 
 let run_volumetric ~defended ?(duration = 60.) ?(attack_rate_pps = 600.) ?(spoof = true) () =
-  let lm = Topology.Fig2.build ~bots:8 ~normals:4 () in
-  let topo = lm.Topology.Fig2.topo in
-  let engine = Engine.create () in
-  let net = Net.create engine topo in
-  install_default_routes net lm;
-  let matrix = normal_matrix lm ~per_flow_bps:2_300_000. in
-  let default_plan = Ff_te.Solver.solve ~k:2 topo matrix in
-  Ff_te.Solver.install net default_plan;
+  let lm, net, _ = fig2_testbed () in
   let normal_flows =
     List.map
       (fun n -> Flow.Tcp.start net ~src:n ~dst:lm.Topology.Fig2.victim ~at:0.5 ~max_cwnd:4. ())
@@ -256,18 +236,11 @@ let run_volumetric ~defended ?(duration = 60.) ?(attack_rate_pps = 600.) ?(spoof
   let goodput =
     Monitor.aggregate_goodput net ~flows:normal_flows ~period:0.5 ~name:"goodput" ()
   in
-  Engine.run engine ~until:duration;
-  let vals t0 t1 =
-    List.filter_map
-      (fun (t, v) -> if t >= t0 && t <= t1 then Some v else None)
-      (Series.points goodput)
-  in
-  let baseline =
-    Float.max 1. (Ff_util.Stats.mean (vals (attack_start -. 6.) (attack_start -. 1.)))
-  in
+  Engine.run (Net.engine net) ~until:duration;
   {
     vr_normalized_mean =
-      Ff_util.Stats.mean (vals (attack_start +. 2.) duration) /. baseline;
+      Ff_util.Stats.mean (window goodput (attack_start +. 2.) duration)
+      /. pre_attack_baseline goodput ~attack_start;
     vr_spoofed_filtered =
       (match vol with
       | Some v -> Ff_boosters.Hop_count_filter.filtered v.Orchestrator.v_hcf
@@ -312,14 +285,7 @@ type synflood_result = {
 
 let run_synflood ~defended ?(hardened = false) ?(duration = 60.)
     ?(attack_rate_pps = 400.) ?(backlog = 64) ?(syn_timeout = 3.0) () =
-  let lm = Topology.Fig2.build ~bots:8 ~normals:4 () in
-  let topo = lm.Topology.Fig2.topo in
-  let engine = Engine.create () in
-  let net = Net.create engine topo in
-  install_default_routes net lm;
-  let matrix = normal_matrix lm ~per_flow_bps:2_300_000. in
-  let default_plan = Ff_te.Solver.solve ~k:2 topo matrix in
-  Ff_te.Solver.install net default_plan;
+  let lm, net, _ = fig2_testbed () in
   (* the resource under attack: the victim's accept backlog *)
   let listener =
     Flow.Listener.install net ~host:lm.Topology.Fig2.victim ~backlog ~syn_timeout ()
@@ -365,20 +331,13 @@ let run_synflood ~defended ?(hardened = false) ?(duration = 60.)
                 0. clients) ]
       ~period:0.5 ~name:"goodput" ()
   in
-  Engine.run engine ~until:duration;
-  let vals t0 t1 =
-    List.filter_map
-      (fun (t, v) -> if t >= t0 && t <= t1 then Some v else None)
-      (Series.points goodput)
-  in
-  let baseline =
-    Float.max 1. (Ff_util.Stats.mean (vals (attack_start -. 6.) (attack_start -. 1.)))
-  in
+  Engine.run (Net.engine net) ~until:duration;
+  let baseline = pre_attack_baseline goodput ~attack_start in
   let guard = Option.map (fun s -> s.Orchestrator.sg_guard) sg in
   let sum f = List.fold_left (fun acc c -> acc + f c) 0 clients in
   {
     sf_normalized_mean =
-      Ff_util.Stats.mean (vals (attack_start +. 2.) duration) /. baseline;
+      Ff_util.Stats.mean (window goodput (attack_start +. 2.) duration) /. baseline;
     sf_baseline_goodput = baseline;
     sf_peak_backlog_occupancy = Flow.Listener.peak_occupancy listener;
     sf_backlog_drops = Flow.Listener.backlog_drops listener;
@@ -580,51 +539,24 @@ let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1)
         }
     else None
   in
+  let config = { Orchestrator.default_config with region_ttl = 2; hardening } in
+  (* each stack keeps the dropper posture it was tuned with *)
+  let install_dropper =
+    let rate_limit, drop_prob =
+      match strategy with
+      | Adaptive.Threshold_hug -> (150_000., 0.5)
+      | Adaptive.Collision_probe | Adaptive.Epoch_time -> (100_000., 0.9)
+    in
+    fun sw -> Ff_boosters.Dropper.install net ~sw ~rate_limit ~drop_prob ()
+  in
   let alarms = ref 0 in
-  let protocol =
-    Ff_modes.Protocol.create net ~region_ttl:2 ~min_dwell:1.0 ~anti_entropy:0.5
-      ~modes_for:Orchestrator.modes_for ()
-  in
-  (* Several independent detectors (heavy-hitter boosters, the fanout
-     guard, LFA detectors) feed the same protocol alarm per attack
-     class, but [Protocol.clear_alarm] floods a region-wide
-     deactivation unconditionally while [raise_alarm] is a no-op when
-     the attack is already active. Without reference counting, one
-     source's clear (e.g. the fanout guard calming) switches mitigation
-     off for everyone, and a still-alarmed detector never re-raises —
-     the mode deadlocks off while the attack runs. Count raises per
-     attack class and only forward the final clear. *)
-  let raised : (Ff_dataplane.Packet.attack_kind, int) Hashtbl.t = Hashtbl.create 4 in
-  let on_alarm (a : Ff_boosters.Lfa_detector.alarm) =
-    incr alarms;
-    let att = a.Ff_boosters.Lfa_detector.attack in
-    let n = match Hashtbl.find_opt raised att with Some n -> n | None -> 0 in
-    Hashtbl.replace raised att (n + 1);
-    Ff_modes.Protocol.raise_alarm protocol ~sw:a.Ff_boosters.Lfa_detector.switch att
-  in
-  let on_clear (a : Ff_boosters.Lfa_detector.alarm) =
-    let att = a.Ff_boosters.Lfa_detector.attack in
-    let n = match Hashtbl.find_opt raised att with Some n -> n | None -> 0 in
-    let n = Stdlib.max 0 (n - 1) in
-    Hashtbl.replace raised att n;
-    if n = 0 then
-      Ff_modes.Protocol.clear_alarm protocol ~sw:a.Ff_boosters.Lfa_detector.switch att
-  in
-  let det_jitter, det_period, det_seed =
-    match hardening with
-    | None -> (0., 2.0, 0x1FA_D lxor seed)
-    | Some h ->
-      (h.Orchestrator.h_threshold_jitter, h.Orchestrator.h_jitter_period, h.Orchestrator.h_seed)
-  in
-  let hh_epoch_jitter, hh_thr_jitter, hh_rotate, hh_src_hold, hh_seed =
-    match hardening with
-    | None -> (0., 0., 0., 0., 0x44_11 lxor seed)
-    | Some h ->
-      ( h.Orchestrator.h_epoch_jitter,
-        h.Orchestrator.h_hh_threshold_jitter,
-        h.Orchestrator.h_rotate_period,
-        h.Orchestrator.h_src_hold,
-        h.Orchestrator.h_seed )
+  let alarm_sink =
+    let s = Orchestrator.sink net config in
+    { s with
+      Orchestrator.on_alarm =
+        (fun a ->
+          incr alarms;
+          s.Orchestrator.on_alarm a) }
   in
   let droppers = ref [] in
   let hhs = ref [] in
@@ -637,33 +569,11 @@ let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1)
       List.map
         (fun a ->
           ( a,
-            Ff_boosters.Lfa_detector.install net ~sw:a
-              ~watched:(List.map (fun e -> (a, e)) edges)
-              ~check_period:0.05 ~high_threshold:0.85 ~threshold_jitter:det_jitter
-              ~jitter_period:det_period ~seed:det_seed ~suspicious_rate:1_500_000.
-              ~min_age:1.0 ~clear_hold:3.0 ~dst_flows_min:8 ~on_alarm ~on_clear () ))
+            Orchestrator.install_detector net config alarm_sink ~sw:a
+              ~watched:(List.map (fun e -> (a, e)) edges) ))
         aggs
     in
-    let sync_jitter, sync_seed =
-      match hardening with
-      | None -> (0., 0x5C11 lxor seed)
-      | Some h -> (h.Orchestrator.h_epoch_jitter, h.Orchestrator.h_seed)
-    in
-    let source_sync =
-      Ff_modes.Sync.create net ~participants:aggs ~period:0.2 ~period_jitter:sync_jitter
-        ~seed:sync_seed
-        ~local_view:(fun ~sw ->
-          match List.assoc_opt sw detectors with
-          | None -> []
-          | Some det ->
-            List.filter_map
-              (fun host ->
-                if Ff_boosters.Lfa_detector.is_suspicious_source det host then
-                  Some (host, 1.)
-                else None)
-              (Net.host_ids net))
-        ~probe_class:9 ()
-    in
+    let source_sync = Orchestrator.source_sync net config detectors in
     let classify_key = Ff_boosters.Common.mode_key Ff_boosters.Common.mode_classify in
     List.iter
       (fun sw ->
@@ -685,10 +595,7 @@ let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1)
                 Net.Continue);
           })
       aggs;
-    droppers :=
-      List.map
-        (fun a -> Ff_boosters.Dropper.install net ~sw:a ~rate_limit:150_000. ~drop_prob:0.5 ())
-        aggs
+    droppers := List.map install_dropper aggs
   | Adaptive.Collision_probe ->
     (* volumetric stack, flow-keyed: a deliberately small HashPipe (one
        stage — every slot fight is a clean eviction) that collision
@@ -704,24 +611,15 @@ let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1)
            coin flip per epoch — and an 8x larger table also scales up
            the attacker's expected collision-search cost by 8x *)
         let hh =
-          Ff_boosters.Heavy_hitter.install net ~sw:a ~epoch:1.0 ~stages:1
-            ~slots:(if hardened then 64 else 8) ~threshold_bps:1_200_000.
-            ~epoch_jitter:hh_epoch_jitter ~threshold_jitter:hh_thr_jitter
-            ~rotate_period:hh_rotate ~src_hold:hh_src_hold ~seed:hh_seed ~on_alarm
-            ~on_clear ()
+          Orchestrator.install_heavy_hitter net config alarm_sink ~sw:a ~threshold_bps:1_200_000.
+            ~stages:1 ~slots:(if hardened then 64 else 8) ()
         in
         hhs := hh :: !hhs;
-        Net.add_stage net ~sw:a (Ff_boosters.Heavy_hitter.mark_offenders_stage hh);
+        let alarm = { Ff_boosters.Lfa_detector.switch = a; attack = Ff_dataplane.Packet.Volumetric } in
         install_fanout_guard net ~sw:a ~max_flows:6 ~window:2.0 ~seed:(0xFA6 lxor seed)
-          ~on_trip:(fun _src ->
-            on_alarm
-              { Ff_boosters.Lfa_detector.switch = a; attack = Ff_dataplane.Packet.Volumetric })
-          ~on_calm:(fun _src ->
-            on_clear
-              { Ff_boosters.Lfa_detector.switch = a; attack = Ff_dataplane.Packet.Volumetric });
-        droppers :=
-          Ff_boosters.Dropper.install net ~sw:a ~rate_limit:100_000. ~drop_prob:0.9 ()
-          :: !droppers)
+          ~on_trip:(fun _src -> alarm_sink.Orchestrator.on_alarm alarm)
+          ~on_calm:(fun _src -> alarm_sink.Orchestrator.on_clear alarm);
+        droppers := install_dropper a :: !droppers)
       aggs
   | Adaptive.Epoch_time ->
     (* volumetric stack keyed by *source*: a fixed bot population cannot
@@ -730,17 +628,11 @@ let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1)
     List.iter
       (fun a ->
         let hh =
-          Ff_boosters.Heavy_hitter.install net ~sw:a ~epoch:1.0 ~threshold_bps:1_200_000.
-            ~key_of:(fun pkt -> pkt.Ff_dataplane.Packet.src)
-            ~epoch_jitter:hh_epoch_jitter ~threshold_jitter:hh_thr_jitter
-            ~rotate_period:hh_rotate ~src_hold:hh_src_hold ~seed:hh_seed ~on_alarm
-            ~on_clear ()
+          Orchestrator.install_heavy_hitter net config alarm_sink ~sw:a ~threshold_bps:1_200_000.
+            ~key_of:(fun pkt -> pkt.Ff_dataplane.Packet.src) ()
         in
         hhs := hh :: !hhs;
-        Net.add_stage net ~sw:a (Ff_boosters.Heavy_hitter.mark_offenders_stage hh);
-        droppers :=
-          Ff_boosters.Dropper.install net ~sw:a ~rate_limit:100_000. ~drop_prob:0.9 ()
-          :: !droppers)
+        droppers := install_dropper a :: !droppers)
       aggs);
   (* the adversary *)
   let atk_cfg =
@@ -781,28 +673,6 @@ let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1)
   in
   (* work-factor harness: damage sampled over the watched decoy links *)
   let wf = Workfactor.create ~damage_floor:0.7 ~effective_damage:1.0 ~attack_start () in
-  (if Sys.getenv_opt "ADVERSARIAL_TRACE" <> None then
-     let last_drops = ref 0 in
-     Engine.every engine ~start:0.5 ~period:0.5 (fun () ->
-         let drops =
-           List.fold_left (fun acc d -> acc + Ff_boosters.Dropper.dropped d) 0 !droppers
-         in
-         let offn =
-           List.fold_left
-             (fun acc hh -> acc + List.length (Ff_boosters.Heavy_hitter.offenders hh))
-             0 !hhs
-         in
-         let util =
-           List.fold_left
-             (fun acc (a, e) -> Float.max acc (Net.utilization net ~from_:a ~to_:e))
-             0. watched
-         in
-         Printf.eprintf "[trace %s%s%s] t=%5.1f util=%.2f offenders=%d drops+=%d alarms=%d\n"
-           (Adaptive.strategy_name strategy)
-           (match adversary with Closed_loop -> "/closed" | Open_loop -> "/open")
-           (if hardened then "/hard" else "")
-           (Net.now net) util offn (drops - !last_drops) !alarms;
-         last_drops := drops));
   let sample_dt = 0.1 in
   let last_probes = ref 0 in
   Engine.every engine ~start:sample_dt ~period:sample_dt (fun () ->
@@ -842,15 +712,6 @@ let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1)
         List.map (fun (at, msg) -> Printf.sprintf "%6.2f %s" at msg) (Adaptive.log a)
       | None -> []);
   }
-
-let pp_adversarial fmt r =
-  Format.fprintf fmt
-    "%s %s %s: probes=%d damage=%.2f peak=%.2f tte=%.1fs wf=%.0f alarms=%d drops=%d rot=%d@.  %s@."
-    (Adaptive.strategy_name r.ar_strategy)
-    (match r.ar_adversary with Closed_loop -> "closed-loop" | Open_loop -> "open-loop")
-    (if r.ar_hardened then "hardened" else "unhardened")
-    r.ar_probes r.ar_damage r.ar_peak_util r.ar_time_to_effective r.ar_work_factor
-    r.ar_alarms r.ar_drops r.ar_rotations r.ar_summary
 
 (* ---- hybrid fluid/packet ISP scenario ---------------------------------- *)
 

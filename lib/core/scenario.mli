@@ -190,8 +190,6 @@ val run_adversarial :
     same seed replays the identical run (attacker and defense draws are
     both derived from it). *)
 
-val pp_adversarial : Format.formatter -> adversarial_result -> unit
-
 (** {1 Hybrid fluid/packet ISP scenario}
 
     The scale tier: an ISP-like three-tier topology ({!Ff_topology.Topology.isp})

@@ -55,7 +55,9 @@ val raise_alarm : t -> sw:int -> attack -> unit
 
 val clear_alarm : t -> sw:int -> attack -> unit
 (** Floods deactivation with a fresh epoch; switches apply it only after
-    their dwell expires. *)
+    their dwell expires. It deactivates the attack region-wide regardless
+    of other detectors still alarmed for it, so detectors go through
+    [Fastflex.Orchestrator.sink], which forwards only the last clear. *)
 
 val active : t -> sw:int -> string -> bool
 (** Is a mode active at a switch? *)

@@ -752,6 +752,19 @@ let iter_path_switches t path ~f =
 let install_path t ~dst path =
   iter_path_switches t path ~f:(fun a b -> set_route t ~sw:a ~dst ~next_hop:b)
 
+let install_shortest_paths t =
+  let hosts = Topology.hosts t.topo in
+  List.iter
+    (fun (dst : Topology.node) ->
+      List.iter
+        (fun (src : Topology.node) ->
+          if src.Topology.id <> dst.Topology.id then
+            match Topology.shortest_path t.topo ~src:src.Topology.id ~dst:dst.Topology.id with
+            | Some p -> install_path t ~dst:dst.Topology.id p
+            | None -> ())
+        hosts)
+    hosts
+
 let install_pair_path t ~src ~dst path =
   iter_path_switches t path ~f:(fun a b -> set_pair_route t ~sw:a ~src ~dst ~next_hop:b)
 

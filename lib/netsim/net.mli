@@ -139,6 +139,11 @@ val clear_routes : t -> sw:int -> unit
 val install_path : t -> dst:int -> Ff_topology.Topology.path -> unit
 (** Set the route toward [dst] on every switch along the path. *)
 
+val install_shortest_paths : t -> unit
+(** Default connectivity: for every ordered host pair, [install_path] the
+    topology's shortest path (destination-major order, so where two
+    sources' paths disagree on a switch the later source's hop wins). *)
+
 val install_pair_path : t -> src:int -> dst:int -> Ff_topology.Topology.path -> unit
 (** Pin the (src,dst) pair to this path (per-pair entries on every switch
     along it). *)

@@ -129,20 +129,8 @@ let test_deploy_wide_on_ring () =
   let topo = Ff_topology.Topology.ring ~n:6 () in
   let engine = Ff_netsim.Engine.create () in
   let net = Ff_netsim.Net.create engine topo in
+  Ff_netsim.Net.install_shortest_paths net;
   let hosts = Ff_topology.Topology.hosts topo in
-  List.iter
-    (fun (h1 : Ff_topology.Topology.node) ->
-      List.iter
-        (fun (h2 : Ff_topology.Topology.node) ->
-          if h1.Ff_topology.Topology.id <> h2.Ff_topology.Topology.id then
-            match
-              Ff_topology.Topology.shortest_path topo ~src:h1.Ff_topology.Topology.id
-                ~dst:h2.Ff_topology.Topology.id
-            with
-            | Some p -> Ff_netsim.Net.install_path net ~dst:h2.Ff_topology.Topology.id p
-            | None -> ())
-        hosts)
-    hosts;
   let victim = (Ff_topology.Topology.node_by_name topo "h0").Ff_topology.Topology.id in
   let wide = Orchestrator.deploy_wide net ~protect:[ victim ] () in
   (* every switch got a detector and a dropper *)
@@ -163,6 +151,49 @@ let test_deploy_wide_on_ring () =
   Alcotest.(check bool) "modes activated" true
     (List.length (Orchestrator.wide_mode_log wide) > 0);
   Alcotest.(check bool) "flows classified somewhere" true (Orchestrator.wide_marked wide > 0)
+
+(* Two detectors raise the same attack class; the first one to clear must
+   not switch the mode off at the other, which is still alarmed (a bare
+   [Protocol.clear_alarm] floods a region-wide deactivation, and the
+   still-alarmed detector never raises again). The last clear must switch
+   the mode off at both detectors, even when they sit further apart than
+   one clear's [region_ttl] reaches. *)
+let deploy_wide_last_clear_wins ~n ~config () =
+  let module Topology = Ff_topology.Topology in
+  let module Net = Ff_netsim.Net in
+  let topo = Topology.ring ~n () in
+  let engine = Ff_netsim.Engine.create () in
+  let net = Net.create engine topo in
+  Scenario.install_all_routes net;
+  let id name = (Topology.node_by_name topo name).Topology.id in
+  let s0 = id "s0" and s2 = id "s2" in
+  let wide = Orchestrator.deploy_wide net ~protect:[ id "h1" ] ~config () in
+  let alarmed sw = Ff_boosters.Lfa_detector.alarmed (List.assoc sw wide.Orchestrator.w_detectors) in
+  let mode_on sw = Ff_modes.Protocol.attack_active wide.Orchestrator.w_protocol ~sw Packet.Lfa in
+  (* 12 Mb/s into each 10 Mb/s ring link toward s1: s0's flood stops at
+     6 s, s2's at 20 s *)
+  List.iter
+    (fun (src, stop) ->
+      ignore
+        (Ff_netsim.Flow.Cbr.start net ~src:(id src) ~dst:(id "h1") ~rate_pps:1500. ~at:1. ~stop ()))
+    [ ("h0", 6.); ("h2", 20.) ];
+  Ff_netsim.Engine.run engine ~until:5.;
+  Alcotest.(check (pair bool bool)) "both detectors alarmed" (true, true) (alarmed s0, alarmed s2);
+  Ff_netsim.Engine.run engine ~until:16.;
+  Alcotest.(check (pair bool bool)) "only s2 still alarmed" (false, true) (alarmed s0, alarmed s2);
+  Alcotest.(check bool) "mode still active at s2" true (mode_on s2);
+  Ff_netsim.Engine.run engine ~until:35.;
+  Alcotest.(check bool) "s2 cleared" false (alarmed s2);
+  Alcotest.(check (pair bool bool)) "mode off at s0 and s2 after the last clear" (false, false)
+    (mode_on s0, mode_on s2)
+
+let test_deploy_wide_last_clear_wins =
+  deploy_wide_last_clear_wins ~n:3 ~config:Orchestrator.default_config
+
+(* on a 4-ring with region_ttl 1, s0 and s2 are two hops apart: a clear
+   sent from s2 alone would leave s0's region on *)
+let test_deploy_wide_last_clear_reaches_far_regions =
+  deploy_wide_last_clear_wins ~n:4 ~config:{ Orchestrator.default_config with region_ttl = 1 }
 
 let test_compile_verify_clean () =
   List.iter
@@ -238,5 +269,9 @@ let () =
           Alcotest.test_case "verify clean" `Quick test_compile_verify_clean;
           Alcotest.test_case "merged graph to dot" `Quick test_merged_graph_to_dot;
           Alcotest.test_case "deploy_wide on a ring" `Slow test_deploy_wide_on_ring;
+          Alcotest.test_case "deploy_wide: last clear wins" `Quick
+            test_deploy_wide_last_clear_wins;
+          Alcotest.test_case "deploy_wide: last clear reaches far regions" `Quick
+            test_deploy_wide_last_clear_reaches_far_regions;
         ] );
     ]
