@@ -410,39 +410,17 @@ let abl_pulse () =
   banner "abl-pulse" "pulsing (shrew-style) attacks against the multimode data plane";
   let run ~defend ~duty =
     let lm = T.Fig2.build ~bots:8 ~normals:4 () in
-    let topo = lm.T.Fig2.topo in
-    let engine = Ff_netsim.Engine.create () in
-    let net = Ff_netsim.Net.create engine topo in
-    Ff_netsim.Net.install_shortest_paths net;
-    let matrix = Ff_te.Traffic_matrix.empty () in
-    List.iter
-      (fun n -> Ff_te.Traffic_matrix.set matrix ~src:n ~dst:lm.T.Fig2.victim 2_300_000.)
-      lm.T.Fig2.normal_sources;
-    let plan = Ff_te.Solver.solve ~k:2 topo matrix in
-    Ff_te.Solver.install net plan;
-    let normal_flows =
-      List.map
-        (fun n ->
-          Ff_netsim.Flow.Tcp.start net ~src:n ~dst:lm.T.Fig2.victim ~at:0.5 ~max_cwnd:4. ())
-        lm.T.Fig2.normal_sources
+    let defense =
+      if defend then Scenario.Fastflex Orchestrator.default_config else Scenario.No_defense
     in
-    if defend then
-      ignore (Orchestrator.deploy net ~landmarks:lm ~default_plan:plan ());
-    let _atk =
-      Ff_attacks.Pulsing.launch net ~bots:lm.T.Fig2.bot_sources ~victim:lm.T.Fig2.victim
-        ~burst_pps:250. ~period:1.0 ~duty ~start:10. ()
+    let r =
+      Scenario.run
+        (Scenario.fig2_spec ~defense lm ~boosters:[ Scenario.fig2_lfa lm ]
+           [ Scenario.Pulse
+               { bots = lm.T.Fig2.bot_sources; victim = lm.T.Fig2.victim; burst_pps = 250.; duty;
+                 start = 10. } ])
     in
-    let goodput =
-      Ff_netsim.Monitor.aggregate_goodput net ~flows:normal_flows ~period:0.5 ~name:"g" ()
-    in
-    Ff_netsim.Engine.run engine ~until:60.;
-    let vals t0 t1 =
-      List.filter_map
-        (fun (t, v) -> if t >= t0 && t <= t1 then Some v else None)
-        (Series.points goodput)
-    in
-    let baseline = Ff_util.Stats.mean (vals 4. 9.) in
-    Ff_util.Stats.mean (vals 12. 60.) /. Float.max 1. baseline
+    Scenario.mean_goodput r ~from:12.
   in
   let rows =
     List.map
@@ -518,6 +496,15 @@ let abl_sync () =
   print_endline " only the synchronized network-wide view catches the attack)"
 
 
+(* fat-tree(4) with the victim on pod 0 edge 0 and two decoys on pod 0
+   edge 1, and LFA detection on every switch protecting the three *)
+let fat_tree4 () =
+  let topo = T.fat_tree ~k:4 () in
+  let id name = (T.node_by_name topo name).T.id in
+  let victim = id "h0_0_0" and decoys = [ id "h0_1_0"; id "h0_1_1" ] in
+  let sites = Orchestrator.pervasive topo in
+  (topo, id, victim, decoys, Orchestrator.Lfa { sites; protect = victim :: decoys; handoff = None })
+
 (* ------------------------------------------------------------------ *)
 (* abl-topo: the architecture beyond the case-study topology           *)
 (* ------------------------------------------------------------------ *)
@@ -527,91 +514,70 @@ let abl_topo () =
   (* victim in pod 0 edge 0; decoys on pod 0 edge 1; the two critical
      cuts are the core->agg0_0 and core->agg0_1 downlinks into the pod *)
   let run ~defend =
-    let topo = T.fat_tree ~k:4 () in
-    let engine = Ff_netsim.Engine.create () in
-    let net = Ff_netsim.Net.create engine topo in
-    let id name = (T.node_by_name topo name).T.id in
-    Ff_netsim.Net.install_shortest_paths net;
-    let victim = id "h0_0_0" in
-    let decoy1 = id "h0_1_0" and decoy2 = id "h0_1_1" in
-    (* pin each decoy behind a different aggregation path into pod 0
-       (agg0_0 reachable via core0/core1, agg0_1 via core2/core3), giving
-       the attacker its two rollable targets *)
-    List.iter
-      (fun pod ->
-        List.iter
-          (fun e ->
-            let edge = id (Printf.sprintf "edge%d_%d" pod e) in
-            Ff_netsim.Net.set_route net ~sw:edge ~dst:decoy1
-              ~next_hop:(id (Printf.sprintf "agg%d_0" pod));
-            Ff_netsim.Net.set_route net ~sw:edge ~dst:decoy2
-              ~next_hop:(id (Printf.sprintf "agg%d_1" pod));
-            (* concentrate each decoy's traffic through one core: the
-               attacker's target link is that core's downlink into pod 0 *)
-            Ff_netsim.Net.set_route net
-              ~sw:(id (Printf.sprintf "agg%d_0" pod))
-              ~dst:decoy1 ~next_hop:(id "core0");
-            Ff_netsim.Net.set_route net
-              ~sw:(id (Printf.sprintf "agg%d_1" pod))
-              ~dst:decoy2 ~next_hop:(id "core2"))
-          [ 0; 1 ])
-      [ 1; 2; 3 ];
-    Ff_netsim.Net.set_route net ~sw:(id "core0") ~dst:decoy1 ~next_hop:(id "agg0_0");
-    Ff_netsim.Net.set_route net ~sw:(id "core1") ~dst:decoy1 ~next_hop:(id "agg0_0");
-    Ff_netsim.Net.set_route net ~sw:(id "core2") ~dst:decoy2 ~next_hop:(id "agg0_1");
-    Ff_netsim.Net.set_route net ~sw:(id "core3") ~dst:decoy2 ~next_hop:(id "agg0_1");
-    Ff_netsim.Net.set_route net ~sw:(id "agg0_0") ~dst:decoy1 ~next_hop:(id "edge0_1");
-    Ff_netsim.Net.set_route net ~sw:(id "agg0_1") ~dst:decoy2 ~next_hop:(id "edge0_1");
-    Ff_netsim.Net.set_route net ~sw:(id "agg0_0") ~dst:decoy1 ~next_hop:(id "edge0_1");
-    Ff_netsim.Net.set_route net ~sw:(id "agg0_1") ~dst:decoy2 ~next_hop:(id "edge0_1");
-    (* normal flows from pods 1-2, split over the two agg paths into pod 0 *)
+    let topo, id, victim, decoys, lfa = fat_tree4 () in
+    let decoy1 = List.nth decoys 0 and decoy2 = List.nth decoys 1 in
+    (* one normal flow through each targeted core downlink, two on
+       untouched cores: each attack round cuts a quarter of the normal
+       traffic *)
     let normal_specs =
-      (* one flow through each targeted core downlink, two on untouched
-         cores: each attack round cuts a quarter of the normal traffic *)
       [ ("h1_0_0", "agg1_0", "core0", "agg0_0"); ("h1_1_0", "agg1_1", "core2", "agg0_1");
         ("h2_0_0", "agg2_0", "core1", "agg0_0"); ("h2_1_0", "agg2_1", "core3", "agg0_1") ]
     in
-    let normal_flows =
-      List.map
-        (fun (src_name, agg_src, core, agg_dst) ->
-          let src = id src_name in
-          let src_edge = Ff_netsim.Net.access_switch net ~host:src in
+    let routes net =
+      let path dst hops = Ff_netsim.Net.install_path net ~dst (List.map id hops @ [ dst ]) in
+      Ff_netsim.Net.install_shortest_paths net;
+      (* pin each decoy behind a different aggregation path into pod 0
+         (agg0_0 reachable via core0/core1, agg0_1 via core2/core3), giving
+         the attacker its two rollable targets; each decoy's traffic goes
+         through one core, whose downlink into pod 0 is the target link *)
+      List.iter
+        (fun pod ->
+          List.iter
+            (fun e ->
+              let edge = Printf.sprintf "edge%d_%d" pod e and agg = Printf.sprintf "agg%d_%d" pod in
+              path decoy1 [ edge; agg 0; "core0"; "agg0_0"; "edge0_1" ];
+              path decoy2 [ edge; agg 1; "core2"; "agg0_1"; "edge0_1" ])
+            [ 0; 1 ])
+        [ 1; 2; 3 ];
+      path decoy1 [ "core1"; "agg0_0"; "edge0_1" ];
+      path decoy2 [ "core3"; "agg0_1"; "edge0_1" ];
+      (* the normal flows from pods 1-2, split over the two agg paths into
+         pod 0 *)
+      List.iter
+        (fun (src, agg_src, core, agg_dst) ->
+          let src = id src in
           Ff_netsim.Net.install_pair_path net ~src ~dst:victim
-            [ src; src_edge; id agg_src; id core; id agg_dst; id "edge0_0"; victim ];
-          Ff_netsim.Flow.Tcp.start net ~src ~dst:victim ~at:0.5 ~max_cwnd:3. ())
+            (src :: Ff_netsim.Net.access_switch net ~host:src
+             :: List.map id [ agg_src; core; agg_dst; "edge0_0" ] @ [ victim ]))
         normal_specs
     in
-    if defend then begin
-      (* tighter suspicious-flow budget than the fig2 scenario: the
-         fat-tree pod has no spare detour capacity, so mitigation leans on
-         policing (24 suspicious flows x 150 kb/s = 3.6 Mb/s residual) *)
-      let config =
-        { Fastflex.Orchestrator.default_config with drop_rate_limit = 150_000. }
-      in
-      ignore
-        (Fastflex.Orchestrator.deploy_wide net ~protect:[ victim; decoy1; decoy2 ] ~config ())
-    end;
-    (* rolling Crossfire from 8 bots spread over pods 1-3 *)
-    let bots =
-      List.map id
-        [ "h1_0_1"; "h1_1_1"; "h2_0_1"; "h2_1_1"; "h3_0_0"; "h3_0_1"; "h3_1_0"; "h3_1_1" ]
+    (* tighter suspicious-flow budget than the fig2 scenario: the fat-tree
+       pod has no spare detour capacity, so mitigation leans on policing
+       (24 suspicious flows x 150 kb/s = 3.6 Mb/s residual) *)
+    let config = { Orchestrator.default_config with drop_rate_limit = 150_000. } in
+    let r =
+      Scenario.run
+        { testbed = { topo; routes }; server = None;
+          flows =
+            List.map
+              (fun (src, _, _, _) -> Scenario.Tcp { src = id src; dst = victim; max_cwnd = 3. })
+              normal_specs;
+          defense = (if defend then Scenario.Fastflex config else Scenario.No_defense);
+          boosters = [ lfa ];
+          (* rolling Crossfire from 8 bots spread over pods 1-3 *)
+          attacks =
+            [ Scenario.Crossfire
+                { bots =
+                    List.map id
+                      [ "h1_0_1"; "h1_1_1"; "h2_0_1"; "h2_1_1"; "h3_0_0"; "h3_0_1"; "h3_1_0";
+                        "h3_1_1" ];
+                  decoy_groups = [ [ decoy1 ]; [ decoy2 ] ];
+                  plan = { Scenario.default_attack with start = 10.; roll_schedule = [ 35. ] } } ];
+          duration = 60.; sample_period = Some 0.5; hook = ignore }
     in
-    let _atk =
-      Ff_attacks.Lfa.launch net ~bots ~decoy_groups:[ [ decoy1 ]; [ decoy2 ] ] ~start:10.
-        ~roll_schedule:[ 35. ] ()
-    in
-    let goodput =
-      Ff_netsim.Monitor.aggregate_goodput net ~flows:normal_flows ~period:0.5 ~name:"g" ()
-    in
-    Ff_netsim.Engine.run engine ~until:60.;
-    let vals t0 t1 =
-      List.filter_map
-        (fun (t, v) -> if t >= t0 && t <= t1 then Some v else None)
-        (Series.points goodput)
-    in
-    let baseline = Float.max 1. (Ff_util.Stats.mean (vals 4. 9.)) in
-    ( Ff_util.Stats.mean (vals 11. 60.) /. baseline,
-      List.fold_left Float.min infinity (List.map (fun v -> v /. baseline) (vals 11. 60.)) )
+    let baseline = Scenario.baseline r in
+    let under_attack = List.map (fun v -> v /. baseline) (Scenario.window r.goodput 11. 60.) in
+    (Scenario.mean_goodput r ~from:11., List.fold_left Float.min infinity under_attack)
   in
   let mean_u, min_u = run ~defend:false in
   let mean_d, min_d = run ~defend:true in
@@ -636,12 +602,21 @@ let abl_vol () =
       (fun spoof ->
         List.map
           (fun defended ->
-            let r = Scenario.run_volumetric ~defended ~spoof () in
+            let lm = T.Fig2.build ~bots:8 ~normals:4 () in
+            let r = Scenario.run (Scenario.volumetric_spec ~defended ~spoof lm) in
+            let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
+            let filtered, policed =
+              match r.Scenario.deployment with
+              | Some d ->
+                ( sum Ff_boosters.Hop_count_filter.filtered d.Orchestrator.hop_count_filters,
+                  sum (fun (_, dr) -> Ff_boosters.Dropper.dropped dr) d.Orchestrator.droppers )
+              | None -> (0, 0)
+            in
             [ (if spoof then "yes" else "no");
               (if defended then "yes" else "no");
-              Printf.sprintf "%.2f" r.Scenario.vr_normalized_mean;
-              string_of_int r.Scenario.vr_spoofed_filtered;
-              string_of_int r.Scenario.vr_offender_drops ])
+              Printf.sprintf "%.2f" (Scenario.mean_goodput r ~from:12.);
+              string_of_int filtered;
+              string_of_int policed ])
           [ false; true ])
       [ true; false ]
   in
@@ -844,37 +819,33 @@ let chaos_exp () =
    pre-optimization baseline from the same machine. *)
 
 let perf_scenario () =
-  let topo = T.fat_tree ~k:4 () in
-  let engine = Ff_netsim.Engine.create () in
-  let net = Ff_netsim.Net.create engine topo in
-  let id name = (T.node_by_name topo name).T.id in
-  Ff_netsim.Net.install_shortest_paths net;
-  let victim = id "h0_0_0" in
-  let decoy1 = id "h0_1_0" and decoy2 = id "h0_1_1" in
-  ignore (Orchestrator.deploy_wide net ~protect:[ victim; decoy1; decoy2 ] ());
+  let topo, id, victim, decoys, lfa = fat_tree4 () in
   (* open-loop load from every other pod: the constant-rate senders that
-     exercise the batched emission path *)
-  List.iteri
-    (fun i src_name ->
-      ignore
-        (Ff_netsim.Flow.Cbr.start net ~src:(id src_name) ~dst:victim ~rate_pps:1200.
-           ~packet_size:(400 + (100 * (i mod 3))) ~at:0.1 ()))
-    [ "h1_0_0"; "h1_1_0"; "h2_0_0"; "h2_1_0"; "h3_0_0"; "h3_1_0" ];
-  (* closed-loop normal flows (ack traffic doubles the hop count) *)
-  let _tcp =
-    List.map
-      (fun src_name -> Ff_netsim.Flow.Tcp.start net ~src:(id src_name) ~dst:victim ~at:0.5 ())
-      [ "h1_0_1"; "h2_0_1"; "h3_0_1" ]
+     exercise the batched emission path; then closed-loop normal flows
+     (ack traffic doubles the hop count) *)
+  let cbr i src =
+    let packet_size = 400 + (100 * (i mod 3)) in
+    Scenario.Cbr { src = id src; dst = victim; rate_pps = 1200.; packet_size }
   in
-  let bots =
-    List.map id [ "h1_1_1"; "h2_1_1"; "h3_1_1"; "h1_0_1"; "h2_0_1"; "h3_0_1" ]
+  let tcp src = Scenario.Tcp { src = id src; dst = victim; max_cwnd = 64. } in
+  let r =
+    Scenario.run
+      { testbed = { topo; routes = Ff_netsim.Net.install_shortest_paths }; server = None;
+        flows =
+          List.mapi cbr [ "h1_0_0"; "h1_1_0"; "h2_0_0"; "h2_1_0"; "h3_0_0"; "h3_1_0" ]
+          @ List.map tcp [ "h1_0_1"; "h2_0_1"; "h3_0_1" ];
+        defense = Scenario.Fastflex Orchestrator.default_config;
+        boosters = [ lfa ];
+        attacks =
+          [ Scenario.Crossfire
+              { bots = List.map id [ "h1_1_1"; "h2_1_1"; "h3_1_1"; "h1_0_1"; "h2_0_1"; "h3_0_1" ];
+                decoy_groups = List.map (fun d -> [ d ]) decoys;
+                plan =
+                  { Scenario.default_attack with start = 5.; roll_schedule = [ 12.; 19.; 26. ] }
+              } ];
+        duration = 30.; sample_period = None; hook = ignore }
   in
-  let _atk =
-    Ff_attacks.Lfa.launch net ~bots ~decoy_groups:[ [ decoy1 ]; [ decoy2 ] ] ~start:5.
-      ~roll_schedule:[ 12.; 19.; 26. ] ()
-  in
-  Ff_netsim.Engine.run engine ~until:30.;
-  net
+  r.Scenario.net
 
 type perf_sample = {
   packets : int;
@@ -961,26 +932,50 @@ let read_file path =
   end
   else None
 
-(* The allocation guardrail: bench/ALLOC_BUDGET holds the maximum
-   alloc_words_per_packet the perf run may report ('#'-prefixed lines are
-   comments). Unlike throughput, the allocation figure is deterministic
-   across machines, so CI can assert it. *)
+(* The allocation guardrails live in bench/ALLOC_BUDGET: one bare number,
+   the maximum alloc_words_per_packet of the perf run, and one
+   '<key>: <number>' line per other gate ('#' lines are comments).
+   Unlike throughput, allocation is deterministic across machines, so CI
+   can assert it. Every line must parse — a typo would otherwise skip its
+   gate silently — so a malformed one fails the run, naming file and
+   line. [read_budget_line None] is the bare number; [Some key] the
+   keyed line. *)
 let alloc_budget_file = "bench/ALLOC_BUDGET"
 
-let read_alloc_budget () =
+let malformed file lineno line expected =
+  Printf.printf "[bench] FAIL: %s:%d: malformed line %S (expected %s)\n" file lineno line expected;
+  exit 1
+
+let read_budget_line key =
   match read_file alloc_budget_file with
   | None -> None
   | Some text ->
-    String.split_on_char '\n' text
-    |> List.find_map (fun line ->
-           let line = String.trim line in
-           if line = "" || line.[0] = '#' then None else float_of_string_opt line)
+    let entries =
+      List.concat
+        (List.mapi
+           (fun i raw ->
+             let line = String.trim raw in
+             if line = "" || line.[0] = '#' then []
+             else
+               let key, value =
+                 match String.index_opt line ':' with
+                 | Some c ->
+                   ( Some (String.trim (String.sub line 0 c)),
+                     String.sub line (c + 1) (String.length line - c - 1) )
+                 | None -> (None, line)
+               in
+               match float_of_string_opt (String.trim value) with
+               | Some v when key <> Some "" -> [ (key, v) ]
+               | _ -> malformed alloc_budget_file (i + 1) line "'<number>' or '<key>: <number>'")
+           (String.split_on_char '\n' text))
+    in
+    List.assoc_opt key entries
 
 let check_alloc_budget s =
-  match read_alloc_budget () with
+  match read_budget_line None with
   | None ->
     Printf.printf
-      "[perf] no %s file found (or no numeric line in it); skipping allocation check\n"
+      "[perf] no %s file found (or no bare number in it); skipping allocation check\n"
       alloc_budget_file
   | Some budget ->
     if s.alloc_words_per_packet > budget then begin
@@ -1088,21 +1083,6 @@ let parallel_to_json p =
     (String.concat ", " (Array.to_list (Array.map string_of_int p.p_shard_events)))
     p.p_imbalance
 
-(* The sharded path has its own allocation budget: a 'shard: <N>' line in
-   bench/ALLOC_BUDGET (mailbox drains and window bookkeeping allocate a
-   little more per packet than the pure sequential loop). *)
-let read_sharded_alloc_budget () =
-  match read_file alloc_budget_file with
-  | None -> None
-  | Some text ->
-    String.split_on_char '\n' text
-    |> List.find_map (fun line ->
-           let line = String.trim line in
-           if String.length line > 6 && String.sub line 0 6 = "shard:" then
-             float_of_string_opt
-               (String.trim (String.sub line 6 (String.length line - 6)))
-           else None)
-
 (* Per-shard engine events, max / mean. The weighted partition measures
    1.29 on this scenario at 2 shards; the count-balanced one it replaced
    measured 1.82. *)
@@ -1137,7 +1117,9 @@ let check_parallel p =
   end;
   Printf.printf "[perf] shard balance check ok: imbalance %.3f <= %.2f\n" p.p_imbalance
     max_shard_imbalance;
-  (match read_sharded_alloc_budget () with
+  (* the sharded path's own budget: mailbox drains and window bookkeeping
+     allocate a little more per packet than the pure sequential loop *)
+  (match read_budget_line (Some "shard") with
   | None ->
     Printf.printf "[perf] no 'shard:' line in %s; skipping sharded allocation check\n"
       alloc_budget_file
@@ -1273,26 +1255,6 @@ let fluid_to_json ~sweep ~baseline_flows ~baseline_eps ~speedup ~solver_alloc =
     (String.concat ",\n      " (List.map fluid_sample_to_json sweep))
     baseline_flows baseline_eps speedup solver_alloc
 
-(* The hybrid tier's allocation guardrail: a 'fluid: <N>' line in
-   bench/ALLOC_BUDGET bounds allocated words per packet-equivalent at the
-   largest sweep point. Fluid equivalents cost no per-unit allocation, so
-   the figure is tiny — growth means per-flow work crept into a per-sample
-   or per-solve path. *)
-let read_budget_line prefix =
-  let plen = String.length prefix in
-  match read_file alloc_budget_file with
-  | None -> None
-  | Some text ->
-    String.split_on_char '\n' text
-    |> List.find_map (fun line ->
-           let line = String.trim line in
-           if String.length line > plen && String.sub line 0 plen = prefix then
-             float_of_string_opt
-               (String.trim (String.sub line plen (String.length line - plen)))
-           else None)
-
-let read_fluid_alloc_budget () = read_budget_line "fluid:"
-
 (* Steady-state solver allocation, isolated from the scenario: build a
    mid-size population once, then hammer single-link-dirty incremental
    re-solves and count GC words per recompute. The 'fluid-solver:' line in
@@ -1340,8 +1302,12 @@ let measure_solver_alloc () =
 let fluid_equiv_floor = 5e6
 let fluid_touched_frac_max = 0.5
 
+(* The hybrid tier's guardrail, the 'fluid:' budget line, bounds allocated
+   words per packet EQUIVALENT at the largest sweep point. Fluid
+   equivalents cost no per-unit allocation, so the figure is tiny — growth
+   means per-flow work crept into a per-sample or per-solve path. *)
 let check_fluid ~top ~speedup ~solver_alloc =
-  (match read_fluid_alloc_budget () with
+  (match read_budget_line (Some "fluid") with
   | None ->
     Printf.printf "[perf] no 'fluid:' line in %s; skipping fluid allocation check\n"
       alloc_budget_file
@@ -1355,7 +1321,7 @@ let check_fluid ~top ~speedup ~solver_alloc =
     else
       Printf.printf "[perf] fluid allocation check ok: %.2f <= budget %.2f words/equiv\n"
         top.f_alloc_words_per_equiv budget);
-  (match read_budget_line "fluid-solver:" with
+  (match read_budget_line (Some "fluid-solver") with
   | None ->
     Printf.printf
       "[perf] no 'fluid-solver:' line in %s; skipping solver allocation check\n"
@@ -1633,23 +1599,22 @@ let adversarial_damage_gain = 2.0 (* adaptive must beat open-loop by this *)
 let adversarial_damage_residual = 1.25 (* hardened adaptive vs open-loop *)
 
 let read_adversarial_baseline () =
-  if not (Sys.file_exists adversarial_baseline_file) then []
-  else
-    let ic = open_in adversarial_baseline_file in
-    let rec go acc =
-      match input_line ic with
-      | exception End_of_file -> acc
-      | line ->
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then go acc
-        else begin
-          match String.split_on_char ' ' line with
-          | [ strat; seed; wf ] ->
-            go (((strat, int_of_string seed), float_of_string wf) :: acc)
-          | _ -> go acc
-        end
-    in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> go [])
+  match read_file adversarial_baseline_file with
+  | None -> []
+  | Some text ->
+    List.concat
+      (List.mapi
+         (fun i raw ->
+           let line = String.trim raw in
+           if line = "" || line.[0] = '#' then []
+           else
+             match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+             | [ strat; seed; wf ] -> (
+               match (int_of_string_opt seed, float_of_string_opt wf) with
+               | Some seed, Some wf -> [ ((strat, seed), wf) ]
+               | _ -> malformed adversarial_baseline_file (i + 1) line "'<strategy> <seed> <wf>'")
+             | _ -> malformed adversarial_baseline_file (i + 1) line "'<strategy> <seed> <wf>'")
+         (String.split_on_char '\n' text))
 
 let adversarial_seeds () =
   match Sys.getenv_opt "ADVERSARIAL_SEEDS" with

@@ -8,77 +8,71 @@
 
 open Cmdliner
 
-let run_lfa defense duration te_period roll_times csv seed_bots normals trace_file
-    chaos_spec =
-  let defense =
-    match defense with
-    | "none" -> Fastflex.Scenario.No_defense
-    | "sdn" -> Fastflex.Scenario.Baseline_sdn { period = te_period; delay = 0.5 }
-    | "fastflex" -> Fastflex.Scenario.Fastflex Fastflex.Orchestrator.default_config
-    | other -> failwith ("unknown defense: " ^ other)
-  in
-  let attack =
-    Some { Fastflex.Scenario.default_attack with roll_schedule = roll_times }
-  in
-  let chaos_directives =
-    match chaos_spec with
-    | None -> []
-    | Some spec -> (
-      match Ff_chaos.Chaos.parse spec with
-      | Ok ds -> ds
-      | Error e -> failwith ("bad --chaos spec: " ^ e))
-  in
-  let harness = ref None in
-  let on_ready net _landmarks _flows =
-    if chaos_directives <> [] then begin
-      let h =
-        Ff_chaos.Chaos.create
-          ?seed:(Ff_chaos.Chaos.spec_seed chaos_directives)
-          net
-      in
-      Ff_chaos.Chaos.apply h chaos_directives;
-      harness := Some h
-    end
-  in
-  let trace =
-    Option.map
-      (fun _ ->
-        let tr = Ff_obs.Trace.create () in
-        Ff_obs.Trace.set_ambient (Some tr);
-        tr)
-      trace_file
-  in
-  let span = Ff_obs.Profile.start ~events:(Ff_netsim.Engine.total_steps ()) "lfa" in
-  let r =
-    Fastflex.Scenario.run_lfa ~defense ~attack ~duration ~bots:seed_bots ~normals
-      ~on_ready ()
-  in
-  let report =
-    Ff_obs.Profile.finish span ~events:(Ff_netsim.Engine.total_steps ())
-      ~trace_events:(match trace with Some tr -> Ff_obs.Trace.count tr | None -> 0)
-      ()
-  in
-  Fastflex.Scenario.pp_summary Format.std_formatter r;
-  if csv then Ff_util.Series.pp_csv Format.std_formatter [ r.Fastflex.Scenario.normalized ]
-  else
-    Ff_util.Series.pp_ascii ~height:12 Format.std_formatter
-      [ r.Fastflex.Scenario.normalized ];
-  Format.printf "%a@." Ff_obs.Profile.pp_report report;
-  (match (trace_file, trace) with
-  | Some file, Some tr ->
-    if Filename.check_suffix file ".csv" then Ff_obs.Trace.write_csv tr file
-    else Ff_obs.Trace.write_jsonl tr file;
-    Printf.printf "trace: %d events -> %s\n" (Ff_obs.Trace.count tr) file
-  | _ -> ());
-  (match !harness with
-  | None -> ()
-  | Some h ->
-    Printf.printf "chaos: %d fault actions injected\n" (Ff_chaos.Chaos.injected h);
-    List.iter
-      (fun (time, action) ->
-        Printf.printf "  %8.3f  %s\n" time (Ff_chaos.Chaos.action_to_string action))
-      (Ff_chaos.Chaos.log h));
-  `Ok ()
+let run_lfa defense duration te_period roll_times csv bots normals trace_file chaos_spec =
+  match Option.fold ~none:(Ok []) ~some:Ff_chaos.Chaos.parse chaos_spec with
+  | Error e -> `Error (false, "bad --chaos spec: " ^ e)
+  | Ok chaos_directives ->
+    let defense =
+      match defense with
+      | `None -> Fastflex.Scenario.No_defense
+      | `Sdn -> Fastflex.Scenario.Baseline_sdn { period = te_period; delay = 0.5 }
+      | `Fastflex -> Fastflex.Scenario.Fastflex Fastflex.Orchestrator.default_config
+    in
+    let attack =
+      Some { Fastflex.Scenario.default_attack with roll_schedule = roll_times }
+    in
+    let harness = ref None in
+    let hook (r : Fastflex.Scenario.report) =
+      if chaos_directives <> [] then begin
+        let h =
+          Ff_chaos.Chaos.create
+            ?seed:(Ff_chaos.Chaos.spec_seed chaos_directives)
+            r.Fastflex.Scenario.net
+        in
+        Ff_chaos.Chaos.apply h chaos_directives;
+        harness := Some h
+      end
+    in
+    let spec =
+      Fastflex.Scenario.lfa_spec ~defense ~attack ~duration
+        (Ff_topology.Topology.Fig2.build ~bots ~normals ())
+    in
+    let trace =
+      Option.map
+        (fun _ ->
+          let tr = Ff_obs.Trace.create () in
+          Ff_obs.Trace.set_ambient (Some tr);
+          tr)
+        trace_file
+    in
+    let span = Ff_obs.Profile.start ~events:(Ff_netsim.Engine.total_steps ()) "lfa" in
+    let r = Fastflex.Scenario.run_lfa_spec { spec with hook } in
+    let report =
+      Ff_obs.Profile.finish span ~events:(Ff_netsim.Engine.total_steps ())
+        ~trace_events:(match trace with Some tr -> Ff_obs.Trace.count tr | None -> 0)
+        ()
+    in
+    Fastflex.Scenario.pp_summary Format.std_formatter r;
+    if csv then Ff_util.Series.pp_csv Format.std_formatter [ r.Fastflex.Scenario.normalized ]
+    else
+      Ff_util.Series.pp_ascii ~height:12 Format.std_formatter
+        [ r.Fastflex.Scenario.normalized ];
+    Format.printf "%a@." Ff_obs.Profile.pp_report report;
+    (match (trace_file, trace) with
+    | Some file, Some tr ->
+      if Filename.check_suffix file ".csv" then Ff_obs.Trace.write_csv tr file
+      else Ff_obs.Trace.write_jsonl tr file;
+      Printf.printf "trace: %d events -> %s\n" (Ff_obs.Trace.count tr) file
+    | _ -> ());
+    (match !harness with
+    | None -> ()
+    | Some h ->
+      Printf.printf "chaos: %d fault actions injected\n" (Ff_chaos.Chaos.injected h);
+      List.iter
+        (fun (time, action) ->
+          Printf.printf "  %8.3f  %s\n" time (Ff_chaos.Chaos.action_to_string action))
+        (Ff_chaos.Chaos.log h));
+    `Ok ()
 
 let compile_cmd () =
   let compiled = Fastflex.Compile.boosters () in
@@ -173,12 +167,6 @@ let parallel_cmd shards k duration rate_pps seq =
   `Ok ()
 
 let fluid_cmd flows duration force trace_file =
-  let force =
-    match force with
-    | "packet" -> Ff_fluid.Hybrid.All_packet
-    | "fluid" -> Ff_fluid.Hybrid.All_fluid
-    | _ -> Ff_fluid.Hybrid.Auto
-  in
   let obs = Option.map (fun _ -> Ff_obs.Trace.create ()) trace_file in
   let t0 = Unix.gettimeofday () in
   let r = Fastflex.Scenario.run_lfa_fluid ~flows ~duration ~force ?obs () in
@@ -218,7 +206,8 @@ let fluid_cmd flows duration force trace_file =
 
 let defense_arg =
   let doc = "Defense to deploy: none, sdn, or fastflex." in
-  Arg.(value & opt string "fastflex" & info [ "defense"; "d" ] ~docv:"DEFENSE" ~doc)
+  let defenses = [ ("none", `None); ("sdn", `Sdn); ("fastflex", `Fastflex) ] in
+  Arg.(value & opt (enum defenses) `Fastflex & info [ "defense"; "d" ] ~docv:"DEFENSE" ~doc)
 
 let duration_arg =
   Arg.(value & opt float 120. & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated seconds.")
@@ -314,7 +303,11 @@ let fduration_arg =
          ~doc:"Simulated seconds (the flood runs 10..18 with a roll at 14).")
 
 let force_arg =
-  Arg.(value & opt string "auto" & info [ "force" ] ~docv:"TIER"
+  let tiers =
+    [ ("auto", Ff_fluid.Hybrid.Auto); ("packet", Ff_fluid.Hybrid.All_packet);
+      ("fluid", Ff_fluid.Hybrid.All_fluid) ]
+  in
+  Arg.(value & opt (enum tiers) Ff_fluid.Hybrid.Auto & info [ "force" ] ~docv:"TIER"
          ~doc:"Engine tier: auto (hybrid: demote on mode activity), packet \
                (all-packet, bit-identical to the pure packet engine), or \
                fluid (never demote).")
@@ -325,16 +318,8 @@ let fluid_command =
   Cmd.v (Cmd.info "fluid" ~doc)
     Term.(ret (const fluid_cmd $ flows_arg $ fduration_arg $ force_arg $ trace_arg))
 
-let adversarial_cmd strategy seed show_log =
+let adversarial_cmd strategies seed show_log =
   let module A = Ff_attacks.Adaptive in
-  let strategies =
-    match strategy with
-    | "hug" -> [ A.Threshold_hug ]
-    | "probe" -> [ A.Collision_probe ]
-    | "timer" -> [ A.Epoch_time ]
-    | "all" -> [ A.Threshold_hug; A.Collision_probe; A.Epoch_time ]
-    | s -> invalid_arg (Printf.sprintf "unknown strategy %S (hug|probe|timer|all)" s)
-  in
   let open Fastflex.Scenario in
   List.iter
     (fun strategy ->
@@ -439,7 +424,14 @@ let synflood_command =
                $ sf_rate_arg $ sf_backlog_arg $ sf_timeout_arg))
 
 let strategy_arg =
-  Arg.(value & opt string "all" & info [ "strategy"; "s" ] ~docv:"STRATEGY"
+  let module A = Ff_attacks.Adaptive in
+  let strategies =
+    [ ("hug", [ A.Threshold_hug ]); ("probe", [ A.Collision_probe ]);
+      ("timer", [ A.Epoch_time ]);
+      ("all", [ A.Threshold_hug; A.Collision_probe; A.Epoch_time ]) ]
+  in
+  Arg.(value & opt (enum strategies) (List.assoc "all" strategies)
+       & info [ "strategy"; "s" ] ~docv:"STRATEGY"
          ~doc:"Attacker strategy: hug (threshold hugger), probe (collision \
                prober), timer (epoch timer), or all.")
 

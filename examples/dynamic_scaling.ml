@@ -1,7 +1,6 @@
 (* Dynamic scaling at runtime (paper section 3.4, Figure 1 d):
    repurposing a switch while traffic flows, with neighbor-notified fast
-   reroute around the downtime, FEC-protected in-band state transfer, and
-   critical-state replication with failover.
+   reroute around the downtime and FEC-protected in-band state transfer.
 
    Run with: dune exec examples/dynamic_scaling.exe *)
 
@@ -37,13 +36,6 @@ let () =
   Net.set_route net ~sw:lm.T.Fig2.agg ~dst:lm.T.Fig2.victim ~next_hop:m1;
   Net.set_route net ~sw:m1 ~dst:lm.T.Fig2.victim ~next_hop:lm.T.Fig2.victim_agg;
   let flow = Flow.Cbr.start net ~src ~dst:lm.T.Fig2.victim ~rate_pps:200. () in
-
-  (* replication: m1's critical state is mirrored to m2 twice a second *)
-  let repl =
-    Scaling.Replicate.start net ~primary:m1 ~replica:m2 ~period:0.5
-      ~snapshot:(fun () -> Ff_dataplane.Register.Array_reg.dump reg)
-      ()
-  in
 
   (* make the state-transfer path lossy: FEC earns its keep *)
   let _loss =
@@ -83,17 +75,9 @@ let () =
 
   Engine.run engine ~until:10.;
 
-  Printf.printf "\nreplication rounds completed: %d\n"
-    (Scaling.Replicate.copies_completed repl);
+  print_newline ();
   Printf.printf "delivered total: %.0f kB of %.0f kB sent (%.1f%%)\n"
     (Flow.Cbr.delivered_bytes flow /. 1000.)
     (float_of_int (Flow.Cbr.sent_packets flow))
     (100. *. Flow.Cbr.delivered_bytes flow
      /. float_of_int (Flow.Cbr.sent_packets flow * 1000));
-
-  (* finally: kill m1 outright and fail over from the replica *)
-  Net.set_switch_up net ~sw:m1 false;
-  let recovered = ref [] in
-  if Scaling.Replicate.failover repl ~restore:(fun e -> recovered := e) then
-    Printf.printf "failover: replica %s restores %d state entries\n" (name m2)
-      (List.length !recovered)

@@ -23,29 +23,3 @@ let flows t = t.flows
 let packets_sent t = List.fold_left (fun acc f -> acc + Flow.Cbr.sent_packets f) 0 t.flows
 
 let stop_now t = List.iter Flow.Cbr.stop_now t.flows
-
-module Hybrid = Ff_fluid.Hybrid
-
-type fluid = { hybrid : Hybrid.t; members : Hybrid.member list }
-
-let launch_fluid hybrid ~bots ~victim ~rate_bps_per_bot ?(start = 0.) ?stop
-    ?(packet_size = 1000) () =
-  let rate_pps = rate_bps_per_bot /. float_of_int (8 * packet_size) in
-  let members =
-    List.map
-      (fun bot ->
-        Hybrid.add_flow hybrid ~src:bot ~dst:victim ~at:start ?stop
-          ~tier:Hybrid.Fluid_only
-          (Hybrid.Cbr { rate_pps; packet_size }))
-      bots
-  in
-  { hybrid; members }
-
-let fluid_members f = f.members
-
-let fluid_delivered_bytes f =
-  List.fold_left
-    (fun acc m -> acc +. Hybrid.delivered_bytes f.hybrid m)
-    0. f.members
-
-let fluid_stop_now f = List.iter (Hybrid.stop_member f.hybrid) f.members

@@ -23,28 +23,3 @@ val launch :
 val flows : t -> Ff_netsim.Flow.Cbr.t list
 val packets_sent : t -> int
 val stop_now : t -> unit
-
-(** {2 Fluid attack volume}
-
-    The same flood expressed as analytic aggregates in the hybrid tier
-    ([Fluid_only], so the defense never pays per-packet cost for the
-    volume itself — it observes it through link utilization, which folds
-    in fluid load). Spoofing is packet-level machinery and has no fluid
-    counterpart. *)
-
-type fluid
-
-val launch_fluid :
-  Ff_fluid.Hybrid.t ->
-  bots:int list ->
-  victim:int ->
-  rate_bps_per_bot:float ->
-  ?start:float ->
-  ?stop:float ->
-  ?packet_size:int ->
-  unit ->
-  fluid
-
-val fluid_members : fluid -> Ff_fluid.Hybrid.member list
-val fluid_delivered_bytes : fluid -> float
-val fluid_stop_now : fluid -> unit

@@ -3,7 +3,7 @@ module Packet = Ff_dataplane.Packet
 
 type t = {
   mode : string;
-  mutable virtual_path : src:int -> dst:int -> int list option;
+  virtual_path : src:int -> dst:int -> int list option;
   mutable obfuscated : int;
 }
 
@@ -35,4 +35,3 @@ let install net ?(mode = Common.mode_obfuscate) ~virtual_path () =
 
 let obfuscated_replies t = t.obfuscated
 
-let set_virtual_path t f = t.virtual_path <- f

@@ -23,5 +23,3 @@ val install :
 
 val obfuscated_replies : t -> int
 
-val set_virtual_path : t -> (src:int -> dst:int -> int list option) -> unit
-(** Swap the virtual topology (e.g. after a planned TE update). *)

@@ -198,12 +198,13 @@ let source_sync net config detectors =
           (Net.host_ids net))
     ~probe_class:9 ()
 
-(* The virtual topology is the default-mode forwarding as it stands at
-   deploy time. FastFlex's rerouting never rewrites the tables (it
-   overrides forwarding per packet), so walking the tables always
-   reconstructs the pre-attack path; [fallback] covers pairs the tables
-   cannot reach. *)
-let install_obfuscator net ~fallback =
+(* The virtual topology is the default-mode forwarding as it stands when
+   a pair is first queried. FastFlex's rerouting never rewrites the tables
+   (it overrides forwarding per packet), so walking the tables always
+   reconstructs the pre-attack path; the topology's shortest path covers
+   pairs the tables cannot reach. *)
+let install_obfuscator net =
+  let topo = Net.topology net in
   let vcache : (int * int, int list option) Hashtbl.t = Hashtbl.create 64 in
   let virtual_path ~src ~dst =
     match Hashtbl.find_opt vcache (src, dst) with
@@ -212,143 +213,165 @@ let install_obfuscator net ~fallback =
       let p =
         match Net.current_path net ~src ~dst with
         | Some _ as p -> p
-        | None -> fallback ~src ~dst
+        | None -> Topology.shortest_path topo ~src ~dst
       in
       Hashtbl.replace vcache (src, dst) p;
       p
   in
   B.Obfuscator.install net ~virtual_path ()
 
-type t = {
+(* The [src] switch accumulates per-source suspicious bytes in a sketch;
+   once an alarm fires and classification has had time to populate it,
+   the sketch is shipped in-band to [dst] (paper 3.4) so mitigation there
+   starts from the upstream evidence instead of a cold table. Returns the
+   sink that schedules the shipment, and the accumulating stage. *)
+let sketch_handoff net sink (src, dst) =
+  let suspect = Sketch.create ~rows:3 ~cols:128 () in
+  let into = Sketch.create ~rows:3 ~cols:128 () in
+  let shipped = ref false in
+  let ship () =
+    if (not !shipped) && Sketch.total suspect > 0. then begin
+      shipped := true;
+      ignore (Transfer.send_sketch net ~src_sw:src ~dst_sw:dst ~sketch:suspect ~into ())
+    end
+  in
+  let on_alarm a =
+    sink.on_alarm a;
+    (* let the classify mode mark traffic for ~2 s before snapshotting *)
+    Engine.after (Net.engine net) ~delay:2.0 ship
+  in
+  let process _ctx pkt =
+    (match pkt.Packet.payload with
+    | Packet.Data when pkt.Packet.suspicious ->
+      Sketch.add suspect pkt.Packet.src (float_of_int pkt.Packet.size)
+    | _ -> ());
+    Net.Continue
+  in
+  ({ sink with on_alarm }, Some (src, { Net.stage_name = "suspect-sketch"; process }))
+
+(* With several detectors, each switch also marks the sources any
+   detector advertised as suspicious. Per-packet equivalent of
+   [Sync.global_value ... > 0.]: the local view's entries are exactly this
+   switch's suspicious sources (value 1.), so the local half collapses to
+   a set-membership test on the detector instead of materializing the
+   whole (host, 1.) list on every packet; remote advertisements are all
+   >= 0, so the sum is positive iff either half is. *)
+let install_source_markers net config detectors =
+  let source_sync = source_sync net config detectors in
+  let classify_key = B.Common.mode_key B.Common.mode_classify in
+  List.iter
+    (fun (sw, det) ->
+      let marked_somewhere src =
+        B.Lfa_detector.is_suspicious_source det src
+        || Ff_modes.Sync.remote_contribution source_sync ~sw ~key:src > 0.
+      in
+      Net.add_stage net ~sw
+        {
+          Net.stage_name = "suspicious-source-marker";
+          process =
+            (fun ctx pkt ->
+              (match pkt.Packet.payload with
+              | Packet.Data | Packet.Traceroute_probe _ ->
+                if
+                  (not pkt.Packet.suspicious)
+                  && B.Common.mode_on ctx.Net.sw classify_key
+                  && marked_somewhere pkt.Packet.src
+                then pkt.Packet.suspicious <- true
+              | _ -> ());
+              Net.Continue);
+        })
+    detectors
+
+type defense =
+  | Lfa of {
+      sites : (int * (int * int) list) list;
+      protect : int list;
+      handoff : (int * int) option;
+    }
+  | Volumetric of { sw : int }
+  | Syn_guard of { sw : int; protect : int; tracker_capacity : int; syn_threshold_pps : float }
+
+type deployment = {
   protocol : Ff_modes.Protocol.t;
-  detector : B.Lfa_detector.t;
-  reroute : B.Reroute.t;
-  obfuscator : B.Obfuscator.t;
-  droppers : B.Dropper.t list;
-  suspect_sketch : Sketch.t;  (** per-source suspicious bytes, kept at [agg] *)
-  victim_sketch : Sketch.t;  (** [victim_agg]'s copy, filled by state transfer *)
-  mutable state_transfer : Transfer.t option;
+  detectors : (int * B.Lfa_detector.t) list;
+  droppers : (int * B.Dropper.t) list;
+  reroute : B.Reroute.t option;
+  obfuscator : B.Obfuscator.t option;
+  heavy_hitters : B.Heavy_hitter.t list;
+  hop_count_filters : B.Hop_count_filter.t list;
+  syn_guards : B.Syn_guard.t list;
 }
 
-let deploy net ~landmarks ~default_plan ?(config = default_config) () =
-  let lm : Topology.Fig2.landmarks = landmarks in
+let pervasive topo =
+  let switches = List.map (fun (n : Topology.node) -> n.Topology.id) (Topology.switches topo) in
+  List.filter_map
+    (fun sw ->
+      match List.filter (fun (peer, _) -> List.mem peer switches) (Topology.neighbors topo sw) with
+      | [] -> None
+      | peers -> Some (sw, List.map (fun (peer, _) -> (sw, peer)) peers))
+    switches
+
+let install_dropper net config sw =
+  (sw, B.Dropper.install net ~sw ~rate_limit:config.drop_rate_limit ~drop_prob:config.drop_prob ())
+
+(* Each stack installs in a fixed order, which is also the stage order at
+   every switch it touches. *)
+let install_stack net config sink d = function
+  | Lfa { sites; protect; handoff } ->
+    if d.reroute <> None then invalid_arg "Orchestrator.deploy: more than one Lfa stack";
+    let sink, sketch_stage =
+      Option.fold ~none:(sink, None) ~some:(sketch_handoff net sink) handoff
+    in
+    let detectors =
+      List.map (fun (sw, watched) -> (sw, install_detector net config sink ~sw ~watched)) sites
+    in
+    if List.length detectors > 1 then install_source_markers net config detectors;
+    (* after the detector's classifier, so marks are visible; before the
+       dropper, so policed packets still count as evidence *)
+    Option.iter (fun (sw, stage) -> Net.add_stage net ~sw stage) sketch_stage;
+    (* dropping happens where classification happens, before rerouting
+       can steer the packet away *)
+    let droppers = List.map (fun (sw, _) -> install_dropper net config sw) sites in
+    let reroute = B.Reroute.install net ~roots:protect ~probe_interval:config.probe_interval () in
+    let obfuscator = install_obfuscator net in
+    { d with detectors = d.detectors @ detectors; droppers = d.droppers @ droppers;
+      reroute = Some reroute; obfuscator = Some obfuscator }
+  | Volumetric { sw } ->
+    let hh = install_heavy_hitter net config sink ~sw ~threshold_bps:4_000_000. () in
+    let dropper = install_dropper net config sw in
+    let hcf = B.Hop_count_filter.install net ~sw () in
+    { d with heavy_hitters = d.heavy_hitters @ [ hh ]; droppers = d.droppers @ [ dropper ];
+      hop_count_filters = d.hop_count_filters @ [ hcf ] }
+  | Syn_guard { sw; protect; tracker_capacity; syn_threshold_pps } ->
+    let threshold_jitter, rotate_period, seed =
+      match config.hardening with
+      | None -> (0., 0., 0x5EED)
+      | Some h -> (h.h_threshold_jitter, h.h_rotate_period, h.h_seed)
+    in
+    let guard =
+      B.Syn_guard.install net ~sw ~protect ~tracker_capacity ~syn_threshold_pps
+        ~clear_hold:config.clear_hold ~threshold_jitter ~rotate_period ~seed
+        ~on_alarm:sink.on_alarm ~on_clear:sink.on_clear ()
+    in
+    { d with syn_guards = d.syn_guards @ [ guard ] }
+
+let deploy net ?(config = default_config) ?on_mode defenses =
   let sink = sink net config in
-  let watched =
-    List.map
-      (fun (l : Topology.link) ->
-        if l.Topology.a = lm.Topology.Fig2.agg then (l.Topology.a, l.Topology.b)
-        else (l.Topology.b, l.Topology.a))
-      lm.Topology.Fig2.critical
-  in
-  (* The agg switch accumulates per-source suspicious bytes in a sketch;
-     once the alarm fires and classification has had time to populate it,
-     the sketch is shipped in-band to the victim-side aggregation switch
-     (paper 3.4) so mitigation there starts from the upstream evidence
-     instead of a cold table. *)
-  let suspect_sketch = Sketch.create ~rows:3 ~cols:128 () in
-  let victim_sketch = Sketch.create ~rows:3 ~cols:128 () in
-  let self = ref None in
-  let ship_sketch () =
-    match !self with
-    | Some t when t.state_transfer = None && Sketch.total suspect_sketch > 0. ->
-      t.state_transfer <-
-        Some
-          (Transfer.send_sketch net ~src_sw:lm.Topology.Fig2.agg
-             ~dst_sw:lm.Topology.Fig2.victim_agg ~sketch:suspect_sketch
-             ~into:victim_sketch ())
-    | _ -> ()
-  in
-  let detector =
-    install_detector net config
-      {
-        sink with
-        on_alarm =
-          (fun a ->
-            sink.on_alarm a;
-            (* let the classify mode mark traffic for ~2 s before snapshotting *)
-            Engine.after (Net.engine net) ~delay:2.0 ship_sketch);
-      }
-      ~sw:lm.Topology.Fig2.agg ~watched
-  in
-  (* after the detector's classifier, so marks are visible; before the
-     dropper, so policed packets still count as evidence *)
-  Net.add_stage net ~sw:lm.Topology.Fig2.agg
-    {
-      Net.stage_name = "suspect-sketch";
-      process =
-        (fun _ctx pkt ->
-          (match pkt.Packet.payload with
-          | Packet.Data when pkt.Packet.suspicious ->
-            Sketch.add suspect_sketch pkt.Packet.src (float_of_int pkt.Packet.size)
-          | _ -> ());
-          Net.Continue);
-    };
-  (* dropping happens where classification happens, before rerouting can
-     steer the packet away *)
-  let droppers =
-    [ B.Dropper.install net ~sw:lm.Topology.Fig2.agg ~rate_limit:config.drop_rate_limit
-        ~drop_prob:config.drop_prob () ]
-  in
-  let reroute =
-    B.Reroute.install net
-      ~roots:(lm.Topology.Fig2.victim :: lm.Topology.Fig2.decoys)
-      ~probe_interval:config.probe_interval ()
-  in
-  let obfuscator =
-    install_obfuscator net ~fallback:(fun ~src ~dst ->
-        Ff_te.Solver.plan_path default_plan ~src ~dst)
-  in
-  let t =
-    { protocol = sink.s_protocol; detector; reroute; obfuscator; droppers; suspect_sketch;
-      victim_sketch; state_transfer = None }
-  in
-  self := Some t;
-  t
-
-let suspect_sketch t = t.suspect_sketch
-let victim_sketch t = t.victim_sketch
-let state_transfer t = t.state_transfer
-
-let dropped_packets t =
-  List.fold_left (fun acc d -> acc + B.Dropper.dropped d) 0 t.droppers
-
-let mode_log t = Ff_modes.Protocol.log t.protocol
-
-type volumetric = {
-  v_protocol : Ff_modes.Protocol.t;
-  v_hh : B.Heavy_hitter.t;
-  v_dropper : B.Dropper.t;
-  v_hcf : B.Hop_count_filter.t;
-}
-
-let deploy_volumetric net ~sw ?(config = default_config) ?(threshold_bps = 4_000_000.) () =
-  let sink = sink net config in
-  let hh = install_heavy_hitter net config sink ~sw ~threshold_bps () in
-  let dropper =
-    B.Dropper.install net ~sw ~rate_limit:config.drop_rate_limit ~drop_prob:config.drop_prob ()
-  in
-  let hcf = B.Hop_count_filter.install net ~sw () in
-  { v_protocol = sink.s_protocol; v_hh = hh; v_dropper = dropper; v_hcf = hcf }
+  Option.iter (Ff_modes.Protocol.on_transition sink.s_protocol) on_mode;
+  List.fold_left (install_stack net config sink)
+    { protocol = sink.s_protocol; detectors = []; droppers = []; reroute = None;
+      obfuscator = None; heavy_hitters = []; hop_count_filters = []; syn_guards = [] }
+    defenses
 
 type synguard = {
   sg_protocol : Ff_modes.Protocol.t;
   sg_guard : B.Syn_guard.t;
 }
 
-let deploy_synguard net ~sw ~protect ?(config = default_config)
-    ?(tracker_capacity = 4096) ?(syn_threshold_pps = 200.) () =
-  let sink = sink net config in
-  let threshold_jitter, rotate_period, seed =
-    match config.hardening with
-    | None -> (0., 0., 0x5EED)
-    | Some h -> (h.h_threshold_jitter, h.h_rotate_period, h.h_seed)
-  in
-  let guard =
-    B.Syn_guard.install net ~sw ~protect ~tracker_capacity ~syn_threshold_pps
-      ~clear_hold:config.clear_hold ~threshold_jitter ~rotate_period ~seed
-      ~on_alarm:sink.on_alarm ~on_clear:sink.on_clear ()
-  in
-  { sg_protocol = sink.s_protocol; sg_guard = guard }
+let deploy_synguard net ~sw ~protect ?config ?(tracker_capacity = 4096)
+    ?(syn_threshold_pps = 200.) () =
+  let d = deploy net ?config [ Syn_guard { sw; protect; tracker_capacity; syn_threshold_pps } ] in
+  { sg_protocol = d.protocol; sg_guard = List.hd d.syn_guards }
 
 type wide = {
   w_protocol : Ff_modes.Protocol.t;
@@ -358,72 +381,8 @@ type wide = {
   w_droppers : (int * B.Dropper.t) list;
 }
 
-let deploy_wide net ~protect ?(config = default_config) ?on_mode () =
-  let topo = Net.topology net in
-  let sink = sink net config in
-  (match on_mode with
-  | Some f -> Ff_modes.Protocol.on_transition sink.s_protocol f
-  | None -> ());
-  let detectors =
-    List.filter_map
-      (fun sw ->
-        match Net.neighbors_of net sw with
-        | [] -> None
-        | peers ->
-          let watched = List.map (fun peer -> (sw, peer)) peers in
-          Some (sw, install_detector net config sink ~sw ~watched))
-      (Net.switch_ids net)
-  in
-  let detector_switches = List.map fst detectors in
-  let source_sync = source_sync net config detectors in
-  let classify_key = B.Common.mode_key B.Common.mode_classify in
-  (* Per-packet equivalent of [Sync.global_value ... > 0.]: the local view's
-     entries are exactly this switch's suspicious sources (value 1.), so the
-     local half collapses to a set-membership test on the detector instead
-     of materializing the whole (host, 1.) list on every packet; remote
-     advertisements are all >= 0, so the sum is positive iff either half is. *)
-  let marker_stage sw =
-    let det = List.assoc_opt sw detectors in
-    let marked_somewhere src =
-      (match det with
-      | Some d -> B.Lfa_detector.is_suspicious_source d src
-      | None -> false)
-      || Ff_modes.Sync.remote_contribution source_sync ~sw ~key:src > 0.
-    in
-    {
-      Net.stage_name = "suspicious-source-marker";
-      process =
-        (fun ctx pkt ->
-          (match pkt.Packet.payload with
-          | Packet.Data | Packet.Traceroute_probe _ ->
-            if
-              (not pkt.Packet.suspicious)
-              && B.Common.mode_on ctx.Net.sw classify_key
-              && marked_somewhere pkt.Packet.src
-            then pkt.Packet.suspicious <- true
-          | _ -> ());
-          Net.Continue);
-    }
-  in
-  List.iter (fun sw -> Net.add_stage net ~sw (marker_stage sw)) detector_switches;
-  let droppers =
-    List.map
-      (fun sw ->
-        (sw, B.Dropper.install net ~sw ~rate_limit:config.drop_rate_limit
-               ~drop_prob:config.drop_prob ()))
-      detector_switches
-  in
-  let reroute = B.Reroute.install net ~roots:protect ~probe_interval:config.probe_interval () in
-  let obfuscator =
-    install_obfuscator net ~fallback:(fun ~src ~dst -> Topology.shortest_path topo ~src ~dst)
-  in
-  { w_protocol = sink.s_protocol; w_detectors = detectors; w_reroute = reroute;
-    w_obfuscator = obfuscator; w_droppers = droppers }
-
-let wide_mode_log w = Ff_modes.Protocol.log w.w_protocol
-
-let wide_marked w =
-  List.fold_left (fun acc (_, d) -> acc + B.Lfa_detector.marks d) 0 w.w_detectors
-
-let wide_dropped w =
-  List.fold_left (fun acc (_, d) -> acc + B.Dropper.dropped d) 0 w.w_droppers
+let deploy_wide net ~protect ?config ?on_mode () =
+  let sites = pervasive (Net.topology net) in
+  let d = deploy net ?config ?on_mode [ Lfa { sites; protect; handoff = None } ] in
+  { w_protocol = d.protocol; w_detectors = d.detectors; w_reroute = Option.get d.reroute;
+    w_obfuscator = Option.get d.obfuscator; w_droppers = d.droppers }

@@ -1,8 +1,9 @@
-(** Runtime orchestration of the LFA defense on the paper's case-study
-    topology: wires the detector's alarms into the distributed mode-change
-    protocol, which activates classification, congestion-aware rerouting of
-    suspicious flows, topology obfuscation, and illusion-of-success
-    dropping (paper Figure 2 and section 4.2, steps (1)-(6)). *)
+(** Runtime orchestration of the defenses: wires each detector's alarms
+    into the distributed mode-change protocol, which activates the
+    mitigation boosters — for the LFA, classification, congestion-aware
+    rerouting of suspicious flows, topology obfuscation, and
+    illusion-of-success dropping (paper Figure 2 and section 4.2, steps
+    (1)-(6)). *)
 
 type hardening = {
   h_seed : int;  (** root of all randomized-defense draws (deterministic) *)
@@ -53,8 +54,8 @@ val modes_for : Ff_dataplane.Packet.attack_kind -> string list
 
 (** {1 The alarm path}
 
-    Every detector reaches the mode protocol through a {!sink}: the
-    [deploy_*] functions below and the scenario drivers all build one, and
+    Every detector reaches the mode protocol through a {!sink}: {!deploy}
+    and the adversarial arena each build one, and
     nothing else creates a protocol for detectors or calls
     {!Ff_modes.Protocol.raise_alarm}/[clear_alarm] on their behalf. *)
 
@@ -103,74 +104,79 @@ val source_sync :
     advertises its suspicious sources every [4 * check_period] (jittered
     under hardening), on probe class 9. *)
 
-type t = {
+(** {1 Deploying defenses}
+
+    One {!deploy} installs any mix of defense stacks behind one {!sink},
+    so one mode protocol: the boosters run side by side in one multimode
+    data plane, and a mixed-vector attack lights up each stack's modes in
+    its own region (paper sections 1 and 3.3). *)
+
+type defense =
+  | Lfa of {
+      sites : (int * (int * int) list) list;  (** detector switches, each with its watched links *)
+      protect : int list;  (** hosts the rerouting probes advertise paths toward *)
+      handoff : (int * int) option;
+          (** [Some (src, dst)]: [src] sketches per-source suspicious bytes
+              and ships the sketch in-band to [dst] 2 s after an alarm
+              (paper section 3.4) *)
+    }
+      (** Link-flooding defense (paper Figure 2): LFA detection at each
+          site, whose alarms switch on classification, suspicious-only
+          rerouting, topology obfuscation and illusion-of-success
+          dropping. With several sites the detectors sync their suspicious
+          sources ({!source_sync}) and each site marks them. Stage order at
+          a site: detector, source marker, sketch, dropper; then rerouting
+          and (ahead of TTL processing) obfuscation on every switch. At
+          most one per deployment. *)
+  | Volumetric of { sw : int }
+      (** A HashPipe heavy hitter at [sw] (flows above 4 Mb/s) raises
+          [Volumetric] alarms, which switch on policing of the offender
+          flows and hop-count filtering of spoofed sources. *)
+  | Syn_guard of { sw : int; protect : int; tracker_capacity : int; syn_threshold_pps : float }
+      (** CuckooGuard-style split proxy ({!Ff_boosters.Syn_guard}) at the
+          server [protect]'s edge switch [sw]: [Synflood] alarms switch on
+          SYN cookies and cuckoo-filter flow tracking. Attach the server's
+          listener with {!Ff_boosters.Syn_guard.attach_server_agent}.
+          Hardening jitters the SYN-rate threshold and rotates the cookie
+          secret. *)
+
+type deployment = {
   protocol : Ff_modes.Protocol.t;
-  detector : Ff_boosters.Lfa_detector.t;
-  reroute : Ff_boosters.Reroute.t;
-  obfuscator : Ff_boosters.Obfuscator.t;
-  droppers : Ff_boosters.Dropper.t list;
-  suspect_sketch : Ff_dataplane.Sketch.t;
-      (** per-source suspicious bytes accumulated at the [agg] switch *)
-  victim_sketch : Ff_dataplane.Sketch.t;
-      (** the victim-side aggregation switch's copy, filled by in-band
-          state transfer ~2 s after the first LFA alarm *)
-  mutable state_transfer : Ff_scaling.Transfer.t option;
+  detectors : (int * Ff_boosters.Lfa_detector.t) list;
+  droppers : (int * Ff_boosters.Dropper.t) list;  (** [Lfa] sites, then [Volumetric] stacks *)
+  reroute : Ff_boosters.Reroute.t option;
+  obfuscator : Ff_boosters.Obfuscator.t option;
+  heavy_hitters : Ff_boosters.Heavy_hitter.t list;
+  hop_count_filters : Ff_boosters.Hop_count_filter.t list;
+  syn_guards : Ff_boosters.Syn_guard.t list;
 }
+(** What a {!deploy} installed, in defense-list order. *)
 
 val deploy :
   Ff_netsim.Net.t ->
-  landmarks:Ff_topology.Topology.Fig2.landmarks ->
-  default_plan:Ff_te.Solver.plan ->
   ?config:config ->
-  unit ->
-  t
-(** Installs (in stage order at the aggregation switch): obfuscation (ahead
-    of TTL processing), mode protocol, LFA detection, dropping, rerouting.
-    The default TE plan doubles as the obfuscator's virtual topology. *)
+  ?on_mode:(sw:int -> attack:Ff_dataplane.Packet.attack_kind -> active:bool -> unit) ->
+  defense list ->
+  deployment
+(** One {!sink} from [config] (default {!default_config}), then each
+    defense in list order. [on_mode] observes every applied mode
+    transition — the hybrid fluid tier registers its demotion predicate
+    here, so flows crossing a mode-changing region drop to packet
+    fidelity. *)
 
-type volumetric = {
-  v_protocol : Ff_modes.Protocol.t;
-  v_hh : Ff_boosters.Heavy_hitter.t;
-  v_dropper : Ff_boosters.Dropper.t;
-  v_hcf : Ff_boosters.Hop_count_filter.t;
-}
+val pervasive : Ff_topology.Topology.t -> (int * (int * int) list) list
+(** [Lfa] sites on every switch with switch-to-switch links, watching all
+    of them (paper section 3.2: "distribute detection modules as widely
+    as possible, ideally on all paths"). *)
 
-val deploy_volumetric :
-  Ff_netsim.Net.t ->
-  sw:int ->
-  ?config:config ->
-  ?threshold_bps:float ->
-  unit ->
-  volumetric
-(** Volumetric-DDoS protection at one chokepoint switch: HashPipe
-    heavy-hitter detection raises [Volumetric] alarms into the mode
-    protocol, which activates dropping (offender flows are marked by the
-    heavy hitter's marker stage and policed) and hop-count filtering
-    (spoofed sources dropped at line rate). Default flow threshold
-    4 Mb/s. *)
+(** {1 Single-stack wrappers} *)
 
-type synguard = {
-  sg_protocol : Ff_modes.Protocol.t;
-  sg_guard : Ff_boosters.Syn_guard.t;
-}
+type synguard = { sg_protocol : Ff_modes.Protocol.t; sg_guard : Ff_boosters.Syn_guard.t }
 
 val deploy_synguard :
-  Ff_netsim.Net.t ->
-  sw:int ->
-  protect:int ->
-  ?config:config ->
-  ?tracker_capacity:int ->
-  ?syn_threshold_pps:float ->
-  unit ->
-  synguard
-(** CuckooGuard-style SYN-flood protection for one server: the split-proxy
-    booster ({!Ff_boosters.Syn_guard}) at the server's edge switch [sw]
-    raises [Synflood] alarms into the mode protocol, which activates the
-    [syn_guard] mode (SYN-cookie interception + cuckoo-filter flow
-    tracking). Call {!Ff_boosters.Syn_guard.attach_server_agent} with the
-    server's listener to complete the split. Hardening maps
-    [h_threshold_jitter] onto the SYN-rate threshold and [h_rotate_period]
-    onto cookie-secret rotation. *)
+  Ff_netsim.Net.t -> sw:int -> protect:int -> ?config:config -> ?tracker_capacity:int ->
+  ?syn_threshold_pps:float -> unit -> synguard
+(** One [Syn_guard] stack; capacity 4096 and 200 SYN/s by default. *)
 
 type wide = {
   w_protocol : Ff_modes.Protocol.t;
@@ -187,29 +193,6 @@ val deploy_wide :
   ?on_mode:(sw:int -> attack:Ff_dataplane.Packet.attack_kind -> active:bool -> unit) ->
   unit ->
   wide
-(** Pervasive deployment on an {e arbitrary} topology (paper section 3.2:
-    "distribute detection modules as widely as possible, ideally on all
-    paths"): every switch with switch-to-switch egress links gets an LFA
-    detector watching them plus a dropper; rerouting probes advertise
-    paths toward the [protect]ed hosts (the victim-side prefix);
-    obfuscation snapshots the current tables as the virtual topology.
-    Alarms from any detector drive one shared mode protocol through one
-    {!sink}, so an attack's modes stay up until the last alarmed detector
-    clears. [on_mode]
-    observes every applied mode transition — the hybrid fluid tier
-    registers its demotion predicate here, so flows crossing a
-    mode-changing region drop to packet fidelity. *)
-
-val wide_mode_log : wide -> (float * int * Ff_dataplane.Packet.attack_kind * bool) list
-val wide_marked : wide -> int
-val wide_dropped : wide -> int
-
-val dropped_packets : t -> int
-val mode_log : t -> (float * int * Ff_dataplane.Packet.attack_kind * bool) list
-
-val suspect_sketch : t -> Ff_dataplane.Sketch.t
-val victim_sketch : t -> Ff_dataplane.Sketch.t
-
-val state_transfer : t -> Ff_scaling.Transfer.t option
-(** The agg -> victim-agg sketch handoff, once the alarm has triggered it
-    ([None] before then). *)
+(** One [Lfa] stack on the {!pervasive} sites of any topology, without a
+    handoff: an attack's modes stay up until the last alarmed detector
+    clears. *)

@@ -27,6 +27,257 @@ let default_attack =
     bot_max_cwnd = 4.;
   }
 
+(* ---- packet-tier runs ------------------------------------------------- *)
+
+type testbed = { topo : Topology.t; routes : Net.t -> unit }
+
+type flow =
+  | Tcp of { src : int; dst : int; max_cwnd : float }
+  | Cbr of { src : int; dst : int; rate_pps : float; packet_size : int }
+  | Handshake of { src : int; dst : int }
+
+type server = { host : int; backlog : int; syn_timeout : float }
+
+type attack =
+  | Crossfire of { bots : int list; decoy_groups : int list list; plan : attack_plan }
+  | Flood of { bots : int list; victim : int; rate_pps : float; start : float; spoof_as : int list }
+  | Syn_flood of {
+      bots : int list;
+      victim : int;
+      rate_pps : float;
+      start : float;
+      spoof_as : int list;
+    }
+  | Pulse of { bots : int list; victim : int; burst_pps : float; duty : float; start : float }
+
+type spec = {
+  testbed : testbed;
+  server : server option;
+  flows : flow list;
+  defense : defense;
+  boosters : Orchestrator.defense list;
+  attacks : attack list;
+  duration : float;
+  sample_period : float option;
+  hook : report -> unit;
+}
+
+and report = {
+  spec : spec;
+  net : Net.t;
+  tcp : Flow.Tcp.t list;
+  clients : Flow.Handshake.t list;
+  listener : Flow.Listener.t option;
+  deployment : Orchestrator.deployment option;
+  controller : Ff_te.Controller.t option;
+  crossfires : Ff_attacks.Lfa.t list;
+  syn_floods : Ff_attacks.Synflood.t list;
+  goodput : Series.t;
+}
+
+let run spec =
+  let net = Net.create (Engine.create ()) spec.testbed.topo in
+  spec.testbed.routes net;
+  let listener =
+    Option.map
+      (fun { host; backlog; syn_timeout } ->
+        Flow.Listener.install net ~host ~backlog ~syn_timeout ())
+      spec.server
+  in
+  let tcp = ref [] and clients = ref [] in
+  List.iter
+    (function
+      | Tcp { src; dst; max_cwnd } ->
+        tcp := Flow.Tcp.start net ~src ~dst ~at:0.5 ~max_cwnd () :: !tcp
+      | Cbr { src; dst; rate_pps; packet_size } ->
+        ignore (Flow.Cbr.start net ~src ~dst ~rate_pps ~packet_size ~at:0.1 ())
+      | Handshake { src; dst } ->
+        clients := Flow.Handshake.start net ~src ~dst ~at:0.5 ~conn_interval:0.4 () :: !clients)
+    spec.flows;
+  let tcp = List.rev !tcp and clients = List.rev !clients in
+  let controller, deployment =
+    match spec.defense with
+    | No_defense -> (None, None)
+    | Baseline_sdn { period; delay } ->
+      (* measurement half of the controller loop: telemetry at every
+         switch counts each pair at its ingress; attack flows are measured
+         like any other traffic — indistinguishability is the baseline's
+         handicap *)
+      let telemetry = Ff_te.Estimator.install net ~switches:(Net.switch_ids net) () in
+      let estimate () = Ff_te.Estimator.matrix telemetry in
+      (Some (Ff_te.Controller.start net ~period ~delay ~estimate ()), None)
+    | Fastflex config ->
+      let d = Orchestrator.deploy net ~config spec.boosters in
+      Option.iter
+        (fun l -> List.iter (fun g -> Ff_boosters.Syn_guard.attach_server_agent g l) d.syn_guards)
+        listener;
+      (None, Some d)
+  in
+  let crossfires = ref [] and syn_floods = ref [] in
+  List.iter
+    (function
+      | Crossfire { bots; decoy_groups; plan = p } ->
+        crossfires :=
+          Ff_attacks.Lfa.launch net ~bots ~decoy_groups ~start:p.start
+            ~flows_per_bot:p.flows_per_bot ~bot_max_cwnd:p.bot_max_cwnd
+            ~roll_on_path_change:p.roll_on_path_change ~roll_schedule:p.roll_schedule ()
+          :: !crossfires
+      | Flood { bots; victim; rate_pps; start; spoof_as } ->
+        ignore
+          (Ff_attacks.Volumetric.launch net ~bots ~victim ~rate_pps_per_bot:rate_pps ~start
+             ~spoof_as ())
+      | Syn_flood { bots; victim; rate_pps; start; spoof_as } ->
+        syn_floods :=
+          Ff_attacks.Synflood.launch net ~bots ~victim ~syn_rate_pps:rate_pps ~start ~spoof_as ()
+          :: !syn_floods
+      | Pulse { bots; victim; burst_pps; duty; start } ->
+        ignore (Ff_attacks.Pulsing.launch net ~bots ~victim ~burst_pps ~duty ~start ()))
+    spec.attacks;
+  let goodput =
+    match spec.sample_period with
+    | None -> Series.create ~name:"goodput"
+    | Some period ->
+      let completed () =
+        List.fold_left (fun acc c -> acc +. Flow.Handshake.completed_bytes c) 0. clients
+      in
+      let probes = if clients = [] then [] else [ Monitor.counter_probe completed ] in
+      Monitor.aggregate_goodput net ~flows:tcp ~probes ~period ~name:"goodput" ()
+  in
+  let report =
+    { spec; net; tcp; clients; listener; deployment; controller;
+      crossfires = List.rev !crossfires; syn_floods = List.rev !syn_floods; goodput }
+  in
+  spec.hook report;
+  Engine.run (Net.engine net) ~until:spec.duration;
+  report
+
+let attack_start spec =
+  match spec.attacks with
+  | [] -> spec.duration
+  | attacks ->
+    List.fold_left
+      (fun t -> function
+        | Crossfire { plan = { start; _ }; _ }
+        | Flood { start; _ } | Syn_flood { start; _ } | Pulse { start; _ } -> Float.min t start)
+      infinity attacks
+
+let window series t0 t1 =
+  List.filter_map (fun (t, v) -> if t >= t0 && t <= t1 then Some v else None) (Series.points series)
+
+(* The normalizer: mean goodput over the steady state just before the
+   attack (at least 1, so an idle run stays finite). *)
+let baseline r =
+  let attack_start = attack_start r.spec in
+  let lo = Float.max 2. (attack_start -. 6.) and hi = Float.max 4. (attack_start -. 1.) in
+  Float.max 1. (Ff_util.Stats.mean (window r.goodput lo hi))
+
+let mean_goodput r ~from =
+  Ff_util.Stats.mean (window r.goodput from r.spec.duration) /. baseline r
+
+let mode_log r =
+  match r.deployment with Some d -> Ff_modes.Protocol.log d.Orchestrator.protocol | None -> []
+
+(* ---- Figure 2 specs ---------------------------------------------------- *)
+
+(* The Figure 2 testbed: default shortest-path routes for every host, with
+   the two victim-side decoys deliberately spread over the two critical
+   links (decoy1 via m1, decoy2 via m2) — the path diversity a Crossfire
+   attacker exploits to choose its target link — and on top the default
+   mode: the optimal configuration from centralized TE for the normal
+   demand. k = 2 keeps the default plan on the two shortest
+   (critical-link) paths; the longer detour is capacity the defenses tap
+   into under attack. *)
+let fig2_testbed ({ topo; agg; victim_agg; decoys; critical; normal_sources; victim; _ } :
+                   Topology.Fig2.landmarks) =
+  let routes net =
+    Net.install_shortest_paths net;
+    (match (decoys, critical) with
+    | [ d1; d2 ], [ c1; c2 ] ->
+      let mid_of (l : Topology.link) = if l.Topology.a = agg then l.Topology.b else l.Topology.a in
+      let m1 = mid_of c1 and m2 = mid_of c2 in
+      Net.set_route net ~sw:agg ~dst:d1 ~next_hop:m1;
+      Net.set_route net ~sw:m1 ~dst:d1 ~next_hop:victim_agg;
+      Net.set_route net ~sw:agg ~dst:d2 ~next_hop:m2;
+      Net.set_route net ~sw:m2 ~dst:d2 ~next_hop:victim_agg
+    | _ -> ());
+    let matrix = Ff_te.Traffic_matrix.empty () in
+    List.iter
+      (fun n -> Ff_te.Traffic_matrix.set matrix ~src:n ~dst:victim 2_300_000.)
+      normal_sources;
+    Ff_te.Solver.install net (Ff_te.Solver.solve ~k:2 topo matrix)
+  in
+  { topo; routes }
+
+let fig2_lfa ({ agg; victim_agg; victim; decoys; critical; _ } : Topology.Fig2.landmarks) =
+  let watched =
+    List.map
+      (fun (l : Topology.link) ->
+        if l.Topology.a = agg then (l.Topology.a, l.Topology.b) else (l.Topology.b, l.Topology.a))
+      critical
+  in
+  Orchestrator.Lfa
+    { sites = [ (agg, watched) ]; protect = victim :: decoys; handoff = Some (agg, victim_agg) }
+
+let fig2_spec ?(defense = No_defense) ?(duration = 60.) (lm : Topology.Fig2.landmarks) ~boosters
+    attacks =
+  let flows =
+    List.map (fun n -> Tcp { src = n; dst = lm.victim; max_cwnd = 4. }) lm.normal_sources
+  in
+  { testbed = fig2_testbed lm; server = None; flows; defense; boosters; attacks; duration;
+    sample_period = Some 0.5; hook = ignore }
+
+let fig2_crossfire (lm : Topology.Fig2.landmarks) plan =
+  Crossfire { bots = lm.bot_sources; decoy_groups = List.map (fun d -> [ d ]) lm.decoys; plan }
+
+let lfa_spec ~defense ?(attack = Some default_attack) ?(duration = 120.) lm =
+  fig2_spec ~defense ~duration lm ~boosters:[ fig2_lfa lm ]
+    (Option.to_list (Option.map (fig2_crossfire lm) attack))
+
+(* Each bot flow is individually a heavy hitter; the spoofed identities
+   are the normal hosts' addresses, whose TTL fingerprints the hop-count
+   filter learns from their legitimate traffic. *)
+let volumetric_spec ~defended ?(spoof = true) ?duration (lm : Topology.Fig2.landmarks) =
+  fig2_spec
+    ~defense:(if defended then Fastflex Orchestrator.default_config else No_defense)
+    ?duration lm
+    ~boosters:[ Orchestrator.Volumetric { sw = lm.agg } ]
+    [ Flood
+        { bots = lm.bot_sources; victim = lm.victim; rate_pps = 600.; start = 10.;
+          spoof_as = (if spoof then lm.normal_sources else []) } ]
+
+(* Three vectors at once, three stacks in one deployment. region_ttl 3
+   keeps each attack's modes near its detector, so the defenses coexist
+   in different regions of the network. *)
+let multi_vector_spec (lm : Topology.Fig2.landmarks) =
+  let node name = (Topology.node_by_name lm.topo name).Topology.id in
+  let e2 = node "e2" and server = node "decoy2" in
+  let behind_e2 h = List.exists (fun (sw, _) -> sw = e2) (Topology.neighbors lm.topo h) in
+  let e2_bots, e1_bots = List.partition behind_e2 lm.bot_sources in
+  let spec =
+    fig2_spec
+      ~defense:(Fastflex { Orchestrator.default_config with region_ttl = 3 })
+      ~duration:50. lm
+      ~boosters:
+        [ fig2_lfa lm;
+          Orchestrator.Volumetric { sw = e2 };
+          Orchestrator.Syn_guard
+            { sw = node "ve2"; protect = server; tracker_capacity = 4096;
+              syn_threshold_pps = 200. } ]
+      [ fig2_crossfire lm { default_attack with start = 8.; roll_schedule = [ 25. ] };
+        (* a bot behind e2 claims the identity of a normal host also
+           behind e2, whose TTL fingerprint the filter has learned *)
+        Flood
+          { bots = [ List.hd e2_bots ]; victim = lm.victim; rate_pps = 600.; start = 15.;
+            spoof_as = [ List.find behind_e2 lm.normal_sources ] };
+        Syn_flood
+          { bots = e1_bots; victim = server; rate_pps = 400.; start = 20.;
+            spoof_as = lm.normal_sources } ]
+  in
+  (* the public server behind ve2 is the SYN flood's target *)
+  { spec with server = Some { host = server; backlog = 64; syn_timeout = 3.0 } }
+
+(* ---- frozen projections ----------------------------------------------- *)
+
 type result = {
   normalized : Series.t;
   raw_goodput : Series.t;
@@ -43,116 +294,31 @@ type result = {
   probes_sent : int;
 }
 
-(* The Figure 2 testbed every case-study driver starts from: default
-   shortest-path routes for every host, with the two victim-side decoys
-   deliberately spread over the two critical links (decoy1 via m1, decoy2
-   via m2) — the path diversity a Crossfire attacker exploits to choose
-   its target link — and on top the default mode: the optimal
-   configuration from centralized TE for the normal demand. k = 2 keeps
-   the default plan on the two shortest (critical-link) paths; the longer
-   detour is capacity the defenses tap into under attack. *)
-let fig2_testbed ?(bots = 8) ?(normals = 4) () =
-  let lm = Topology.Fig2.build ~bots ~normals () in
-  let topo = lm.Topology.Fig2.topo in
-  let net = Net.create (Engine.create ()) topo in
-  Net.install_shortest_paths net;
-  (match (lm.Topology.Fig2.decoys, lm.Topology.Fig2.critical) with
-  | [ d1; d2 ], [ c1; c2 ] ->
-    let mid_of (l : Topology.link) =
-      if l.Topology.a = lm.Topology.Fig2.agg then l.Topology.b else l.Topology.a
-    in
-    let m1 = mid_of c1 and m2 = mid_of c2 in
-    Net.set_route net ~sw:lm.Topology.Fig2.agg ~dst:d1 ~next_hop:m1;
-    Net.set_route net ~sw:m1 ~dst:d1 ~next_hop:lm.Topology.Fig2.victim_agg;
-    Net.set_route net ~sw:lm.Topology.Fig2.agg ~dst:d2 ~next_hop:m2;
-    Net.set_route net ~sw:m2 ~dst:d2 ~next_hop:lm.Topology.Fig2.victim_agg
-  | _ -> ());
-  let matrix = Ff_te.Traffic_matrix.empty () in
-  List.iter
-    (fun n -> Ff_te.Traffic_matrix.set matrix ~src:n ~dst:lm.Topology.Fig2.victim 2_300_000.)
-    lm.Topology.Fig2.normal_sources;
-  let default_plan = Ff_te.Solver.solve ~k:2 topo matrix in
-  Ff_te.Solver.install net default_plan;
-  (lm, net, default_plan)
-
-let window series t0 t1 =
-  List.filter_map (fun (t, v) -> if t >= t0 && t <= t1 then Some v else None) (Series.points series)
-
-(* The normalizer: mean goodput over the steady state just before the
-   attack (at least 1, so an idle run stays finite). *)
-let pre_attack_baseline series ~attack_start =
-  let lo = Float.max 2. (attack_start -. 6.) and hi = Float.max 4. (attack_start -. 1.) in
-  Float.max 1. (Ff_util.Stats.mean (window series lo hi))
-
-let run_lfa ~defense ?(attack = Some default_attack) ?(duration = 120.)
-    ?(sample_period = 0.5) ?(normals = 4) ?(bots = 8) ?on_ready () =
-  let lm, net, default_plan = fig2_testbed ~bots ~normals () in
-  let engine = Net.engine net in
-  (* normal traffic: one long-lived TCP flow per normal host *)
-  let normal_flows =
-    List.map
-      (fun n ->
-        Flow.Tcp.start net ~src:n ~dst:lm.Topology.Fig2.victim ~at:0.5 ~max_cwnd:4. ())
-      lm.Topology.Fig2.normal_sources
+let run_lfa_spec spec =
+  let sample_period = Option.get spec.sample_period in
+  (* only this view reports the Crossfire series, so it samples it here
+     (ahead of the spec's hook) and other runs pay no sampling events *)
+  let attack_goodput = ref (Series.create ~name:"attack-goodput") in
+  let hook r =
+    attack_goodput :=
+      Monitor.sample (Net.engine r.net) ~period:sample_period ~name:"attack-goodput" (fun now ->
+          List.fold_left (fun acc a -> acc +. Ff_attacks.Lfa.attack_rate a ~now) 0. r.crossfires);
+    spec.hook r
   in
-  (* attacker *)
-  let attacker =
-    Option.map
-      (fun plan ->
-        let group_of decoy = [ decoy ] in
-        Ff_attacks.Lfa.launch net ~bots:lm.Topology.Fig2.bot_sources
-          ~decoy_groups:(List.map group_of lm.Topology.Fig2.decoys)
-          ~start:plan.start ~flows_per_bot:plan.flows_per_bot
-          ~bot_max_cwnd:plan.bot_max_cwnd ~roll_on_path_change:plan.roll_on_path_change
-          ~roll_schedule:plan.roll_schedule ())
-      attack
-  in
-  (* defense *)
-  let controller = ref None in
-  let orchestration = ref None in
-  (match defense with
-  | No_defense -> ()
-  | Baseline_sdn { period; delay } ->
-    (* measurement half of the controller loop: telemetry at every switch
-       counts each pair at its ingress; attack flows are measured like any
-       other traffic — indistinguishability is the baseline's handicap *)
-    let telemetry = Ff_te.Estimator.install net ~switches:(Net.switch_ids net) () in
-    controller :=
-      Some
-        (Ff_te.Controller.start net ~period ~delay
-           ~estimate:(fun () -> Ff_te.Estimator.matrix telemetry)
-           ())
-  | Fastflex config ->
-    orchestration := Some (Orchestrator.deploy net ~landmarks:lm ~default_plan ~config ()));
-  (* measurement *)
-  let raw_goodput =
-    Monitor.aggregate_goodput net ~flows:normal_flows ~period:sample_period ~name:"goodput" ()
-  in
-  let attack_goodput =
-    Monitor.sample engine ~period:sample_period ~name:"attack-goodput" (fun now ->
-        match attacker with
-        | Some atk -> Ff_attacks.Lfa.attack_rate atk ~now
-        | None -> 0.)
-  in
-  (match on_ready with
-  | Some f -> f net lm normal_flows
-  | None -> ());
-  Engine.run engine ~until:duration;
-  (* without an attack the whole run is the steady state *)
-  let attack_start = match attack with Some a -> a.start | None -> duration in
-  let baseline_goodput = pre_attack_baseline raw_goodput ~attack_start in
+  let r = run { spec with hook } in
+  let attack_start = attack_start spec and baseline_goodput = baseline r in
   let normalized = Series.create ~name:"normalized" in
   List.iter
     (fun (t, v) -> Series.add normalized ~time:t (v /. baseline_goodput))
-    (Series.points raw_goodput);
+    (Series.points r.goodput);
   let during_attack =
     List.filter_map
       (fun (t, v) -> if t >= attack_start +. sample_period then Some v else None)
       (Series.points normalized)
   in
-  let rolls = match attacker with Some atk -> Ff_attacks.Lfa.rolls atk | None -> [] in
+  let rolls = List.concat_map Ff_attacks.Lfa.rolls r.crossfires in
   (* time from each attack event (attack start and each roll) back to 80% *)
-  let events = if attack = None then [] else attack_start :: rolls in
+  let events = if spec.attacks = [] then [] else attack_start :: rolls in
   let recovery_times =
     List.map
       (fun ev ->
@@ -164,30 +330,36 @@ let run_lfa ~defense ?(attack = Some default_attack) ?(duration = 120.)
         find (Series.points normalized))
       events
   in
+  let d = r.deployment in
   {
     normalized;
-    raw_goodput;
-    attack_goodput;
+    raw_goodput = r.goodput;
+    attack_goodput = !attack_goodput;
     baseline_goodput;
     rolls;
-    reconfigs =
-      (match !controller with Some c -> Ff_te.Controller.reconfig_times c | None -> []);
-    mode_log = (match !orchestration with Some o -> Orchestrator.mode_log o | None -> []);
-    mean_during_attack =
-      (match during_attack with [] -> 1. | vs -> Ff_util.Stats.mean vs);
+    reconfigs = Option.fold ~none:[] ~some:Ff_te.Controller.reconfig_times r.controller;
+    mode_log = mode_log r;
+    mean_during_attack = (match during_attack with [] -> 1. | vs -> Ff_util.Stats.mean vs);
     min_during_attack =
       (match during_attack with [] -> 1. | vs -> List.fold_left Float.min infinity vs);
     recovery_times;
-    drops = Net.drops_by_reason net;
+    drops = Net.drops_by_reason r.net;
     suspicious_marked =
-      (match !orchestration with
-      | Some o -> Ff_boosters.Lfa_detector.marks o.Orchestrator.detector
-      | None -> 0);
+      Option.fold ~none:0 d ~some:(fun d ->
+          List.fold_left (fun acc (_, x) -> acc + Ff_boosters.Lfa_detector.marks x) 0
+            d.Orchestrator.detectors);
     probes_sent =
-      (match !orchestration with
-      | Some o -> Ff_boosters.Reroute.probes_sent o.Orchestrator.reroute
-      | None -> 0);
+      (match d with
+      | Some { Orchestrator.reroute = Some rr; _ } -> Ff_boosters.Reroute.probes_sent rr
+      | _ -> 0);
   }
+
+let run_lfa ~defense ?attack ?duration ?sample_period ?(normals = 4) ?(bots = 8) ?on_ready () =
+  let lm = Topology.Fig2.build ~bots ~normals () in
+  let spec = lfa_spec ~defense ?attack ?duration lm in
+  let hook r = Option.iter (fun f -> f r.net lm r.tcp) on_ready in
+  let sample_period = if sample_period = None then spec.sample_period else sample_period in
+  run_lfa_spec { spec with hook; sample_period }
 
 let pp_summary fmt r =
   Format.fprintf fmt
@@ -200,71 +372,8 @@ let pp_summary fmt r =
       else Format.fprintf fmt "  event at %.1fs: recovered to 80%% in %.1fs@." ev rt)
     r.recovery_times
 
-(* ------------------------------------------------------------------ *)
-(* Volumetric scenario                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type volumetric_result = {
-  vr_normalized_mean : float;
-  vr_spoofed_filtered : int;
-  vr_offender_drops : int;
-  vr_mode_changes : int;
-  vr_alarmed : bool;
-}
-
-let run_volumetric ~defended ?(duration = 60.) ?(attack_rate_pps = 600.) ?(spoof = true) () =
-  let lm, net, _ = fig2_testbed () in
-  let normal_flows =
-    List.map
-      (fun n -> Flow.Tcp.start net ~src:n ~dst:lm.Topology.Fig2.victim ~at:0.5 ~max_cwnd:4. ())
-      lm.Topology.Fig2.normal_sources
-  in
-  let vol =
-    if defended then
-      Some (Orchestrator.deploy_volumetric net ~sw:lm.Topology.Fig2.agg ())
-    else None
-  in
-  (* spoofed identities: the normal hosts' addresses (whose TTL fingerprints
-     the filter learns from their legitimate traffic) *)
-  let attack_start = 10. in
-  let _atk =
-    Ff_attacks.Volumetric.launch net ~bots:lm.Topology.Fig2.bot_sources
-      ~victim:lm.Topology.Fig2.victim ~rate_pps_per_bot:attack_rate_pps ~start:attack_start
-      ?spoof_as:(if spoof then Some lm.Topology.Fig2.normal_sources else None)
-      ()
-  in
-  let goodput =
-    Monitor.aggregate_goodput net ~flows:normal_flows ~period:0.5 ~name:"goodput" ()
-  in
-  Engine.run (Net.engine net) ~until:duration;
-  {
-    vr_normalized_mean =
-      Ff_util.Stats.mean (window goodput (attack_start +. 2.) duration)
-      /. pre_attack_baseline goodput ~attack_start;
-    vr_spoofed_filtered =
-      (match vol with
-      | Some v -> Ff_boosters.Hop_count_filter.filtered v.Orchestrator.v_hcf
-      | None -> 0);
-    vr_offender_drops =
-      (match vol with
-      | Some v -> Ff_boosters.Dropper.dropped v.Orchestrator.v_dropper
-      | None -> 0);
-    vr_mode_changes =
-      (match vol with
-      | Some v -> List.length (Ff_modes.Protocol.log v.Orchestrator.v_protocol)
-      | None -> 0);
-    vr_alarmed =
-      (match vol with
-      | Some v -> Ff_boosters.Heavy_hitter.alarmed v.Orchestrator.v_hh
-      | None -> false);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* SYN-flood scenario                                                  *)
-(* ------------------------------------------------------------------ *)
-
 type synflood_result = {
-  sf_normalized_mean : float;  (** completed-handshake goodput vs pre-attack *)
+  sf_normalized_mean : float;
   sf_baseline_goodput : float;
   sf_peak_backlog_occupancy : float;
   sf_backlog_drops : int;
@@ -285,89 +394,55 @@ type synflood_result = {
 
 let run_synflood ~defended ?(hardened = false) ?(duration = 60.)
     ?(attack_rate_pps = 400.) ?(backlog = 64) ?(syn_timeout = 3.0) () =
-  let lm, net, _ = fig2_testbed () in
-  (* the resource under attack: the victim's accept backlog *)
-  let listener =
-    Flow.Listener.install net ~host:lm.Topology.Fig2.victim ~backlog ~syn_timeout ()
+  let lm = Topology.Fig2.build ~bots:8 ~normals:4 () in
+  let hardening = if hardened then Some Orchestrator.default_hardening else None in
+  let defense =
+    if defended then Fastflex { Orchestrator.default_config with hardening } else No_defense
   in
-  (* legitimate clients: short handshake-data-FIN connections in a loop;
-     their completion rate is the scenario's goodput *)
-  let clients =
-    List.map
-      (fun n ->
-        Flow.Handshake.start net ~src:n ~dst:lm.Topology.Fig2.victim ~at:0.5
-          ~conn_interval:0.4 ())
-      lm.Topology.Fig2.normal_sources
+  let spec =
+    fig2_spec ~defense ~duration lm
+      ~boosters:
+        [ Orchestrator.Syn_guard
+            { sw = lm.victim_agg; protect = lm.victim; tracker_capacity = 4096;
+              syn_threshold_pps = 200. } ]
+      [ Syn_flood
+          { bots = lm.bot_sources; victim = lm.victim; rate_pps = attack_rate_pps; start = 10.;
+            spoof_as = lm.normal_sources } ]
   in
-  let sg =
-    if defended then begin
-      let config =
-        if hardened then
-          { Orchestrator.default_config with
-            hardening = Some Orchestrator.default_hardening }
-        else Orchestrator.default_config
-      in
-      let sg =
-        Orchestrator.deploy_synguard net ~sw:lm.Topology.Fig2.victim_agg
-          ~protect:lm.Topology.Fig2.victim ~config ()
-      in
-      Ff_boosters.Syn_guard.attach_server_agent sg.Orchestrator.sg_guard listener;
-      Some sg
-    end
-    else None
+  (* the victim's accept backlog under attack; legitimate clients loop
+     short handshake-data-FIN connections, and their completion rate is
+     the goodput *)
+  let r =
+    run
+      { spec with
+        server = Some { host = lm.victim; backlog; syn_timeout };
+        flows = List.map (fun n -> Handshake { src = n; dst = lm.victim }) lm.normal_sources }
   in
-  let attack_start = 10. in
-  let atk =
-    Ff_attacks.Synflood.launch net ~bots:lm.Topology.Fig2.bot_sources
-      ~victim:lm.Topology.Fig2.victim ~syn_rate_pps:attack_rate_pps
-      ~start:attack_start ~spoof_as:lm.Topology.Fig2.normal_sources ()
-  in
-  let goodput =
-    Monitor.aggregate_goodput net
-      ~probes:
-        [ Monitor.counter_probe (fun () ->
-              List.fold_left
-                (fun acc c -> acc +. Flow.Handshake.completed_bytes c)
-                0. clients) ]
-      ~period:0.5 ~name:"goodput" ()
-  in
-  Engine.run (Net.engine net) ~until:duration;
-  let baseline = pre_attack_baseline goodput ~attack_start in
-  let guard = Option.map (fun s -> s.Orchestrator.sg_guard) sg in
-  let sum f = List.fold_left (fun acc c -> acc + f c) 0 clients in
+  let listener = Option.get r.listener in
+  let guard = match r.deployment with Some { syn_guards = [ g ]; _ } -> Some g | _ -> None in
+  let stat f = Option.fold ~none:0 ~some:f guard in
+  let tracker f = Option.map (fun g -> f (Ff_boosters.Syn_guard.tracker g)) guard in
+  let sum f = List.fold_left (fun acc c -> acc + f c) 0 r.clients in
   {
-    sf_normalized_mean =
-      Ff_util.Stats.mean (window goodput (attack_start +. 2.) duration) /. baseline;
-    sf_baseline_goodput = baseline;
+    sf_normalized_mean = mean_goodput r ~from:(attack_start spec +. 2.);
+    sf_baseline_goodput = baseline r;
     sf_peak_backlog_occupancy = Flow.Listener.peak_occupancy listener;
     sf_backlog_drops = Flow.Listener.backlog_drops listener;
     sf_timeouts = Flow.Listener.timeouts listener;
     sf_established = Flow.Listener.established listener;
     sf_completed = sum Flow.Handshake.completed;
     sf_failed = sum Flow.Handshake.failed;
-    sf_cookies_sent =
-      (match guard with Some g -> Ff_boosters.Syn_guard.cookies_sent g | None -> 0);
-    sf_validated =
-      (match guard with Some g -> Ff_boosters.Syn_guard.validated g | None -> 0);
-    sf_rejected =
-      (match guard with Some g -> Ff_boosters.Syn_guard.rejected g | None -> 0);
-    sf_unverified_drops =
-      (match guard with Some g -> Ff_boosters.Syn_guard.unverified_drops g | None -> 0);
-    sf_tracker_occupancy =
-      (match guard with
-      | Some g -> Ff_dataplane.Cuckoo.occupancy (Ff_boosters.Syn_guard.tracker g)
-      | None -> 0.);
+    sf_cookies_sent = stat Ff_boosters.Syn_guard.cookies_sent;
+    sf_validated = stat Ff_boosters.Syn_guard.validated;
+    sf_rejected = stat Ff_boosters.Syn_guard.rejected;
+    sf_unverified_drops = stat Ff_boosters.Syn_guard.unverified_drops;
+    sf_tracker_occupancy = Option.value ~default:0. (tracker Ff_dataplane.Cuckoo.occupancy);
     sf_tracker_failed_inserts =
-      (match guard with
-      | Some g -> Ff_dataplane.Cuckoo.failed_inserts (Ff_boosters.Syn_guard.tracker g)
-      | None -> 0);
-    sf_syns_sent = Ff_attacks.Synflood.syns_sent atk;
-    sf_mode_changes =
-      (match sg with
-      | Some s -> List.length (Ff_modes.Protocol.log s.Orchestrator.sg_protocol)
-      | None -> 0);
-    sf_alarmed =
-      (match guard with Some g -> Ff_boosters.Syn_guard.alarmed g | None -> false);
+      Option.value ~default:0 (tracker Ff_dataplane.Cuckoo.failed_inserts);
+    sf_syns_sent =
+      List.fold_left (fun acc a -> acc + Ff_attacks.Synflood.syns_sent a) 0 r.syn_floods;
+    sf_mode_changes = List.length (mode_log r);
+    sf_alarmed = Option.fold ~none:false ~some:Ff_boosters.Syn_guard.alarmed guard;
   }
 
 (* shortest-path route trees toward every host, over switches only (hosts

@@ -1,21 +1,16 @@
-(** The paper's case-study experiment (section 4.3, Figure 3): normal flows
-    toward a victim, a rolling Crossfire LFA on the two critical links of
-    the Figure 2 topology, and one of three defenses:
-
-    - [No_defense]: static default TE only;
-    - [Baseline_sdn]: the state-of-the-art SDN defense, centralized TE
-      re-solving every period (Spiffy-like);
-    - [Fastflex]: the multimode data plane — detection, distributed mode
-      change, suspicious-only rerouting, obfuscation, and dropping.
-
-    Throughput is reported normalized to the no-attack steady state
-    measured in the same run before the attack begins, matching the
-    figure's y-axis. *)
+(** Scenarios. {!run} builds every packet-tier scenario from a
+    {!spec}; the case study of paper section 4.3 (Figure 3) and the other
+    Figure 2 experiments are specs over it. Throughput is reported
+    normalized to the no-attack steady state measured in the same run
+    before the attack begins, matching the figure's y-axis. *)
 
 type defense =
-  | No_defense
+  | No_defense  (** static default TE only *)
   | Baseline_sdn of { period : float; delay : float }
+      (** the state-of-the-art SDN defense: centralized TE re-solving every
+          period (Spiffy-like) *)
   | Fastflex of Orchestrator.config
+      (** the multimode data plane: the spec's [boosters] *)
 
 type attack_plan = {
   start : float;
@@ -28,6 +23,113 @@ type attack_plan = {
 val default_attack : attack_plan
 (** Starts at 10 s; forced rolls at 45 s and 80 s (three rounds over
     120 s); rolls on observed path changes. *)
+
+(** {1 Packet-tier runs}
+
+    {!run} builds in one fixed order: testbed and routes, the server and
+    the normal traffic, the defense, the attacks, the goodput monitor,
+    and last the [hook]; then it runs the clock to [duration]. *)
+
+type testbed = { topo : Ff_topology.Topology.t; routes : Ff_netsim.Net.t -> unit }
+
+type flow =
+  | Tcp of { src : int; dst : int; max_cwnd : float }  (** from 0.5 s *)
+  | Cbr of { src : int; dst : int; rate_pps : float; packet_size : int }  (** from 0.1 s *)
+  | Handshake of { src : int; dst : int }
+      (** a connection every 0.4 s from 0.5 s; completed handshakes are goodput *)
+
+type server = { host : int; backlog : int; syn_timeout : float }
+(** An accept-backlog listener; a [Syn_guard] attaches its server agent. *)
+
+type attack =
+  | Crossfire of { bots : int list; decoy_groups : int list list; plan : attack_plan }
+  | Flood of { bots : int list; victim : int; rate_pps : float; start : float; spoof_as : int list }
+      (** per-bot CBR; [spoof_as] are claimed sources ([[]] for none) *)
+  | Syn_flood of {
+      bots : int list;
+      victim : int;
+      rate_pps : float;
+      start : float;
+      spoof_as : int list;
+    }
+  | Pulse of { bots : int list; victim : int; burst_pps : float; duty : float; start : float }
+      (** 1 s period *)
+
+type spec = {
+  testbed : testbed;
+  server : server option;
+  flows : flow list;  (** normal traffic *)
+  defense : defense;
+  boosters : Orchestrator.defense list;  (** one {!Orchestrator.deploy} under [Fastflex] *)
+  attacks : attack list;
+  duration : float;
+  sample_period : float option;  (** goodput sampling; [None] for none *)
+  hook : report -> unit;  (** observers, route pins, faults *)
+}
+
+(** Everything a run built; the series fill as it runs. *)
+and report = {
+  spec : spec;
+  net : Ff_netsim.Net.t;
+  tcp : Ff_netsim.Flow.Tcp.t list;
+  clients : Ff_netsim.Flow.Handshake.t list;
+  listener : Ff_netsim.Flow.Listener.t option;
+  deployment : Orchestrator.deployment option;
+  controller : Ff_te.Controller.t option;
+  crossfires : Ff_attacks.Lfa.t list;
+  syn_floods : Ff_attacks.Synflood.t list;
+  goodput : Ff_util.Series.t;  (** TCP goodput plus completed handshakes, bytes/s *)
+}
+
+val run : spec -> report
+
+val baseline : report -> float
+(** Mean goodput over the steady state before the earliest attack (the
+    end of the run without one), at least 1 B/s. *)
+
+val mean_goodput : report -> from:float -> float
+(** Mean goodput from [from] to the end, over {!baseline}. *)
+
+val window : Ff_util.Series.t -> float -> float -> float list
+val mode_log : report -> (float * int * Ff_dataplane.Packet.attack_kind * bool) list
+
+(** {2 Figure 2 specs} *)
+
+val fig2_spec :
+  ?defense:defense -> ?duration:float -> Ff_topology.Topology.Fig2.landmarks ->
+  boosters:Orchestrator.defense list -> attack list -> spec
+(** The Figure 2 testbed — shortest paths, the decoys spread over the two
+    critical links, and the TE plan for the normal demand as the default
+    mode — with a TCP flow (window cap 4) from each normal host to the
+    victim, sampled every 0.5 s. Defaults: [No_defense], 60 s. *)
+
+val fig2_lfa : Ff_topology.Topology.Fig2.landmarks -> Orchestrator.defense
+(** LFA detection at the aggregation switch on the critical links,
+    rerouting toward the victim and decoys, and the sketch handoff to the
+    victim-side aggregation switch. *)
+
+val lfa_spec :
+  defense:defense -> ?attack:attack_plan option -> ?duration:float ->
+  Ff_topology.Topology.Fig2.landmarks -> spec
+(** Figure 3: {!fig2_spec} under a Crossfire on the decoys, defended by
+    {!fig2_lfa}; [~attack:None] calibrates. Defaults: {!default_attack},
+    120 s. *)
+
+val volumetric_spec :
+  defended:bool -> ?spoof:bool -> ?duration:float -> Ff_topology.Topology.Fig2.landmarks -> spec
+(** Bots blast 600 pps each from 10 s (each flow a 4.8 Mb/s heavy hitter,
+    38 Mb/s against a 20 Mb/s cut), spoofing the normal hosts' addresses
+    when [spoof] (default); a [Volumetric] stack at the aggregation switch.
+    60 s. *)
+
+val multi_vector_spec : Ff_topology.Topology.Fig2.landmarks -> spec
+(** A Bohatei-style storm, 50 s: a Crossfire from 8 s (roll at 25 s), a
+    spoofed flood from a bot behind e2 (from 15 s), and a SYN flood on the
+    public server decoy2 from the bots behind e1 (from 20 s). One
+    deployment ([region_ttl] 3) runs {!fig2_lfa}, a [Volumetric] stack at
+    e2 and a [Syn_guard] at ve2. *)
+
+(** {2 Frozen result records} *)
 
 type result = {
   normalized : Ff_util.Series.t;  (** normal-flow goodput / no-attack baseline *)
@@ -46,6 +148,10 @@ type result = {
   probes_sent : int;
 }
 
+val run_lfa_spec : spec -> result
+(** {!run}, also sampling the Crossfire bots' goodput ahead of the hook
+    ([sample_period] must be set). *)
+
 val run_lfa :
   defense:defense ->
   ?attack:attack_plan option ->
@@ -58,49 +164,10 @@ val run_lfa :
      unit) ->
   unit ->
   result
-(** [~attack:None] runs the calibration-only scenario (no attack).
-    Defaults: the default attack, 120 s, 0.5 s samples, 4 normal hosts,
-    8 bots. [on_ready] runs after setup and before the simulation, with the
-    network, the topology landmarks, and the normal flows — the hook tests
-    and examples use to attach extra monitors. *)
+(** {!run_lfa_spec} of {!lfa_spec} with [normals] (default 4) normal hosts
+    and [bots] (default 8) bots; [on_ready] is the hook. *)
 
 val pp_summary : Format.formatter -> result -> unit
-
-(** {1 Volumetric scenario}
-
-    A second end-to-end driver: bots blast spoofed-source CBR traffic at
-    the victim through the aggregation chokepoint; the defense is
-    heavy-hitter detection wired into the mode protocol (dropping +
-    hop-count filtering). *)
-
-type volumetric_result = {
-  vr_normalized_mean : float;  (** normal goodput under attack / baseline *)
-  vr_spoofed_filtered : int;  (** packets the hop-count filter removed *)
-  vr_offender_drops : int;  (** packets policed off the offender flows *)
-  vr_mode_changes : int;
-  vr_alarmed : bool;  (** heavy hitter state at the end of the run *)
-}
-
-val run_volumetric :
-  defended:bool ->
-  ?duration:float ->
-  ?attack_rate_pps:float ->
-  ?spoof:bool ->
-  unit ->
-  volumetric_result
-(** Defaults: 60 s, 600 pps per bot — each bot flow is individually a
-    4.8 Mb/s heavy hitter, 38 Mb/s aggregate against a 20 Mb/s cut —
-    spoofing on. *)
-
-(** {1 SYN-flood scenario}
-
-    The split-proxy driver: bots open spoofed connections they never
-    finish, exhausting the victim's accept backlog; the defense is the
-    CuckooGuard-style booster ({!Ff_boosters.Syn_guard}) — SYN-cookie
-    interception at the victim's edge switch plus a cuckoo-filter flow
-    tracker, with the server's listener trusting edge-validated
-    handshakes. Goodput is the legitimate clients' completed-handshake
-    byte rate, normalized against the pre-attack window. *)
 
 type synflood_result = {
   sf_normalized_mean : float;  (** completed-handshake goodput vs pre-attack *)
@@ -132,12 +199,16 @@ val run_synflood :
   ?syn_timeout:float ->
   unit ->
   synflood_result
-(** Defaults: 60 s, 400 SYNs/s per bot (3200/s aggregate against a
-    64-slot backlog with a 3 s half-open timeout — refills a freed slot
-    five hundred times faster than legitimate clients retry), spoofing
-    always on. [hardened] threads {!Orchestrator.default_hardening}
-    (jittered SYN-rate threshold, cookie-secret rotation) through
-    {!Orchestrator.deploy_synguard}. *)
+(** The SYN-flood scenario: the normal hosts' handshake clients against
+    bots opening spoofed connections they never finish, exhausting the
+    victim's accept backlog; the defense is a [Syn_guard] (SYN cookies and
+    a cuckoo-filter flow tracker, the listener trusting edge-validated
+    handshakes) at the victim-side aggregation switch. Defaults: 60 s,
+    400 SYNs/s per bot (3200/s against a 64-slot backlog with a 3 s
+    half-open timeout — refilling a freed slot five hundred times faster
+    than legitimate clients retry). [hardened] adds
+    {!Orchestrator.default_hardening} (jittered SYN-rate threshold,
+    cookie-secret rotation). *)
 
 (** {1 Closed-loop adversarial arena}
 

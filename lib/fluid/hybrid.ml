@@ -3,7 +3,6 @@ module Engine = Ff_netsim.Engine
 module Flow = Ff_netsim.Flow
 module Monitor = Ff_netsim.Monitor
 module Event = Ff_obs.Event
-module Protocol = Ff_modes.Protocol
 
 type force = Auto | All_packet | All_fluid
 type tier = Tier_auto | Fluid_only | Packet_only
@@ -273,10 +272,6 @@ let hot_nodes t =
   let acc = ref [] in
   Array.iteri (fun i c -> if c > 0 then acc := i :: !acc) t.hot;
   !acc
-
-let watch_protocol t p =
-  Protocol.on_transition p (fun ~sw ~attack:_ ~active ->
-      if active then mark_hot t ~node:sw else clear_hot t ~node:sw)
 
 let admit t m =
   let fl = Fluid.add t.fl ~src:m.m_src ~dst:m.m_dst

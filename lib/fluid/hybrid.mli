@@ -5,9 +5,9 @@
     quiet regions, or packet-by-packet ({!Ff_netsim.Flow.Cbr} /
     {!Ff_netsim.Flow.Tcp}) while its path touches a {e hot} node — one
     inside an attacked / mode-changing / chaos-faulted region. Hot nodes
-    are tracked as a per-node counter fed by {!mark_hot}/{!clear_hot} or,
-    for the common case, by {!watch_protocol}, which subscribes to the
-    mode protocol's applied transitions. Every hot-set change schedules a
+    are tracked as a per-node counter fed by {!mark_hot}/{!clear_hot} —
+    for the common case from the mode protocol's applied transitions, via
+    [Orchestrator.deploy]'s [on_mode]. Every hot-set change schedules a
     single coalesced re-evaluation sweep at the current instant that
     demotes/promotes the members whose tier no longer matches their path.
 
@@ -89,10 +89,6 @@ val mark_hot : t -> node:int -> unit
 val clear_hot : t -> node:int -> unit
 
 val hot_nodes : t -> int list
-
-val watch_protocol : t -> Ff_modes.Protocol.t -> unit
-(** Drive the hot set from mode-protocol transitions: a switch is hot
-    while at least one attack's modes are active on it. *)
 
 val reevaluate : t -> unit
 (** Run the demote/promote sweep synchronously (normally triggered by

@@ -171,27 +171,6 @@ let test_volumetric_spoofing_ttl () =
     (fun ttl -> Alcotest.(check bool) "ttl reveals spoofing" true (ttl < 60))
     !ttls
 
-let test_coremelt_pairwise () =
-  let lm, engine, net = fig2_net () in
-  let atk =
-    Ff_attacks.Coremelt.launch net ~bots:lm.T.Fig2.bot_sources ~start:1. ()
-  in
-  Alcotest.(check int) "ordered pairs" (8 * 7) (Ff_attacks.Coremelt.pair_count atk);
-  Alcotest.(check int) "one flow per pair" (8 * 7)
-    (List.length (Ff_attacks.Coremelt.flows atk));
-  Engine.run engine ~until:8.;
-  Alcotest.(check bool) "core melting" true
-    (Ff_attacks.Coremelt.attack_rate atk ~now:8. > 1_000_000.);
-  (* bots split across e1/e2: their pairwise traffic crosses the e-agg
-     links in both directions *)
-  let e1 = (T.node_by_name lm.T.Fig2.topo "e1").T.id in
-  let agg = lm.T.Fig2.agg in
-  Alcotest.(check bool) "edge uplink saturating" true
-    (Net.utilization net ~from_:e1 ~to_:agg > 0.5);
-  Ff_attacks.Coremelt.stop_now atk;
-  Engine.run engine ~until:12.;
-  Alcotest.(check bool) "stops" true (Ff_attacks.Coremelt.attack_rate atk ~now:12. < 50_000.)
-
 let test_pulsing_average_rate () =
   let lm, engine, net = fig2_net () in
   let atk =
@@ -222,6 +201,5 @@ let () =
           Alcotest.test_case "floods" `Quick test_volumetric_floods;
           Alcotest.test_case "spoofing ttl" `Quick test_volumetric_spoofing_ttl;
         ] );
-      ("coremelt", [ Alcotest.test_case "pairwise flood" `Quick test_coremelt_pairwise ]);
       ("pulsing", [ Alcotest.test_case "average rate" `Quick test_pulsing_average_rate ]);
     ]

@@ -359,24 +359,6 @@ let test_hcf_filters_spoofed () =
     (Flow.Cbr.delivered_bytes spoofed < 30_000.);
   Alcotest.(check bool) "learned sources" true (B.Hop_count_filter.learned_sources hcf >= 1)
 
-(* ---------------- Access control ---------------- *)
-
-let test_acl_blocks_unapproved () =
-  let lm, engine, net = fig2_net () in
-  let acl = B.Access_control.install net ~sw:lm.T.Fig2.agg () in
-  let src = List.hd lm.T.Fig2.normal_sources in
-  B.Access_control.permit acl ~src ~dst:lm.T.Fig2.victim;
-  B.Common.set_mode (Net.switch net lm.T.Fig2.agg) "acl" true;
-  let allowed = Flow.Cbr.start net ~src ~dst:lm.T.Fig2.victim ~rate_pps:50. () in
-  let blocked = Flow.Cbr.start net ~src ~dst:(List.hd lm.T.Fig2.decoys) ~rate_pps:50. () in
-  Engine.run engine ~until:3.;
-  Alcotest.(check bool) "allowed flows" true (Flow.Cbr.delivered_bytes allowed > 100_000.);
-  Alcotest.(check (float 0.)) "blocked entirely" 0. (Flow.Cbr.delivered_bytes blocked);
-  Alcotest.(check bool) "violations counted" true (B.Access_control.violations acl > 50);
-  (* revoke works *)
-  B.Access_control.revoke acl ~src ~dst:lm.T.Fig2.victim;
-  Alcotest.(check bool) "revoked" false (B.Access_control.allowed acl ~src ~dst:lm.T.Fig2.victim)
-
 (* ---------------- Global rate limit ---------------- *)
 
 let test_grl_converges_to_limit () =
@@ -441,62 +423,6 @@ let test_reroute_loop_free () =
         Alcotest.failf "packet %d visited switch %d %d times (forwarding loop)" uid node n)
     visits;
   Alcotest.(check bool) "traffic flowed" true (Flow.Tcp.delivered_bytes f > 100_000.)
-
-(* ---------------- Slowpath ---------------- *)
-
-let test_slowpath_latency_and_budget () =
-  let lm, engine, net = fig2_net () in
-  let handled = ref 0 in
-  let sp =
-    B.Slowpath.create net ~sw:lm.T.Fig2.agg ~latency:0.01 ~rate_limit:10.
-      ~handler:(fun _ ->
-        incr handled;
-        B.Slowpath.Allow)
-      ()
-  in
-  let verdicts = ref [] in
-  let pkt = Ff_dataplane.Packet.make ~src:0 ~dst:1 ~flow:1 ~birth:0. () in
-  (* one punt inside budget: verdict arrives after the PCIe-like latency *)
-  Engine.schedule engine ~at:1. (fun () ->
-      B.Slowpath.punt sp pkt ~on_verdict:(fun v ->
-          verdicts := (Net.now net, v) :: !verdicts));
-  Engine.run engine ~until:2.;
-  (match !verdicts with
-  | [ (at, B.Slowpath.Allow) ] -> Alcotest.(check (float 1e-6)) "latency applied" 1.01 at
-  | _ -> Alcotest.fail "expected one Allow verdict");
-  (* a burst beyond the 10/s budget overflows fail-closed *)
-  Engine.schedule engine ~at:2.5 (fun () ->
-      for _ = 1 to 50 do
-        B.Slowpath.punt sp pkt ~on_verdict:(fun _ -> ())
-      done);
-  Engine.run engine ~until:4.;
-  Alcotest.(check bool) "budget enforced" true (B.Slowpath.overflows sp > 30);
-  Alcotest.(check bool) "some punts processed" true (B.Slowpath.punts sp >= 1)
-
-let test_reactive_acl_flow_setup () =
-  let lm, engine, net = fig2_net () in
-  let sw = lm.T.Fig2.agg in
-  let oracle_calls = ref 0 in
-  let acl =
-    B.Slowpath.Reactive_acl.install net ~sw ~latency:0.005
-      ~oracle:(fun ~src:_ ~dst ->
-        incr oracle_calls;
-        dst = lm.T.Fig2.victim)
-      ()
-  in
-  B.Common.set_mode (Net.switch net sw) "acl" true;
-  let src = List.hd lm.T.Fig2.normal_sources in
-  let allowed = Flow.Tcp.start net ~src ~dst:lm.T.Fig2.victim ~at:0.5 () in
-  let denied = Flow.Cbr.start net ~src ~dst:(List.hd lm.T.Fig2.decoys) ~rate_pps:50. ~at:0.5 () in
-  Engine.run engine ~until:5.;
-  (* first packet punted, the rest ride the cache: oracle consulted once
-     per pair, traffic flows at line rate afterwards *)
-  Alcotest.(check int) "oracle once per pair" 2 !oracle_calls;
-  Alcotest.(check bool) "allowed pair transfers" true (Flow.Tcp.delivered_bytes allowed > 1e6);
-  Alcotest.(check (float 0.)) "denied pair blocked" 0. (Flow.Cbr.delivered_bytes denied);
-  Alcotest.(check int) "two pairs cached" 2 (B.Slowpath.Reactive_acl.cached_pairs acl);
-  Alcotest.(check bool) "fastpath dominates" true
-    (B.Slowpath.Reactive_acl.cache_hits acl > 100 * B.Slowpath.Reactive_acl.cache_misses acl)
 
 (* ---------------- Network-wide heavy hitter ---------------- *)
 
@@ -625,15 +551,8 @@ let () =
         [ Alcotest.test_case "detects volumetric" `Quick test_heavy_hitter_detects_volumetric ] );
       ( "hop-count-filter",
         [ Alcotest.test_case "filters spoofed" `Quick test_hcf_filters_spoofed ] );
-      ( "access-control",
-        [ Alcotest.test_case "blocks unapproved" `Quick test_acl_blocks_unapproved ] );
       ( "global-rate-limit",
         [ Alcotest.test_case "converges to limit" `Quick test_grl_converges_to_limit ] );
-      ( "slowpath",
-        [
-          Alcotest.test_case "latency and budget" `Quick test_slowpath_latency_and_budget;
-          Alcotest.test_case "reactive acl flow setup" `Quick test_reactive_acl_flow_setup;
-        ] );
       ( "network-wide-hh",
         [
           Alcotest.test_case "detects distributed flood" `Quick

@@ -103,26 +103,53 @@ let test_series_shapes () =
     (Float.abs (Ff_util.Stats.mean pre -. 1.) < 0.1)
 
 (* the volumetric scenario: heavy-hitter detection through the mode protocol *)
+let run_volumetric ~defended ?spoof () =
+  let lm = Ff_topology.Topology.Fig2.build ~bots:8 ~normals:4 () in
+  let r = Scenario.run (Scenario.volumetric_spec ~defended ?spoof ~duration:40. lm) in
+  let d = Option.get r.Scenario.deployment in
+  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
+  ( r,
+    sum Ff_boosters.Hop_count_filter.filtered d.Orchestrator.hop_count_filters,
+    sum (fun (_, dr) -> Ff_boosters.Dropper.dropped dr) d.Orchestrator.droppers )
+
 let test_volumetric_defended_vs_not () =
-  let undefended = Scenario.run_volumetric ~defended:false ~duration:40. () in
-  let defended = Scenario.run_volumetric ~defended:true ~duration:40. () in
+  let lm = Ff_topology.Topology.Fig2.build ~bots:8 ~normals:4 () in
+  let undefended = Scenario.run (Scenario.volumetric_spec ~defended:false ~duration:40. lm) in
+  let defended, filtered, policed = run_volumetric ~defended:true () in
+  let hh = List.hd (Option.get defended.Scenario.deployment).Orchestrator.heavy_hitters in
   Alcotest.(check bool) "flood crushes undefended victim" true
-    (undefended.Scenario.vr_normalized_mean < 0.4);
+    (Scenario.mean_goodput undefended ~from:12. < 0.4);
   Alcotest.(check bool) "defense restores goodput" true
-    (defended.Scenario.vr_normalized_mean > 0.9);
-  Alcotest.(check bool) "alarm raised" true defended.Scenario.vr_alarmed;
-  Alcotest.(check bool) "modes propagated" true (defended.Scenario.vr_mode_changes >= 10);
-  Alcotest.(check bool) "spoofed packets filtered" true
-    (defended.Scenario.vr_spoofed_filtered > 1000);
-  Alcotest.(check bool) "offenders policed" true (defended.Scenario.vr_offender_drops > 10_000)
+    (Scenario.mean_goodput defended ~from:12. > 0.9);
+  Alcotest.(check bool) "alarm raised" true (Ff_boosters.Heavy_hitter.alarmed hh);
+  Alcotest.(check bool) "modes propagated" true
+    (List.length (Scenario.mode_log defended) >= 10);
+  Alcotest.(check bool) "spoofed packets filtered" true (filtered > 1000);
+  Alcotest.(check bool) "offenders policed" true (policed > 10_000)
 
 let test_volumetric_without_spoofing () =
   (* unspoofed flood: hop-count filtering has nothing to do, but policing
      the heavy hitters still restores the victim *)
-  let d = Scenario.run_volumetric ~defended:true ~duration:40. ~spoof:false () in
-  Alcotest.(check bool) "policing alone recovers" true
-    (d.Scenario.vr_normalized_mean > 0.85);
-  Alcotest.(check int) "nothing spoofed, nothing filtered" 0 d.Scenario.vr_spoofed_filtered
+  let d, filtered, _ = run_volumetric ~defended:true ~spoof:false () in
+  Alcotest.(check bool) "policing alone recovers" true (Scenario.mean_goodput d ~from:12. > 0.85);
+  Alcotest.(check int) "nothing spoofed, nothing filtered" 0 filtered
+
+(* the multi-vector storm: three attack classes, three stacks, one
+   deployment — each class activates its own modes, and the run replays *)
+let test_multi_vector_storm () =
+  let storm () =
+    let lm = Ff_topology.Topology.Fig2.build ~bots:8 ~normals:4 () in
+    Scenario.mode_log (Scenario.run (Scenario.multi_vector_spec lm))
+  in
+  let log = storm () in
+  List.iter
+    (fun attack ->
+      Alcotest.(check bool)
+        (Packet.attack_kind_to_string attack ^ " activated")
+        true
+        (List.exists (fun (_, _, a, up) -> up && a = attack) log))
+    [ Packet.Lfa; Packet.Volumetric; Packet.Synflood ];
+  Alcotest.(check bool) "replays identically" true (log = storm ())
 
 (* deploy_wide: the pervasive deployment on an arbitrary topology *)
 let test_deploy_wide_on_ring () =
@@ -149,8 +176,9 @@ let test_deploy_wide_on_ring () =
     hosts;
   Ff_netsim.Engine.run engine ~until:15.;
   Alcotest.(check bool) "modes activated" true
-    (List.length (Orchestrator.wide_mode_log wide) > 0);
-  Alcotest.(check bool) "flows classified somewhere" true (Orchestrator.wide_marked wide > 0)
+    (Ff_modes.Protocol.log wide.Orchestrator.w_protocol <> []);
+  Alcotest.(check bool) "flows classified somewhere" true
+    (List.exists (fun (_, d) -> Ff_boosters.Lfa_detector.marks d > 0) wide.Orchestrator.w_detectors)
 
 (* Two detectors raise the same attack class; the first one to clear must
    not switch the mode off at the other, which is still alarmed (a bare
@@ -262,6 +290,7 @@ let () =
             test_volumetric_defended_vs_not;
           Alcotest.test_case "volumetric without spoofing" `Slow
             test_volumetric_without_spoofing;
+          Alcotest.test_case "multi-vector storm" `Slow test_multi_vector_storm;
         ] );
       ( "pipeline",
         [

@@ -8,7 +8,6 @@ module Fec = Ff_scaling.Fec
 module Transfer = Ff_scaling.Transfer
 module Repurpose = Ff_scaling.Repurpose
 module Loss = Ff_scaling.Loss
-module Replicate = Ff_scaling.Replicate
 module Prng = Ff_util.Prng
 
 let entries n = List.init n (fun i -> (Printf.sprintf "reg[%d]" i, float_of_int i *. 1.5))
@@ -355,30 +354,31 @@ let test_loss_set_enabled_window () =
   Alcotest.(check int) "all considered packets dropped" (Loss.seen loss) (Loss.dropped loss);
   Alcotest.(check bool) "window actually dropped packets" true (Loss.dropped loss > 50)
 
-(* ---------------- Replication ---------------- *)
+(* ---------------- Determinism ---------------- *)
 
-let test_replicate_and_failover () =
-  let _, engine, net, s0, s3 = transfer_net () in
-  let state = ref (entries 10) in
-  let r = Replicate.start net ~primary:s0 ~replica:s3 ~period:0.5
-      ~snapshot:(fun () -> !state) () in
-  Engine.run engine ~until:3.;
-  Alcotest.(check bool) "several copies done" true (Replicate.copies_completed r >= 3);
-  Alcotest.(check (list (pair string (float 0.)))) "replica holds the state" (entries 10)
-    (Replicate.last_copy r);
-  (* primary dies; failover restores from the replica *)
-  state := [];
-  Net.set_switch_up net ~sw:s0 false;
-  let recovered = ref [] in
-  Alcotest.(check bool) "failover succeeds" true
-    (Replicate.failover r ~restore:(fun e -> recovered := e));
-  Alcotest.(check (list (pair string (float 0.)))) "state recovered" (entries 10) !recovered;
-  Replicate.stop r;
-  let copies = Replicate.copies_completed r in
-  Engine.run engine ~until:6.;
-  (* at most one in-flight transfer may still land after stop *)
-  Alcotest.(check bool) "no new rounds after stop" true
-    (Replicate.copies_completed r <= copies + 1)
+(* A lossy transfer is a function of its seed: two runs with the same loss
+   seed drop the same chunks, so the FEC/retransmission counters and the
+   completion time agree exactly. *)
+let test_lossy_transfer_replays_under_seed () =
+  let run () =
+    let _, engine, net, s0, s3 = transfer_net () in
+    let loss = Loss.install net ~sw:(s0 + 1) ~prob:0.15 ~seed:11 ~classes:Loss.State_chunks_only () in
+    let done_at = ref None in
+    let x = Transfer.send net ~src_sw:s0 ~dst_sw:s3 ~entries:(entries 200)
+        ~on_complete:(fun _ -> done_at := Some (Engine.now engine)) () in
+    Engine.run engine ~until:10.;
+    (Loss.seen loss, Loss.dropped loss, Transfer.fec_recoveries x,
+     Transfer.retransmitted_groups x, !done_at)
+  in
+  let seen1, dropped1, fec1, retx1, done1 = run () in
+  let seen2, dropped2, fec2, retx2, done2 = run () in
+  Alcotest.(check bool) "loss actually struck" true (dropped1 > 0);
+  Alcotest.(check int) "same chunks seen" seen1 seen2;
+  Alcotest.(check int) "same chunks dropped" dropped1 dropped2;
+  Alcotest.(check int) "same fec recoveries" fec1 fec2;
+  Alcotest.(check int) "same retransmissions" retx1 retx2;
+  Alcotest.(check (option (float 0.))) "same completion time" done1 done2;
+  Alcotest.(check bool) "completed" true (done1 <> None)
 
 let () =
   let qcheck =
@@ -421,7 +421,8 @@ let () =
           Alcotest.test_case "gilbert-elliott bursts" `Quick test_loss_gilbert_elliott_bursts;
           Alcotest.test_case "enable window" `Quick test_loss_set_enabled_window;
         ] );
-      ( "replication",
-        [ Alcotest.test_case "replicate and failover" `Quick test_replicate_and_failover ] );
+      ( "determinism",
+        [ Alcotest.test_case "lossy transfer replays under seed" `Quick
+            test_lossy_transfer_replays_under_seed ] );
       ("properties", qcheck);
     ]
