@@ -1,19 +1,29 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes: a mutable [int64]
+   record field would box a fresh state on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create ~seed = of_state (Int64.of_int seed)
 
-let split t = { state = int64 t }
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix64 s
+
+let int64 t = next t
+
+let split t = of_state (next t)
 
 (* Uniform via rejection sampling: plain [rem] over the 63-bit draw favors
    small residues when the bound does not divide 2^63. Draws from the
@@ -26,24 +36,25 @@ let int t bound =
   assert (bound > 0);
   let b = Int64.of_int bound in
   if bound land (bound - 1) = 0 then
-    Int64.to_int (Int64.logand (Int64.shift_right_logical (int64 t) 1) (Int64.sub b 1L))
+    Int64.to_int (Int64.logand (Int64.shift_right_logical (next t) 1) (Int64.sub b 1L))
   else begin
-    let rec draw () =
-      let bits = Int64.shift_right_logical (int64 t) 1 in
-      let v = Int64.rem bits b in
-      if Int64.compare (Int64.add (Int64.sub bits v) (Int64.sub b 1L)) 0L < 0 then draw ()
-      else Int64.to_int v
-    in
-    draw ()
+    let v = ref (-1) in
+    while !v < 0 do
+      let bits = Int64.shift_right_logical (next t) 1 in
+      let r = Int64.rem bits b in
+      if Int64.compare (Int64.add (Int64.sub bits r) (Int64.sub b 1L)) 0L >= 0 then
+        v := Int64.to_int r
+    done;
+    !v
   end
 
 let float t bound =
   assert (bound > 0.);
-  let raw = Int64.shift_right_logical (int64 t) 11 in
+  let raw = Int64.shift_right_logical (next t) 11 in
   (* 53 significant bits, uniform in [0,1) *)
   Int64.to_float raw /. 9007199254740992. *. bound
 
-let bool t = Int64.logand (int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let exponential t ~mean =
   assert (mean > 0.);
