@@ -2,7 +2,10 @@
 
     Every stochastic component of the simulator draws from its own [Prng.t]
     so that experiments are reproducible bit-for-bit from a seed, and so
-    that adding randomness to one component does not perturb another. *)
+    that adding randomness to one component does not perturb another.
+
+    The state is kept unboxed, so {!int} and {!bool} allocate nothing;
+    {!float} and {!int64} allocate only the boxed result they return. *)
 
 type t
 
