@@ -1616,18 +1616,13 @@ let read_adversarial_baseline () =
              | _ -> malformed adversarial_baseline_file (i + 1) line "'<strategy> <seed> <wf>'")
          (String.split_on_char '\n' text))
 
-let adversarial_seeds () =
-  match Sys.getenv_opt "ADVERSARIAL_SEEDS" with
-  | Some s -> List.filter_map int_of_string_opt (String.split_on_char ',' s)
-  | None -> [ 1; 2 ]
-
 let adversarial () =
   banner "adversarial"
     "closed-loop adaptive attackers vs evasion-hardened defenses (attacker work factor)";
   let module A = Ff_attacks.Adaptive in
   let record = Sys.getenv_opt "ADVERSARIAL_RECORD" <> None in
   let baseline = read_adversarial_baseline () in
-  let seeds = adversarial_seeds () in
+  let seeds = [ 1; 2 ] in
   let failures = ref [] in
   let recorded = ref [] in
   let check name ok detail =

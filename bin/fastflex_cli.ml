@@ -9,7 +9,13 @@
 open Cmdliner
 
 let run_lfa defense duration te_period roll_times csv bots normals trace_file chaos_spec =
-  match Option.fold ~none:(Ok []) ~some:Ff_chaos.Chaos.parse chaos_spec with
+  let lm = Ff_topology.Topology.Fig2.build ~bots ~normals () in
+  let chaos =
+    Result.bind
+      (Option.fold ~none:(Ok []) ~some:Ff_chaos.Chaos.parse chaos_spec)
+      (fun ds -> Result.map (fun () -> ds) (Ff_chaos.Chaos.check lm.topo ds))
+  in
+  match chaos with
   | Error e -> `Error (false, "bad --chaos spec: " ^ e)
   | Ok chaos_directives ->
     let defense =
@@ -33,10 +39,7 @@ let run_lfa defense duration te_period roll_times csv bots normals trace_file ch
         harness := Some h
       end
     in
-    let spec =
-      Fastflex.Scenario.lfa_spec ~defense ~attack ~duration
-        (Ff_topology.Topology.Fig2.build ~bots ~normals ())
-    in
+    let spec = Fastflex.Scenario.lfa_spec ~defense ~attack ~duration lm in
     let trace =
       Option.map
         (fun _ ->

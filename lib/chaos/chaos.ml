@@ -274,7 +274,7 @@ let check_quiescence t ?protocol ?(origins = []) ?(transfers = []) () =
 
 (* ---------------- schedule specs ---------------- *)
 
-type directive =
+type op =
   | D_seed of int
   | D_cut of string * string * float
   | D_heal of string * string * float
@@ -283,8 +283,10 @@ type directive =
       (* a, b, start, until, down_dwell, up_dwell *)
   | D_loss of string * float * float option * bool (* node, rate, mean burst, ctl only *)
 
+type directive = { text : string; op : op }
+
 let spec_seed ds =
-  List.fold_left (fun acc d -> match d with D_seed s -> Some s | _ -> acc) None ds
+  List.fold_left (fun acc d -> match d.op with D_seed s -> Some s | _ -> acc) None ds
 
 let split2 ~on s =
   match String.index_opt s on with
@@ -393,32 +395,58 @@ let parse spec =
     | [] -> Ok (List.rev acc)
     | d :: rest -> (
       match parse_directive d with
-      | Ok dir -> go (dir :: acc) rest
+      | Ok op -> go ({ text = d; op } :: acc) rest
       | Error e -> Error e)
   in
   go [] ds
 
-let resolve t name =
+let node_id topo name =
   match int_of_string_opt name with
-  | Some id -> id
-  | None -> (
-    match Topology.node_by_name (Net.topology t.net) name with
-    | n -> n.Topology.id
-    | exception Not_found -> invalid_arg (Printf.sprintf "Chaos.apply: unknown node %S" name))
+  | Some id when id >= 0 && id < Topology.num_nodes topo -> Ok id
+  | _ -> (
+    try Ok (Topology.node_by_name topo name).Topology.id
+    with Not_found -> Error (Printf.sprintf "unknown node %S" name))
+
+(* Every node a directive names exists, every pair is adjacent, and crash
+   and loss target switches. *)
+let check_op topo op =
+  let err fmt = Printf.ksprintf (fun e -> Error e) fmt in
+  match op with
+  | D_seed _ -> Ok ()
+  | D_cut (a, b, _) | D_heal (a, b, _) | D_flap (a, b, _, _, _, _) ->
+    let* ia = node_id topo a in
+    let* ib = node_id topo b in
+    if Topology.find_link topo ia ib = None then err "%s and %s are not adjacent" a b else Ok ()
+  | D_crash (s, _, _) | D_loss (s, _, _, _) ->
+    let* id = node_id topo s in
+    if (Topology.node topo id).Topology.kind = Topology.Switch then Ok ()
+    else err "%s is not a switch" s
+
+let first_error topo ds =
+  List.find_map
+    (fun d -> match check_op topo d.op with Ok () -> None | Error e -> Some (d, e))
+    ds
+
+let check topo ds =
+  Option.fold (first_error topo ds) ~none:(Ok ()) ~some:(fun (d, e) ->
+      Error (Printf.sprintf "%S: %s" d.text e))
 
 let apply t ds =
+  let topo = Net.topology t.net in
+  Option.iter (fun (_, e) -> invalid_arg ("Chaos.apply: " ^ e)) (first_error topo ds);
+  let resolve name = Result.get_ok (node_id topo name) in
   List.iter
     (fun d ->
-      match d with
+      match d.op with
       | D_seed _ -> () (* consumed by the caller via [spec_seed] before [create] *)
-      | D_cut (a, b, time) -> at t ~time (Link_down (resolve t a, resolve t b))
-      | D_heal (a, b, time) -> at t ~time (Link_up (resolve t a, resolve t b))
-      | D_crash (s, time, dur) -> crash_switch t ~sw:(resolve t s) ~at:time ~recover_after:dur
+      | D_cut (a, b, time) -> at t ~time (Link_down (resolve a, resolve b))
+      | D_heal (a, b, time) -> at t ~time (Link_up (resolve a, resolve b))
+      | D_crash (s, time, dur) -> crash_switch t ~sw:(resolve s) ~at:time ~recover_after:dur
       | D_flap (a, b, start, until, down, up) ->
-        flap_link t ~a:(resolve t a) ~b:(resolve t b) ~start ~until ~down_dwell:down
+        flap_link t ~a:(resolve a) ~b:(resolve b) ~start ~until ~down_dwell:down
           ~up_dwell:up
       | D_loss (s, rate, burst, ctl) -> (
-        let sw = resolve t s in
+        let sw = resolve s in
         let classes = if ctl then Loss.Control_only else Loss.All in
         match burst with
         | None ->

@@ -156,7 +156,13 @@ val parse : string -> (directive list, string) result
 val spec_seed : directive list -> int option
 (** The [seed=N] directive's value, if present — pass it to {!create}. *)
 
+val check : Ff_topology.Topology.t -> directive list -> (unit, string) result
+(** Resolve every directive's nodes against the topology: each named node
+    exists, each [cut]/[heal]/[flap] pair is adjacent, each [crash]/[loss]
+    target is a switch. [Error] quotes the first directive that fails and
+    says why. *)
+
 val apply : t -> directive list -> unit
-(** Resolve node names against the network's topology and install every
-    directive's schedule. Raises [Invalid_argument] on an unknown node
-    name or a non-adjacent link. *)
+(** {!check} the directives against the network's topology, then install
+    every directive's schedule. Raises [Invalid_argument] before
+    scheduling anything if a directive fails the check. *)

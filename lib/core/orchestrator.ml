@@ -60,8 +60,8 @@ let default_config =
     hardening = None;
   }
 
+(* The alarm pair every detector of a deployment reports through. *)
 type sink = {
-  s_protocol : Ff_modes.Protocol.t;
   on_alarm : B.Lfa_detector.alarm -> unit;
   on_clear : B.Lfa_detector.alarm -> unit;
 }
@@ -94,11 +94,7 @@ let region net ~ttl sw =
   done;
   seen
 
-let sink net config =
-  let protocol =
-    Ff_modes.Protocol.create net ~region_ttl:config.region_ttl ~min_dwell:config.min_dwell
-      ~anti_entropy:config.anti_entropy ~modes_for ()
-  in
+let sink net config protocol =
   (* Several independent detectors can feed the same protocol alarm per
      attack class, but [Protocol.clear_alarm] floods a region-wide
      deactivation unconditionally while [raise_alarm] is a no-op when the
@@ -113,7 +109,6 @@ let sink net config =
   let raised : (Packet.attack_kind, int * int list) Hashtbl.t = Hashtbl.create 4 in
   let find att = match Hashtbl.find_opt raised att with Some r -> r | None -> (0, []) in
   {
-    s_protocol = protocol;
     on_alarm =
       (fun a ->
         let att = a.B.Lfa_detector.attack and sw = a.B.Lfa_detector.switch in
@@ -148,55 +143,40 @@ let sink net config =
    tuple matches the booster's install defaults, so a [None] config stays
    bit-identical to the pre-hardening deploys. *)
 
-let install_detector net config sink ~sw ~watched =
-  let threshold_jitter, jitter_period, seed =
-    match config.hardening with
-    | None -> (0., 2.0, 0x1FA_D)
-    | Some h -> (h.h_threshold_jitter, h.h_jitter_period, h.h_seed)
+(* Key-spreading guard: a windowed Bloom of (src, flow) counts each
+   source's distinct flows. Past 6 in a 2 s window the source raises a
+   [Volumetric] alarm and is marked suspicious, so an attacker must find
+   hash collisions to hide volume instead of spraying fresh keys. *)
+let install_fanout_guard net config sink ~sw =
+  let module Bloom = Ff_dataplane.Bloom in
+  let max_flows = 6 and window = 2.0 in
+  let seed = match config.hardening with None -> 0xFA6 | Some h -> h.h_seed in
+  let bloom = Bloom.create ~seed ~bits:4096 ~hashes:3 () in
+  let counts : (int, int) Hashtbl.t = Hashtbl.create 32 in
+  let flows src = Option.value ~default:0 (Hashtbl.find_opt counts src) in
+  let alarm = { B.Lfa_detector.switch = sw; attack = Packet.Volumetric } in
+  Engine.every (Net.engine net) ~start:window ~period:window (fun () ->
+      Bloom.reset bloom;
+      Hashtbl.reset counts);
+  let process _ctx pkt =
+    (match pkt.Packet.payload with
+    | Packet.Data ->
+      let src = pkt.Packet.src in
+      let k = Ff_dataplane.Hash.mix ~seed ~lane:src pkt.Packet.flow in
+      if not (Bloom.mem bloom k) then begin
+        Bloom.add bloom k;
+        Hashtbl.replace counts src (flows src + 1);
+        (* the first flow over the limit flags the source *)
+        if flows src = max_flows + 1 then begin
+          sink.on_alarm alarm;
+          Engine.after (Net.engine net) ~delay:window (fun () -> sink.on_clear alarm)
+        end
+      end;
+      if flows src > max_flows then pkt.Packet.suspicious <- true
+    | _ -> ());
+    Net.Continue
   in
-  B.Lfa_detector.install net ~sw ~watched ~check_period:config.check_period
-    ~high_threshold:config.high_threshold ~threshold_jitter ~jitter_period ~seed
-    ~suspicious_rate:config.suspicious_rate ~min_age:config.min_age
-    ~clear_hold:config.clear_hold ~dst_flows_min:config.dst_flows_min
-    ~on_alarm:sink.on_alarm ~on_clear:sink.on_clear ()
-
-let install_heavy_hitter net config sink ~sw ~threshold_bps ?stages ?slots ?key_of () =
-  let epoch_jitter, threshold_jitter, rotate_period, src_hold, seed =
-    match config.hardening with
-    | None -> (0., 0., 0., 0., 0x44_11)
-    | Some h ->
-      (h.h_epoch_jitter, h.h_hh_threshold_jitter, h.h_rotate_period, h.h_src_hold, h.h_seed)
-  in
-  let hh =
-    B.Heavy_hitter.install net ~sw ?stages ?slots ?key_of ~threshold_bps ~epoch_jitter
-      ~threshold_jitter ~rotate_period ~src_hold ~seed ~on_alarm:sink.on_alarm
-      ~on_clear:sink.on_clear ()
-  in
-  (* marking must precede policing in the stage pipeline *)
-  Net.add_stage net ~sw (B.Heavy_hitter.mark_offenders_stage hh);
-  hh
-
-(* Detectors exchange their suspicious-source sets through sync probes
-   (paper 3.3: detectors "exchange information with each other"), so a
-   switch upstream of the congestion — where the path diversity is — can
-   mark and police flows its own local evidence could never convict. *)
-let source_sync net config detectors =
-  let period_jitter, seed =
-    match config.hardening with
-    | None -> (0., 0x5C11)
-    | Some h -> (h.h_epoch_jitter, h.h_seed)
-  in
-  Ff_modes.Sync.create net ~participants:(List.map fst detectors)
-    ~period:(4. *. config.check_period) ~period_jitter ~seed
-    ~local_view:(fun ~sw ->
-      match List.assoc_opt sw detectors with
-      | None -> []
-      | Some det ->
-        List.filter_map
-          (fun host ->
-            if B.Lfa_detector.is_suspicious_source det host then Some (host, 1.) else None)
-          (Net.host_ids net))
-    ~probe_class:9 ()
+  Net.add_stage net ~sw { Net.stage_name = "fanout-guard"; process }
 
 (* The virtual topology is the default-mode forwarding as it stands when
    a pair is first queried. FastFlex's rerouting never rewrites the tables
@@ -249,15 +229,34 @@ let sketch_handoff net sink (src, dst) =
   in
   ({ sink with on_alarm }, Some (src, { Net.stage_name = "suspect-sketch"; process }))
 
-(* With several detectors, each switch also marks the sources any
-   detector advertised as suspicious. Per-packet equivalent of
+(* Detectors exchange their suspicious-source sets through sync probes
+   (paper 3.3: detectors "exchange information with each other"), so a
+   switch upstream of the congestion — where the path diversity is — can
+   mark and police flows its own local evidence could never convict.
+   With several detectors, each switch marks the sources any detector
+   advertised as suspicious. Per-packet equivalent of
    [Sync.global_value ... > 0.]: the local view's entries are exactly this
    switch's suspicious sources (value 1.), so the local half collapses to
    a set-membership test on the detector instead of materializing the
    whole (host, 1.) list on every packet; remote advertisements are all
    >= 0, so the sum is positive iff either half is. *)
 let install_source_markers net config detectors =
-  let source_sync = source_sync net config detectors in
+  let period_jitter, seed =
+    match config.hardening with None -> (0., 0x5C11) | Some h -> (h.h_epoch_jitter, h.h_seed)
+  in
+  let source_sync =
+    Ff_modes.Sync.create net ~participants:(List.map fst detectors)
+      ~period:(4. *. config.check_period) ~period_jitter ~seed
+      ~local_view:(fun ~sw ->
+        match List.assoc_opt sw detectors with
+        | None -> []
+        | Some det ->
+          List.filter_map
+            (fun host ->
+              if B.Lfa_detector.is_suspicious_source det host then Some (host, 1.) else None)
+            (Net.host_ids net))
+      ~probe_class:9 ()
+  in
   let classify_key = B.Common.mode_key B.Common.mode_classify in
   List.iter
     (fun (sw, det) ->
@@ -288,7 +287,13 @@ type defense =
       protect : int list;
       handoff : (int * int) option;
     }
-  | Volumetric of { sw : int }
+  | Volumetric of {
+      sw : int;
+      threshold_bps : float;
+      by_source : bool;
+      pipe : (int * int) option;
+      fanout_guard : bool;
+    }
   | Syn_guard of { sw : int; protect : int; tracker_capacity : int; syn_threshold_pps : float }
 
 type deployment = {
@@ -322,8 +327,21 @@ let install_stack net config sink d = function
     let sink, sketch_stage =
       Option.fold ~none:(sink, None) ~some:(sketch_handoff net sink) handoff
     in
+    let threshold_jitter, jitter_period, seed =
+      match config.hardening with
+      | None -> (0., 2.0, 0x1FA_D)
+      | Some h -> (h.h_threshold_jitter, h.h_jitter_period, h.h_seed)
+    in
     let detectors =
-      List.map (fun (sw, watched) -> (sw, install_detector net config sink ~sw ~watched)) sites
+      List.map
+        (fun (sw, watched) ->
+          ( sw,
+            B.Lfa_detector.install net ~sw ~watched ~check_period:config.check_period
+              ~high_threshold:config.high_threshold ~threshold_jitter ~jitter_period ~seed
+              ~suspicious_rate:config.suspicious_rate ~min_age:config.min_age
+              ~clear_hold:config.clear_hold ~dst_flows_min:config.dst_flows_min
+              ~on_alarm:sink.on_alarm ~on_clear:sink.on_clear () ))
+        sites
     in
     if List.length detectors > 1 then install_source_markers net config detectors;
     (* after the detector's classifier, so marks are visible; before the
@@ -336,8 +354,22 @@ let install_stack net config sink d = function
     let obfuscator = install_obfuscator net in
     { d with detectors = d.detectors @ detectors; droppers = d.droppers @ droppers;
       reroute = Some reroute; obfuscator = Some obfuscator }
-  | Volumetric { sw } ->
-    let hh = install_heavy_hitter net config sink ~sw ~threshold_bps:4_000_000. () in
+  | Volumetric { sw; threshold_bps; by_source; pipe; fanout_guard } ->
+    let epoch_jitter, threshold_jitter, rotate_period, src_hold, seed =
+      match config.hardening with
+      | None -> (0., 0., 0., 0., 0x44_11)
+      | Some h ->
+        (h.h_epoch_jitter, h.h_hh_threshold_jitter, h.h_rotate_period, h.h_src_hold, h.h_seed)
+    in
+    let hh =
+      B.Heavy_hitter.install net ~sw ?stages:(Option.map fst pipe) ?slots:(Option.map snd pipe)
+        ?key_of:(if by_source then Some (fun pkt -> pkt.Packet.src) else None)
+        ~threshold_bps ~epoch_jitter ~threshold_jitter ~rotate_period ~src_hold ~seed
+        ~on_alarm:sink.on_alarm ~on_clear:sink.on_clear ()
+    in
+    (* marking, and the fanout guard's marks, must precede policing *)
+    Net.add_stage net ~sw (B.Heavy_hitter.mark_offenders_stage hh);
+    if fanout_guard then install_fanout_guard net config sink ~sw;
     let dropper = install_dropper net config sw in
     let hcf = B.Hop_count_filter.install net ~sw () in
     { d with heavy_hitters = d.heavy_hitters @ [ hh ]; droppers = d.droppers @ [ dropper ];
@@ -356,10 +388,14 @@ let install_stack net config sink d = function
     { d with syn_guards = d.syn_guards @ [ guard ] }
 
 let deploy net ?(config = default_config) ?on_mode defenses =
-  let sink = sink net config in
-  Option.iter (Ff_modes.Protocol.on_transition sink.s_protocol) on_mode;
+  let protocol =
+    Ff_modes.Protocol.create net ~region_ttl:config.region_ttl ~min_dwell:config.min_dwell
+      ~anti_entropy:config.anti_entropy ~modes_for ()
+  in
+  let sink = sink net config protocol in
+  Option.iter (Ff_modes.Protocol.on_transition protocol) on_mode;
   List.fold_left (install_stack net config sink)
-    { protocol = sink.s_protocol; detectors = []; droppers = []; reroute = None;
+    { protocol; detectors = []; droppers = []; reroute = None;
       obfuscator = None; heavy_hitters = []; hop_count_filters = []; syn_guards = [] }
     defenses
 

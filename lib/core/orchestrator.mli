@@ -54,60 +54,23 @@ val modes_for : Ff_dataplane.Packet.attack_kind -> string list
 
 (** {1 The alarm path}
 
-    Every detector reaches the mode protocol through a {!sink}: {!deploy}
-    and the adversarial arena each build one, and
-    nothing else creates a protocol for detectors or calls
-    {!Ff_modes.Protocol.raise_alarm}/[clear_alarm] on their behalf. *)
-
-type sink = {
-  s_protocol : Ff_modes.Protocol.t;
-  on_alarm : Ff_boosters.Lfa_detector.alarm -> unit;
-  on_clear : Ff_boosters.Lfa_detector.alarm -> unit;
-}
-
-val sink : Ff_netsim.Net.t -> config -> sink
-(** Creates the mode protocol from [config] ([region_ttl], [min_dwell],
-    [anti_entropy], {!modes_for}) and a reference-counted alarm pair for
-    it. [on_alarm] counts one raise for the alarm's attack class and
-    raises it at the alarm's switch. [on_clear] drops one count and
-    forwards the clear only when the count reaches zero, so with several
-    detectors sharing an attack class the mode stays up until the last of
-    them clears — a bare [Protocol.clear_alarm] would deactivate the whole
-    region while another detector is still alarmed, and that detector
-    would never re-raise. A clear floods only [region_ttl] hops, so the
-    final clear is sent from the clearing switch and also from every
-    switch that raised since the last final clear whose [region_ttl]-hop
-    region those clears would otherwise miss: every region an alarm
-    switched on is switched off. Callers that need an extra action on an alarm
-    wrap the closures ([{ sink with on_alarm = ... }]) and still call
-    through. *)
-
-val install_detector :
-  Ff_netsim.Net.t -> config -> sink -> sw:int -> watched:(int * int) list ->
-  Ff_boosters.Lfa_detector.t
-(** An LFA detector at [sw] watching the directed [watched] links, with
-    its thresholds, timers and (if any) hardening taken from [config] and
-    its alarms wired to [sink]. *)
-
-val install_heavy_hitter :
-  Ff_netsim.Net.t -> config -> sink -> sw:int -> threshold_bps:float -> ?stages:int ->
-  ?slots:int -> ?key_of:(Ff_dataplane.Packet.t -> int) -> unit ->
-  Ff_boosters.Heavy_hitter.t
-(** A HashPipe heavy hitter at [sw] wired to [sink], hardened from
-    [config], followed by its offender-marking stage (so a dropper
-    installed afterwards polices the marked flows). [stages], [slots] and
-    [key_of] default as in {!Ff_boosters.Heavy_hitter.install}. *)
-
-val source_sync :
-  Ff_netsim.Net.t -> config -> (int * Ff_boosters.Lfa_detector.t) list -> Ff_modes.Sync.t
-(** View synchronization among the given (switch, detector) pairs: each
-    advertises its suspicious sources every [4 * check_period] (jittered
-    under hardening), on probe class 9. *)
+    {!deploy} is the only creator of a detector protocol: one per
+    deployment, behind one alarm sink through which every detector (LFA
+    detectors, heavy hitters, fanout guards, SYN guards) raises and
+    clears, so {!Ff_modes.Protocol.raises} counts detector alarms. The
+    sink reference-counts raises per attack class and forwards only the
+    last clear: a bare [Protocol.clear_alarm] would deactivate the region
+    while another detector is still alarmed, and that detector would
+    never re-raise. A clear floods only [region_ttl] hops, so the final
+    clear also goes out from every switch that raised since the previous
+    one whose region the other clears would miss. Hardening is resolved
+    once per booster family; [hardening = None] keeps every booster's
+    install defaults. *)
 
 (** {1 Deploying defenses}
 
-    One {!deploy} installs any mix of defense stacks behind one {!sink},
-    so one mode protocol: the boosters run side by side in one multimode
+    One {!deploy} installs any mix of defense stacks behind one alarm
+    sink, so one mode protocol: the boosters run side by side in one multimode
     data plane, and a mixed-vector attack lights up each stack's modes in
     its own region (paper sections 1 and 3.3). *)
 
@@ -124,14 +87,24 @@ type defense =
           site, whose alarms switch on classification, suspicious-only
           rerouting, topology obfuscation and illusion-of-success
           dropping. With several sites the detectors sync their suspicious
-          sources ({!source_sync}) and each site marks them. Stage order at
+          sources and each site marks them. Stage order at
           a site: detector, source marker, sketch, dropper; then rerouting
           and (ahead of TTL processing) obfuscation on every switch. At
           most one per deployment. *)
-  | Volumetric of { sw : int }
-      (** A HashPipe heavy hitter at [sw] (flows above 4 Mb/s) raises
-          [Volumetric] alarms, which switch on policing of the offender
-          flows and hop-count filtering of spoofed sources. *)
+  | Volumetric of {
+      sw : int;
+      threshold_bps : float;  (** 4 Mb/s on Figure 2, 1.2 Mb/s in the arena *)
+      by_source : bool;  (** key by source host instead of by flow *)
+      pipe : (int * int) option;  (** HashPipe (stages, slots); [None]: 4 x 64 *)
+      fanout_guard : bool;
+          (** flag sources opening over 6 distinct flows in a 2 s window:
+              one [Volumetric] alarm each, their packets marked *)
+    }
+      (** A HashPipe heavy hitter at [sw] raises [Volumetric] alarms for
+          keys above [threshold_bps], which switch on policing of the
+          offenders and hop-count filtering of spoofed sources. Stage
+          order: heavy hitter, offender marker, fanout guard, dropper,
+          hop-count filter. *)
   | Syn_guard of { sw : int; protect : int; tracker_capacity : int; syn_threshold_pps : float }
       (** CuckooGuard-style split proxy ({!Ff_boosters.Syn_guard}) at the
           server [protect]'s edge switch [sw]: [Synflood] alarms switch on
@@ -158,8 +131,10 @@ val deploy :
   ?on_mode:(sw:int -> attack:Ff_dataplane.Packet.attack_kind -> active:bool -> unit) ->
   defense list ->
   deployment
-(** One {!sink} from [config] (default {!default_config}), then each
-    defense in list order. [on_mode] observes every applied mode
+(** One protocol and alarm sink from [config] (default
+    {!default_config}: [region_ttl], [min_dwell], [anti_entropy],
+    {!modes_for}), then each defense in list order; the droppers police
+    at [drop_rate_limit] and [drop_prob]. [on_mode] observes every applied mode
     transition — the hybrid fluid tier registers its demotion predicate
     here, so flows crossing a mode-changing region drop to packet
     fidelity. *)

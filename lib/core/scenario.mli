@@ -54,6 +54,14 @@ type attack =
     }
   | Pulse of { bots : int list; victim : int; burst_pps : float; duty : float; start : float }
       (** 1 s period *)
+  | Adaptive of {
+      strategy : Ff_attacks.Adaptive.strategy;
+      bots : int list;
+      targets : int list;
+      sinks : int list;
+      config : Ff_attacks.Adaptive.config;
+    }
+      (** {!Ff_attacks.Adaptive.launch}, from [config.start] *)
 
 type spec = {
   testbed : testbed;
@@ -78,6 +86,7 @@ and report = {
   controller : Ff_te.Controller.t option;
   crossfires : Ff_attacks.Lfa.t list;
   syn_floods : Ff_attacks.Synflood.t list;
+  adaptives : Ff_attacks.Adaptive.t list;
   goodput : Ff_util.Series.t;  (** TCP goodput plus completed handshakes, bytes/s *)
 }
 
@@ -212,21 +221,20 @@ val run_synflood :
 
 (** {1 Closed-loop adversarial arena}
 
-    One fat-tree(4) arena per adaptive strategy
-    ({!Ff_attacks.Adaptive}), each running the defense subset that
-    strategy evades: the threshold hugger faces the LFA stack (offered-
-    load hysteresis detectors at the pod-0 aggregation switches, cross-
-    switch suspicious-source sync, droppers); the collision prober faces
-    a flow-keyed HashPipe heavy hitter plus a fanout guard that flags
-    key-spreading sources (so collisions are the only way to hide); the
-    epoch timer faces a source-keyed heavy hitter (a fixed bot
-    population cannot spread past per-sender accounting). Damage is the
-    over-utilization of the four pod-0 aggregation-to-edge decoy links,
-    integrated by {!Ff_obs.Workfactor}. [hardened] switches on
-    {!Orchestrator.default_hardening} (jittered thresholds/epochs, salt
-    rotation); [Open_loop] replaces the adaptive attacker with a fixed
-    blast in the same arena — the baseline both acceptance ratios are
-    normalized against. *)
+    One fat-tree(4) spec per adaptive strategy ({!Ff_attacks.Adaptive}),
+    run by {!run}, defended by the {!Orchestrator.defense} values that
+    strategy evades at the two pod-0 aggregation switches: the threshold
+    hugger faces an [Lfa] stack watching their edge links (no host to
+    protect, so its rerouting and obfuscator stages idle); the collision
+    prober a flow-keyed one-stage [Volumetric] pipe (8 slots, 64
+    hardened) with the fanout guard; the epoch timer a source-keyed one.
+    Damage is the over-utilization of the four pod-0 aggregation-to-edge
+    links, integrated by {!Ff_obs.Workfactor} in the spec's hook.
+    [hardened] adds {!Orchestrator.default_hardening} seeded from [seed];
+    [Open_loop] replaces the [Adaptive] attacker with [Flood]s (one per
+    bot and decoy against the hugger, all bots to the sink at 250 pps
+    otherwise), the baseline the acceptance ratios are normalized
+    against. *)
 
 type adversary = Closed_loop | Open_loop
 
@@ -240,7 +248,7 @@ type adversarial_result = {
   ar_effective_at : float option;
   ar_time_to_effective : float;  (** censored at the horizon *)
   ar_work_factor : float;
-  ar_alarms : int;  (** defense alarm raises *)
+  ar_alarms : int;  (** defense alarm raises ({!Ff_modes.Protocol.raises}) *)
   ar_drops : int;  (** packets policed off *)
   ar_rotations : int;  (** hash-salt rotations performed *)
   ar_fingerprint : int;  (** attacker decision fingerprint (0 open-loop) *)

@@ -44,6 +44,7 @@ type t = {
       (* notified on every applied transition — the hybrid fluid tier
          subscribes to track the hot (mode-changing) region *)
   mutable transitions : int;
+  mutable raises : int;
   mutable readverts : int;
   mutable repairs : int;
   flap_times : (attack, float list) Hashtbl.t; (* recent activation times *)
@@ -375,6 +376,7 @@ let create net ?(region_ttl = 8) ?(min_dwell = 1.0) ?(flap_window = 10.)
       history = [];
       observers = [];
       transitions = 0;
+      raises = 0;
       readverts = 0;
       repairs = 0;
       flap_times = Hashtbl.create 4;
@@ -403,6 +405,7 @@ let next_epoch t attack =
   e
 
 let raise_alarm t ~sw attack =
+  t.raises <- t.raises + 1;
   let st = state t sw in
   if not (Hashtbl.mem st.active_attacks attack) then begin
     note_activation t attack;
@@ -437,6 +440,8 @@ let region_ttl t = t.region_ttl
 let log t = List.rev t.history
 
 let transitions t = t.transitions
+
+let raises t = t.raises
 
 let readverts t = t.readverts
 

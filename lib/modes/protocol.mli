@@ -57,7 +57,8 @@ val clear_alarm : t -> sw:int -> attack -> unit
 (** Floods deactivation with a fresh epoch; switches apply it only after
     their dwell expires. It deactivates the attack region-wide regardless
     of other detectors still alarmed for it, so detectors go through
-    [Fastflex.Orchestrator.sink], which forwards only the last clear. *)
+    the alarm sink of [Fastflex.Orchestrator.deploy], which forwards only
+    the last clear. *)
 
 val active : t -> sw:int -> string -> bool
 (** Is a mode active at a switch? *)
@@ -112,3 +113,7 @@ val log : t -> (float * int * attack * bool) list
 
 val transitions : t -> int
 (** Total number of state changes applied across all switches. *)
+
+val raises : t -> int
+(** {!raise_alarm} calls so far, counting a re-raise while the attack is
+    already active at that switch. *)

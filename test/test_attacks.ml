@@ -9,24 +9,11 @@ module Lfa = Ff_attacks.Lfa
 module Volumetric = Ff_attacks.Volumetric
 module Pulsing = Ff_attacks.Pulsing
 
-let install_all_routes net topo =
-  let hosts = T.hosts topo in
-  List.iter
-    (fun (h1 : T.node) ->
-      List.iter
-        (fun (h2 : T.node) ->
-          if h1.T.id <> h2.T.id then
-            match T.shortest_path topo ~src:h1.T.id ~dst:h2.T.id with
-            | Some p -> Net.install_path net ~dst:h2.T.id p
-            | None -> ())
-        hosts)
-    hosts
-
 let fig2_net () =
   let lm = T.Fig2.build ~bots:8 ~normals:4 () in
   let engine = Engine.create () in
   let net = Net.create engine lm.T.Fig2.topo in
-  install_all_routes net lm.T.Fig2.topo;
+  Net.install_shortest_paths net;
   (lm, engine, net)
 
 let test_lfa_congests_target () =

@@ -275,16 +275,7 @@ let test_packet_conservation_under_faults () =
   let engine = Engine.create () in
   let net = Net.create engine topo in
   let hosts = T.hosts topo in
-  List.iter
-    (fun (h1 : T.node) ->
-      List.iter
-        (fun (h2 : T.node) ->
-          if h1.T.id <> h2.T.id then
-            match T.shortest_path topo ~src:h1.T.id ~dst:h2.T.id with
-            | Some p -> Net.install_path net ~dst:h2.T.id p
-            | None -> ())
-        hosts)
-    hosts;
+  Net.install_shortest_paths net;
   let h = Chaos.create ~seed net in
   Chaos.watch h;
   let src = (List.hd hosts).T.id and dst = (List.nth hosts 3).T.id in
@@ -332,6 +323,33 @@ let test_spec_rejects_garbage () =
     (Invalid_argument "Chaos.apply: unknown node \"nope\"")
     (fun () -> Chaos.apply h ds)
 
+(* A directive naming an unknown node or a non-adjacent pair is rejected
+   before anything is scheduled — also the valid directives ahead of it —
+   and the error quotes the directive. *)
+let test_spec_rejects_before_scheduling () =
+  let topo = T.ring ~n:4 () in
+  List.iter
+    (fun (bad, why) ->
+      let spec = "cut:s0-s1@0.5; " ^ bad in
+      let ds = match Chaos.parse spec with Ok ds -> ds | Error e -> Alcotest.fail e in
+      (match Chaos.check topo ds with
+      | Ok () -> Alcotest.failf "accepted %S" spec
+      | Error e ->
+        Alcotest.(check string) "message quotes the directive" (Printf.sprintf "%S: %s" bad why) e);
+      let engine = Engine.create () in
+      let net = Net.create engine topo in
+      let h = Chaos.create net in
+      let pending = Engine.pending engine in
+      (match Chaos.apply h ds with
+      | () -> Alcotest.failf "applied %S" spec
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check int) "nothing scheduled" pending (Engine.pending engine);
+      Engine.run engine ~until:3.;
+      Alcotest.(check int) "no fault injected" 0 (Chaos.injected h);
+      Alcotest.(check bool) "valid cut not applied" true (Net.link_is_up net ~a:0 ~b:1))
+    [ ("cut:s0-s2@1.0", "s0 and s2 are not adjacent");
+      ("crash:s9@1.0+1.0", "unknown node \"s9\"") ]
+
 let () =
   Printf.printf "[test_chaos] CHAOS_SEED=%d\n%!" seed;
   Alcotest.run "ff_chaos"
@@ -371,5 +389,7 @@ let () =
         [
           Alcotest.test_case "parse and apply" `Quick test_spec_parse_and_apply;
           Alcotest.test_case "rejects garbage" `Quick test_spec_rejects_garbage;
+          Alcotest.test_case "rejects before scheduling" `Quick
+            test_spec_rejects_before_scheduling;
         ] );
     ]

@@ -55,13 +55,17 @@ let test_clear_after_dwell () =
   ignore net;
   Protocol.raise_alarm p ~sw:0 Packet.Lfa;
   Engine.run engine ~until:0.1;
+  (* a re-raise while active changes nothing, but the counter sees it *)
+  Protocol.raise_alarm p ~sw:0 Packet.Lfa;
+  Alcotest.(check int) "every raise counted" 2 (Protocol.raises p);
   (* immediate clear: blocked by the dwell, applied when it expires *)
   Protocol.clear_alarm p ~sw:0 Packet.Lfa;
   Engine.run engine ~until:0.5;
   Alcotest.(check bool) "still active during dwell" true (Protocol.active p ~sw:0 "reroute");
   Engine.run engine ~until:3.;
   Alcotest.(check bool) "cleared after dwell" false (Protocol.active p ~sw:0 "reroute");
-  Alcotest.(check bool) "cleared everywhere" false (Protocol.active_anywhere p "reroute")
+  Alcotest.(check bool) "cleared everywhere" false (Protocol.active_anywhere p "reroute");
+  Alcotest.(check int) "clears are not raises" 2 (Protocol.raises p)
 
 let test_stale_epoch_ignored () =
   let _, engine, net = ring_net 4 in

@@ -373,17 +373,7 @@ let test_tcp_congestion_shares () =
   let topo = T.dumbbell ~capacity:20_000_000. ~bottleneck:10_000_000. ~pairs:2 () in
   let engine = Engine.create () in
   let net = Net.create engine topo in
-  let hosts = T.hosts topo in
-  List.iter
-    (fun (h1 : T.node) ->
-      List.iter
-        (fun (h2 : T.node) ->
-          if h1.T.id <> h2.T.id then
-            match T.shortest_path topo ~src:h1.T.id ~dst:h2.T.id with
-            | Some p -> Net.install_path net ~dst:h2.T.id p
-            | None -> ())
-        hosts)
-    hosts;
+  Net.install_shortest_paths net;
   let id n = (T.node_by_name topo n).T.id in
   let f1 = Flow.Tcp.start net ~src:(id "src0") ~dst:(id "dst0") () in
   let f2 = Flow.Tcp.start net ~src:(id "src1") ~dst:(id "dst1") () in
@@ -618,17 +608,7 @@ let prop_tcp_no_duplicate_delivery =
       let topo = T.dumbbell ~capacity:20_000_000. ~bottleneck:5_000_000. ~pairs:1 () in
       let engine = Engine.create () in
       let net = Net.create engine topo in
-      let hosts = T.hosts topo in
-      List.iter
-        (fun (h1 : T.node) ->
-          List.iter
-            (fun (h2 : T.node) ->
-              if h1.T.id <> h2.T.id then
-                match T.shortest_path topo ~src:h1.T.id ~dst:h2.T.id with
-                | Some p -> Net.install_path net ~dst:h2.T.id p
-                | None -> ())
-            hosts)
-        hosts;
+      Net.install_shortest_paths net;
       let id n = (T.node_by_name topo n).T.id in
       let f =
         Flow.Tcp.start net ~src:(id "src0") ~dst:(id "dst0")

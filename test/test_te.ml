@@ -127,17 +127,7 @@ let test_estimator_measures_rates () =
   let engine = Engine.create () in
   let net = Net.create engine topo in
   (* shortest-path routes for all pairs *)
-  let hosts = T.hosts topo in
-  List.iter
-    (fun (h1 : T.node) ->
-      List.iter
-        (fun (h2 : T.node) ->
-          if h1.T.id <> h2.T.id then
-            match T.shortest_path topo ~src:h1.T.id ~dst:h2.T.id with
-            | Some p -> Net.install_path net ~dst:h2.T.id p
-            | None -> ())
-        hosts)
-    hosts;
+  Net.install_shortest_paths net;
   let est = Ff_te.Estimator.install net ~switches:(Net.switch_ids net) () in
   let src = List.hd lm.T.Fig2.normal_sources in
   (* 100 pps x 1000 B = 800 kb/s *)
