@@ -126,7 +126,7 @@ let stability_cmd dwell =
       issues);
   `Ok ()
 
-let parallel_cmd shards k duration rate_pps seq =
+let run_parallel shards k duration rate_pps seq =
   let w = Ff_parallel.Workload.fat_tree ~k ~rate_pps ~duration () in
   let counters = Ff_parallel.Workload.fresh_counters w in
   let mode = if seq then Ff_parallel.Psim.Sequential else Ff_parallel.Psim.Auto in
@@ -169,6 +169,16 @@ let parallel_cmd shards k duration rate_pps seq =
     List.iter (fun (reason, n) -> Printf.printf "  %-12s %d\n" reason n) drops);
   `Ok ()
 
+let parallel_cmd shards k duration rate_pps seq =
+  (* fat-tree(k): (k/2)^2 cores plus k pods of k switches *)
+  let switches = (k * k / 4) + (k * k) in
+  if shards < 1 || shards > switches then
+    `Error
+      ( false,
+        Printf.sprintf "--shards must be between 1 and %d (the switches of fat-tree(%d)), got %d"
+          switches k shards )
+  else run_parallel shards k duration rate_pps seq
+
 let fluid_cmd flows duration force trace_file =
   let obs = Option.map (fun _ -> Ff_obs.Trace.create ()) trace_file in
   let t0 = Unix.gettimeofday () in
@@ -207,16 +217,37 @@ let fluid_cmd flows duration force trace_file =
     List.iter (fun (reason, n) -> Printf.printf "  %-12s %d\n" reason n) drops);
   `Ok ()
 
+(* Converters that reject malformed numbers while parsing, so cmdliner exits
+   124 with a message naming the option instead of simulating nothing or
+   dying on an exception deep in the run. *)
+let checked conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %s" expected s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_float =
+  checked Arg.float ~expected:"a positive finite number" (fun x -> Float.is_finite x && x > 0.)
+
+let positive_int = checked Arg.int ~expected:"a positive integer" (fun n -> n > 0)
+
+let fat_tree_arity =
+  checked Arg.int ~expected:"an even arity of at least 2" (fun k -> k >= 2 && k mod 2 = 0)
+
 let defense_arg =
   let doc = "Defense to deploy: none, sdn, or fastflex." in
   let defenses = [ ("none", `None); ("sdn", `Sdn); ("fastflex", `Fastflex) ] in
   Arg.(value & opt (enum defenses) `Fastflex & info [ "defense"; "d" ] ~docv:"DEFENSE" ~doc)
 
 let duration_arg =
-  Arg.(value & opt float 120. & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated seconds.")
+  Arg.(value & opt positive_float 120. & info [ "duration" ] ~docv:"SECONDS"
+         ~doc:"Simulated seconds.")
 
 let te_period_arg =
-  Arg.(value & opt float 30. & info [ "te-period" ] ~docv:"SECONDS"
+  Arg.(value & opt positive_float 30. & info [ "te-period" ] ~docv:"SECONDS"
          ~doc:"Baseline SDN reconfiguration period.")
 
 let rolls_arg =
@@ -273,15 +304,15 @@ let shards_arg =
          ~doc:"Number of topology shards (1 = plain windowed run).")
 
 let k_arg =
-  Arg.(value & opt int 8 & info [ "k" ] ~docv:"K"
+  Arg.(value & opt fat_tree_arity 8 & info [ "k" ] ~docv:"K"
          ~doc:"Fat-tree arity (k pods, k*k*k/4 hosts).")
 
 let pduration_arg =
-  Arg.(value & opt float 2.0 & info [ "duration" ] ~docv:"SECONDS"
+  Arg.(value & opt positive_float 2.0 & info [ "duration" ] ~docv:"SECONDS"
          ~doc:"Simulated seconds of traffic (plus 50 ms drain).")
 
 let rate_arg =
-  Arg.(value & opt float 500. & info [ "rate" ] ~docv:"PPS"
+  Arg.(value & opt positive_float 500. & info [ "rate" ] ~docv:"PPS"
          ~doc:"Per-flow constant sending rate, packets per second.")
 
 let seq_arg =
@@ -298,11 +329,11 @@ let parallel_command =
                $ seq_arg))
 
 let flows_arg =
-  Arg.(value & opt int 100_000 & info [ "flows" ] ~docv:"N"
+  Arg.(value & opt positive_int 100_000 & info [ "flows" ] ~docv:"N"
          ~doc:"Concurrent benign flows in the hybrid tier.")
 
 let fduration_arg =
-  Arg.(value & opt float 40. & info [ "duration" ] ~docv:"SECONDS"
+  Arg.(value & opt positive_float 40. & info [ "duration" ] ~docv:"SECONDS"
          ~doc:"Simulated seconds (the flood runs 10..18 with a roll at 14).")
 
 let force_arg =
@@ -404,10 +435,11 @@ let sf_hardened_arg =
                SYN-rate threshold, cookie-secret rotation).")
 
 let sf_duration_arg =
-  Arg.(value & opt float 60. & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated seconds.")
+  Arg.(value & opt positive_float 60. & info [ "duration" ] ~docv:"SECONDS"
+         ~doc:"Simulated seconds.")
 
 let sf_rate_arg =
-  Arg.(value & opt float 400. & info [ "rate" ] ~docv:"PPS"
+  Arg.(value & opt positive_float 400. & info [ "rate" ] ~docv:"PPS"
          ~doc:"SYNs per second per bot (8 bots).")
 
 let sf_backlog_arg =
@@ -415,7 +447,7 @@ let sf_backlog_arg =
          ~doc:"Server accept-backlog slots.")
 
 let sf_timeout_arg =
-  Arg.(value & opt float 3.0 & info [ "syn-timeout" ] ~docv:"SECONDS"
+  Arg.(value & opt positive_float 3.0 & info [ "syn-timeout" ] ~docv:"SECONDS"
          ~doc:"Half-open entry lifetime at the server.")
 
 let synflood_command =

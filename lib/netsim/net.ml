@@ -344,6 +344,17 @@ let access_switch t ~host:h =
 
 (* ---------------- transmission ---------------- *)
 
+(* No legitimate host speaks the defense's control protocol: a mode, util
+   or sync probe or a state-transfer packet arriving on a host port is
+   forged, and one forged mode clear with a huge epoch would make every
+   later genuine alarm stale. Traceroute and handshake payloads pass. *)
+let host_control t ~from_ (pkt : Packet.t) =
+  match pkt.payload with
+  | Packet.Mode_probe _ | Packet.Util_probe _ | Packet.Sync_probe _ | Packet.State_chunk _
+  | Packet.State_ack _ ->
+    (match t.nodes.(from_) with Ho _ -> true | Sw _ -> false)
+  | _ -> false
+
 let rec transmit t dl (pkt : Packet.t) =
   let tnow = now t in
   let cap =
@@ -430,7 +441,8 @@ and receive t ~at ~from_ pkt =
   | Sw sw ->
     if sw.up then begin
       emit_trace t ~node:at ~pkt Switch_arrival;
-      handle_at_switch t sw ~in_port:from_ pkt
+      if host_control t ~from_ pkt then drop_packet t ~node:at pkt "host-control"
+      else handle_at_switch t sw ~in_port:from_ pkt
     end
     else drop_packet t ~node:at pkt "switch-down"
 

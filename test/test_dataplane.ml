@@ -7,7 +7,6 @@ module Register = Ff_dataplane.Register
 module Sketch = Ff_dataplane.Sketch
 module Bloom = Ff_dataplane.Bloom
 module Hashpipe = Ff_dataplane.Hashpipe
-module Match_table = Ff_dataplane.Match_table
 module Ppm = Ff_dataplane.Ppm
 module Cuckoo = Ff_dataplane.Cuckoo
 module Cuckoo_ref = Ff_oracle.Oracle.Cuckoo_ref
@@ -399,47 +398,6 @@ let prop_cuckoo_serialize_roundtrip =
       Cuckoo.absorb d (Cuckoo.serialize c);
       Cuckoo.size d = Cuckoo.size c && List.for_all (Cuckoo.member d) inserted)
 
-(* ---------------- Match tables ---------------- *)
-
-let test_exact_table () =
-  let t = Match_table.Exact.create ~capacity:2 () in
-  Match_table.Exact.insert t ~key:1 "a";
-  Match_table.Exact.insert t ~key:2 "b";
-  Alcotest.(check (option string)) "hit" (Some "a") (Match_table.Exact.lookup t ~key:1);
-  Alcotest.(check (option string)) "miss" None (Match_table.Exact.lookup t ~key:3);
-  Alcotest.check_raises "full" (Failure "table full") (fun () ->
-      Match_table.Exact.insert t ~key:3 "c");
-  Match_table.Exact.remove t ~key:1;
-  Alcotest.(check int) "size" 1 (Match_table.Exact.size t)
-
-let test_lpm_longest_prefix_wins () =
-  let t = Match_table.Lpm.create () in
-  Match_table.Lpm.insert t ~prefix:0x0A000000 ~len:8 "wide";
-  Match_table.Lpm.insert t ~prefix:0x0A0A0000 ~len:16 "narrow";
-  Alcotest.(check (option string)) "longest wins" (Some "narrow")
-    (Match_table.Lpm.lookup t ~key:0x0A0A0101);
-  Alcotest.(check (option string)) "fallback" (Some "wide")
-    (Match_table.Lpm.lookup t ~key:0x0A010101);
-  Alcotest.(check (option string)) "miss" None (Match_table.Lpm.lookup t ~key:0x0B000001);
-  Match_table.Lpm.remove t ~prefix:0x0A0A0000 ~len:16;
-  Alcotest.(check (option string)) "after remove" (Some "wide")
-    (Match_table.Lpm.lookup t ~key:0x0A0A0101)
-
-let test_lpm_default_route () =
-  let t = Match_table.Lpm.create () in
-  Match_table.Lpm.insert t ~prefix:0 ~len:0 "default";
-  Alcotest.(check (option string)) "default matches all" (Some "default")
-    (Match_table.Lpm.lookup t ~key:0x12345678)
-
-let test_ternary_priority () =
-  let t = Match_table.Ternary.create () in
-  Match_table.Ternary.insert t ~value:0x10 ~mask:0xF0 ~priority:1 "low";
-  Match_table.Ternary.insert t ~value:0x12 ~mask:0xFF ~priority:10 "high";
-  Alcotest.(check (option string)) "priority wins" (Some "high")
-    (Match_table.Ternary.lookup t ~key:0x12);
-  Alcotest.(check (option string)) "fallthrough" (Some "low")
-    (Match_table.Ternary.lookup t ~key:0x13)
-
 (* ---------------- PPM IR analysis ---------------- *)
 
 let sample_spec =
@@ -535,13 +493,6 @@ let () =
             test_cuckoo_absorb_overflow_stashes;
           Alcotest.test_case "absorb geometry mismatch" `Quick
             test_cuckoo_absorb_geometry_mismatch;
-        ] );
-      ( "tables",
-        [
-          Alcotest.test_case "exact" `Quick test_exact_table;
-          Alcotest.test_case "lpm longest prefix" `Quick test_lpm_longest_prefix_wins;
-          Alcotest.test_case "lpm default route" `Quick test_lpm_default_route;
-          Alcotest.test_case "ternary priority" `Quick test_ternary_priority;
         ] );
       ( "ppm",
         [

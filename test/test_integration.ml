@@ -76,6 +76,38 @@ let test_modes_return_to_default () =
   in
   Alcotest.(check bool) "activations happened" true (activations > 0)
 
+(* A bot forges one mode-change clear with a huge epoch and sends it to its
+   access switch before the attack starts. Were it accepted, every genuine
+   alarm after it would be stale and the data plane would never change
+   mode again; switches drop control payloads that arrive from hosts. *)
+let test_forged_mode_clear_from_bot () =
+  let forged_at = 5. in
+  let on_ready net (lm : Ff_topology.Topology.Fig2.landmarks) _ =
+    let bot = List.hd lm.Ff_topology.Topology.Fig2.bot_sources in
+    let access = Ff_netsim.Net.access_switch net ~host:bot in
+    Ff_netsim.Engine.schedule (Ff_netsim.Net.engine net) ~at:forged_at (fun () ->
+        Ff_netsim.Net.send_from_host net
+          (Packet.make_control ~src:bot ~dst:access ~flow:0 ~birth:forged_at
+             ~payload:
+               (Packet.Mode_probe
+                  { attack = Packet.Lfa; epoch = max_int / 2; origin = access;
+                    activate = false; region_ttl = 8 })))
+  in
+  let r =
+    Scenario.run_lfa ~defense:(Scenario.Fastflex Orchestrator.default_config) ~on_ready ()
+  in
+  let later = List.filter (fun (t, _, _, _) -> t > forged_at) r.Scenario.mode_log in
+  Alcotest.(check bool) "modes still change after the forgery" true (later <> []);
+  Alcotest.(check bool)
+    (Printf.sprintf "mean under attack %.3f >= 0.85" r.Scenario.mean_during_attack)
+    true
+    (r.Scenario.mean_during_attack >= 0.85);
+  Alcotest.(check bool) "every round recovers within 5 s" true
+    (r.Scenario.recovery_times <> []
+    && List.for_all (fun (_, rt) -> rt < 5.) r.Scenario.recovery_times);
+  Alcotest.(check bool) "the forgery was dropped at the switch" true
+    (List.mem_assoc "host-control" r.Scenario.drops)
+
 let test_mode_log_covers_all_switches () =
   let r = run (Scenario.Fastflex Orchestrator.default_config) in
   let switches =
@@ -291,6 +323,8 @@ let () =
           Alcotest.test_case "volumetric without spoofing" `Slow
             test_volumetric_without_spoofing;
           Alcotest.test_case "multi-vector storm" `Slow test_multi_vector_storm;
+          Alcotest.test_case "forged mode clear from a bot" `Slow
+            test_forged_mode_clear_from_bot;
         ] );
       ( "pipeline",
         [

@@ -187,6 +187,34 @@ let test_drop_stage () =
   Alcotest.(check (option int)) "reason counted" (Some 1)
     (List.assoc_opt "test-drop" (Net.drops_by_reason net))
 
+let test_host_control_dropped () =
+  let _, engine, net, h0, h1, _ = two_hosts () in
+  let received = ref [] and replies = ref 0 in
+  (Net.host net h1).Net.fallback_rx <- Some (fun p -> received := p.Packet.payload :: !received);
+  (Net.host net h0).Net.fallback_rx <- Some (fun _ -> incr replies);
+  let forged =
+    [ Packet.Mode_probe
+        { attack = Packet.Lfa; epoch = max_int / 2; origin = 0; activate = false;
+          region_ttl = 8 };
+      Packet.Util_probe { dst = h1; round = 1; max_util = 0.; hops = 1 };
+      Packet.Sync_probe { origin = 0; round = 1; entries = [] };
+      Packet.State_chunk
+        { xfer_id = 1; group = 0; index = 0; of_group = 1; parity = false; entries = [] };
+      Packet.State_ack { xfer_id = 1; group = 0 } ]
+  and ordinary = [ Packet.Data; Packet.Syn; Packet.Handshake_ack { cookie = 7 } ] in
+  Engine.schedule engine ~at:0. (fun () ->
+      List.iter
+        (fun payload ->
+          Net.send_from_host net (Packet.make_control ~payload ~src:h0 ~dst:h1 ~flow:1 ~birth:0.))
+        (forged @ ordinary @ [ Packet.Traceroute_probe { probe_id = 1; probe_ttl = 64 } ]));
+  Engine.run engine ~until:1.;
+  Alcotest.(check (option int)) "every forged control packet dropped"
+    (Some (List.length forged))
+    (List.assoc_opt "host-control" (Net.drops_by_reason net));
+  Alcotest.(check int) "ordinary payloads delivered" (List.length ordinary)
+    (List.length !received);
+  Alcotest.(check int) "traceroute answered" 1 !replies
+
 let test_pair_routes_override () =
   (* diamond: src can reach dst via a or b; per-dst says a, per-pair says b *)
   let topo = T.create () in
@@ -652,6 +680,7 @@ let () =
         [
           Alcotest.test_case "stage management" `Quick test_stage_management;
           Alcotest.test_case "drop stage" `Quick test_drop_stage;
+          Alcotest.test_case "host control dropped" `Quick test_host_control_dropped;
           Alcotest.test_case "pair routes override" `Quick test_pair_routes_override;
           Alcotest.test_case "current path" `Quick test_current_path;
           Alcotest.test_case "current path cycle" `Quick test_current_path_cycle;

@@ -276,6 +276,21 @@ let test_window_counter_long_gap () =
   check_float_loose "only the fresh sample survives" 500.
     (Stats.Window_counter.rate w ~now:123.1)
 
+(* [Net.transmit] calls [add] on every hop. Built without -opaque, the call
+   inlines across the module boundary and its two float arguments stay
+   unboxed; with -opaque each call boxes both, four words. *)
+let test_window_counter_no_alloc () =
+  let w = Stats.Window_counter.create ~width:1.0 in
+  let n = 100_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    Stats.Window_counter.add w ~now:(float_of_int i *. 1e-4) (float_of_int (i land 1023))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "add allocates nothing (%.2f words per call)" per_call)
+    true (per_call < 0.01)
+
 (* ---------------- Heap ---------------- *)
 
 let test_heap_ordering () =
@@ -533,6 +548,8 @@ let () =
           Alcotest.test_case "ewma" `Quick test_ewma;
           Alcotest.test_case "window counter" `Quick test_window_counter;
           Alcotest.test_case "window counter long gap" `Quick test_window_counter_long_gap;
+          Alcotest.test_case "window counter allocation-free add" `Quick
+            test_window_counter_no_alloc;
         ] );
       ( "heap",
         [
