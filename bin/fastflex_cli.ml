@@ -232,6 +232,9 @@ let checked conv ~expected ok =
 let positive_float =
   checked Arg.float ~expected:"a positive finite number" (fun x -> Float.is_finite x && x > 0.)
 
+let nonneg_float =
+  checked Arg.float ~expected:"a finite number >= 0" (fun x -> Float.is_finite x && x >= 0.)
+
 let positive_int = checked Arg.int ~expected:"a positive integer" (fun n -> n > 0)
 
 let fat_tree_arity =
@@ -251,13 +254,15 @@ let te_period_arg =
          ~doc:"Baseline SDN reconfiguration period.")
 
 let rolls_arg =
-  Arg.(value & opt (list float) [ 45.; 80. ] & info [ "rolls" ] ~docv:"T1,T2,..."
+  Arg.(value & opt (list nonneg_float) [ 45.; 80. ] & info [ "rolls" ] ~docv:"T1,T2,..."
          ~doc:"Forced attack re-target times.")
 
 let csv_arg = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of an ASCII chart.")
 
-let bots_arg = Arg.(value & opt int 8 & info [ "bots" ] ~doc:"Number of bot hosts.")
-let normals_arg = Arg.(value & opt int 4 & info [ "normals" ] ~doc:"Number of normal hosts.")
+let bots_arg = Arg.(value & opt positive_int 8 & info [ "bots" ] ~doc:"Number of bot hosts.")
+
+let normals_arg =
+  Arg.(value & opt positive_int 4 & info [ "normals" ] ~doc:"Number of normal hosts.")
 
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
@@ -272,7 +277,7 @@ let chaos_arg =
                topology names or indices.")
 
 let dwell_arg =
-  Arg.(value & opt float 1.0 & info [ "dwell" ] ~docv:"SECONDS" ~doc:"Minimum mode dwell.")
+  Arg.(value & opt nonneg_float 1.0 & info [ "dwell" ] ~docv:"SECONDS" ~doc:"Minimum mode dwell.")
 
 let lfa_cmd =
   let doc = "Run the rolling link-flooding case study (paper Figure 3)." in
@@ -443,7 +448,7 @@ let sf_rate_arg =
          ~doc:"SYNs per second per bot (8 bots).")
 
 let sf_backlog_arg =
-  Arg.(value & opt int 64 & info [ "backlog" ] ~docv:"N"
+  Arg.(value & opt positive_int 64 & info [ "backlog" ] ~docv:"N"
          ~doc:"Server accept-backlog slots.")
 
 let sf_timeout_arg =

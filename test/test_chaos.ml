@@ -348,7 +348,25 @@ let test_spec_rejects_before_scheduling () =
       Alcotest.(check int) "no fault injected" 0 (Chaos.injected h);
       Alcotest.(check bool) "valid cut not applied" true (Net.link_is_up net ~a:0 ~b:1))
     [ ("cut:s0-s2@1.0", "s0 and s2 are not adjacent");
-      ("crash:s9@1.0+1.0", "unknown node \"s9\"") ]
+      ("crash:s9@1.0+1.0", "unknown node \"s9\"");
+      ("flap:s1-s2@1.0..6.0/0/0", "down dwell 0 must be finite and > 0");
+      ("flap:s1-s2@1.0..6.0/0.3/0", "up dwell 0 must be finite and > 0");
+      ("flap:s1-s2@6.0..1.0/0.3/0.7", "start 6 is after end 1");
+      ("flap:s1-s2@-1.0..6.0/0.3/0.7", "start -1 must be finite and >= 0");
+      ("flap:s1-s2@1.0..inf/0.3/0.7", "end inf must be finite and >= 0");
+      ("loss:s1@1.5", "loss rate 1.5 must be in [0, 1]");
+      ("loss:s1@-0.2", "loss rate -0.2 must be in [0, 1]");
+      ("loss:s1@nan", "loss rate nan must be in [0, 1]");
+      ("loss:s1@0.3,burst=0", "burst 0 must be finite and >= 1");
+      ("loss:s1@0.3,burst=nan", "burst nan must be finite and >= 1");
+      ("loss:s1@1.0,burst=4", "loss rate 1 must be in (0, 1) with a burst");
+      ("loss:s1@0.9,burst=1", "loss rate 0.9 is infeasible in bursts of mean length 1");
+      ("cut:s1-s2@-1", "time -1 must be finite and >= 0");
+      ("cut:s1-s2@nan", "time nan must be finite and >= 0");
+      ("heal:s1-s2@inf", "time inf must be finite and >= 0");
+      ("crash:s1@2.0+-1", "duration -1 must be finite and > 0");
+      ("crash:s1@2.0+0", "duration 0 must be finite and > 0");
+      ("crash:s1@-2.0+1", "time -2 must be finite and >= 0") ]
 
 let () =
   Printf.printf "[test_chaos] CHAOS_SEED=%d\n%!" seed;
