@@ -29,7 +29,7 @@ val create :
 (** [local_view ~sw] is polled at each round. [threshold] (default 0.)
     suppresses small entries from probes. Remote entries older than
     [staleness] (default 3 periods) no longer count. [probe_class]
-    disambiguates multiple sync services on one network (default 0).
+    disambiguates multiple sync services on one network (default 1).
     [period_jitter] > 0 draws each advertisement gap uniformly from
     [period*(1-j), period*(1+j)] (seeded, deterministic) so an adversary
     cannot learn and straddle the sync cadence; 0. (default) keeps the
