@@ -224,6 +224,3 @@ let specs_of name =
   | None -> raise Not_found
 
 let all () = List.map (fun (name, f) -> (name, f ())) catalogue
-
-let module_table () =
-  List.concat_map (fun (_, specs) -> List.map (fun s -> (s.name, s.resources)) specs) (all ())

@@ -19,6 +19,3 @@ val specs_of : string -> Ff_dataplane.Ppm.spec list
     unknown name. *)
 
 val all : unit -> (string * Ff_dataplane.Ppm.spec list) list
-
-val module_table : unit -> (string * Ff_dataplane.Resource.t) list
-(** Deduplicated module -> resource rows (the paper Figure 1 table). *)

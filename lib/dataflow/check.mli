@@ -29,13 +29,5 @@ val check_pipeline :
   issue list
 (** Check one booster's PPMs in pipeline order. [declared_tables] lists
     the match-action tables the deployment provides, and [table_outputs]
-    the metadata each table's actions write (both default to the shipped
-    deployment, {!default_tables} / {!default_table_outputs}). *)
-
-val default_tables : string list
-(** The tables the shipped booster runtimes install:
-    best-next-hop steering, the virtual topology, and the ACL policy. *)
-
-val default_table_outputs : (string * string list) list
-(** Metadata written by the shipped tables' actions (e.g. the ACL policy
-    table sets ["acl_deny"]). *)
+    the metadata each table's actions write (both default to the tables
+    the shipped booster runtimes install). *)

@@ -34,9 +34,6 @@ let edges t = t.edges
 let vertex t i = t.vertices.(i)
 let num_vertices t = Array.length t.vertices
 
-let successors t i =
-  List.filter_map (fun e -> if e.u = i then Some (e.v, e.weight) else None) t.edges
-
 let total_resources t =
   Resource.sum (Array.to_list (Array.map (fun v -> v.spec.Ppm.resources) t.vertices))
 
@@ -158,13 +155,3 @@ let to_dot ?(name = "dataflow") t =
     t.edges;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let pp fmt t =
-  Format.fprintf fmt "dataflow graph: %d vertices, %d edges@." (Array.length t.vertices)
-    (List.length t.edges);
-  Array.iter
-    (fun v ->
-      Format.fprintf fmt "  [%d] %a (boosters: %s)@." v.vid Ppm.pp_spec v.spec
-        (String.concat "," v.boosters))
-    t.vertices;
-  List.iter (fun e -> Format.fprintf fmt "  %d -> %d (w=%.0f)@." e.u e.v e.weight) t.edges

@@ -25,10 +25,6 @@ val vertices : t -> vertex list
 val edges : t -> edge list
 val vertex : t -> int -> vertex
 val num_vertices : t -> int
-val successors : t -> int -> (int * float) list
-
-val total_resources : t -> Ff_dataplane.Resource.t
-(** Component-wise sum over all vertices. *)
 
 val merge : t list -> t * (string * string) list
 (** Union of the graphs with functionally equivalent PPMs (per
@@ -43,8 +39,6 @@ val clusters : ?threshold:float -> t -> int list list
 
 val savings : before:t list -> after:t -> float
 (** Fraction of total resource stages saved by merging, in [0,1]. *)
-
-val pp : Format.formatter -> t -> unit
 
 val to_dot : ?name:string -> t -> string
 (** Graphviz rendering: vertices labelled with PPM name/role/resources

@@ -5,13 +5,6 @@ type t
 
 val create : ?seed:int -> bits:int -> hashes:int -> unit -> t
 
-val seed : t -> int
-
-val reseed : t -> int -> unit
-(** Swap the hash salt (defense against collision-probing adversaries).
-    Membership answers for keys added under the previous salt become
-    arbitrary; pair with {!reset} unless the stale window is acceptable. *)
-
 val add : t -> int -> unit
 val mem : t -> int -> bool
 val reset : t -> unit

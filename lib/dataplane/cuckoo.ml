@@ -48,9 +48,6 @@ let create ?(seed = 0xC0C0) ?(slots = 4) ?(fp_bits = 12) ?(max_kicks = 128) ~cap
     stash = [];
   }
 
-let seed t = t.seed
-let slots_per_bucket t = t.slots
-let n_buckets t = t.n_buckets
 let capacity t = t.n_buckets * t.slots
 let size t = t.occupied
 let stash_size t = List.length t.stash
@@ -212,13 +209,6 @@ let delete t key =
   let b1 = bucket_of_key t key in
   let b2 = alt_bucket t b1 fp in
   remove_from_bucket t b1 fp || remove_from_bucket t b2 fp || remove_from_stash t b1 b2 fp
-
-let reset t =
-  Array.fill t.table 0 (Array.length t.table) 0;
-  t.occupied <- 0;
-  t.failed_inserts <- 0;
-  t.kicks <- 0;
-  t.stash <- []
 
 (* With load factor a, a negative lookup compares against 2*slots*a
    occupied slots on average, each matching with probability 1/(2^f - 1). *)

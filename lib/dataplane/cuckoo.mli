@@ -18,10 +18,6 @@ val create : ?seed:int -> ?slots:int -> ?fp_bits:int -> ?max_kicks:int -> capaci
     (default 12) sets the false-positive/memory trade-off; [max_kicks]
     (default 128) bounds the eviction search. *)
 
-val seed : t -> int
-val slots_per_bucket : t -> int
-val n_buckets : t -> int
-
 val capacity : t -> int
 (** Total fingerprint slots. *)
 
@@ -59,8 +55,6 @@ val kicks : t -> int
 val stash_size : t -> int
 (** Fingerprints parked by {!absorb} because both buckets were full —
     checked by {!member}/{!delete} so migration never loses members. *)
-
-val reset : t -> unit
 
 val expected_fp_rate : t -> float
 (** Analytic false-positive bound at the current load. *)

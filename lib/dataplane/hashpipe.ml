@@ -11,8 +11,6 @@ let create ?(seed = 0x9747b28c) ~stages ~slots_per_stage () =
           Array.init slots_per_stage (fun _ -> { key = 0; cnt = 0.; used = false }));
   }
 
-let seed t = t.seed
-
 (* Resident entries stay where the old salt put them. [heavy_hitters]
    and [resident_keys] scan every slot, so per-key epoch totals survive
    a mid-epoch rotation exactly; only [count]'s point probe (which

@@ -6,8 +6,6 @@ type t
 
 val create : ?seed:int -> stages:int -> slots_per_stage:int -> unit -> t
 
-val seed : t -> int
-
 val reseed : t -> int -> unit
 (** Swap the hash salt. Resident (key, count) entries are kept and still
     counted by the scanning readers ({!heavy_hitters}, {!resident_keys}),

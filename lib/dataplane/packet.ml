@@ -89,24 +89,3 @@ let tag p key v =
   p.tags <- (key, v) :: rest
 
 let tag_value p key = List.assoc_opt key p.tags
-
-let pp fmt p =
-  let kind =
-    match p.payload with
-    | Data -> "data"
-    | Ack _ -> "ack"
-    | Traceroute_probe _ -> "tr-probe"
-    | Traceroute_reply _ -> "tr-reply"
-    | Util_probe _ -> "util-probe"
-    | Mode_probe _ -> "mode-probe"
-    | Sync_probe _ -> "sync-probe"
-    | State_chunk _ -> "state-chunk"
-    | State_ack _ -> "state-ack"
-    | Syn -> "syn"
-    | Syn_ack _ -> "syn-ack"
-    | Handshake_ack _ -> "hs-ack"
-    | Fin -> "fin"
-  in
-  Format.fprintf fmt "[pkt#%d %s %d->%d flow=%d seq=%d %dB%s]" p.uid kind p.src p.dst p.flow
-    p.seq p.size
-    (if p.suspicious then " suspicious" else "")

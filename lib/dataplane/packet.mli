@@ -88,5 +88,3 @@ val tag : t -> string -> float -> unit
 (** Set (or overwrite) a metadata tag. *)
 
 val tag_value : t -> string -> float option
-
-val pp : Format.formatter -> t -> unit

@@ -91,21 +91,9 @@ let state_shared a b =
   dedup_sorted
     (inter (registers_written a) (registers_read b) @ inter (registers_written b) (registers_read a))
 
-let tables_applied spec =
-  fold_body spec
-    ~on_expr:(fun acc _ -> acc)
-    ~on_cond:(fun acc _ -> acc)
-    ~on_stmt:(fun acc s -> match s with Apply_table t -> t :: acc | _ -> acc)
-    []
-  |> dedup_sorted
-
 let body_size spec =
   fold_body spec
     ~on_expr:(fun acc _ -> acc)
     ~on_cond:(fun acc _ -> acc)
     ~on_stmt:(fun acc _ -> acc + 1)
     0
-
-let pp_spec fmt spec =
-  Format.fprintf fmt "%s/%s (%s) %a [%d stmts]" spec.booster spec.name
-    (role_to_string spec.role) Resource.pp spec.resources (body_size spec)

@@ -62,9 +62,5 @@ val state_shared : spec -> spec -> string list
 (** Registers written by one and read by the other (either direction):
     the dataflow-graph edge weight basis. *)
 
-val tables_applied : spec -> string list
-
 val body_size : spec -> int
 (** Statement count (including nested), a complexity proxy. *)
-
-val pp_spec : Format.formatter -> spec -> unit

@@ -8,11 +8,6 @@ module Array_reg : sig
   type t
 
   val create : ?name:string -> slots:int -> unit -> t
-  val name : t -> string
-  val slots : t -> int
-
-  val index_of : t -> int -> int
-  (** Hash a key to a slot index. *)
 
   val get : t -> int -> float
   (** Read by key (hashed). *)
@@ -27,7 +22,6 @@ module Array_reg : sig
   val set_slot : t -> int -> float -> unit
 
   val reset : t -> unit
-  val fold_slots : t -> init:'a -> f:('a -> int -> float -> 'a) -> 'a
   val dump : t -> (string * float) list
   (** [name[i] -> value] for non-zero slots — what a state transfer ships. *)
 
@@ -45,6 +39,4 @@ module Meter : sig
   val allow : t -> now:float -> bytes:float -> bool
   (** Consume tokens if available; [false] means the packet exceeds the
       configured rate and should be dropped/marked. *)
-
-  val set_rate : t -> float -> unit
 end

@@ -8,15 +8,6 @@ val create : ?seed:int -> rows:int -> cols:int -> unit -> t
     estimates overshoot true counts by at most [e*N/cols] with probability
     [1 - e^-rows] where [N] is the total added weight. *)
 
-val seed : t -> int
-
-val reseed : t -> int -> unit
-(** Swap the hash salt (defense against collision-probing adversaries).
-    [total], {!serialize}/{!absorb} and {!merge_into} are index-based and
-    survive rotation exactly; {!estimate} only sees weight added under
-    the current salt, so rotate at epoch boundaries (with {!reset}) when
-    point estimates matter. *)
-
 val add : t -> int -> float -> unit
 (** [add t key w] adds weight [w] to [key]. *)
 
@@ -26,18 +17,10 @@ val estimate : t -> int -> float
 val total : t -> float
 (** Total weight added since the last reset. *)
 
-val reset : t -> unit
-
 val merge_into : dst:t -> src:t -> unit
 (** Component-wise sum; both sketches must share dimensions and seed
     ([Invalid_argument] otherwise). This is the operation detector
     synchronization probes perform for network-wide detection. *)
-
-val heavy_keys : t -> candidates:int list -> threshold:float -> int list
-(** Candidate keys whose estimate passes the threshold. *)
-
-val rows : t -> int
-val cols : t -> int
 
 type snapshot = { cells : (int * float) list; total : float }
 (** Flat (cell index, value) pairs for non-zero cells plus the source's

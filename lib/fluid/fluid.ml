@@ -199,9 +199,6 @@ let create ?(update_period = 0.25) ?(mss_bits = 12_000.)
     st_max_comp = 0;
   }
 
-let net t = t.net
-let update_period t = t.period
-let solver t = t.mode
 (* handles are plain ints: reject one this population did not issue
    (or issued before a [clear]) before it indexes a column *)
 let check t f = if f < 0 || f >= t.n_flows then invalid_arg "Fluid: unknown flow"
@@ -217,10 +214,8 @@ let class_id t f =
 let flow_class t f = t.cls.(class_id t f)
 let src t f = (flow_class t f).c_src
 let dst t f = (flow_class t f).c_dst
-let path t f = Array.to_list (flow_class t f).c_path
 let rate t f = if is_attached t f then (flow_class t f).c_rate else 0.
 let cap t f = (flow_class t f).c_cap
-let attached_flows t = t.attached
 let classes t = t.n_cls
 let rate_events t = t.rate_events
 let hop_bytes t = t.hop_bits /. 8.
@@ -383,19 +378,6 @@ let total_rate t =
   for id = 0 to t.n_cls - 1 do
     let c = t.cls.(id) in
     acc := !acc +. (c.c_rate *. float_of_int c.c_members)
-  done;
-  !acc
-
-let offered_rate t =
-  let acc = ref 0. in
-  for id = 0 to t.n_cls - 1 do
-    let c = t.cls.(id) in
-    let per =
-      match c.c_kind with
-      | Constant { rate } -> rate
-      | Adaptive { max_rate; _ } -> max_rate
-    in
-    acc := !acc +. (per *. float_of_int c.c_members)
   done;
   !acc
 
@@ -870,8 +852,6 @@ let detach t f =
     mark_class_dirty t c;
     arm t
   end
-
-let remove t f = detach t f
 
 (* Kinds match field by field under [Float.equal], the relation polymorphic
    [compare] gives (nan matches nan, 0. matches -0.). *)

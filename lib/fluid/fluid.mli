@@ -28,10 +28,10 @@
     Coupling with the packet tier is bidirectional:
 
     - each solve subtracts the measured packet rate
-      ({!Ff_netsim.Net.link_packet_bps}) from a link's capacity before
+      ({!Ff_netsim.Net.link_packet_bps_i}) from a link's capacity before
       filling, so packet traffic displaces fluid traffic;
     - the solved per-link fluid load is pushed into the packet engine via
-      {!Ff_netsim.Net.set_fluid_load}, where it consumes transmit capacity
+      {!Ff_netsim.Net.set_fluid_load_i}, where it consumes transmit capacity
       and folds into {!Ff_netsim.Net.utilization}, so detectors and queues
       see fluid floods;
     - with {!enable_loss_coupling}, queue-overflow drops in the packet
@@ -103,10 +103,6 @@ val create :
     (default 0.6) is the touched-classes fraction past which an incremental
     pass falls back to a full fill. *)
 
-val net : t -> Ff_netsim.Net.t
-val update_period : t -> float
-val solver : t -> solver_mode
-
 val add : t -> src:int -> dst:int -> kind -> flow
 (** Admit a flow (attached immediately); its path class is created on
     first use and the route resolved from the packet tier's current
@@ -116,9 +112,6 @@ val add : t -> src:int -> dst:int -> kind -> flow
     pair as one int, so it allocates nothing for an existing class.
     Raises [Invalid_argument] when [src] or [dst] is not a node of the
     net's topology. *)
-
-val remove : t -> flow -> unit
-(** Permanently detach; delivered bytes remain readable. *)
 
 val detach : t -> flow -> unit
 (** Take the flow out of the fluid population (demotion to packet level).
@@ -135,10 +128,6 @@ val dst : t -> flow -> int
 val class_id : t -> flow -> int
 (** Dense id of the flow's path class, stable for the population's
     lifetime — the hybrid tier's bucketing key. *)
-
-val path : t -> flow -> int list
-(** Cached route of the flow's class, hosts included; [[]] if unroutable.
-    Allocates; prefer {!path_crosses} on hot paths. *)
 
 val path_crosses : t -> flow -> f:(int -> bool) -> bool
 (** [path_crosses t fl ~f] is true when some node on the flow's cached
@@ -183,9 +172,6 @@ val refresh_paths : t -> unit
     mode changes). Accruals are advanced first; rates refresh on the next
     solve. *)
 
-val advance : t -> unit
-(** Accrue delivered bytes up to now at the current rates (no re-solve). *)
-
 val clear : t -> unit
 (** Reset the population for engine reuse (after {!Ff_netsim.Engine.clear}):
     drops all classes and flows, zeroes the fluid loads pushed into the
@@ -214,14 +200,7 @@ val enable_loss_coupling : t -> unit
 
 (** {2 Population statistics} *)
 
-val attached_flows : t -> int
 val classes : t -> int
-
-val total_rate : t -> float
-(** Sum of allocated rates over attached flows, bits/s. *)
-
-val offered_rate : t -> float
-(** Sum of offered ([Constant]) / ceiling ([Adaptive]) rates, bits/s. *)
 
 val total_delivered_bytes : t -> float
 (** Aggregate bytes delivered by the whole population since creation

@@ -130,21 +130,12 @@ let tier_of t m =
 
 let net t = t.net
 let fluid t = t.fl
-let force_mode t = t.force
-let members t = t.n_members
 let demoted_count t = t.demoted
 let demoted_peak t = t.demoted_peak
 let demotions t = t.demotions
 let promotions t = t.promotions
 let demote_denied t = t.demote_denied
 let is_demoted t m = has t m f_demoted
-let demotions_of t m =
-  let s = t.m_slot.(m) in
-  if s < 0 then 0 else t.slots.(s).p_demotions
-
-let demoted_fraction t =
-  if t.n_members = 0 then 0.
-  else float_of_int t.demoted /. float_of_int t.n_members
 
 let path_rtt t ~src ~dst =
   match Net.current_path t.net ~src ~dst with
@@ -365,11 +356,6 @@ let clear_hot t ~node =
       schedule_reeval t
     end
   end
-
-let hot_nodes t =
-  let acc = ref [] in
-  Array.iteri (fun i c -> if c > 0 then acc := i :: !acc) t.hot;
-  !acc
 
 let admit t m ~src ~dst =
   let fid = Fluid.add t.fl ~src ~dst (member_kind t m ~src ~dst) in

@@ -59,7 +59,7 @@ type member
     Three orders are part of the simulation's output and are kept
     exactly: the demote/promote sweep visits path-class buckets in the
     order of a [Hashtbl] keyed by fluid class id, and the members of a
-    bucket newest first (see {!reevaluate}); {!sum_delivered_bytes}
+    bucket newest first; {!sum_delivered_bytes}
     adds members oldest first. *)
 
 (** [solver]/[full_frac] are passed through to {!Fluid.create}; loss
@@ -81,7 +81,6 @@ val create :
   t
 val net : t -> Ff_netsim.Net.t
 val fluid : t -> Fluid.t
-val force_mode : t -> force
 
 val add_flow :
   t -> src:int -> dst:int -> ?at:float -> ?stop:float -> ?tier:tier ->
@@ -109,7 +108,6 @@ val sum_delivered_bytes : t -> first:member -> count:int -> float
     leaves the population. *)
 
 val is_demoted : t -> member -> bool
-val demotions_of : t -> member -> int
 
 val mark_hot : t -> node:int -> unit
 (** Increment a node's hot counter (counters nest: overlapping attacks /
@@ -117,20 +115,8 @@ val mark_hot : t -> node:int -> unit
 
 val clear_hot : t -> node:int -> unit
 
-val hot_nodes : t -> int list
-
-val reevaluate : t -> unit
-(** Run the demote/promote sweep synchronously (normally triggered by
-    hot-set changes; exposed for tests and manual tier control). The
-    sweep visits path-class buckets in [Hashtbl.iter] order over a table
-    keyed by fluid class id (filled in first-admission order), and the
-    members of a bucket newest first. That order decides which members get
-    the demote budget, the packet flows' ids and the event order, so it is
-    part of the simulation's output. *)
-
 (** {2 Accounting} *)
 
-val members : t -> int
 val demoted_count : t -> int
 (** Members currently at packet level due to demotion (excludes
     [Packet_only]/[All_packet] members). *)
@@ -144,6 +130,3 @@ val demote_denied : t -> int
     of a wholesale-denied path class). The denial is sticky until the
     member's class next changes hotness — freed budget is not
     retroactively applied. *)
-
-val demoted_fraction : t -> float
-(** [demoted_count / members] (0. when empty). *)

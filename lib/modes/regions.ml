@@ -127,11 +127,6 @@ let ownership shard_of ~shard =
   done;
   b
 
-let sizes shard_of ~shards =
-  let counts = Array.make shards 0 in
-  Array.iter (fun s -> if s >= 0 then counts.(s) <- counts.(s) + 1) shard_of;
-  counts
-
 let cross_links topo ~shard_of =
   List.filter
     (fun (l : Topology.link) -> shard_of.(l.Topology.a) <> shard_of.(l.Topology.b))

@@ -35,9 +35,6 @@ val ownership : int array -> shard:int -> Bytes.t
     {!Ff_netsim.Net.set_shard_hook} expects: byte [i] is ['\001'] iff
     [shard_of.(i) = shard]. *)
 
-val sizes : int array -> shards:int -> int array
-(** Nodes per region (hosts included). *)
-
 val cross_links :
   Ff_topology.Topology.t -> shard_of:int array -> Ff_topology.Topology.link list
 (** The links crossing region boundaries — one SPSC mailbox per direction

@@ -30,8 +30,6 @@ type issue =
 
 type report = { reachable : state list; issues : issue list }
 
-val normalize : string list -> state
-
 val analyze : automaton -> report
 (** Explores the reachable state space (BFS) and reports issues; an empty
     [issues] list means the automaton is stable in the above sense. *)

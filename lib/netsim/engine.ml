@@ -143,19 +143,6 @@ let dispatch_thunk t =
   t.steps <- t.steps + 1;
   f ()
 
-let step t =
-  if Ff_util.Heap.top_before t.packets t.thunks then begin
-    dispatch_packet t;
-    flush_steps 1;
-    true
-  end
-  else if not (Ff_util.Heap.is_empty t.thunks) then begin
-    dispatch_thunk t;
-    flush_steps 1;
-    true
-  end
-  else false
-
 let run t ~until =
   let thunks = t.thunks and packets = t.packets in
   let steps0 = t.steps in

@@ -75,10 +75,6 @@ val next_time : t -> float
     lower-bound computation between windows. Allocation: one boxed
     float. *)
 
-val step : t -> bool
-(** Execute one event (from whichever lane holds the global minimum);
-    [false] when both lanes are empty. *)
-
 val pending : t -> int
 (** Events waiting across both lanes. *)
 
@@ -98,7 +94,7 @@ val steps : t -> int
 val total_steps : unit -> int
 (** Process-wide count of events executed across every engine instance —
     monotone, never reset. Backed by an [Atomic.t] that each engine
-    updates at the end of every [run]/[run_window]/[step] call (the
+    updates at the end of every [run]/[run_window] call (the
     per-event bump is engine-local), so it is exact whenever no engine is
     mid-run and safe to read from any domain. Snapshot it around a run to
     profile events/s (see [Ff_obs.Profile]). *)

@@ -32,8 +32,6 @@ module Tcp : sig
       persistent, low-rate, legitimate-looking flows (Crossfire). *)
 
   val flow_id : t -> int
-  val src : t -> int
-  val dst : t -> int
 
   val goodput : t -> now:float -> float
   (** Receiver-side goodput over the last measurement window, bytes/s. *)
@@ -67,7 +65,6 @@ module Listener : sig
   (** Connections that completed the three-way handshake. *)
 
   val half_open_count : t -> int
-  val backlog : t -> int
 
   val occupancy : t -> float
   (** [half_open_count / backlog], in [0,1]. *)
@@ -81,16 +78,11 @@ module Listener : sig
   val timeouts : t -> int
   (** Half-open entries that expired unacked (each freed its slot). *)
 
-  val data_bytes : t -> float
-  (** Bytes delivered on established flows. *)
-
   val set_trust_validated : t -> bool -> unit
   (** The server-side split-proxy agent: when [true], a handshake ack
       carrying a non-zero cookie but no half-open entry establishes
       directly — the edge switch already validated the peer, the server
       never saw its SYN. *)
-
-  val trust_validated : t -> bool
 end
 
 module Handshake : sig
@@ -122,10 +114,6 @@ module Handshake : sig
   val completed_bytes : t -> float
   (** Cumulative completed handshakes expressed as bytes (one handshake
       counts its data burst) — feed to {!Monitor.counter_probe}. *)
-
-  val src : t -> int
-  val dst : t -> int
-  val stop_now : t -> unit
 end
 
 module Cbr : sig

@@ -23,9 +23,6 @@ val link_utilization :
 
 type probe = float -> float
 
-val tcp_probe : Flow.Tcp.t -> probe
-(** Receiver-window goodput of a TCP flow (bytes/s). Stateless. *)
-
 val cbr_probe : Flow.Cbr.t -> probe
 (** Rate of a CBR flow, differentiated from its cumulative delivered-bytes
     counter between successive samples (0. on the first sample). *)
@@ -34,12 +31,10 @@ val counter_probe : (unit -> float) -> probe
 (** Generalization of {!cbr_probe}: differentiate any monotone cumulative
     byte counter — the fluid tier exposes its populations this way. *)
 
-val sum_probes : probe list -> probe
-
 val aggregate_goodput :
   Net.t -> ?flows:Flow.Tcp.t list -> ?probes:probe list -> period:float ->
   ?until:float -> name:string -> unit -> Ff_util.Series.t
-(** Sum of the goodputs of [flows] (as {!tcp_probe}s) and any extra
+(** Sum of the receiver-window goodputs of [flows] and any extra
     [probes], bytes/s. *)
 
 val normalized_goodput :

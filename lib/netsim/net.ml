@@ -157,7 +157,6 @@ let flag_on (sw : switch) ~mask = sw.flags land mask <> 0
 (* ---------------- observability ---------------- *)
 
 let attach_obs t tr = t.obs <- tr
-let obs_trace t = t.obs
 
 let attach_metrics t m =
   t.metrics <- m;
@@ -273,23 +272,8 @@ let link_drops t ~from_ ~to_ =
 let link_tx_packets t ~from_ ~to_ =
   match dirlink_opt t ~from_ ~to_ with None -> 0 | Some dl -> dl.tx_packets
 
-let set_fluid_load t ~from_ ~to_ bps =
-  match dirlink_opt t ~from_ ~to_ with
-  | Some dl -> dl.fluid_bps <- (if bps > 0. then bps else 0.)
-  | None -> invalid_arg "Net.set_fluid_load: nodes not adjacent"
-
 let fluid_load t ~from_ ~to_ =
   match dirlink_opt t ~from_ ~to_ with Some dl -> dl.fluid_bps | None -> 0.
-
-let link_packet_bps t ~from_ ~to_ =
-  match dirlink_opt t ~from_ ~to_ with
-  | Some dl -> Ff_util.Stats.Window_counter.rate dl.tx_window ~now:(now t) *. 8.
-  | None -> 0.
-
-let link_capacity t ~from_ ~to_ =
-  match dirlink_opt t ~from_ ~to_ with
-  | Some dl -> dl.link.Topology.capacity
-  | None -> 0.
 
 let link_delay t ~from_ ~to_ =
   match dirlink_opt t ~from_ ~to_ with Some dl -> dl.link.Topology.delay | None -> 0.
@@ -886,8 +870,6 @@ let set_shard_hook t ~owned ~post =
   if Bytes.length owned <> Array.length t.nodes then
     invalid_arg "Net.set_shard_hook: ownership vector length <> node count";
   t.xshard <- Some { owned; post }
-
-let clear_shard_hook t = t.xshard <- None
 
 let owns t node =
   match t.xshard with

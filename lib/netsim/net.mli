@@ -197,22 +197,9 @@ val link_tx_packets : t -> from_:int -> to_:int -> int
     every load at 0 the packet path is bit-identical to the pre-fluid
     engine — the guard branches never execute a float op. *)
 
-val set_fluid_load : t -> from_:int -> to_:int -> float -> unit
-(** Set the fluid background load on a directed link, bits/s (negative is
-    clamped to 0). Raises [Invalid_argument] if the nodes are not
-    adjacent. *)
-
 val fluid_load : t -> from_:int -> to_:int -> float
 (** Current fluid load on the directed link (0. when none or not
     adjacent). *)
-
-val link_packet_bps : t -> from_:int -> to_:int -> float
-(** Windowed packet-tier transmission rate on the directed link, bits/s —
-    what the fluid solver subtracts from capacity so the two tiers share
-    bandwidth in both directions. *)
-
-val link_capacity : t -> from_:int -> to_:int -> float
-(** Raw link capacity, bits/s (0. when not adjacent). *)
 
 val link_delay : t -> from_:int -> to_:int -> float
 (** Propagation delay, seconds (0. when not adjacent). *)
@@ -239,11 +226,13 @@ val link_capacity_i : t -> int -> float
 (** Raw capacity, bits/s, of a directed link by index. *)
 
 val link_packet_bps_i : t -> int -> float
-(** Windowed packet-tier transmission rate, bits/s, by index — same
-    figure as {!link_packet_bps} without the adjacency scan. *)
+(** Windowed packet-tier transmission rate, bits/s, of a directed link by
+    index — what the fluid solver subtracts from capacity so the two
+    tiers share bandwidth in both directions. *)
 
 val set_fluid_load_i : t -> int -> float -> unit
-(** Index-keyed {!set_fluid_load} (negative clamped to 0). *)
+(** Set the fluid background load on a directed link by index, bits/s
+    (negative is clamped to 0). *)
 
 val set_drop_hook : t -> (int -> unit) option -> unit
 (** Install a callback invoked with the directed-link index on every
@@ -309,8 +298,6 @@ val set_shard_hook :
     node count. [post] must accept concurrent-free single-producer calls —
     it is only ever invoked from the domain running this net. *)
 
-val clear_shard_hook : t -> unit
-
 val owns : t -> int -> bool
 (** Whether this net's shard owns the node ([true] for an unsharded net).
     Scenario code uses it to register receivers and start flows only on
@@ -348,7 +335,6 @@ val trace_flow : t -> flow:int -> trace_event list ref
     deep inside scenario code. *)
 
 val attach_obs : t -> Ff_obs.Trace.t option -> unit
-val obs_trace : t -> Ff_obs.Trace.t option
 
 val obs_emit : t -> Ff_obs.Event.t -> unit
 (** Emit stamped with the current simulation time; no-op when no trace is

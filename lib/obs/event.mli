@@ -46,8 +46,6 @@ val kind : t -> string
 val node : t -> int
 (** Primary switch/node of the event; [-1] when not tied to one. *)
 
-val phase_label : transfer_phase -> string
-
 val json_fields : t -> (string * string) list
 (** Event payload as (key, rendered JSON value) pairs. *)
 

@@ -4,8 +4,6 @@
 
 type scope = Global | Switch of int | Link of int * int
 
-val scope_label : scope -> string
-
 module Counter : sig
   type t
 
@@ -18,7 +16,6 @@ module Gauge : sig
   type t
 
   val set : t -> float -> unit
-  val value : t -> float
 end
 
 module Histogram : sig
@@ -30,8 +27,6 @@ module Histogram : sig
 
   val count : t -> now:float -> int
   val mean : t -> now:float -> float
-  val percentile : t -> now:float -> float -> float
-  val values : t -> now:float -> float list
 end
 
 type t
@@ -53,7 +48,6 @@ val sum_counters : t -> string -> float
 val rows : t -> now:float -> string list list
 (** [metric; scope; type; value] rows sorted by name, for [Table.print]. *)
 
-val output_csv : t -> now:float -> out_channel -> unit
 val write_csv : t -> now:float -> string -> unit
 
 (** {2 Ambient registry} — same pattern as {!Trace.ambient}. *)

@@ -72,15 +72,6 @@ let iter t f =
     f t.buf.(i)
   done
 
-let clear t =
-  t.len <- 0;
-  t.seq <- 0;
-  t.dropped <- 0;
-  t.epoch_base <- 0.;
-  t.last_raw <- 0.;
-  t.last_time <- 0.;
-  Hashtbl.reset t.counts
-
 let entry_to_json (e : entry) =
   let fields =
     ("seq", string_of_int e.seq)

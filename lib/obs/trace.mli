@@ -31,14 +31,11 @@ val count_kind : t -> string -> int
 val dropped : t -> int
 val events : t -> entry list
 val iter : t -> (entry -> unit) -> unit
-val clear : t -> unit
 
 val entry_to_json : entry -> string
 (** One JSON object: [{"seq": .., "time": .., "event": "..", ...payload}]. *)
 
-val output_jsonl : t -> out_channel -> unit
 val write_jsonl : t -> string -> unit
-val output_csv : t -> out_channel -> unit
 val write_csv : t -> string -> unit
 
 (** {2 Ambient trace}

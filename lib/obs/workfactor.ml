@@ -54,10 +54,3 @@ let probes_to_effective t =
 
 let work_factor t ~horizon =
   float_of_int (probes_to_effective t) *. time_to_effective t ~horizon
-
-let pp ppf t =
-  Format.fprintf ppf "probes=%d damage=%.2f peak=%.2f effective=%s"
-    t.probes t.damage t.peak_util
-    (match effective_at t with
-    | Some at -> Printf.sprintf "%.1fs" (at -. t.attack_start)
-    | None -> "never")

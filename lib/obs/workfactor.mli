@@ -40,7 +40,4 @@ val peak_util : t -> float
 val effective_at : t -> float option
 
 val time_to_effective : t -> horizon:float -> float
-val probes_to_effective : t -> int
 val work_factor : t -> horizon:float -> float
-
-val pp : Format.formatter -> t -> unit

@@ -69,14 +69,6 @@ module Routing = struct
       !dist
     end
 
-  let hop_distance ?live_link ?live_node topo ~src ~dst =
-    let live_node = match live_node with Some f -> f | None -> fun _ -> true in
-    if not (live_node dst) then None
-    else
-      match List.assoc_opt dst (relax_all ?live_link ~live_node topo ~src) with
-      | Some (d, _) -> Some d
-      | None -> None
-
   let shortest_path ?live_link ?live_node topo ~src ~dst =
     let live_node = match live_node with Some f -> f | None -> fun _ -> true in
     if not (live_node dst) then None
@@ -147,8 +139,6 @@ module Cuckoo_ref = struct
       Hashtbl.replace t.counts key (n - 1);
       t.size <- t.size - 1;
       true
-
-  let size t = t.size
 
   let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.counts []
 end

@@ -46,14 +46,6 @@ module Routing : sig
     [None] when either endpoint is dead or unreachable. Tie-breaking is
     unspecified — compare lengths, not node sequences. *)
 
-  val hop_distance :
-    ?live_link:(int -> int -> bool) ->
-    ?live_node:(int -> bool) ->
-    Ff_topology.Topology.t ->
-    src:int ->
-    dst:int ->
-    int option
-
   val switch_distance : Ff_topology.Topology.t -> from_:int -> to_:int -> int option
   (** Hop distance over the switch-only subgraph — the graph a mode-probe
       flood travels, since switches flood to switch neighbors only. *)
@@ -80,9 +72,6 @@ module Cuckoo_ref : sig
 
   val count : t -> int -> int
   (** Copies of this key currently held. *)
-
-  val size : t -> int
-  (** Total copies across all keys. *)
 
   val keys : t -> int list
   (** Distinct members, unspecified order. *)

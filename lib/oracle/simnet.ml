@@ -72,8 +72,6 @@ let create ?(queue_limit_bytes = 37_500.) topo =
     sws;
   t
 
-let now t = t.time
-
 let switch t sw =
   match t.sws.(sw) with
   | Some s -> s
@@ -227,8 +225,6 @@ let run t ~until =
 
 let deliveries t ~flow =
   match List.assoc_opt flow t.delivered with Some l -> List.rev l | None -> []
-
-let delivered t ~flow = List.length (deliveries t ~flow)
 
 let drops_by_reason t = List.sort compare t.drops
 

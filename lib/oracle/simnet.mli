@@ -19,11 +19,8 @@ val create : ?queue_limit_bytes:float -> Ff_topology.Topology.t -> t
     (default 37500 bytes) and every switch starts with a direct route to
     each attached host. *)
 
-val now : t -> float
-
 (** {1 Routing} *)
 
-val set_route : t -> sw:int -> dst:int -> next_hop:int -> unit
 val set_backup_route : t -> sw:int -> dst:int -> next_hop:int -> unit
 val set_pair_route : t -> sw:int -> src:int -> dst:int -> next_hop:int -> unit
 
@@ -52,6 +49,5 @@ val run : t -> until:float -> unit
 val deliveries : t -> flow:int -> float list
 (** Host arrival times for the flow, oldest first. *)
 
-val delivered : t -> flow:int -> int
 val drops_by_reason : t -> (string * int) list
 val link_tx : t -> from_:int -> to_:int -> int

@@ -91,11 +91,6 @@ let n_flows t = Array.length t.pairs
 let until t = t.until
 let topo t = t.topo
 
-let expected_sends t =
-  (* [Cbr] emits at start, start+p, ... while < stop *)
-  let per_flow = int_of_float (ceil (t.duration *. t.rate_pps)) in
-  Array.length t.pairs * per_flow
-
 let fresh_counters t =
   let n = Array.length t.pairs in
   { delivered = Array.make n 0; time_sum = Array.make n 0. }

@@ -33,9 +33,6 @@ val n_flows : t -> int
 
 val topo : t -> Ff_topology.Topology.t
 
-val expected_sends : t -> int
-(** Packets the senders will emit in total (rate x duration x flows). *)
-
 val until : t -> float
 
 val fresh_counters : t -> counters
@@ -46,8 +43,6 @@ val setup : t -> counters -> Ff_netsim.Net.t array -> unit
     destination — exactly the shape {!Psim.run}'s [setup] expects
     (partially applied: [setup t counters]). Works unchanged on a
     single-element array for unsharded runs. *)
-
-val install_routes : t -> Ff_netsim.Net.t -> unit
 
 val run_reference : t -> counters * Ff_netsim.Net.t
 (** Plain single-engine run of the same scenario (fresh engine, ambient

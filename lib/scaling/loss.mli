@@ -33,9 +33,6 @@ val install :
 val dropped : t -> int
 val seen : t -> int
 
-val set_prob : t -> float -> unit
-(** Adjust the Bernoulli probability (no effect under [Gilbert_elliott]). *)
-
 val set_enabled : t -> bool -> unit
 (** Gate the stage on/off without removing it — how the chaos harness
     windows a burst-loss episode. Disabled stages pass everything and

@@ -179,10 +179,6 @@ let top_before a b =
 let top_at_most t x = t.len > 0 && t.prios.(0) <= x
 let top_lt t x = t.len > 0 && t.prios.(0) < x
 
-let min_seq t =
-  if t.len = 0 then invalid_arg "Heap.min_seq: empty heap";
-  t.seqs.(0)
-
 let top_tag1 t =
   if t.len = 0 then invalid_arg "Heap.top_tag1: empty heap";
   t.tag1s.(0)
@@ -196,8 +192,6 @@ let pop_min t =
   let value = t.vals.(0) in
   remove_min t;
   value
-
-let peek t = if t.len = 0 then None else Some (t.prios.(0), t.vals.(0))
 
 let clear t =
   (* releasing the values matters as much as resetting the length: a

@@ -6,7 +6,7 @@
 
     Storage is parallel arrays (unboxed float priorities, int sequence
     numbers, two int tag columns, values), so [push] allocates nothing;
-    the [min_prio]/[min_seq]/[pop_min] group lets callers drain the heap
+    the [min_prio]/[pop_min] group lets callers drain the heap
     without the option/tuple boxing of [pop].
 
     The tag columns carry two unboxed payload ints per element for
@@ -42,10 +42,6 @@ val min_prio : 'a t -> float
 (** Priority of the minimum, without boxing. Raises [Invalid_argument]
     when empty — check {!is_empty} first. *)
 
-val min_seq : 'a t -> int
-(** Tiebreak sequence of the minimum. Raises [Invalid_argument] when
-    empty. *)
-
 val top_before : 'a t -> 'b t -> bool
 (** [top_before a b]: does [a]'s minimum order strictly before [b]'s by
     [(prio, seq)]? An empty [b] counts as infinitely late, an empty [a]
@@ -67,8 +63,6 @@ val top_tag2 : 'a t -> int
 val pop_min : 'a t -> 'a
 (** Remove the minimum and return its value, without boxing. Raises
     [Invalid_argument] when empty. *)
-
-val peek : 'a t -> (float * 'a) option
 
 val clear : 'a t -> unit
 (** Empty the heap, releasing every stored value for collection (capacity

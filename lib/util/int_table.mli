@@ -32,8 +32,4 @@ val remove : t -> int -> unit
 val clear : t -> unit
 (** Drop every entry, keeping the current capacity. *)
 
-val iter : (int -> int -> unit) -> t -> unit
-(** [iter f t] calls [f key value] on every live entry, in unspecified
-    order. *)
-
 val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a

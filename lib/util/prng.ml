@@ -61,11 +61,6 @@ let exponential t ~mean =
   let u = float t 1.0 in
   -.mean *. log (1.0 -. u)
 
-let pareto t ~shape ~scale =
-  assert (shape > 0. && scale > 0.);
-  let u = float t 1.0 in
-  scale /. ((1.0 -. u) ** (1.0 /. shape))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

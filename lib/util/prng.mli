@@ -33,9 +33,6 @@ val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean; used for Poisson
     inter-arrival times. Requires [mean > 0.]. *)
 
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto sample; used for heavy-tailed flow sizes. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 

@@ -13,7 +13,6 @@ let add t ~time v =
 
 let points t = List.rev t.rev_points
 let length t = t.n
-let values t = List.rev_map snd t.rev_points
 let last t = match t.rev_points with [] -> None | p :: _ -> Some p
 
 let resample t ~step ~until =

@@ -5,8 +5,6 @@ type t
 
 val create : name:string -> t
 
-val name : t -> string
-
 val add : t -> time:float -> float -> unit
 (** Append a sample. Times are expected non-decreasing (asserted). *)
 
@@ -14,8 +12,6 @@ val points : t -> (float * float) list
 (** Samples in insertion order. *)
 
 val length : t -> int
-
-val values : t -> float list
 
 val last : t -> (float * float) option
 

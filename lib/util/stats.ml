@@ -10,8 +10,6 @@ let variance xs =
     let sq = List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0. xs in
     sq /. float_of_int (List.length xs)
 
-let stddev xs = sqrt (variance xs)
-
 let percentile p xs =
   if xs = [] then invalid_arg "Stats.percentile: empty sample";
   let a = Array.of_list xs in

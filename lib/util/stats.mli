@@ -8,8 +8,6 @@ val mean : float list -> float
 val variance : float list -> float
 (** Population variance; 0. on lists shorter than 2. *)
 
-val stddev : float list -> float
-
 val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [\[0,100\]], by linear interpolation on the
     sorted sample. Raises [Invalid_argument] on the empty list. *)

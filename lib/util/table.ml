@@ -1,8 +1,3 @@
-let fmt_f v =
-  if Float.is_integer v && Float.abs v < 1e9 then Printf.sprintf "%.0f" v
-  else if Float.abs v >= 100. then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.3f" v
-
 let print ~header ~rows =
   let ncols = List.length header in
   List.iter (fun r -> assert (List.length r = ncols)) rows;

@@ -4,6 +4,3 @@
 val print : header:string list -> rows:string list list -> unit
 (** Pretty-print to stdout with column alignment and a rule under the
     header. All rows must have the header's arity (asserted). *)
-
-val fmt_f : float -> string
-(** Compact float formatting used in table cells. *)

@@ -25,17 +25,6 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Vec.get";
   Array.unsafe_get t.a i
 
-let set t i x =
-  if i < 0 || i >= t.len then invalid_arg "Vec.set";
-  Array.unsafe_set t.a i x
-
-let iter f t =
-  for i = 0 to t.len - 1 do f (Array.unsafe_get t.a i) done
-
-let exists f t =
-  let rec go i = i < t.len && (f (Array.unsafe_get t.a i) || go (i + 1)) in
-  go 0
-
 (* Keep elements at even offsets paired with the following odd offset
    when the predicate on the pair holds; used to compact (id, gen)
    incidence pairs in place. *)

@@ -11,9 +11,6 @@ val clear : t -> unit
 
 val push : t -> int -> unit
 val get : t -> int -> int
-val set : t -> int -> int -> unit
-val iter : (int -> unit) -> t -> unit
-val exists : (int -> bool) -> t -> bool
 
 val filter_pairs_in_place : (int -> int -> bool) -> t -> unit
 (** Treat the vector as a flat sequence of [(x, y)] pairs and keep only
