@@ -53,7 +53,7 @@ let fig1 () =
     List.map
       (fun pool ->
         let switches = List.init pool Fun.id in
-        match Fastflex.Compile.pack_onto compiled ~switches () with
+        match Fastflex.Compile.pack_onto compiled ~switches with
         | Ok bins ->
           [ string_of_int pool;
             string_of_int (Ff_placement.Pack.bins_used bins);
@@ -450,23 +450,20 @@ let abl_sync () =
     let net = Ff_netsim.Net.create engine topo in
     Ff_netsim.Net.install_shortest_paths net;
     let e1 = (T.node_by_name topo "e1").T.id and e2 = (T.node_by_name topo "e2").T.id in
-    let threshold = 6_000_000. in
     (* local-only detector: the same per-destination logic but with a view
        limited to one ingress (no synchronization) *)
     let local_alarm = ref false in
     let _local =
-      Ff_boosters.Network_wide_hh.install net ~ingresses:[ e1 ] ~threshold_bps:threshold
+      Ff_boosters.Network_wide_hh.install net ~ingresses:[ e1 ]
         ~on_alarm:(fun _ -> local_alarm := true)
         ~on_clear:(fun _ -> ())
-        ()
     in
     (* network-wide detector across both ingresses *)
     let nw_alarm = ref false in
     let nw =
-      Ff_boosters.Network_wide_hh.install net ~ingresses:[ e1; e2 ] ~threshold_bps:threshold
+      Ff_boosters.Network_wide_hh.install net ~ingresses:[ e1; e2 ]
         ~on_alarm:(fun _ -> nw_alarm := true)
         ~on_clear:(fun _ -> ())
-        ()
     in
     List.iter
       (fun bot ->

@@ -32,13 +32,12 @@ let () =
 
   (* network-wide heavy hitter across both ingresses *)
   let nw =
-    B.Network_wide_hh.install net ~ingresses:[ e1; e2 ] ~threshold_bps:6_000_000.
+    B.Network_wide_hh.install net ~ingresses:[ e1; e2 ]
       ~on_alarm:(fun a ->
         Printf.printf "t=%5.2fs  NETWORK-WIDE ALARM raised at %s (no single switch saw it)\n"
           (Net.now net)
           (name a.B.Lfa_detector.switch))
       ~on_clear:(fun _ -> Printf.printf "t=%5.2fs  all clear\n" (Net.now net))
-      ()
   in
 
   (* the distributed flood: 8 bots x ~1 Mb/s, split over both ingresses *)
@@ -60,7 +59,7 @@ let () =
 
   (* now point the distributed rate limiter at the offending aggregate *)
   print_endline "\nactivating distributed global rate limiting (2 Mb/s cap for the botnet):";
-  let grl = B.Global_rate_limit.install net ~participants:[ e1; e2 ] ~sync_period:0.2 () in
+  let grl = B.Global_rate_limit.install net ~participants:[ e1; e2 ] in
   List.iter (fun sw -> B.Common.set_mode (Net.switch net sw) "grl" true) [ e1; e2 ];
   B.Global_rate_limit.set_limit grl ~tenant:1 2_000_000.;
   List.iter (fun bot -> B.Global_rate_limit.assign grl ~src:bot ~tenant:1) lm.T.Fig2.bot_sources;

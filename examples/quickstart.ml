@@ -19,7 +19,7 @@ let () =
     compiled.Fastflex.Compile.sharing;
 
   print_endline "\n== 2. Pack onto switches (paper Fig. 1 c) ==";
-  (match Fastflex.Compile.pack_onto compiled ~switches:[ 0; 1; 2; 3 ] () with
+  (match Fastflex.Compile.pack_onto compiled ~switches:[ 0; 1; 2; 3 ] with
   | Ok bins ->
     List.iter
       (fun b ->

@@ -2,18 +2,19 @@ module Flow = Ff_netsim.Flow
 
 type t = { mutable flows : Flow.Cbr.t list }
 
-let launch net ~bots ~victim ~rate_pps_per_bot ?(start = 0.) ?stop ?(spoof_as = [])
-    ?(spoof_ttl = 48) () =
+(* Spoofed packets carry initial TTL 48, visibly short of the simulator's
+   default 64. *)
+let launch net ~bots ~victim ~rate_pps_per_bot ?(start = 0.) ?(spoof_as = []) () =
   let flows =
     List.mapi
       (fun i bot ->
         match spoof_as with
         | [] ->
-          Flow.Cbr.start net ~src:bot ~dst:victim ~rate_pps:rate_pps_per_bot ~at:start ?stop ()
+          Flow.Cbr.start net ~src:bot ~dst:victim ~rate_pps:rate_pps_per_bot ~at:start ()
         | claims ->
           let claimed = List.nth claims (i mod List.length claims) in
           Flow.Cbr.start net ~src:claimed ~dst:victim ~rate_pps:rate_pps_per_bot ~at:start
-            ?stop ~ttl:spoof_ttl ~via:bot ())
+            ~ttl:48 ~via:bot ())
       bots
   in
   { flows }

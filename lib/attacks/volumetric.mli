@@ -11,14 +11,12 @@ val launch :
   victim:int ->
   rate_pps_per_bot:float ->
   ?start:float ->
-  ?stop:float ->
   ?spoof_as:int list ->
-  ?spoof_ttl:int ->
   unit ->
   t
-(** With [spoof_as], each bot claims a source identity drawn round-robin
-    from the list, emitting with initial TTL [spoof_ttl] (default 48,
-    i.e. visibly different from the simulator's default 64). *)
+(** From [start] (default 0). With [spoof_as], each bot claims a source
+    identity drawn round-robin from the list, emitting with initial TTL
+    48 (visibly different from the simulator's default 64). *)
 
 val flows : t -> Ff_netsim.Flow.Cbr.t list
 val packets_sent : t -> int

@@ -2,10 +2,11 @@ module Net = Ff_netsim.Net
 module Packet = Ff_dataplane.Packet
 module Meter = Ff_dataplane.Register.Meter
 
+(* Each suspicious flow's token bucket holds 12 kB. *)
+let burst = 12_000.
+
 type t = {
-  mode : string;
   rate_limit : float; (* bits/s *)
-  burst : float; (* bytes *)
   drop_prob : float;
   rng : Ff_util.Prng.t;
   meters : (int, Meter.t) Hashtbl.t;
@@ -16,12 +17,12 @@ let meter t flow =
   match Hashtbl.find t.meters flow with
   | m -> m
   | exception Not_found ->
-    let m = Meter.create ~rate:(t.rate_limit /. 8.) ~burst:t.burst in
+    let m = Meter.create ~rate:(t.rate_limit /. 8.) ~burst in
     Hashtbl.replace t.meters flow m;
     m
 
 let stage t =
-  let mode_key = Common.mode_key t.mode in
+  let mode_key = Common.mode_key Common.mode_drop in
   {
     Net.stage_name = "dropper";
     process =
@@ -41,15 +42,12 @@ let stage t =
         | _ -> Net.Continue);
   }
 
-let install net ~sw ?(mode = Common.mode_drop) ?(rate_limit = 500_000.) ?(burst = 12_000.)
-    ?(drop_prob = 0.1) ?(seed = 42) () =
+let install net ~sw ~rate_limit ~drop_prob =
   let t =
     {
-      mode;
       rate_limit;
-      burst;
       drop_prob;
-      rng = Ff_util.Prng.create ~seed:(seed + sw);
+      rng = Ff_util.Prng.create ~seed:(42 + sw);
       meters = Hashtbl.create 64;
       dropped = 0;
     }

@@ -2,26 +2,15 @@
     "Packet-dropping defense", and step (5), the "illusion of success").
 
     While the ["drop"] mode is active, packets marked suspicious pass
-    through a per-flow token-bucket meter; traffic beyond [rate_limit] is
-    dropped. On top, a deterministic pseudo-random [drop_prob] discards a
+    through a per-flow token-bucket meter (12 kB of burst); traffic beyond
+    [rate_limit] (bits/s) is dropped. On top, a deterministic pseudo-random [drop_prob] discards a
     fraction of the remaining suspicious packets so that the attacker keeps
     observing loss on its flows even after rerouting has relieved the
     target link — and so keeps believing the attack works. *)
 
 type t
 
-val install :
-  Ff_netsim.Net.t ->
-  sw:int ->
-  ?mode:string ->
-  ?rate_limit:float ->
-  ?burst:float ->
-  ?drop_prob:float ->
-  ?seed:int ->
-  unit ->
-  t
-(** Defaults: 500 kb/s per suspicious flow ([rate_limit] is bits/s),
-    burst 12 kB, [drop_prob] 0.1. *)
+val install : Ff_netsim.Net.t -> sw:int -> rate_limit:float -> drop_prob:float -> t
 
 val dropped : t -> int
 val metered_flows : t -> int

@@ -5,11 +5,17 @@ module Sync = Ff_modes.Sync
 
 let instances = ref 0
 
+(* Check every 0.5 s and sync every 0.25 s; a destination above 6 Mb/s
+   network-wide is an offender, and entries under 100 kb/s stay local. *)
+let check_period = 0.5
+let sync_period = 0.25
+let threshold_bps = 6_000_000.
+let sync_threshold_bps = 100_000.
+
 type t = {
   id : int;
   net : Net.t;
   ingresses : int list;
-  threshold_bps : float;
   counters : (int * int, Ff_util.Stats.Window_counter.t) Hashtbl.t; (* (sw, dst) *)
   mutable sync : Sync.t option;
   mutable offenders : int list;
@@ -64,7 +70,7 @@ let check t () =
     List.iter
       (fun sw ->
         List.iter
-          (fun (dst, rate) -> if rate >= t.threshold_bps then Hashtbl.replace over dst ())
+          (fun (dst, rate) -> if rate >= threshold_bps then Hashtbl.replace over dst ())
           (Sync.global_view sync ~sw))
       t.ingresses;
     t.offenders <- List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) over []);
@@ -78,16 +84,13 @@ let check t () =
       t.on_clear { Lfa_detector.switch = detector; attack = Packet.Volumetric }
     | _ -> ()
 
-let install net ~ingresses ?(check_period = 0.5) ?(sync_period = 0.25)
-    ?(threshold_bps = 6_000_000.) ?(sync_threshold_bps = 100_000.) ?probe_class ~on_alarm
-    ~on_clear () =
+let install net ~ingresses ~on_alarm ~on_clear =
   incr instances;
   let t =
     {
       id = !instances;
       net;
       ingresses;
-      threshold_bps;
       counters = Hashtbl.create 64;
       sync = None;
       offenders = [];
@@ -97,11 +100,10 @@ let install net ~ingresses ?(check_period = 0.5) ?(sync_period = 0.25)
     }
   in
   List.iter (fun sw -> Net.add_stage net ~sw (counting_stage t)) ingresses;
-  let probe_class = match probe_class with Some c -> c | None -> 100 + t.id in
   let sync =
     Sync.create net ~participants:ingresses ~period:sync_period
       ~local_view:(fun ~sw -> local_view t ~sw)
-      ~threshold:sync_threshold_bps ~probe_class ()
+      ~threshold:sync_threshold_bps ~probe_class:(100 + t.id) ()
   in
   t.sync <- Some sync;
   Engine.every (Net.engine net) ~period:check_period (check t);

@@ -13,21 +13,14 @@ type t
 val install :
   Ff_netsim.Net.t ->
   ingresses:int list ->
-  ?check_period:float ->
-  ?sync_period:float ->
-  ?threshold_bps:float ->
-  ?sync_threshold_bps:float ->
-  ?probe_class:int ->
   on_alarm:(Lfa_detector.alarm -> unit) ->
   on_clear:(Lfa_detector.alarm -> unit) ->
-  unit ->
   t
-(** Defaults: check every 0.5 s, sync every 0.25 s, alarm when a
-    destination's global rate exceeds 6 Mb/s; local entries under
-    [sync_threshold_bps] (default 100 kb/s) are not advertised (the
-    paper's "minimize synchronization" knob). Instances coexist: each gets
-    unique stage names and (unless [probe_class] pins one) a unique sync
-    probe class. *)
+(** Checks every 0.5 s and syncs every 0.25 s; alarms when a
+    destination's global rate exceeds 6 Mb/s. Local entries under
+    100 kb/s are not advertised (the paper's "minimize synchronization"
+    knob). Instances coexist: each gets unique stage names and a unique
+    sync probe class. *)
 
 val global_rate : t -> sw:int -> dst:int -> float
 (** The ingress's estimate of the destination's network-wide inbound rate. *)

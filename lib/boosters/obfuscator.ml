@@ -2,13 +2,12 @@ module Net = Ff_netsim.Net
 module Packet = Ff_dataplane.Packet
 
 type t = {
-  mode : string;
   virtual_path : src:int -> dst:int -> int list option;
   mutable obfuscated : int;
 }
 
 let stage t =
-  let mode_key = Common.mode_key t.mode in
+  let mode_key = Common.mode_key Common.mode_obfuscate in
   {
     Net.stage_name = "obfuscator";
     process =
@@ -28,8 +27,8 @@ let stage t =
         Net.Continue);
   }
 
-let install net ?(mode = Common.mode_obfuscate) ~virtual_path () =
-  let t = { mode; virtual_path; obfuscated = 0 } in
+let install net ~virtual_path =
+  let t = { virtual_path; obfuscated = 0 } in
   List.iter (fun sw -> Net.add_stage ~front:true net ~sw (stage t)) (Net.switch_ids net);
   t
 

@@ -10,12 +10,7 @@
 
 type t
 
-val install :
-  Ff_netsim.Net.t ->
-  ?mode:string ->
-  virtual_path:(src:int -> dst:int -> int list option) ->
-  unit ->
-  t
+val install : Ff_netsim.Net.t -> virtual_path:(src:int -> dst:int -> int list option) -> t
 (** [virtual_path ~src ~dst] returns the node list (hosts included) the
     virtual topology routes that pair over — typically the default-mode TE
     plan captured before the attack. Installed on every switch, ahead of

@@ -3,6 +3,10 @@ module Engine = Ff_netsim.Engine
 module Packet = Ff_dataplane.Packet
 module Int_table = Ff_util.Int_table
 
+(* Probes flood 8 hops; an entry not refreshed for 0.5 s is stale. *)
+let probe_ttl = 8
+let entry_timeout = 0.5
+
 (* Entries live in a struct-of-arrays store indexed through an Int_table
    keyed [sw * n_nodes + dst]: the per-packet lookup is one integer-keyed
    probe plus flat array reads, where the old sw->(dst->entry) Hashtbl
@@ -13,9 +17,6 @@ type t = {
   net : Net.t;
   roots : int list;
   probe_interval : float;
-  probe_ttl : int;
-  entry_timeout : float;
-  mode : string;
   reroute_all : bool;
   n_nodes : int;
   slots : Int_table.t; (* sw * n_nodes + dst -> index into the arrays *)
@@ -96,7 +97,7 @@ let handle_probe t ctx ~dst ~round ~max_util ~hops =
       end
       else false
     in
-    if improved && hops < t.probe_ttl then
+    if improved && hops < probe_ttl then
       Net.flood_from_switch t.net ~sw ~except:[ from_neighbor ] (fun () ->
           make_probe t ~dst ~round ~max_util:metric ~hops:(hops + 1));
     Net.Absorb
@@ -105,11 +106,11 @@ let handle_probe t ctx ~dst ~round ~max_util ~hops =
 (* Index of a live (non-timed-out) entry, or -1. *)
 let fresh_index t ~sw ~dst =
   let idx = entry_index t ~sw ~dst in
-  if idx >= 0 && Net.now t.net -. t.e_updated.(idx) <= t.entry_timeout then idx
+  if idx >= 0 && Net.now t.net -. t.e_updated.(idx) <= entry_timeout then idx
   else -1
 
 let stage t =
-  let mode_key = Common.mode_key t.mode in
+  let mode_key = Common.mode_key Common.mode_reroute in
   (* Per-switch "reroutes" metric handles: the registry lookup allocates a
      string+scope key record, too costly per rerouted packet. Handles are
      cached against the metrics registry they came from ([==] check), so a
@@ -148,7 +149,7 @@ let stage t =
             let idx = entry_index t ~sw:sw.Net.sw_id ~dst:pkt.Packet.dst in
             if
               idx >= 0
-              && Net.now ctx.Net.net -. t.e_updated.(idx) <= t.entry_timeout
+              && Net.now ctx.Net.net -. t.e_updated.(idx) <= entry_timeout
               && t.e_next.(idx) <> ctx.Net.in_port
             then begin
               (* deviate from the pinned table only if the probe metric is
@@ -174,7 +175,7 @@ let start_probing t =
     (fun root ->
       let access = Net.access_switch t.net ~host:root in
       Engine.every (Net.engine t.net) ~period:t.probe_interval (fun () ->
-          if Common.mode_active (Net.switch t.net access) t.mode then begin
+          if Common.mode_active (Net.switch t.net access) Common.mode_reroute then begin
             t.round <- t.round + 1;
             (* seed the access switch's own entry so hosts behind it work *)
             let idx =
@@ -194,16 +195,12 @@ let start_probing t =
           end))
     t.roots
 
-let install net ~roots ?(probe_interval = 0.05) ?(probe_ttl = 8) ?(entry_timeout = 0.5)
-    ?(mode = Common.mode_reroute) ?(reroute_all = false) () =
+let install net ~roots ~probe_interval ?(reroute_all = false) () =
   let t =
     {
       net;
       roots;
       probe_interval;
-      probe_ttl;
-      entry_timeout;
-      mode;
       reroute_all;
       n_nodes = Ff_topology.Topology.num_nodes (Net.topology net);
       slots = Int_table.create ~capacity:64 ();

@@ -20,16 +20,14 @@ type t
 val install :
   Ff_netsim.Net.t ->
   roots:int list ->
-  ?probe_interval:float ->
-  ?probe_ttl:int ->
-  ?entry_timeout:float ->
-  ?mode:string ->
+  probe_interval:float ->
   ?reroute_all:bool ->
   unit ->
   t
 (** [roots] are destination hosts probes advertise paths toward (probes
-    originate at each root's access switch). Defaults: probe every 50 ms,
-    8-hop scope, entries stale after 0.5 s, gated on mode ["reroute"]. *)
+    originate at each root's access switch every [probe_interval]
+    seconds); probes reach 8 hops and entries go stale after 0.5 s.
+    [reroute_all] defaults to false. *)
 
 val best_next_hop : t -> sw:int -> dst:int -> int option
 (** Freshest known least-congested next hop toward [dst], if any. *)

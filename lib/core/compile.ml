@@ -17,13 +17,14 @@ let boosters ?names () =
   let savings = Graph.savings ~before:(List.map snd graphs) ~after:merged in
   { graphs; merged; sharing; savings }
 
-let pack_onto compiled ~switches ?(capacity = Ff_dataplane.Resource.tofino_like) () =
-  let capacities = List.map (fun sw -> (sw, capacity)) switches in
+let pack_onto compiled ~switches =
+  let capacities = List.map (fun sw -> (sw, Ff_dataplane.Resource.tofino_like)) switches in
   Ff_placement.Pack.first_fit_decreasing ~capacities compiled.merged
 
-let verify ?names () =
-  let names = match names with Some ns -> ns | None -> Specs.booster_names in
-  List.map (fun name -> (name, Ff_dataflow.Check.check_pipeline (Specs.specs_of name))) names
+let verify () =
+  List.map
+    (fun name -> (name, Ff_dataflow.Check.check_pipeline (Specs.specs_of name)))
+    Specs.booster_names
 
 let module_rows compiled =
   List.map

@@ -13,21 +13,15 @@ val boosters : ?names:string list -> unit -> compiled
 (** Compile the named boosters (default: the full shipped catalogue,
     [Ff_boosters.Specs.booster_names]). *)
 
-val pack_onto :
-  compiled ->
-  switches:int list ->
-  ?capacity:Ff_dataplane.Resource.t ->
-  unit ->
-  (Ff_placement.Pack.bin list, string) result
-(** Pack the merged graph onto identical switches (default capacity
-    [Resource.tofino_like]). *)
+val pack_onto : compiled -> switches:int list -> (Ff_placement.Pack.bin list, string) result
+(** Pack the merged graph onto identical [Resource.tofino_like] switches. *)
 
 val module_rows : compiled -> (string * string list * Ff_dataplane.Resource.t) list
 (** (module, boosters sharing it, resources) for the merged graph —
     the paper Figure 1 module table. *)
 
-val verify : ?names:string list -> unit -> (string * Ff_dataflow.Check.issue list) list
-(** Statically check every (or the named) booster pipeline before
+val verify : unit -> (string * Ff_dataflow.Check.issue list) list
+(** Statically check every booster pipeline before
     deployment (paper section 6, "Securing the boosters"). The shipped
     catalogue must verify clean; the result lists each booster with its
     issues (empty lists included). *)

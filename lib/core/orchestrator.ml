@@ -6,38 +6,28 @@ module Topology = Ff_topology.Topology
 module Transfer = Ff_scaling.Transfer
 module B = Ff_boosters
 
-type hardening = {
-  h_seed : int;
-  h_threshold_jitter : float;
-  h_jitter_period : float;
-  h_epoch_jitter : float;
-  h_hh_threshold_jitter : float;
-  h_rotate_period : float;
-  h_src_hold : float;
-}
+type hardening = { h_seed : int }
 
-let default_hardening =
-  {
-    h_seed = 0xF1E7;
-    h_threshold_jitter = 0.17;
-    h_jitter_period = 2.0;
-    h_epoch_jitter = 0.25;
-    h_hh_threshold_jitter = 0.25;
-    h_rotate_period = 0.4;
-    h_src_hold = 12.0;
-  }
+let default_hardening = { h_seed = 0xF1E7 }
+
+(* The evasion-resistance profile a [hardening] switches on, shared by
+   every booster family: detector and SYN-guard thresholds jitter down by
+   up to 0.17, heavy-hitter epochs and the source-marker sync cadence by
+   25%, heavy-hitter thresholds by 25%; hash salts and cookie secrets
+   rotate every 0.4 s, and an offending source stays marked for 12 s. *)
+let threshold_jitter = 0.17
+let epoch_jitter = 0.25
+let hh_threshold_jitter = 0.25
+let rotate_period = 0.4
+let src_hold = 12.0
 
 type config = {
-  high_threshold : float;
-  suspicious_rate : float;
   min_age : float;
-  dst_flows_min : int;
   check_period : float;
   clear_hold : float;
   probe_interval : float;
   region_ttl : int;
   min_dwell : float;
-  anti_entropy : float;
   drop_rate_limit : float;
   drop_prob : float;
   hardening : hardening option;
@@ -45,16 +35,12 @@ type config = {
 
 let default_config =
   {
-    high_threshold = 0.85;
-    suspicious_rate = 1_500_000.;
     min_age = 1.0;
-    dst_flows_min = 8;
     check_period = 0.05;
     clear_hold = 3.0;
     probe_interval = 0.05;
     region_ttl = 8;
     min_dwell = 1.0;
-    anti_entropy = 0.5;
     drop_rate_limit = 400_000.;
     drop_prob = 0.1;
     hardening = None;
@@ -139,9 +125,8 @@ let sink net config protocol =
         end);
   }
 
-(* Hardening is resolved once per booster family below. Each unhardened
-   tuple matches the booster's install defaults, so a [None] config stays
-   bit-identical to the pre-hardening deploys. *)
+(* Hardening is resolved once per booster family below; each unhardened
+   tuple switches the family's hardening off. *)
 
 (* Key-spreading guard: a windowed Bloom of (src, flow) counts each
    source's distinct flows. Past 6 in a 2 s window the source raises a
@@ -198,7 +183,7 @@ let install_obfuscator net =
       Hashtbl.replace vcache (src, dst) p;
       p
   in
-  B.Obfuscator.install net ~virtual_path ()
+  B.Obfuscator.install net ~virtual_path
 
 (* The [src] switch accumulates per-source suspicious bytes in a sketch;
    once an alarm fires and classification has had time to populate it,
@@ -242,7 +227,7 @@ let sketch_handoff net sink (src, dst) =
    >= 0, so the sum is positive iff either half is. *)
 let install_source_markers net config detectors =
   let period_jitter, seed =
-    match config.hardening with None -> (0., 0x5C11) | Some h -> (h.h_epoch_jitter, h.h_seed)
+    match config.hardening with None -> (0., 0x5C11) | Some h -> (epoch_jitter, h.h_seed)
   in
   let source_sync =
     Ff_modes.Sync.create net ~participants:(List.map fst detectors)
@@ -317,7 +302,7 @@ let pervasive topo =
     switches
 
 let install_dropper net config sw =
-  (sw, B.Dropper.install net ~sw ~rate_limit:config.drop_rate_limit ~drop_prob:config.drop_prob ())
+  (sw, B.Dropper.install net ~sw ~rate_limit:config.drop_rate_limit ~drop_prob:config.drop_prob)
 
 (* Each stack installs in a fixed order, which is also the stage order at
    every switch it touches. *)
@@ -327,20 +312,18 @@ let install_stack net config sink d = function
     let sink, sketch_stage =
       Option.fold ~none:(sink, None) ~some:(sketch_handoff net sink) handoff
     in
-    let threshold_jitter, jitter_period, seed =
+    let threshold_jitter, seed =
       match config.hardening with
-      | None -> (0., 2.0, 0x1FA_D)
-      | Some h -> (h.h_threshold_jitter, h.h_jitter_period, h.h_seed)
+      | None -> (0., 0x1FA_D)
+      | Some h -> (threshold_jitter, h.h_seed)
     in
     let detectors =
       List.map
         (fun (sw, watched) ->
           ( sw,
             B.Lfa_detector.install net ~sw ~watched ~check_period:config.check_period
-              ~high_threshold:config.high_threshold ~threshold_jitter ~jitter_period ~seed
-              ~suspicious_rate:config.suspicious_rate ~min_age:config.min_age
-              ~clear_hold:config.clear_hold ~dst_flows_min:config.dst_flows_min
-              ~on_alarm:sink.on_alarm ~on_clear:sink.on_clear () ))
+              ~threshold_jitter ~seed ~min_age:config.min_age ~clear_hold:config.clear_hold
+              ~on_alarm:sink.on_alarm ~on_clear:sink.on_clear ))
         sites
     in
     if List.length detectors > 1 then install_source_markers net config detectors;
@@ -358,39 +341,38 @@ let install_stack net config sink d = function
     let epoch_jitter, threshold_jitter, rotate_period, src_hold, seed =
       match config.hardening with
       | None -> (0., 0., 0., 0., 0x44_11)
-      | Some h ->
-        (h.h_epoch_jitter, h.h_hh_threshold_jitter, h.h_rotate_period, h.h_src_hold, h.h_seed)
+      | Some h -> (epoch_jitter, hh_threshold_jitter, rotate_period, src_hold, h.h_seed)
     in
+    let stages, slots = Option.value pipe ~default:(4, 64) in
     let hh =
-      B.Heavy_hitter.install net ~sw ?stages:(Option.map fst pipe) ?slots:(Option.map snd pipe)
-        ?key_of:(if by_source then Some (fun pkt -> pkt.Packet.src) else None)
-        ~threshold_bps ~epoch_jitter ~threshold_jitter ~rotate_period ~src_hold ~seed
-        ~on_alarm:sink.on_alarm ~on_clear:sink.on_clear ()
+      B.Heavy_hitter.install net ~sw ~stages ~slots ~threshold_bps ~by_source ~epoch_jitter
+        ~threshold_jitter ~rotate_period ~src_hold ~seed ~on_alarm:sink.on_alarm
+        ~on_clear:sink.on_clear ()
     in
     (* marking, and the fanout guard's marks, must precede policing *)
     Net.add_stage net ~sw (B.Heavy_hitter.mark_offenders_stage hh);
     if fanout_guard then install_fanout_guard net config sink ~sw;
     let dropper = install_dropper net config sw in
-    let hcf = B.Hop_count_filter.install net ~sw () in
+    let hcf = B.Hop_count_filter.install net ~sw in
     { d with heavy_hitters = d.heavy_hitters @ [ hh ]; droppers = d.droppers @ [ dropper ];
       hop_count_filters = d.hop_count_filters @ [ hcf ] }
   | Syn_guard { sw; protect; tracker_capacity; syn_threshold_pps } ->
     let threshold_jitter, rotate_period, seed =
       match config.hardening with
       | None -> (0., 0., 0x5EED)
-      | Some h -> (h.h_threshold_jitter, h.h_rotate_period, h.h_seed)
+      | Some h -> (threshold_jitter, rotate_period, h.h_seed)
     in
     let guard =
       B.Syn_guard.install net ~sw ~protect ~tracker_capacity ~syn_threshold_pps
         ~clear_hold:config.clear_hold ~threshold_jitter ~rotate_period ~seed
-        ~on_alarm:sink.on_alarm ~on_clear:sink.on_clear ()
+        ~on_alarm:sink.on_alarm ~on_clear:sink.on_clear
     in
     { d with syn_guards = d.syn_guards @ [ guard ] }
 
 let deploy net ?(config = default_config) ?on_mode defenses =
   let protocol =
     Ff_modes.Protocol.create net ~region_ttl:config.region_ttl ~min_dwell:config.min_dwell
-      ~anti_entropy:config.anti_entropy ~modes_for ()
+      ~modes_for ()
   in
   let sink = sink net config protocol in
   Option.iter (Ff_modes.Protocol.on_transition protocol) on_mode;
@@ -404,9 +386,11 @@ type synguard = {
   sg_guard : B.Syn_guard.t;
 }
 
-let deploy_synguard net ~sw ~protect ?config ?(tracker_capacity = 4096)
-    ?(syn_threshold_pps = 200.) () =
-  let d = deploy net ?config [ Syn_guard { sw; protect; tracker_capacity; syn_threshold_pps } ] in
+let deploy_synguard net ~sw ~protect ?config () =
+  let d =
+    deploy net ?config
+      [ Syn_guard { sw; protect; tracker_capacity = 4096; syn_threshold_pps = 200. } ]
+  in
   { sg_protocol = d.protocol; sg_guard = List.hd d.syn_guards }
 
 type wide = {

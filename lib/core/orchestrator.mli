@@ -5,47 +5,38 @@
     illusion-of-success dropping (paper Figure 2 and section 4.2, steps
     (1)-(6)). *)
 
-type hardening = {
-  h_seed : int;  (** root of all randomized-defense draws (deterministic) *)
-  h_threshold_jitter : float;
-      (** [Lfa_detector]: alarm threshold redrawn uniformly from
-          [high_threshold - j, high_threshold] every [h_jitter_period] *)
-  h_jitter_period : float;
-  h_epoch_jitter : float;
-      (** [Heavy_hitter] epoch length and [Modes.Sync] advertisement gap
-          jitter fraction *)
-  h_hh_threshold_jitter : float;  (** [Heavy_hitter] threshold shrink fraction *)
-  h_rotate_period : float;  (** HashPipe hash-salt rotation cadence, seconds *)
-  h_src_hold : float;
-      (** once a source sends an offending flow, keep marking all its
-          packets suspicious for this many seconds — repeat offenders
-          cannot launder fresh flow keys past a one-epoch detection
-          latency *)
-}
+type hardening = { h_seed : int  (** root of all randomized-defense draws (deterministic) *) }
+(** Evasion resistance for every booster family. The profile is fixed:
+    the [Lfa_detector] alarm threshold and the [Syn_guard] SYN threshold
+    jitter down by up to 0.17 (redrawn every 2 s and every check), the
+    [Heavy_hitter] epoch and the source markers' [Modes.Sync]
+    advertisement gap by up to 25%, the heavy-hitter threshold by up to
+    25%; HashPipe salts and cookie secrets rotate every 0.4 s; and a
+    source that sends an offending flow stays marked suspicious for 12 s,
+    so repeat offenders cannot launder fresh flow keys past a one-epoch
+    detection latency. *)
 
 val default_hardening : hardening
-(** The evasion-resistance profile the adversarial benchmark runs:
-    0.17 threshold jitter redrawn every 2 s, 25% epoch/sync jitter, 25%
-    heavy-hitter threshold jitter, 0.4 s salt rotation. *)
+(** The profile the adversarial benchmark runs, seed [0xF1E7]. *)
 
 type config = {
-  high_threshold : float;  (** link utilization that raises the LFA alarm *)
-  suspicious_rate : float;  (** bits/s under which a persistent flow is suspect *)
   min_age : float;  (** seconds before a flow can be classified *)
-  dst_flows_min : int;  (** fan-in on one destination marking Crossfire decoys *)
   check_period : float;  (** detector sampling period *)
   clear_hold : float;  (** calm seconds before the all-clear *)
   probe_interval : float;  (** rerouting probe period *)
   region_ttl : int;  (** mode-probe flooding scope *)
   min_dwell : float;  (** minimum mode residence (anti-flap) *)
-  anti_entropy : float;  (** epoch readvert base period; [<= 0.] disables *)
   drop_rate_limit : float;  (** bits/s allowed per suspicious flow *)
   drop_prob : float;  (** extra illusion-of-success drop probability *)
   hardening : hardening option;
-      (** evasion-resistance knobs threaded into the detectors, heavy
+      (** evasion-resistance profile threaded into the detectors, heavy
           hitter and sync; [None] (the default) is bit-identical to the
           pre-hardening stack *)
 }
+(** The settings runs turn. The LFA detectors alarm above 0.85 offered
+    utilization and suspect flows under 1.5 Mb/s converging 8 or more on
+    one destination ({!Ff_boosters.Lfa_detector}); the mode protocol
+    re-advertises epochs every 0.5 s. *)
 
 val default_config : config
 
@@ -64,8 +55,8 @@ val modes_for : Ff_dataplane.Packet.attack_kind -> string list
     never re-raise. A clear floods only [region_ttl] hops, so the final
     clear also goes out from every switch that raised since the previous
     one whose region the other clears would miss. Hardening is resolved
-    once per booster family; [hardening = None] keeps every booster's
-    install defaults. *)
+    once per booster family; [hardening = None] switches it off in
+    every family. *)
 
 (** {1 Deploying defenses}
 
@@ -132,8 +123,8 @@ val deploy :
   defense list ->
   deployment
 (** One protocol and alarm sink from [config] (default
-    {!default_config}: [region_ttl], [min_dwell], [anti_entropy],
-    {!modes_for}), then each defense in list order; the droppers police
+    {!default_config}: [region_ttl], [min_dwell], {!modes_for}), then each
+    defense in list order; the droppers police
     at [drop_rate_limit] and [drop_prob]. [on_mode] observes every applied mode
     transition — the hybrid fluid tier registers its demotion predicate
     here, so flows crossing a mode-changing region drop to packet
@@ -149,9 +140,8 @@ val pervasive : Ff_topology.Topology.t -> (int * (int * int) list) list
 type synguard = { sg_protocol : Ff_modes.Protocol.t; sg_guard : Ff_boosters.Syn_guard.t }
 
 val deploy_synguard :
-  Ff_netsim.Net.t -> sw:int -> protect:int -> ?config:config -> ?tracker_capacity:int ->
-  ?syn_threshold_pps:float -> unit -> synguard
-(** One [Syn_guard] stack; capacity 4096 and 200 SYN/s by default. *)
+  Ff_netsim.Net.t -> sw:int -> protect:int -> ?config:config -> unit -> synguard
+(** One [Syn_guard] stack: a 4096-entry tracker, alarming at 200 SYN/s. *)
 
 type wide = {
   w_protocol : Ff_modes.Protocol.t;

@@ -10,22 +10,9 @@ type defense =
   | Baseline_sdn of { period : float; delay : float }
   | Fastflex of Orchestrator.config
 
-type attack_plan = {
-  start : float;
-  roll_schedule : float list;
-  roll_on_path_change : bool;
-  flows_per_bot : int;
-  bot_max_cwnd : float;
-}
+type attack_plan = { start : float; roll_schedule : float list; flows_per_bot : int }
 
-let default_attack =
-  {
-    start = 10.;
-    roll_schedule = [ 45.; 80. ];
-    roll_on_path_change = true;
-    flows_per_bot = 3;
-    bot_max_cwnd = 4.;
-  }
+let default_attack = { start = 10.; roll_schedule = [ 45.; 80. ]; flows_per_bot = 3 }
 
 (* ---- packet-tier runs ------------------------------------------------- *)
 
@@ -127,8 +114,7 @@ let run spec =
       | Crossfire { bots; decoy_groups; plan = p } ->
         crossfires :=
           Ff_attacks.Lfa.launch net ~bots ~decoy_groups ~start:p.start
-            ~flows_per_bot:p.flows_per_bot ~bot_max_cwnd:p.bot_max_cwnd
-            ~roll_on_path_change:p.roll_on_path_change ~roll_schedule:p.roll_schedule ()
+            ~flows_per_bot:p.flows_per_bot ~roll_schedule:p.roll_schedule ()
           :: !crossfires
       | Flood { bots; victim; rate_pps; start; spoof_as } ->
         ignore
@@ -142,7 +128,7 @@ let run spec =
         ignore (Ff_attacks.Pulsing.launch net ~bots ~victim ~burst_pps ~duty ~start ())
       | Adaptive { strategy; bots; targets; sinks; config } ->
         adaptives :=
-          Ff_attacks.Adaptive.launch net ~strategy ~bots ~targets ~sinks ~config () :: !adaptives)
+          Ff_attacks.Adaptive.launch net ~strategy ~bots ~targets ~sinks ~config :: !adaptives)
     spec.attacks;
   let goodput =
     match spec.sample_period with
@@ -231,7 +217,7 @@ let fig2_lfa ({ agg; victim_agg; victim; decoys; critical; _ } : Topology.Fig2.l
   Orchestrator.Lfa
     { sites = [ (agg, watched) ]; protect = victim :: decoys; handoff = Some (agg, victim_agg) }
 
-let fig2_spec ?(defense = No_defense) ?(duration = 60.) (lm : Topology.Fig2.landmarks) ~boosters
+let fig2_spec ~defense ?(duration = 60.) (lm : Topology.Fig2.landmarks) ~boosters
     attacks =
   let flows =
     List.map (fun n -> Tcp { src = n; dst = lm.victim; max_cwnd = 4. }) lm.normal_sources
@@ -371,12 +357,11 @@ let run_lfa_spec spec =
       | _ -> 0);
   }
 
-let run_lfa ~defense ?attack ?duration ?sample_period ?(normals = 4) ?(bots = 8) ?on_ready () =
-  let lm = Topology.Fig2.build ~bots ~normals () in
+let run_lfa ~defense ?attack ?duration ?on_ready () =
+  let lm = Topology.Fig2.build ~bots:8 ~normals:4 () in
   let spec = lfa_spec ~defense ?attack ?duration lm in
   let hook r = Option.iter (fun f -> f r.net lm r.tcp) on_ready in
-  let sample_period = if sample_period = None then spec.sample_period else sample_period in
-  run_lfa_spec { spec with hook; sample_period }
+  run_lfa_spec { spec with hook }
 
 let pp_summary fmt r =
   Format.fprintf fmt
@@ -562,7 +547,7 @@ let adversarial_spec ~strategy ~adversary ~hardened ~seed ~duration ~attack_star
   in
   let hardening =
     let h = Orchestrator.default_hardening in
-    if hardened then Some { h with h_seed = h.h_seed lxor (seed * 0x1003F) } else None
+    if hardened then Some { Orchestrator.h_seed = h.h_seed lxor (seed * 0x1003F) } else None
   in
   (* each stack keeps the dropper posture it was tuned with *)
   let (drop_rate_limit, drop_prob), boosters =
@@ -635,8 +620,8 @@ let adversarial_spec ~strategy ~adversary ~hardened ~seed ~duration ~attack_star
   { testbed = { topo; routes }; server = None; flows; defense = Fastflex config; boosters; attacks;
     duration; sample_period = None; hook }
 
-let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1)
-    ?(duration = 70.) ?(attack_start = 10.) () =
+let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1) ?(duration = 70.) () =
+  let attack_start = 10. in
   let wf = Workfactor.create ~damage_floor:0.7 ~effective_damage:1.0 ~attack_start () in
   let r = run (adversarial_spec ~strategy ~adversary ~hardened ~seed ~duration ~attack_start wf) in
   let d = Option.get r.deployment in
@@ -689,15 +674,12 @@ type fluid_result = {
   fr_drops : (string * int) list;
 }
 
-let run_lfa_fluid ?(flows = 100_000) ?(duration = 40.) ?(force = Hybrid.Auto)
-    ?(defended = true) ?(seed = 11) ?(flow_rate_bps = 25_000.) ?(packet_size = 1000)
-    ?(update_period = 0.25) ?(cores = 12) ?(access_per_core = 2) ?(hosts_per_access = 4)
-    ?(attack_start = 10.) ?(attack_stop = 18.) ?(roll_at = 14.)
-    ?(attack_bps_per_flow = 60_000_000.) ?(packet_recon = true)
-    ?solver ?demote_budget ?(goodput_period = 0.5) ?obs () =
-  let topo =
-    Topology.isp ~cores ~access_per_core ~hosts_per_access ()
-  in
+let run_lfa_fluid ?(flows = 100_000) ?(duration = 40.) ?(force = Hybrid.Auto) ?(seed = 11)
+    ?(flow_rate_bps = 25_000.) ?(cores = 12) ?(attack_start = 10.) ?(attack_stop = 18.)
+    ?(roll_at = 14.) ?(attack_bps_per_flow = 60_000_000.) ?(packet_recon = true) ?demote_budget
+    ?(goodput_period = 0.5) ?obs () =
+  let access_per_core = 2 and hosts_per_access = 4 and packet_size = 1000 in
+  let topo = Topology.isp ~cores ~access_per_core ~hosts_per_access () in
   let engine = Engine.create () in
   let net = Net.create engine topo in
   Net.attach_obs net obs;
@@ -713,9 +695,7 @@ let run_lfa_fluid ?(flows = 100_000) ?(duration = 40.) ?(force = Hybrid.Auto)
     | v :: rest -> (v, rest)
     | [] -> invalid_arg "run_lfa_fluid: empty access"
   in
-  let decoys_b =
-    if access_per_core >= 2 then behind_access 1 else decoys_a
-  in
+  let decoys_b = behind_access 1 in
   (* bots: the first host of up to 8 PoPs spread away from PoP 0 *)
   let bots =
     let pops = List.init (cores - 3) (fun i -> 2 + i) in
@@ -724,7 +704,7 @@ let run_lfa_fluid ?(flows = 100_000) ?(duration = 40.) ?(force = Hybrid.Auto)
         let p = List.nth pops (int_of_float (float_of_int i *. step)) in
         host_arr.(p * access_per_core * hosts_per_access))
   in
-  let hybrid = Hybrid.create ~force ~update_period ?solver ?demote_budget net () in
+  let hybrid = Hybrid.create ~force ?demote_budget net () in
   (* benign population: uniform-rate CBR-class flows between random host
      pairs; one rate level keeps the path-class count at O(host pairs) *)
   let rng = Ff_util.Prng.create ~seed in
@@ -742,22 +722,18 @@ let run_lfa_fluid ?(flows = 100_000) ?(duration = 40.) ?(force = Hybrid.Auto)
     ignore (add_benign ())
   done;
   let wide =
-    if defended then
-      Some
-        (Orchestrator.deploy_wide net ~protect:(victim :: (decoys_a @ decoys_b))
-           ~config:
-             {
-               Orchestrator.default_config with
-               region_ttl = 1;
-               min_dwell = 0.5;
-               clear_hold = 1.5;
-               check_period = 0.1;
-             }
-           ~on_mode:(fun ~sw ~attack:_ ~active ->
-             if active then Hybrid.mark_hot hybrid ~node:sw
-             else Hybrid.clear_hot hybrid ~node:sw)
-           ())
-    else None
+    Orchestrator.deploy_wide net ~protect:(victim :: (decoys_a @ decoys_b))
+      ~config:
+        {
+          Orchestrator.default_config with
+          region_ttl = 1;
+          min_dwell = 0.5;
+          clear_hold = 1.5;
+          check_period = 0.1;
+        }
+      ~on_mode:(fun ~sw ~attack:_ ~active ->
+        if active then Hybrid.mark_hot hybrid ~node:sw else Hybrid.clear_hot hybrid ~node:sw)
+      ()
   in
   (* the flood volume rides the fluid tier; the packet-level side of the
      adversary (recon traceroutes + low-rate TCP decoy flows) is optional *)
@@ -765,7 +741,7 @@ let run_lfa_fluid ?(flows = 100_000) ?(duration = 40.) ?(force = Hybrid.Auto)
     Ff_attacks.Lfa.Fluid_volume.launch hybrid ~bots
       ~decoy_groups:[ decoys_a; decoys_b ]
       ~rate_bps_per_flow:attack_bps_per_flow ~packet_size ~start:attack_start
-      ~stop:attack_stop ~roll_schedule:[ roll_at ] ()
+      ~stop:attack_stop ~roll_schedule:[ roll_at ]
   in
   let recon =
     if packet_recon then
@@ -806,10 +782,7 @@ let run_lfa_fluid ?(flows = 100_000) ?(duration = 40.) ?(force = Hybrid.Auto)
        else float_of_int (Hybrid.demoted_peak hybrid) /. float_of_int flows);
     fr_demotions = Hybrid.demotions hybrid;
     fr_promotions = Hybrid.promotions hybrid;
-    fr_mode_changes =
-      (match wide with
-      | Some w -> Ff_modes.Protocol.transitions w.Orchestrator.w_protocol
-      | None -> 0);
+    fr_mode_changes = Ff_modes.Protocol.transitions wide.Orchestrator.w_protocol;
     fr_rolls = List.length (Ff_attacks.Lfa.Fluid_volume.rolls volume);
     fr_rate_events = Fluid.rate_events fluid;
     fr_solver = Fluid.solver_stats fluid;

@@ -15,14 +15,14 @@ type defense =
 type attack_plan = {
   start : float;
   roll_schedule : float list;  (** forced re-targets (the figure's rounds) *)
-  roll_on_path_change : bool;
   flows_per_bot : int;
-  bot_max_cwnd : float;
 }
+(** A Crossfire ({!Ff_attacks.Lfa.launch}) that also rolls on observed
+    path changes. *)
 
 val default_attack : attack_plan
 (** Starts at 10 s; forced rolls at 45 s and 80 s (three rounds over
-    120 s); rolls on observed path changes. *)
+    120 s); 3 flows per bot. *)
 
 (** {1 Packet-tier runs}
 
@@ -105,12 +105,12 @@ val mode_log : report -> (float * int * Ff_dataplane.Packet.attack_kind * bool) 
 (** {2 Figure 2 specs} *)
 
 val fig2_spec :
-  ?defense:defense -> ?duration:float -> Ff_topology.Topology.Fig2.landmarks ->
+  defense:defense -> ?duration:float -> Ff_topology.Topology.Fig2.landmarks ->
   boosters:Orchestrator.defense list -> attack list -> spec
 (** The Figure 2 testbed — shortest paths, the decoys spread over the two
     critical links, and the TE plan for the normal demand as the default
     mode — with a TCP flow (window cap 4) from each normal host to the
-    victim, sampled every 0.5 s. Defaults: [No_defense], 60 s. *)
+    victim, sampled every 0.5 s. Default: 60 s. *)
 
 val fig2_lfa : Ff_topology.Topology.Fig2.landmarks -> Orchestrator.defense
 (** LFA detection at the aggregation switch on the critical links,
@@ -165,16 +165,13 @@ val run_lfa :
   defense:defense ->
   ?attack:attack_plan option ->
   ?duration:float ->
-  ?sample_period:float ->
-  ?normals:int ->
-  ?bots:int ->
   ?on_ready:
     (Ff_netsim.Net.t -> Ff_topology.Topology.Fig2.landmarks -> Ff_netsim.Flow.Tcp.t list ->
      unit) ->
   unit ->
   result
-(** {!run_lfa_spec} of {!lfa_spec} with [normals] (default 4) normal hosts
-    and [bots] (default 8) bots; [on_ready] is the hook. *)
+(** {!run_lfa_spec} of {!lfa_spec} with 4 normal hosts and 8 bots;
+    [on_ready] is the hook. *)
 
 val pp_summary : Format.formatter -> result -> unit
 
@@ -262,10 +259,9 @@ val run_adversarial :
   ?hardened:bool ->
   ?seed:int ->
   ?duration:float ->
-  ?attack_start:float ->
   unit ->
   adversarial_result
-(** Defaults: unhardened, seed 1, 70 s with the attack from t=10. The
+(** The attack starts at t=10. Defaults: unhardened, seed 1, 70 s. The
     same seed replays the identical run (attacker and defense draws are
     both derived from it). *)
 
@@ -314,28 +310,25 @@ val run_lfa_fluid :
   ?flows:int ->
   ?duration:float ->
   ?force:Ff_fluid.Hybrid.force ->
-  ?defended:bool ->
   ?seed:int ->
   ?flow_rate_bps:float ->
-  ?packet_size:int ->
-  ?update_period:float ->
   ?cores:int ->
-  ?access_per_core:int ->
-  ?hosts_per_access:int ->
   ?attack_start:float ->
   ?attack_stop:float ->
   ?roll_at:float ->
   ?attack_bps_per_flow:float ->
   ?packet_recon:bool ->
-  ?solver:Ff_fluid.Fluid.solver_mode ->
   ?demote_budget:int ->
   ?goodput_period:float ->
   ?obs:Ff_obs.Trace.t ->
   unit ->
   fluid_result
-(** Defaults: 100k flows at 25 kb/s each over the default 96-host ISP
-    topology for 40 s; the flood (8 bots x 60 Mb/s per decoy aggregate)
-    runs from t=10 to t=18 with one roll between decoy groups at t=14.
+(** Runs the wide deployment over an ISP topology with 2 access switches
+    per core and 4 hosts per access switch, 1000-byte packets and the
+    incremental solver re-solving every 0.25 s. Defaults: 100k flows at
+    25 kb/s each over 12 cores (96 hosts) for 40 s; the flood (8 bots x
+    60 Mb/s per decoy aggregate) runs from t=10 to t=18 with one roll
+    between decoy groups at t=14.
     [force] selects the engine tier: [Auto] is the hybrid proper,
     [All_packet] reproduces the pure packet engine bit-identically (the
     differential anchor), [All_fluid] never demotes. *)

@@ -117,10 +117,10 @@ let test_hysteresis_no_flap () =
   in
   let alarms = ref 0 and clears = ref 0 in
   let (_ : B.Lfa_detector.t) =
-    B.Lfa_detector.install net ~sw:lm.T.Fig2.agg ~watched
+    B.Lfa_detector.install net ~sw:lm.T.Fig2.agg ~watched ~check_period:0.05
+      ~threshold_jitter:0. ~seed:0x1FA_D ~min_age:2.0 ~clear_hold:3.0
       ~on_alarm:(fun _ -> incr alarms)
       ~on_clear:(fun _ -> incr clears)
-      ()
   in
   let bot = List.hd lm.T.Fig2.bot_sources in
   let decoy = List.hd lm.T.Fig2.decoys in

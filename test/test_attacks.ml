@@ -21,7 +21,7 @@ let test_lfa_congests_target () =
   let atk =
     Lfa.launch net ~bots:lm.T.Fig2.bot_sources
       ~decoy_groups:(List.map (fun d -> [ d ]) lm.T.Fig2.decoys)
-      ~start:1. ~flows_per_bot:3 ~roll_on_path_change:false ()
+      ~start:1. ~roll_on_path_change:false ()
   in
   Engine.run engine ~until:10.;
   (* the decoy's middle link is saturated *)
@@ -42,7 +42,7 @@ let test_lfa_individually_low_rate () =
   let atk =
     Lfa.launch net ~bots:lm.T.Fig2.bot_sources
       ~decoy_groups:(List.map (fun d -> [ d ]) lm.T.Fig2.decoys)
-      ~start:1. ~flows_per_bot:3 ~bot_max_cwnd:4. ~roll_on_path_change:false ()
+      ~start:1. ~roll_on_path_change:false ()
   in
   Engine.run engine ~until:10.;
   (* each flow stays individually low-rate (indistinguishability) *)
@@ -70,7 +70,7 @@ let test_lfa_rolls_on_path_change () =
   let atk =
     Lfa.launch net ~bots:lm.T.Fig2.bot_sources
       ~decoy_groups:(List.map (fun d -> [ d ]) lm.T.Fig2.decoys)
-      ~start:1. ~recon_interval:0.5 ~roll_on_path_change:true ()
+      ~start:1. ~recon_interval:0.5 ()
   in
   (* reroute decoy1's traffic at t=5: the attacker must notice and roll *)
   let decoy = List.hd lm.T.Fig2.decoys in
@@ -98,7 +98,7 @@ let test_lfa_loss_does_not_trigger_roll () =
   let atk =
     Lfa.launch net ~bots:lm.T.Fig2.bot_sources
       ~decoy_groups:(List.map (fun d -> [ d ]) lm.T.Fig2.decoys)
-      ~start:1. ~recon_interval:0.5 ~roll_on_path_change:true ()
+      ~start:1. ~recon_interval:0.5 ()
   in
   Engine.run engine ~until:10.;
   Alcotest.(check int) "missing replies are not path changes" 0
@@ -150,7 +150,7 @@ let test_volumetric_spoofing_ttl () =
     };
   let _atk =
     Volumetric.launch net ~bots:[ List.hd lm.T.Fig2.bot_sources ] ~victim:lm.T.Fig2.victim
-      ~rate_pps_per_bot:50. ~spoof_as:[ claimed ] ~spoof_ttl:48 ~start:0.5 ()
+      ~rate_pps_per_bot:50. ~spoof_as:[ claimed ] ~start:0.5 ()
   in
   Engine.run engine ~until:3.;
   Alcotest.(check bool) "spoofed packets observed" true (!ttls <> []);
@@ -161,8 +161,7 @@ let test_volumetric_spoofing_ttl () =
 let test_pulsing_average_rate () =
   let lm, engine, net = fig2_net () in
   let atk =
-    Pulsing.launch net ~bots:lm.T.Fig2.bot_sources ~victim:lm.T.Fig2.victim ~burst_pps:500.
-      ~period:1.0 ~duty:0.2 ~start:0. ()
+    Pulsing.launch net ~bots:lm.T.Fig2.bot_sources ~victim:lm.T.Fig2.victim ~burst_pps:500. ()
   in
   Engine.run engine ~until:10.;
   let sent = List.fold_left (fun acc f -> acc + Flow.Cbr.sent_packets f) 0 (Pulsing.flows atk) in
