@@ -107,7 +107,7 @@ type keystat = {
 type emitter = {
   e_src : int;
   e_dst : int;
-  mutable e_keys : int array;
+  e_keys : int array;
   mutable e_key_i : int;
   mutable e_rate : float; (* bits/s *)
   e_size : int;
@@ -164,7 +164,6 @@ type state = Hug of hug_state | Cp of cp_state | Et of et_state
 
 type t = {
   net : Net.t;
-  strategy : strategy;
   cfg : config;
   bots : int array;
   targets : int array;
@@ -679,7 +678,6 @@ let launch net ~strategy ~bots ~targets ~sinks ~config =
   let t =
     {
       net;
-      strategy;
       cfg;
       bots;
       targets = Array.of_list targets;

@@ -1,6 +1,6 @@
 module Flow = Ff_netsim.Flow
 
-type t = { burst_pps : float; duty : float; mutable flows : Flow.Cbr.t list }
+type t = { burst_pps : float; duty : float; flows : Flow.Cbr.t list }
 
 let launch net ~bots ~victim ~burst_pps ?(duty = 0.2) ?(start = 0.) () =
   let flows =

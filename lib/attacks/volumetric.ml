@@ -1,6 +1,6 @@
 module Flow = Ff_netsim.Flow
 
-type t = { mutable flows : Flow.Cbr.t list }
+type t = { flows : Flow.Cbr.t list }
 
 (* Spoofed packets carry initial TTL 48, visibly short of the simulator's
    default 64. *)

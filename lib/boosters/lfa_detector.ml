@@ -8,12 +8,12 @@ module Window_counter = Ff_util.Stats.Window_counter
    detector switch, and a mixed record would box a fresh float per store.
    [dst] carries an int node id, [suspicious] is a 0./1. flag. *)
 type flow_rec = {
-  mutable first_seen : float;
+  first_seen : float;
   mutable last_seen : float;
   mutable rate : float; (* bits/s over the last completed window *)
   mutable window_start : float;
   mutable window_bytes : float;
-  mutable dst : float;
+  dst : float;
   mutable suspicious : float;
 }
 

@@ -56,9 +56,11 @@ let entry_index t ~sw ~dst =
   if dst < 0 || dst >= t.n_nodes then -1
   else Int_table.get t.slots ((sw * t.n_nodes) + dst) ~default:(-1)
 
-let make_probe t ~dst ~round ~max_util ~hops =
+(* [birth] is boxed once per flood by the caller and shared by the
+   flood's copies, instead of one box of the clock per copy *)
+let make_probe t ~dst ~round ~max_util ~hops ~birth =
   t.probes_sent <- t.probes_sent + 1;
-  Packet.make_control ~src:dst ~dst ~flow:0 ~birth:(Net.now t.net)
+  Packet.make_control ~src:dst ~dst ~flow:0 ~birth
     ~payload:(Packet.Util_probe { dst; round; max_util; hops })
 
 (* Probe handling at a switch: fold in the utilization of the reverse link
@@ -69,7 +71,9 @@ let handle_probe t ctx ~dst ~round ~max_util ~hops =
   if from_neighbor < 0 || dst < 0 || dst >= t.n_nodes then Net.Absorb
   else begin
     let here_util = Net.utilization t.net ~from_:sw ~to_:from_neighbor in
-    let metric = Float.max max_util here_util in
+    (* [Float.max] for the non-negative, non-NaN values a utilization
+       takes, without the cross-module call that boxes both operands *)
+    let metric = if here_util > max_util then here_util else max_util in
     let now = Net.now ctx.Net.net in
     let idx = entry_index t ~sw ~dst in
     let improved =
@@ -99,7 +103,7 @@ let handle_probe t ctx ~dst ~round ~max_util ~hops =
     in
     if improved && hops < probe_ttl then
       Net.flood_from_switch t.net ~sw ~except:[ from_neighbor ] (fun () ->
-          make_probe t ~dst ~round ~max_util:metric ~hops:(hops + 1));
+          make_probe t ~dst ~round ~max_util:metric ~hops:(hops + 1) ~birth:now);
     Net.Absorb
   end
 
@@ -161,7 +165,7 @@ let stage t =
                   (Ff_obs.Event.Reroute
                      { sw = sw.Net.sw_id; dst = pkt.Packet.dst; next_hop = t.e_next.(idx) });
               bump_reroutes sw.Net.sw_id;
-              Net.Forward t.e_next.(idx)
+              Net.forward ctx.Net.net t.e_next.(idx)
             end
             else Net.Continue
           end
@@ -189,9 +193,10 @@ let start_probing t =
             t.e_round.(idx) <- t.round;
             t.e_metric.(idx) <- 0.;
             t.e_next.(idx) <- root;
-            t.e_updated.(idx) <- Net.now t.net;
+            let now = Net.now t.net in
+            t.e_updated.(idx) <- now;
             Net.flood_from_switch t.net ~sw:access ~except:[] (fun () ->
-                make_probe t ~dst:root ~round:t.round ~max_util:0. ~hops:1)
+                make_probe t ~dst:root ~round:t.round ~max_util:0. ~hops:1 ~birth:now)
           end))
     t.roots
 

@@ -61,7 +61,10 @@ module Meter = struct
 
   let refill t ~now =
     if now > t.last then begin
-      t.tokens <- min t.burst (t.tokens +. ((now -. t.last) *. t.rate));
+      (* a float comparison, not polymorphic [min], which boxes both
+         operands on every call; same result as [min] *)
+      let filled = t.tokens +. ((now -. t.last) *. t.rate) in
+      t.tokens <- (if t.burst <= filled then t.burst else filled);
       t.last <- now
     end
 

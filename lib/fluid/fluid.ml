@@ -36,10 +36,9 @@ type clss = {
      solved lazily produces the same bits as one solved eagerly. *)
   mutable c_cap : float;  (* cap(now) as of the last evaluation *)
   mutable c_cap_base : float;
-  mutable c_cap_t0 : float;
-  mutable c_last_cut : float;
+  (* the cap's t0 and the last cut's time live in [t]'s class columns *)
   mutable c_pending : bool;  (* queued as a dirty seed for the next solve *)
-  mutable c_next_pair : int;  (* next class with the same (src, dst), or -1 *)
+  c_next_pair : int;  (* next class with the same (src, dst), or -1 *)
   (* solver scratch, epoch/stamp-guarded so it never needs clearing *)
   mutable c_bound : float;
   mutable c_active : bool;
@@ -52,6 +51,14 @@ type clss = {
 (* A flow is a dense id into the per-flow columns of [t]. *)
 type flow = int
 
+(* Float accumulators in a flat float-only record: a mutable float field of
+   a mixed record boxes a fresh float on every write. *)
+type acc = {
+  mutable last_advance : float;
+  mutable delivered_bits : float;
+  mutable hop_bits : float;
+}
+
 type t = {
   net : Net.t;
   period : float;
@@ -63,6 +70,10 @@ type t = {
   mutable cls : clss array;  (* dense store, index = c_id *)
   mutable n_cls : int;
   nil : clss;  (* growth filler *)
+  (* per class, dense, index = c_id: times kept unboxed, since the engine
+     clock they are copied from is unboxed *)
+  mutable c_t0 : float array;  (* the AIMD cap's t0 *)
+  mutable c_cut : float array;  (* time of the last cut *)
   (* per flow, dense, index = flow id *)
   mutable f_cls : int array;  (* class id *)
   mutable f_att : Bytes.t;  (* '\001' while attached *)
@@ -99,9 +110,7 @@ type t = {
   mutable fill_stamp : int;
   mutable attached : int;
   mutable armed : bool;  (* a solve tick is scheduled *)
-  mutable last_advance : float;
-  mutable delivered_bits : float;
-  mutable hop_bits : float;
+  acc : acc;
   mutable rate_events : int;
   mutable st_solves : int;
   mutable st_skipped : int;
@@ -126,8 +135,6 @@ let nil_class =
     c_cum_bits = 0.;
     c_cap = 0.;
     c_cap_base = 0.;
-    c_cap_t0 = 0.;
-    c_last_cut = 0.;
     c_pending = false;
     c_next_pair = -1;
     c_bound = 0.;
@@ -152,6 +159,8 @@ let create ?(update_period = 0.25) ?(mss_bits = 12_000.)
     cls = Array.make 64 nil_class;
     n_cls = 0;
     nil = nil_class;
+    c_t0 = Array.make 64 0.;
+    c_cut = Array.make 64 0.;
     f_cls = Array.make 64 0;
     f_att = Bytes.make 64 '\000';
     f_base = Array.make 64 0.;
@@ -186,9 +195,7 @@ let create ?(update_period = 0.25) ?(mss_bits = 12_000.)
     fill_stamp = 0;
     attached = 0;
     armed = false;
-    last_advance = Net.now net;
-    delivered_bits = 0.;
-    hop_bits = 0.;
+    acc = { last_advance = Net.now net; delivered_bits = 0.; hop_bits = 0. };
     rate_events = 0;
     st_solves = 0;
     st_skipped = 0;
@@ -218,7 +225,7 @@ let rate t f = if is_attached t f then (flow_class t f).c_rate else 0.
 let cap t f = (flow_class t f).c_cap
 let classes t = t.n_cls
 let rate_events t = t.rate_events
-let hop_bytes t = t.hop_bits /. 8.
+let hop_bytes t = t.acc.hop_bits /. 8.
 
 let path_crosses t f ~f:pred =
   let p = (flow_class t f).c_path in
@@ -255,7 +262,7 @@ let cap_now t c now =
   match c.c_kind with
   | Constant { rate } -> rate
   | Adaptive { rtt; max_rate } ->
-    let v = c.c_cap_base +. (t.mss_bits /. (rtt *. rtt) *. (now -. c.c_cap_t0)) in
+    let v = c.c_cap_base +. (t.mss_bits /. (rtt *. rtt) *. (now -. t.c_t0.(c.c_id))) in
     if v > max_rate then max_rate else v
 
 (* ---- dirty-set plumbing ------------------------------------------------ *)
@@ -353,7 +360,8 @@ let resolve_class t c =
 
 let advance t =
   let now = Net.now t.net in
-  let dt = now -. t.last_advance in
+  let a = t.acc in
+  let dt = now -. a.last_advance in
   if dt > 0. then begin
     for id = 0 to t.n_cls - 1 do
       let c = t.cls.(id) in
@@ -361,17 +369,16 @@ let advance t =
         let per_flow = c.c_rate *. dt in
         let agg = per_flow *. float_of_int c.c_members in
         c.c_cum_bits <- c.c_cum_bits +. per_flow;
-        t.delivered_bits <- t.delivered_bits +. agg;
-        t.hop_bits <-
-          t.hop_bits +. (agg *. float_of_int (Array.length c.c_path - 1))
+        a.delivered_bits <- a.delivered_bits +. agg;
+        a.hop_bits <- a.hop_bits +. (agg *. float_of_int (Array.length c.c_path - 1))
       end
     done;
-    t.last_advance <- now
+    a.last_advance <- now
   end
 
 let total_delivered_bytes t =
   advance t;
-  t.delivered_bits /. 8.
+  t.acc.delivered_bits /. 8.
 
 let total_rate t =
   let acc = ref 0. in
@@ -452,7 +459,7 @@ let sort_comp t n =
     sift 0 len
   done
 
-let fill_component t epoch entry now =
+let fill_component t epoch entry =
   let stamp = t.fill_stamp + 1 in
   t.fill_stamp <- stamp;
   Vec.clear t.comp;
@@ -566,15 +573,16 @@ let fill_component t epoch entry now =
   done;
   (* AIMD back-off: bottlenecked adaptive classes halve their overshoot
      toward the share, at most once per RTT *)
+  let now = Net.now t.net in
   for k = 0 to n - 1 do
     let c = t.cls.(t.sort_buf.(k)) in
     match c.c_kind with
     | Adaptive { rtt; _ } ->
-      if c.c_rate < c.c_cap *. 0.999 && now -. c.c_last_cut >= rtt then begin
+      if c.c_rate < c.c_cap *. 0.999 && now -. t.c_cut.(c.c_id) >= rtt then begin
         c.c_cap_base <-
           Float.max (t.mss_bits /. rtt) (c.c_rate +. (0.5 *. (c.c_cap -. c.c_rate)));
-        c.c_cap_t0 <- now;
-        c.c_last_cut <- now
+        t.c_t0.(c.c_id) <- now;
+        t.c_cut.(c.c_id) <- now
       end
     | Constant _ -> ()
   done
@@ -593,11 +601,11 @@ let solve t =
     iter_inc t li (fun c ->
         if c.c_members > 0 then
           match c.c_kind with
-          | Adaptive { rtt; _ } when now -. c.c_last_cut >= rtt ->
+          | Adaptive { rtt; _ } when now -. t.c_cut.(c.c_id) >= rtt ->
             let cp = cap_now t c now in
             c.c_cap_base <- Float.max (t.mss_bits /. rtt) (0.5 *. cp);
-            c.c_cap_t0 <- now;
-            c.c_last_cut <- now;
+            t.c_t0.(c.c_id) <- now;
+            t.c_cut.(c.c_id) <- now;
             t.st_loss_cuts <- t.st_loss_cuts + 1;
             mark_class_dirty t c
           | _ -> ())
@@ -765,7 +773,7 @@ let solve t =
               c.c_done <- epoch;
               c.c_rate <- c.c_bound
             end
-            else fill_component t epoch c now
+            else fill_component t epoch c
           end
         end;
         Array.iter
@@ -875,7 +883,14 @@ let new_class t ~src ~dst kind ~next =
   if id = Array.length t.cls then begin
     let b = Array.make (2 * id) t.nil in
     Array.blit t.cls 0 b 0 id;
-    t.cls <- b
+    t.cls <- b;
+    let grow_f a =
+      let b = Array.make (2 * id) 0. in
+      Array.blit a 0 b 0 id;
+      b
+    in
+    t.c_t0 <- grow_f t.c_t0;
+    t.c_cut <- grow_f t.c_cut
   end;
   let c =
     {
@@ -896,8 +911,6 @@ let new_class t ~src ~dst kind ~next =
         | Adaptive { rtt; max_rate } ->
           (* slow-start-ish initial window: 10 MSS per RTT *)
           Float.min max_rate (10. *. t.mss_bits /. rtt));
-      c_cap_t0 = now;
-      c_last_cut = now;
       c_pending = false;
       c_next_pair = next;
       c_bound = 0.;
@@ -909,6 +922,8 @@ let new_class t ~src ~dst kind ~next =
     }
   in
   c.c_cap <- c.c_cap_base;
+  t.c_t0.(id) <- now;
+  t.c_cut.(id) <- now;
   t.cls.(id) <- c;
   t.n_cls <- id + 1;
   resolve_class t c;
@@ -989,9 +1004,9 @@ let clear t =
   t.n_flows <- 0;
   t.attached <- 0;
   t.armed <- false;
-  t.last_advance <- Net.now t.net;
-  t.delivered_bits <- 0.;
-  t.hop_bits <- 0.;
+  t.acc.last_advance <- Net.now t.net;
+  t.acc.delivered_bits <- 0.;
+  t.acc.hop_bits <- 0.;
   t.rate_events <- 0;
   t.st_solves <- 0;
   t.st_skipped <- 0;

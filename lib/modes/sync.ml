@@ -7,15 +7,21 @@ module Packet = Ff_dataplane.Packet
    make every query scan every advertisement in the network instead of
    just the few origins that mentioned this key. *)
 type sw_state = {
-  remote : (int, (int, float * float) Hashtbl.t) Hashtbl.t;
-      (* key -> origin -> (value, at) *)
+  remote : (int, (int, entry) Hashtbl.t) Hashtbl.t;  (* key -> origin -> entry *)
   seen : (int * int, unit) Hashtbl.t; (* (origin, round) flood dedup *)
 }
+
+(* An advertisement as an all-float record: flat, so its value and time
+   are stored unboxed and a re-advertisement updates it in place. *)
+and entry = { mutable v : float; mutable at : float }
+
+(* Scratch of [remote_contribution], flat for the same reason: the sum
+   accumulates and the time is read without a box per step. *)
+type scan = { mutable sum : float; mutable now : float }
 
 type t = {
   net : Net.t;
   participants : int list;
-  period : float;
   local_view : sw:int -> (int * float) list;
   threshold : float;
   staleness : float;
@@ -23,6 +29,11 @@ type t = {
   states : (int, sw_state) Hashtbl.t;
   mutable round : int;
   mutable probes_sent : int;
+  scan : scan;
+  scan_self : int ref;  (* the querying switch, skipped in the sum *)
+  scan_entry : int -> entry -> unit;
+      (* one closure for every [remote_contribution] call, reading its
+         arguments from [scan] and [scan_self] *)
 }
 
 let state t sw =
@@ -45,6 +56,9 @@ let stage t =
           if Hashtbl.mem st.seen (origin, round) then Net.Absorb
           else begin
             Hashtbl.replace st.seen (origin, round) ();
+            (* one read of the clock for the entries and the flood, whose
+               copies share its box as their birth time *)
+            let now = Net.now t.net in
             List.iter
               (fun (key, v) ->
                 let per_key =
@@ -55,11 +69,14 @@ let stage t =
                     Hashtbl.replace st.remote key h;
                     h
                 in
-                Hashtbl.replace per_key origin (v, Net.now t.net))
+                match Hashtbl.find per_key origin with
+                | e ->
+                  e.v <- v;
+                  e.at <- now
+                | exception Not_found -> Hashtbl.replace per_key origin { v; at = now })
               entries;
             Net.flood_from_switch t.net ~sw ~except:[ ctx.Net.in_port ] (fun () ->
-                Packet.make_control ~src:origin ~dst:origin ~flow:t.probe_class
-                  ~birth:(Net.now t.net)
+                Packet.make_control ~src:origin ~dst:origin ~flow:t.probe_class ~birth:now
                   ~payload:(Packet.Sync_probe { origin; round; entries }));
             Net.Absorb
           end
@@ -83,18 +100,25 @@ let advertise t () =
 
 let create net ~participants ~period ~local_view ?(threshold = 0.) ?staleness
     ?(period_jitter = 0.) ?(seed = 0x5C11) ?(probe_class = 1) () =
+  let staleness = match staleness with Some s -> s | None -> 3. *. period in
+  let scan = { sum = 0.; now = 0. } and scan_self = ref (-1) in
+  let scan_entry origin e =
+    if origin <> !scan_self && scan.now -. e.at <= staleness then scan.sum <- scan.sum +. e.v
+  in
   let t =
     {
       net;
       participants;
-      period;
       local_view;
       threshold;
-      staleness = (match staleness with Some s -> s | None -> 3. *. period);
+      staleness;
       probe_class;
       states = Hashtbl.create 16;
       round = 0;
       probes_sent = 0;
+      scan;
+      scan_self;
+      scan_entry;
     }
   in
   List.iter (fun sw -> Net.add_stage net ~sw (stage t)) (Net.switch_ids net);
@@ -114,23 +138,22 @@ let create net ~participants ~period ~local_view ?(threshold = 0.) ?staleness
   end;
   t
 
-(* All-float single-field record: the accumulating store stays unboxed,
-   unlike a [float ref] or a polymorphic [Hashtbl.fold] accumulator which
-   box on every step — this runs per packet in marker stages. *)
-type acc = { mutable sum : float }
+(* This runs per packet in marker stages, so it allocates nothing: the sum
+   goes to [t.scan] through the closure built once in [create], and the
+   small reader below inlines into its callers, which then take the sum
+   unboxed instead of a boxed return. *)
+let sum_remote t ~sw ~key =
+  t.scan.sum <- 0.;
+  match Hashtbl.find (state t sw).remote key with
+  | exception Not_found -> ()
+  | per_key ->
+    t.scan.now <- Net.now t.net;
+    t.scan_self := sw;
+    Hashtbl.iter t.scan_entry per_key
 
 let remote_contribution t ~sw ~key =
-  let st = state t sw in
-  match Hashtbl.find st.remote key with
-  | exception Not_found -> 0.
-  | per_key ->
-    let now = Net.now t.net in
-    let a = { sum = 0. } in
-    Hashtbl.iter
-      (fun origin (v, at) ->
-        if origin <> sw && now -. at <= t.staleness then a.sum <- a.sum +. v)
-      per_key;
-    a.sum
+  sum_remote t ~sw ~key;
+  t.scan.sum
 
 let local_value t ~sw ~key =
   if List.mem sw t.participants then
@@ -146,8 +169,8 @@ let global_view t ~sw =
   Hashtbl.iter
     (fun k per_key ->
       Hashtbl.iter
-        (fun origin (_, at) ->
-          if origin <> sw && now -. at <= t.staleness then Hashtbl.replace keys k ())
+        (fun origin e ->
+          if origin <> sw && now -. e.at <= t.staleness then Hashtbl.replace keys k ())
         per_key)
     st.remote;
   if List.mem sw t.participants then

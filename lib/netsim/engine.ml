@@ -10,18 +10,29 @@
    Ordering: every schedule, on either lane, draws the next value of the
    engine-wide [next_seq] counter, and dispatch always picks the lane
    whose top has the smaller (time, seq). That is exactly the order the
-   old single-heap engine produced, so runs are bit-identical. *)
+   old single-heap engine produced, so runs are bit-identical.
+
+   The clock is a single-float record, so dispatch stores each popped
+   time unboxed and [now] reads it unboxed wherever it inlines. A reader
+   that keeps the time in a mixed record, a [ref] or a tuple, or passes it
+   to a call that does not inline, boxes it there: give such a reader a
+   flat float field of its own. *)
 
 type packet_handler = to_node:int -> from_node:int -> Ff_dataplane.Packet.t -> unit
 
 let no_handler ~to_node:_ ~from_node:_ _ =
   failwith "Engine.schedule_packet: no packet handler registered"
 
+(* Single-float record: a flat field stores a float unboxed, where a
+   mutable float field of a mixed record or a [float ref] boxes a fresh
+   float on every write. *)
+type fcell = { mutable fv : float }
+
 type t = {
   thunks : (unit -> unit) Ff_util.Heap.t;
   packets : Ff_dataplane.Packet.t Ff_util.Heap.t;
       (* tag1 = to_node, tag2 = from_node *)
-  mutable clock : float;
+  clock : fcell;
   mutable next_seq : int;
   mutable steps : int;
   mutable on_packet : packet_handler;
@@ -45,7 +56,7 @@ let create () =
   {
     thunks = Ff_util.Heap.create ();
     packets = Ff_util.Heap.create ();
-    clock = 0.;
+    clock = { fv = 0. };
     next_seq = 0;
     steps = 0;
     on_packet = no_handler;
@@ -53,7 +64,7 @@ let create () =
 
 let steps t = t.steps
 
-let now t = t.clock
+let now t = t.clock.fv
 
 let set_packet_handler t h = t.on_packet <- h
 
@@ -63,34 +74,29 @@ let push_thunk t ~prio f =
   Ff_util.Heap.push_seq t.thunks ~prio ~seq f
 
 let schedule t ~at f =
-  if at < t.clock -. 1e-12 then
+  let clock = t.clock.fv in
+  if at < clock -. 1e-12 then
     invalid_arg
-      (Printf.sprintf "Engine.schedule: at=%.9f is before now=%.9f" at t.clock);
-  push_thunk t ~prio:(max at t.clock) f
+      (Printf.sprintf "Engine.schedule: at=%.9f is before now=%.9f" at clock);
+  push_thunk t ~prio:(if at >= clock then at else clock) f
 
 let schedule_packet t ~at ~to_node ~from_node pkt =
-  if at < t.clock -. 1e-12 then
+  let clock = t.clock.fv in
+  if at < clock -. 1e-12 then
     invalid_arg
-      (Printf.sprintf "Engine.schedule_packet: at=%.9f is before now=%.9f" at
-         t.clock);
+      (Printf.sprintf "Engine.schedule_packet: at=%.9f is before now=%.9f" at clock);
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  (* pass one of the two already-boxed floats instead of [max at t.clock],
-     which would box a fresh result per call *)
-  let prio = if at >= t.clock then at else t.clock in
+  let prio = if at >= clock then at else clock in
   Ff_util.Heap.push_tagged t.packets ~prio ~seq ~tag1:to_node ~tag2:from_node pkt
 
 let after t ~delay f =
   assert (delay >= 0.);
-  schedule t ~at:(t.clock +. delay) f
-
-(* Single-float record for tick-time accumulators: a [float ref]'s [:=]
-   boxes a fresh float per tick, a flat record field stores it unboxed. *)
-type fcell = { mutable fv : float }
+  schedule t ~at:(t.clock.fv +. delay) f
 
 let every t ?start ?until ~period f =
   assert (period > 0.);
-  let start = match start with Some s -> s | None -> t.clock +. period in
+  let start = match start with Some s -> s | None -> t.clock.fv +. period in
   (* one closure for the whole series; [next] carries the tick's own time *)
   let next = { fv = start } in
   let rec tick () =
@@ -106,12 +112,13 @@ let every t ?start ?until ~period f =
 let schedule_burst t ~start ~period ~count f =
   assert (period >= 0.);
   if count > 0 then begin
-    if start < t.clock -. 1e-12 then
+    let clock = t.clock.fv in
+    if start < clock -. 1e-12 then
       invalid_arg
-        (Printf.sprintf "Engine.schedule_burst: start=%.9f is before now=%.9f" start t.clock);
+        (Printf.sprintf "Engine.schedule_burst: start=%.9f is before now=%.9f" start clock);
     (* a single self-rescheduling closure with one live heap slot: the
        burst costs one allocation total instead of one closure per tick *)
-    let at = { fv = max start t.clock } in
+    let at = { fv = (if start >= clock then start else clock) } in
     let k = ref 0 in
     let rec tick () =
       let continue = f !k in
@@ -124,22 +131,21 @@ let schedule_burst t ~start ~period ~count f =
     push_thunk t ~prio:at.fv tick
   end
 
-(* Lane dispatchers: each costs one boxed float (min_prio's return, which
-   then lives on as the clock's box) — the same per-event price the old
-   single-heap engine paid. *)
+(* Lane dispatchers: [min_prio] inlines and the clock cell is flat, so
+   setting the clock allocates nothing. *)
 let dispatch_packet t =
   let at = Ff_util.Heap.min_prio t.packets in
   let to_node = Ff_util.Heap.top_tag1 t.packets
   and from_node = Ff_util.Heap.top_tag2 t.packets in
   let pkt = Ff_util.Heap.pop_min t.packets in
-  t.clock <- (if at > t.clock then at else t.clock);
+  if at > t.clock.fv then t.clock.fv <- at;
   t.steps <- t.steps + 1;
   t.on_packet ~to_node ~from_node pkt
 
 let dispatch_thunk t =
   let at = Ff_util.Heap.min_prio t.thunks in
   let f = Ff_util.Heap.pop_min t.thunks in
-  t.clock <- (if at > t.clock then at else t.clock);
+  if at > t.clock.fv then t.clock.fv <- at;
   t.steps <- t.steps + 1;
   f ()
 
@@ -154,7 +160,7 @@ let run t ~until =
     else if Ff_util.Heap.top_at_most thunks until then dispatch_thunk t
     else (* both lanes drained or next event past [until] *) continue := false
   done;
-  t.clock <- max t.clock until;
+  if until > t.clock.fv then t.clock.fv <- until;
   flush_steps (t.steps - steps0)
 
 (* The conservative-PDES window: execute events strictly before [horizon],
@@ -177,7 +183,7 @@ let run_window t ~horizon =
     else if Ff_util.Heap.top_lt thunks horizon then dispatch_thunk t
     else continue := false
   done;
-  t.clock <- max t.clock horizon;
+  if horizon > t.clock.fv then t.clock.fv <- horizon;
   flush_steps (t.steps - steps0)
 
 let next_time t =
@@ -196,6 +202,6 @@ let clear t =
      stale clock silently rejected every schedule before the previous
      run's end) and drop the packet handler (a retained one could fire a
      previous run's [Net] from the next run's events) *)
-  t.clock <- 0.;
+  t.clock.fv <- 0.;
   t.next_seq <- 0;
   t.on_packet <- no_handler

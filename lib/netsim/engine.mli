@@ -11,14 +11,21 @@
     dispatch always picks the lane whose top has the smaller
     [(time, seq)], so events across the two lanes fire in global
     scheduling order: same-instant events pop FIFO exactly as with a
-    single heap, and runs are deterministic. *)
+    single heap, and runs are deterministic.
+
+    The clock is a single-float cell: dispatching an event stores its time
+    unboxed and allocates nothing. *)
 
 type t
 
 val create : unit -> t
 
 val now : t -> float
-(** Current simulation time in seconds (0. initially). *)
+(** Current simulation time in seconds (0. initially). It inlines, so a
+    caller that does arithmetic with it reads the clock unboxed. A caller
+    that keeps the time in a mixed record, a [ref] or a tuple, or passes
+    it to a function that does not inline, boxes it there, once per use:
+    keep such a time in a flat float record or a [float array] instead. *)
 
 val schedule : t -> at:float -> (unit -> unit) -> unit
 (** Raises [Invalid_argument] when [at] is in the past. *)

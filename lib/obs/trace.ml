@@ -1,14 +1,21 @@
 type entry = { seq : int; time : float; event : Event.t }
 
+(* The trace's times in a flat float-only record, so they are stored
+   unboxed; [raw] carries the time of the event being emitted. *)
+type clock = {
+  mutable raw : float;
+  mutable epoch_base : float;  (* offset applied when raw sim time regresses *)
+  mutable last_raw : float;
+  mutable last_time : float;
+}
+
 type t = {
   capacity : int;
   mutable buf : entry array;
   mutable len : int;
   mutable seq : int;
   mutable dropped : int;
-  mutable epoch_base : float;  (* offset applied when raw sim time regresses *)
-  mutable last_raw : float;
-  mutable last_time : float;
+  clock : clock;
   counts : (string, int) Hashtbl.t;
   mutable sinks : (entry -> unit) list;
 }
@@ -22,9 +29,7 @@ let create ?(capacity = 1 lsl 20) () =
     len = 0;
     seq = 0;
     dropped = 0;
-    epoch_base = 0.;
-    last_raw = 0.;
-    last_time = 0.;
+    clock = { raw = 0.; epoch_base = 0.; last_raw = 0.; last_time = 0. };
     counts = Hashtbl.create 16;
     sinks = [];
   }
@@ -45,20 +50,28 @@ let push t e =
     t.len <- t.len + 1
   end
 
-let emit t ~time event =
+let record t event =
   (* One trace often spans several simulation runs (each with its own
      engine starting at t=0). When raw time regresses, a new run began:
      rebase so the trace timeline stays monotone, continuing from the last
      stamped time. *)
-  if time < t.last_raw then t.epoch_base <- t.last_time;
-  t.last_raw <- time;
-  let time = t.epoch_base +. time in
-  t.last_time <- time;
+  let c = t.clock in
+  let raw = c.raw in
+  if raw < c.last_raw then c.epoch_base <- c.last_time;
+  c.last_raw <- raw;
+  let time = c.epoch_base +. raw in
+  c.last_time <- time;
   let e = { seq = t.seq; time; event } in
   t.seq <- t.seq + 1;
   bump t (Event.kind event);
   push t e;
   List.iter (fun f -> f e) t.sinks
+
+(* Small enough to inline: the caller's time reaches [record] through the
+   flat [clock] cell instead of as a boxed argument. *)
+let emit t ~time event =
+  t.clock.raw <- time;
+  record t event
 
 let length t = t.len
 let count t = t.seq

@@ -3,7 +3,6 @@ module Topology = Ff_topology.Topology
 type pkt = { p_src : int; p_dst : int; p_flow : int; p_size : int; mutable p_ttl : int }
 
 type dlink = {
-  l_from : int;
   l_to : int;
   l_cap : float;
   l_delay : float;
@@ -39,7 +38,6 @@ let create ?(queue_limit_bytes = 37_500.) topo =
         Topology.neighbors topo id
         |> List.map (fun (peer, (l : Topology.link)) ->
                {
-                 l_from = id;
                  l_to = peer;
                  l_cap = l.Topology.capacity;
                  l_delay = l.Topology.delay;

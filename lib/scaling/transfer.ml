@@ -8,7 +8,6 @@ type t = {
   xfer_id : int;
   src_sw : int;
   dst_sw : int;
-  fec : bool;
   retransmit_timeout : float; (* base of the exponential backoff *)
   max_retries : int;
   rng : Ff_util.Prng.t; (* retransmit jitter; seeded, so runs replay *)
@@ -259,7 +258,6 @@ let send net ~src_sw ~dst_sw ~entries ?(group_size = 4) ?(per_chunk = 8) ?(fec =
       xfer_id = !next_xfer_id;
       src_sw;
       dst_sw;
-      fec;
       retransmit_timeout;
       max_retries;
       rng = Ff_util.Prng.create ~seed:(seed + !next_xfer_id);

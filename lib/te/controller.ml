@@ -1,5 +1,4 @@
 type t = {
-  net : Ff_netsim.Net.t;
   mutable count : int;
   mutable times : float list;
   mutable observers : (float -> unit) list;
@@ -7,7 +6,7 @@ type t = {
 }
 
 let start net ~period ?(delay = 0.5) ?(k = 4) ?until ?(prefix_based = true) ~estimate () =
-  let t = { net; count = 0; times = []; observers = []; plan = None } in
+  let t = { count = 0; times = []; observers = []; plan = None } in
   let engine = Ff_netsim.Net.engine net in
   Ff_netsim.Engine.every engine ~period ?until (fun () ->
       let matrix = estimate () in

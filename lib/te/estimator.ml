@@ -3,7 +3,6 @@ module Packet = Ff_dataplane.Packet
 
 type t = {
   net : Net.t;
-  switches : int list;
   window : float;
   min_rate : float;
   counters : (int * int, Ff_util.Stats.Window_counter.t) Hashtbl.t;
@@ -35,7 +34,7 @@ let stage t =
   }
 
 let install net ~switches ?(window = 2.0) ?(min_rate = 10_000.) () =
-  let t = { net; switches; window; min_rate; counters = Hashtbl.create 64 } in
+  let t = { net; window; min_rate; counters = Hashtbl.create 64 } in
   List.iter (fun sw -> Net.add_stage net ~sw (stage t)) switches;
   t
 

@@ -219,6 +219,42 @@ let test_reroute_steers_marked_packets () =
   Alcotest.(check bool) "rerouted packets counted" true (B.Reroute.reroutes _rr > 0);
   Alcotest.(check bool) "traffic still delivered" true (Flow.Tcp.delivered_bytes f > 100_000.)
 
+(* The stage's decision for a rerouted packet is one of the net's
+   preallocated [Forward] values, so steering a data packet allocates
+   nothing in the stage (a fresh [Forward] block per packet before). *)
+let test_reroute_decision_no_alloc () =
+  let lm, engine, net = fig2_net () in
+  let rr = B.Reroute.install net ~roots:[ lm.T.Fig2.victim ] ~probe_interval:0.05 () in
+  List.iter (fun sw -> B.Common.set_mode (Net.switch net sw) "reroute" true) (Net.switch_ids net);
+  Engine.run engine ~until:2.;
+  let agg = lm.T.Fig2.agg in
+  let next =
+    match B.Reroute.best_next_hop rr ~sw:agg ~dst:lm.T.Fig2.victim with
+    | Some nh -> nh
+    | None -> Alcotest.fail "no table entry at agg"
+  in
+  let sw = Net.switch net agg in
+  let stage = List.find (fun st -> st.Net.stage_name = "reroute") sw.Net.stages in
+  let ctx = { Net.net; sw; in_port = -1 } in
+  let pkt =
+    Packet.make ~src:(List.hd lm.T.Fig2.normal_sources) ~dst:lm.T.Fig2.victim ~flow:7
+      ~birth:(Engine.now engine) ()
+  in
+  pkt.Packet.suspicious <- true;
+  let n = 100_000 in
+  let steered = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    match stage.Net.process ctx pkt with
+    | Net.Forward nh when nh = next -> incr steered
+    | _ -> ()
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "every packet steered to the best next hop" n !steered;
+  Alcotest.(check bool)
+    (Printf.sprintf "reroute decision allocates nothing (%.3f words per packet)" per_call)
+    true (per_call < 0.01)
+
 (* ---------------- Obfuscator ---------------- *)
 
 let test_obfuscator_rewrites_traceroute () =
@@ -542,6 +578,8 @@ let () =
           Alcotest.test_case "prefers uncongested" `Quick test_reroute_prefers_uncongested;
           Alcotest.test_case "steers marked packets" `Quick test_reroute_steers_marked_packets;
           Alcotest.test_case "loop free under rerouting" `Quick test_reroute_loop_free;
+          Alcotest.test_case "rerouted packet allocation-free" `Quick
+            test_reroute_decision_no_alloc;
         ] );
       ( "obfuscator",
         [ Alcotest.test_case "rewrites traceroute" `Quick test_obfuscator_rewrites_traceroute ] );

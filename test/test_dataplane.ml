@@ -98,6 +98,24 @@ let test_meter () =
   Alcotest.(check bool) "refill allows" true (Register.Meter.allow m ~now:0.1 ~bytes:100.);
   Alcotest.(check bool) "but not more" false (Register.Meter.allow m ~now:0.1 ~bytes:100.)
 
+(* The dropper calls [allow] on every suspicious packet. It inlines, so its
+   computed float arguments stay unboxed, and the refill clamps with a
+   float comparison: polymorphic [min] boxed both operands per call. *)
+let test_meter_no_alloc () =
+  let m = Register.Meter.create ~rate:1000. ~burst:500. in
+  let n = 100_000 in
+  let allowed = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    if Register.Meter.allow m ~now:(float_of_int i *. 1e-4) ~bytes:(float_of_int (i land 127))
+    then incr allowed
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool) "some calls allowed" true (!allowed > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "allow allocates nothing (%.3f words per call)" per_call)
+    true (per_call < 0.01)
+
 (* ---------------- Sketch ---------------- *)
 
 let test_sketch_never_underestimates () =
@@ -460,6 +478,7 @@ let () =
           Alcotest.test_case "array register" `Quick test_array_reg;
           Alcotest.test_case "dump/load" `Quick test_array_reg_dump_load;
           Alcotest.test_case "meter" `Quick test_meter;
+          Alcotest.test_case "meter/allow allocation-free" `Quick test_meter_no_alloc;
         ] );
       ( "sketch",
         [

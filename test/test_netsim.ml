@@ -91,6 +91,27 @@ let test_engine_per_engine_steps () =
   Engine.clear a;
   Alcotest.(check int) "steps survive clear (odometer)" 3 (Engine.steps a)
 
+(* Dispatch stores each popped time into the engine's flat clock cell, so
+   a packet-lane event costs no allocation (a boxed float per event when
+   the clock was a plain mutable field). Scheduling happens before the
+   measurement: heap growth is not dispatch. *)
+let test_engine_dispatch_no_alloc () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  Engine.set_packet_handler e (fun ~to_node:_ ~from_node:_ _ -> incr fired);
+  let pkt = Packet.make ~src:0 ~dst:1 ~flow:1 ~birth:0. () in
+  let n = 100_000 in
+  for i = 1 to n do
+    Engine.schedule_packet e ~at:(float_of_int i *. 1e-4) ~to_node:1 ~from_node:0 pkt
+  done;
+  let w0 = Gc.minor_words () in
+  Engine.run e ~until:(float_of_int n);
+  let per_event = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "every event dispatched" n !fired;
+  Alcotest.(check bool)
+    (Printf.sprintf "dispatch allocates nothing (%.3f words per event)" per_event)
+    true (per_event < 0.01)
+
 (* ---------------- Link model ---------------- *)
 
 let two_hosts () =
@@ -668,6 +689,7 @@ let () =
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
           Alcotest.test_case "reuse after clear" `Quick test_engine_reuse_after_clear;
           Alcotest.test_case "per-engine steps" `Quick test_engine_per_engine_steps;
+          Alcotest.test_case "dispatch allocation-free" `Quick test_engine_dispatch_no_alloc;
         ] );
       ( "links",
         [
