@@ -63,7 +63,7 @@ val run :
     An exception in any worker poisons the barrier, unwinds every domain,
     and re-raises on the caller. *)
 
-val drain_inbox : Mailbox.t array -> me:int -> Ff_netsim.Engine.t -> int
+val drain_inbox : Ff_netsim.Mailbox.t array -> me:int -> Ff_netsim.Engine.t -> int
 (** [drain_inbox inbox ~me engine] drains [inbox.(src)] — the mailbox
     from shard [src] to shard [me] — for every [src <> me] in ascending
     order, each in push order, straight into
