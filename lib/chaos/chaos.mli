@@ -155,8 +155,9 @@ val check : Ff_topology.Topology.t -> directive list -> (unit, string) result
 (** Resolve every directive's nodes against the topology: each named node
     exists, each [cut]/[heal]/[flap] pair is adjacent, each [crash]/[loss]
     target is a switch. Check its numbers: times finite and [>= 0], crash
-    durations and flap dwells finite and [> 0], a flap's start no later
-    than its end, a loss rate in [[0, 1]] (in [(0, 1)] with a burst), and
+    durations and flap dwells finite and [> 0], each flap dwell at least
+    one ulp of the flap's end (so it moves the clock), a flap's start no
+    later than its end, a loss rate in [[0, 1]] (in [(0, 1)] with a burst), and
     a burst finite, [>= 1] and feasible for its rate. [Error] quotes the
     first directive that fails and says why. *)
 
