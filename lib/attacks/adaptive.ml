@@ -280,7 +280,7 @@ let tx_tick t () =
             if e.e_probe then t.probes <- t.probes + 1;
             Net.send_from_host t.net
               (Packet.make_data ~size:e.e_size ~seq:e.e_seq ~ttl:64 ~src:e.e_src ~dst:e.e_dst
-                 ~flow:key ~birth:now)
+                 ~flow:key)
           done
         end)
       !(t.emitters)

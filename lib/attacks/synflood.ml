@@ -24,11 +24,10 @@ type t = { bots : bot list }
 let burst_len = 64
 
 let send_tick b =
-  let now = Net.now b.b_net in
   let claimed = b.b_spoof.(b.b_sent mod Array.length b.b_spoof) in
   let pkt =
     Packet.make ~size:Packet.control_size ~ttl:b.b_ttl ~payload:Packet.Syn ~src:claimed
-      ~dst:b.b_victim ~flow:(Flow.fresh_flow_id b.b_net) ~birth:now ()
+      ~dst:b.b_victim ~flow:(Flow.fresh_flow_id b.b_net) ()
   in
   b.b_sent <- b.b_sent + 1;
   Net.send_from_host_via b.b_net ~via:b.b_via pkt

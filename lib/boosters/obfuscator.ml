@@ -13,14 +13,13 @@ let stage t =
     process =
       (fun ctx pkt ->
         (match pkt.Packet.payload with
-        | Packet.Traceroute_probe { probe_ttl; _ }
+        | Packet.Traceroute_probe ({ probe_ttl; _ } as probe)
           when pkt.Packet.ttl = 1 && Common.mode_on ctx.Net.sw mode_key -> (
           (* the probe dies here: pre-compute the virtual responder the TTL
              stage will put in the time-exceeded reply *)
           match t.virtual_path ~src:pkt.Packet.src ~dst:pkt.Packet.dst with
           | Some path when List.length path > probe_ttl ->
-            let responder = List.nth path probe_ttl in
-            Packet.tag pkt "obfuscated_responder" (float_of_int responder);
+            probe.responder <- List.nth path probe_ttl;
             t.obfuscated <- t.obfuscated + 1
           | _ -> ())
         | _ -> ());

@@ -56,12 +56,11 @@ let entry_index t ~sw ~dst =
   if dst < 0 || dst >= t.n_nodes then -1
   else Int_table.get t.slots ((sw * t.n_nodes) + dst) ~default:(-1)
 
-(* [birth] is boxed once per flood by the caller and shared by the
-   flood's copies, instead of one box of the clock per copy *)
-let make_probe t ~dst ~round ~max_util ~hops ~birth =
+(* One [Util_probe] per flood, built by the caller outside the flood's
+   thunk: the payload is immutable, so the copies share it *)
+let make_probe t ~dst payload =
   t.probes_sent <- t.probes_sent + 1;
-  Packet.make_control ~src:dst ~dst ~flow:0 ~birth
-    ~payload:(Packet.Util_probe { dst; round; max_util; hops })
+  Packet.make_control ~src:dst ~dst ~flow:0 ~payload
 
 (* Probe handling at a switch: fold in the utilization of the reverse link
    the probe just crossed, update the table, and re-flood improvements. *)
@@ -101,9 +100,11 @@ let handle_probe t ctx ~dst ~round ~max_util ~hops =
       end
       else false
     in
-    if improved && hops < probe_ttl then
+    if improved && hops < probe_ttl then begin
+      let payload = Packet.Util_probe { dst; round; max_util = metric; hops = hops + 1 } in
       Net.flood_from_switch t.net ~sw ~except:[ from_neighbor ] (fun () ->
-          make_probe t ~dst ~round ~max_util:metric ~hops:(hops + 1) ~birth:now);
+          make_probe t ~dst payload)
+    end;
     Net.Absorb
   end
 
@@ -193,10 +194,12 @@ let start_probing t =
             t.e_round.(idx) <- t.round;
             t.e_metric.(idx) <- 0.;
             t.e_next.(idx) <- root;
-            let now = Net.now t.net in
-            t.e_updated.(idx) <- now;
+            t.e_updated.(idx) <- Net.now t.net;
+            let payload =
+              Packet.Util_probe { dst = root; round = t.round; max_util = 0.; hops = 1 }
+            in
             Net.flood_from_switch t.net ~sw:access ~except:[] (fun () ->
-                make_probe t ~dst:root ~round:t.round ~max_util:0. ~hops:1 ~birth:now)
+                make_probe t ~dst:root payload)
           end))
     t.roots
 

@@ -80,7 +80,6 @@ let guard_stage t =
                 Packet.make_control
                   ~payload:(Packet.Syn_ack { cookie = cookie t pkt ~secret:t.secret })
                   ~src:protect ~dst:pkt.Packet.src ~flow:pkt.Packet.flow
-                  ~birth:(Net.now t.net)
               in
               Net.inject_at_switch t.net ~sw:t.sw reply;
               Net.Absorb

@@ -12,7 +12,7 @@ let all_attack_kinds = [ Lfa; Volumetric; Pulsing; Recon; Synflood ]
 type payload =
   | Data
   | Ack of { acked : int }
-  | Traceroute_probe of { probe_id : int; probe_ttl : int }
+  | Traceroute_probe of { probe_id : int; probe_ttl : int; mutable responder : int }
   | Traceroute_reply of { probe_id : int; hop : int; responder : int }
   | Util_probe of { dst : int; round : int; max_util : float; hops : int }
   | Mode_probe of { attack : attack_kind; epoch : int; origin : int; activate : bool;
@@ -34,10 +34,8 @@ type t = {
   size : int;
   seq : int;
   payload : payload;
-  birth : float;
   mutable ttl : int;
   mutable suspicious : bool;
-  mutable tags : (string * float) list;
 }
 
 (* Atomic: packets are created on every shard of the parallel engine
@@ -50,42 +48,29 @@ let fresh_uid () = 1 + Atomic.fetch_and_add next_uid 1
 
 let control_size = 64
 
-let make ?size ?(seq = 0) ?(ttl = 64) ?(payload = Data) ~src ~dst ~flow ~birth () =
+let make ?size ?(seq = 0) ?(ttl = 64) ?(payload = Data) ?birth:_ ~src ~dst ~flow () =
   let size =
     match size with
     | Some s -> s
     | None -> (match payload with Data -> 1000 | _ -> control_size)
   in
-  { uid = fresh_uid (); src; dst; flow; size; seq; payload; birth; ttl; suspicious = false;
-    tags = [] }
+  { uid = fresh_uid (); src; dst; flow; size; seq; payload; ttl; suspicious = false }
 
 (* Hot-path constructors: [make]'s optional arguments cost a [Some] block
    per supplied argument at every call site (no flambda to elide them), so
    the per-packet senders use these fixed-shape variants. Each is exactly
    [make] with the corresponding arguments — same uid draw, same defaults. *)
 
-let make_data ~size ~seq ~ttl ~src ~dst ~flow ~birth =
-  { uid = fresh_uid (); src; dst; flow; size; seq; payload = Data; birth; ttl; suspicious = false;
-    tags = [] }
+let make_data ~size ~seq ~ttl ~src ~dst ~flow =
+  { uid = fresh_uid (); src; dst; flow; size; seq; payload = Data; ttl; suspicious = false }
 
-let make_ack ~acked ~src ~dst ~flow ~birth =
+let make_ack ~acked ~src ~dst ~flow =
   { uid = fresh_uid (); src; dst; flow; size = control_size; seq = 0; payload = Ack { acked };
-    birth; ttl = 64; suspicious = false; tags = [] }
+    ttl = 64; suspicious = false }
 
-let make_control ~payload ~src ~dst ~flow ~birth =
+let make_control ~payload ~src ~dst ~flow =
   let size = match payload with Data -> 1000 | _ -> control_size in
-  { uid = fresh_uid (); src; dst; flow; size; seq = 0; payload; birth; ttl = 64;
-    suspicious = false; tags = [] }
+  { uid = fresh_uid (); src; dst; flow; size; seq = 0; payload; ttl = 64; suspicious = false }
 
 let is_control p =
   match p.payload with Data | Ack _ | Syn | Syn_ack _ | Handshake_ack _ | Fin -> false | _ -> true
-
-let tag p key v =
-  (* [List.remove_assoc] copies the list even when the key is absent —
-     the common case on the hot path; rebuild only on an actual retag *)
-  let rest =
-    if List.mem_assoc key p.tags then List.remove_assoc key p.tags else p.tags
-  in
-  p.tags <- (key, v) :: rest
-
-let tag_value p key = List.assoc_opt key p.tags

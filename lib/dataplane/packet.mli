@@ -13,7 +13,10 @@ val all_attack_kinds : attack_kind list
 type payload =
   | Data  (** ordinary application bytes *)
   | Ack of { acked : int }  (** transport acknowledgement of sequence [acked] *)
-  | Traceroute_probe of { probe_id : int; probe_ttl : int }
+  | Traceroute_probe of { probe_id : int; probe_ttl : int; mutable responder : int }
+      (** [responder] is [-1] when sent; topology obfuscation sets it to the
+          virtual switch that the time-exceeded reply names instead of the
+          switch where the probe expires *)
   | Traceroute_reply of { probe_id : int; hop : int; responder : int }
       (** [responder] is the (possibly obfuscated) switch that answered *)
   | Util_probe of { dst : int; round : int; max_util : float; hops : int }
@@ -39,6 +42,9 @@ type payload =
       (** client's final handshake step, echoing the [Syn_ack] cookie *)
   | Fin  (** connection teardown (frees tracker/server state) *)
 
+(** A packet is one 10-word block: nine immediate fields and no float, so
+    creating one allocates nothing beside it (and its payload, unless that
+    is a constant such as [Data] or [Syn], or shared by a flood's copies). *)
 type t = {
   uid : int;  (** globally unique packet id *)
   src : int;  (** source host node id *)
@@ -46,32 +52,31 @@ type t = {
   flow : int;  (** flow identifier (5-tuple surrogate) *)
   size : int;  (** bytes on the wire *)
   seq : int;  (** per-flow sequence number *)
-  payload : payload;
-  birth : float;  (** creation time, seconds *)
+  payload : payload;  (** immutable except a traceroute probe's [responder] *)
   mutable ttl : int;
   mutable suspicious : bool;  (** set by detection PPMs, read by mitigation PPMs *)
-  mutable tags : (string * float) list;  (** metadata carried between PPMs *)
 }
 
 val make :
-  ?size:int -> ?seq:int -> ?ttl:int -> ?payload:payload -> src:int -> dst:int -> flow:int ->
-  birth:float -> unit -> t
+  ?size:int -> ?seq:int -> ?ttl:int -> ?payload:payload -> ?birth:float -> src:int -> dst:int ->
+  flow:int -> unit -> t
 (** Fresh packet with a unique [uid]. Default size 1000 B (64 B for
-    non-[Data] payloads), ttl 64, payload [Data]. *)
+    non-[Data] payloads), ttl 64, payload [Data]. [birth] is ignored: it is
+    kept only so that [benchmark/layers.ml] still compiles, and goes with the
+    next change to [benchmark/]. No other caller passes it. *)
 
 val control_size : int
 (** Wire size of probe/control packets, bytes. *)
 
-val make_data : size:int -> seq:int -> ttl:int -> src:int -> dst:int -> flow:int ->
-  birth:float -> t
+val make_data : size:int -> seq:int -> ttl:int -> src:int -> dst:int -> flow:int -> t
 (** [make] specialized for [Data] payloads with every field supplied: no
     optional-argument [Some] blocks on per-packet sender paths. *)
 
-val make_ack : acked:int -> src:int -> dst:int -> flow:int -> birth:float -> t
+val make_ack : acked:int -> src:int -> dst:int -> flow:int -> t
 (** [make ~size:control_size ~payload:(Ack { acked })] without the option
     blocks — one ack per received data packet makes this a hot path. *)
 
-val make_control : payload:payload -> src:int -> dst:int -> flow:int -> birth:float -> t
+val make_control : payload:payload -> src:int -> dst:int -> flow:int -> t
 (** [make ~payload] with default size/seq/ttl: probe floods (utilization,
     mode, sync) construct thousands of these per simulated second. *)
 
@@ -84,7 +89,3 @@ val is_control : t -> bool
     transport-level payloads ([Data], [Ack], and the handshake payloads
     [Syn]/[Syn_ack]/[Handshake_ack]/[Fin]) are ordinary traffic. *)
 
-val tag : t -> string -> float -> unit
-(** Set (or overwrite) a metadata tag. *)
-
-val tag_value : t -> string -> float option

@@ -184,10 +184,9 @@ let confirm t ~sw ~attack ~epoch ~neighbor =
       ad.pending <- List.filter (fun p -> p <> neighbor) ad.pending
   | _ -> ()
 
-let probe_packet t ~sw ~attack ~epoch ~activate ~ttl =
-  Packet.make ~src:sw ~dst:sw ~flow:0 ~birth:(Net.now t.net)
+let probe_packet ~sw ~attack ~epoch ~activate ~ttl =
+  Packet.make_control ~src:sw ~dst:sw ~flow:0
     ~payload:(Packet.Mode_probe { attack; epoch; origin = sw; activate; region_ttl = ttl })
-    ()
 
 (* An ack is an ordinary equal-epoch probe with region_ttl = 0: it confirms
    the sender without changing the wire format, and the zero ttl keeps it
@@ -195,7 +194,7 @@ let probe_packet t ~sw ~attack ~epoch ~activate ~ttl =
 let send_ack t ~sw ~to_ ~attack ~epoch ~activate =
   if t.anti_entropy > 0. then
     Net.emit_from_switch t.net ~sw ~next:to_
-      (probe_packet t ~sw ~attack ~epoch ~activate ~ttl:0)
+      (probe_packet ~sw ~attack ~epoch ~activate ~ttl:0)
 
 (* A neighbor just sent a probe with an epoch behind ours: it missed an
    update. Send our latest directly — the stimulus-driven fast path of
@@ -211,7 +210,7 @@ let repair t ~sw ~to_ ~attack =
            { subsystem = "mode"; node = sw;
              info = Packet.attack_kind_to_string attack });
     Net.emit_from_switch t.net ~sw ~next:to_
-      (probe_packet t ~sw ~attack ~epoch:ad.ad_epoch ~activate:ad.ad_activate
+      (probe_packet ~sw ~attack ~epoch:ad.ad_epoch ~activate:ad.ad_activate
          ~ttl:ad.ad_ttl)
   | _ -> ()
 
@@ -286,7 +285,7 @@ let flood t ~from_sw ~except ~attack ~epoch ~activate ~ttl =
   if ttl > 0 then begin
     Net.obs_emit t.net (Ff_obs.Event.Probe { sw = from_sw; kind = "mode" });
     Net.flood_from_switch t.net ~sw:from_sw ~except (fun () ->
-        probe_packet t ~sw:from_sw ~attack ~epoch ~activate ~ttl)
+        probe_packet ~sw:from_sw ~attack ~epoch ~activate ~ttl)
   end
 
 let handle_probe t ~sw ~in_port ~attack ~epoch ~activate ~region_ttl =
@@ -351,7 +350,7 @@ let anti_entropy_tick t sw =
           List.iter
             (fun peer ->
               Net.emit_from_switch t.net ~sw ~next:peer
-                (probe_packet t ~sw ~attack ~epoch:ad.ad_epoch
+                (probe_packet ~sw ~attack ~epoch:ad.ad_epoch
                    ~activate:ad.ad_activate ~ttl:ad.ad_ttl))
             ad.pending;
           ad.interval <- Float.min (ad.interval *. 2.) (8. *. t.anti_entropy);

@@ -56,8 +56,6 @@ let stage t =
           if Hashtbl.mem st.seen (origin, round) then Net.Absorb
           else begin
             Hashtbl.replace st.seen (origin, round) ();
-            (* one read of the clock for the entries and the flood, whose
-               copies share its box as their birth time *)
             let now = Net.now t.net in
             List.iter
               (fun (key, v) ->
@@ -75,9 +73,10 @@ let stage t =
                   e.at <- now
                 | exception Not_found -> Hashtbl.replace per_key origin { v; at = now })
               entries;
+            (* the re-flood forwards the probe's own immutable payload *)
             Net.flood_from_switch t.net ~sw ~except:[ ctx.Net.in_port ] (fun () ->
-                Packet.make_control ~src:origin ~dst:origin ~flow:t.probe_class ~birth:now
-                  ~payload:(Packet.Sync_probe { origin; round; entries }));
+                Packet.make_control ~src:origin ~dst:origin ~flow:t.probe_class
+                  ~payload:pkt.Packet.payload);
             Net.Absorb
           end
         | _ -> Net.Continue);
@@ -92,9 +91,9 @@ let advertise t () =
         t.probes_sent <- t.probes_sent + 1;
         Net.obs_emit t.net (Ff_obs.Event.Probe { sw; kind = "sync" });
         Hashtbl.replace (state t sw).seen (sw, t.round) ();
+        let payload = Packet.Sync_probe { origin = sw; round = t.round; entries } in
         Net.flood_from_switch t.net ~sw ~except:[] (fun () ->
-            Packet.make_control ~src:sw ~dst:sw ~flow:t.probe_class ~birth:(Net.now t.net)
-              ~payload:(Packet.Sync_probe { origin = sw; round = t.round; entries }))
+            Packet.make_control ~src:sw ~dst:sw ~flow:t.probe_class ~payload)
       end)
     t.participants
 

@@ -139,7 +139,6 @@ module Tcp = struct
         in
         let pkt =
           Packet.make_data ~size:t.packet_size ~seq ~ttl:64 ~src:t.src ~dst:t.dst ~flow:t.flow
-            ~birth:now
         in
         let slot = free_slot t in
         t.o_seqs.(slot) <- seq;
@@ -212,7 +211,7 @@ module Tcp = struct
       t.cc.delivered <- t.cc.delivered +. float_of_int pkt.size;
       Ff_util.Stats.Window_counter.add t.rx_window ~now (float_of_int pkt.size)
     end;
-    let ack = Packet.make_ack ~acked:pkt.seq ~src:t.dst ~dst:t.src ~flow:t.flow ~birth:now in
+    let ack = Packet.make_ack ~acked:pkt.seq ~src:t.dst ~dst:t.src ~flow:t.flow in
     Net.send_from_host t.net ack
 
   let start net ~src ~dst ?at ?stop ?(packet_size = 1000) ?(max_cwnd = 64.)
@@ -298,11 +297,8 @@ module Listener = struct
   let set_trust_validated t v = t.trust_validated <- v
 
   let reply t (pkt : Packet.t) payload =
-    let p =
-      Packet.make_control ~payload ~src:t.host ~dst:pkt.Packet.src ~flow:pkt.Packet.flow
-        ~birth:(Net.now t.net)
-    in
-    Net.send_from_host t.net p
+    Net.send_from_host t.net
+      (Packet.make_control ~payload ~src:t.host ~dst:pkt.Packet.src ~flow:pkt.Packet.flow)
 
   let expire t flow =
     match Hashtbl.find_opt t.half_open flow with
@@ -411,10 +407,7 @@ module Handshake = struct
   let stopped t now = match t.stop with Some s -> now >= s | None -> false
 
   let send_ctl t ~flow payload =
-    let p =
-      Packet.make_control ~payload ~src:t.src ~dst:t.dst ~flow ~birth:(Net.now t.net)
-    in
-    Net.send_from_host t.net p
+    Net.send_from_host t.net (Packet.make_control ~payload ~src:t.src ~dst:t.dst ~flow)
 
   let rec attempt t =
     let now = Net.now t.net in
@@ -441,7 +434,7 @@ module Handshake = struct
                 (fun () ->
                   let d =
                     Packet.make_data ~size:t.data_size ~seq:i ~ttl:64 ~src:t.src ~dst:t.dst
-                      ~flow ~birth:(Net.now t.net)
+                      ~flow
                   in
                   Net.send_from_host t.net d)
             done;
@@ -533,7 +526,7 @@ module Cbr = struct
       if in_duty t now then begin
         let pkt =
           Packet.make_data ~size:t.packet_size ~seq:t.seq ~ttl:t.ttl ~src:t.src ~dst:t.dst
-            ~flow:t.flow ~birth:now
+            ~flow:t.flow
         in
         t.seq <- t.seq + 1;
         t.sent_packets <- t.sent_packets + 1;
@@ -590,14 +583,13 @@ module Traceroute = struct
         | Packet.Traceroute_reply { hop; responder; _ } ->
           if not (List.mem_assoc hop !replies) then replies := (hop, responder) :: !replies
         | _ -> ());
-    let now = Net.now net in
     (* several probes per hop, paced apart: congested queues tail-drop
        individual probes, exactly what real traceroute retries cope with *)
     for ttl = 1 to max_ttl do
       for attempt = 0 to probes_per_hop - 1 do
         let pkt =
-          Packet.make ~src ~dst ~flow ~birth:now ~ttl ~size:Packet.control_size
-            ~payload:(Packet.Traceroute_probe { probe_id = ttl; probe_ttl = ttl })
+          Packet.make ~src ~dst ~flow ~ttl ~size:Packet.control_size
+            ~payload:(Packet.Traceroute_probe { probe_id = ttl; probe_ttl = ttl; responder = -1 })
             ()
         in
         let delay =

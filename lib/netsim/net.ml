@@ -425,10 +425,9 @@ and receive t ~at ~from_ pkt =
     (* A host answers traceroute probes that reach it (the "destination
        reached" reply); everything else goes to the registered receiver. *)
     (match pkt.Packet.payload with
-    | Packet.Traceroute_probe { probe_id; probe_ttl } ->
+    | Packet.Traceroute_probe { probe_id; probe_ttl; _ } ->
       let reply =
         Packet.make_control ~src:h.host_id ~dst:pkt.Packet.src ~flow:pkt.Packet.flow
-          ~birth:(now t)
           ~payload:(Packet.Traceroute_reply { probe_id; hop = probe_ttl; responder = h.host_id })
       in
       send_from_host t reply
@@ -558,17 +557,12 @@ let ttl_stage =
         if pkt.Packet.ttl > 0 then Continue
         else begin
           (match pkt.Packet.payload with
-          | Packet.Traceroute_probe { probe_id; probe_ttl } ->
-            (* ICMP time-exceeded back to the prober; the responder field is
-               what topology obfuscation rewrites. *)
-            let responder =
-              match Packet.tag_value pkt "obfuscated_responder" with
-              | Some v -> int_of_float v
-              | None -> ctx.sw.sw_id
-            in
+          | Packet.Traceroute_probe { probe_id; probe_ttl; responder } ->
+            (* ICMP time-exceeded back to the prober, naming this switch
+               unless topology obfuscation set the probe's [responder] *)
+            let responder = if responder >= 0 then responder else ctx.sw.sw_id in
             let reply =
               Packet.make_control ~src:pkt.Packet.dst ~dst:pkt.Packet.src ~flow:pkt.Packet.flow
-                ~birth:(now ctx.net)
                 ~payload:(Packet.Traceroute_reply { probe_id; hop = probe_ttl; responder })
             in
             handle_at_switch ctx.net ctx.sw ~in_port:(-1) reply

@@ -91,7 +91,7 @@ let try_decode_group t g =
 
 let send_ack t ~group =
   let ack =
-    Packet.make ~src:t.dst_sw ~dst:t.src_sw ~flow:t.xfer_id ~birth:(Net.now t.net)
+    Packet.make ~src:t.dst_sw ~dst:t.src_sw ~flow:t.xfer_id
       ~payload:(Packet.State_ack { xfer_id = t.xfer_id; group })
       ()
   in
@@ -153,7 +153,7 @@ let send_group t g =
     List.iter
       (fun (c : Fec.chunk) ->
         let pkt =
-          Packet.make ~src:t.src_sw ~dst:t.dst_sw ~flow:t.xfer_id ~birth:(Net.now t.net)
+          Packet.make ~src:t.src_sw ~dst:t.dst_sw ~flow:t.xfer_id
             ~size:(Packet.control_size + (16 * List.length c.Fec.entries))
             ~payload:
               (Packet.State_chunk

@@ -237,8 +237,7 @@ let test_reroute_decision_no_alloc () =
   let stage = List.find (fun st -> st.Net.stage_name = "reroute") sw.Net.stages in
   let ctx = { Net.net; sw; in_port = -1 } in
   let pkt =
-    Packet.make ~src:(List.hd lm.T.Fig2.normal_sources) ~dst:lm.T.Fig2.victim ~flow:7
-      ~birth:(Engine.now engine) ()
+    Packet.make ~src:(List.hd lm.T.Fig2.normal_sources) ~dst:lm.T.Fig2.victim ~flow:7 ()
   in
   pkt.Packet.suspicious <- true;
   let n = 100_000 in
@@ -254,6 +253,49 @@ let test_reroute_decision_no_alloc () =
   Alcotest.(check bool)
     (Printf.sprintf "reroute decision allocates nothing (%.3f words per packet)" per_call)
     true (per_call < 0.01)
+
+(* A re-flooded utilization probe is built once per flood: every copy the
+   switch emits carries the same immutable [Util_probe] block. *)
+let test_reroute_flood_shares_payload () =
+  let lm, engine, net = fig2_net () in
+  let _rr = B.Reroute.install net ~roots:[ lm.T.Fig2.victim ] ~probe_interval:0.05 () in
+  let agg = lm.T.Fig2.agg and victim = lm.T.Fig2.victim in
+  let peers =
+    List.filter
+      (fun n -> (T.node lm.T.Fig2.topo n).T.kind = T.Switch)
+      (Net.neighbors_of net agg)
+  in
+  let from_ = List.hd peers in
+  let copies = ref [] in
+  List.iter
+    (fun peer ->
+      Net.add_stage ~front:true net ~sw:peer
+        { Net.stage_name = "capture";
+          process =
+            (fun ctx pkt ->
+              (match pkt.Packet.payload with
+              | Packet.Util_probe _ when ctx.Net.in_port = agg ->
+                copies := pkt.Packet.payload :: !copies
+              | _ -> ());
+              Net.Continue) })
+    peers;
+  (* the reroute mode stays off, so no periodic flood runs: the only probes
+     that leave [agg] are the copies of this one's re-flood *)
+  let sw = Net.switch net agg in
+  let stage = List.find (fun st -> st.Net.stage_name = "reroute") sw.Net.stages in
+  let probe =
+    Packet.make_control ~src:victim ~dst:victim ~flow:0
+      ~payload:(Packet.Util_probe { dst = victim; round = 1; max_util = 0.; hops = 1 })
+  in
+  ignore (stage.Net.process { Net.net; sw; in_port = from_ } probe);
+  Engine.run engine ~until:0.5;
+  Alcotest.(check int) "one copy per other neighbor" (List.length peers - 1)
+    (List.length !copies);
+  Alcotest.(check bool) "flood has several copies" true (List.length !copies >= 2);
+  match !copies with
+  | first :: rest ->
+    Alcotest.(check bool) "copies share one payload" true (List.for_all (fun p -> p == first) rest)
+  | [] -> Alcotest.fail "no copies"
 
 (* ---------------- Obfuscator ---------------- *)
 
@@ -580,6 +622,8 @@ let () =
           Alcotest.test_case "loop free under rerouting" `Quick test_reroute_loop_free;
           Alcotest.test_case "rerouted packet allocation-free" `Quick
             test_reroute_decision_no_alloc;
+          Alcotest.test_case "flood copies share one payload" `Quick
+            test_reroute_flood_shares_payload;
         ] );
       ( "obfuscator",
         [ Alcotest.test_case "rewrites traceroute" `Quick test_obfuscator_rewrites_traceroute ] );

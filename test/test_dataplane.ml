@@ -14,12 +14,12 @@ module Cuckoo_ref = Ff_oracle.Oracle.Cuckoo_ref
 (* ---------------- Packet ---------------- *)
 
 let test_packet_defaults () =
-  let p = Packet.make ~src:1 ~dst:2 ~flow:3 ~birth:0. () in
+  let p = Packet.make ~src:1 ~dst:2 ~flow:3 () in
   Alcotest.(check int) "default size" 1000 p.Packet.size;
   Alcotest.(check int) "default ttl" 64 p.Packet.ttl;
   Alcotest.(check bool) "data not control" false (Packet.is_control p);
   let probe =
-    Packet.make ~src:1 ~dst:2 ~flow:3 ~birth:0.
+    Packet.make ~src:1 ~dst:2 ~flow:3
       ~payload:(Packet.Mode_probe { attack = Packet.Lfa; epoch = 1; origin = 0; activate = true;
                                     region_ttl = 4 })
       ()
@@ -28,18 +28,36 @@ let test_packet_defaults () =
   Alcotest.(check bool) "probe is control" true (Packet.is_control probe)
 
 let test_packet_uids_unique () =
-  let a = Packet.make ~src:0 ~dst:1 ~flow:1 ~birth:0. () in
-  let b = Packet.make ~src:0 ~dst:1 ~flow:1 ~birth:0. () in
+  let a = Packet.make ~src:0 ~dst:1 ~flow:1 () in
+  let b = Packet.make ~src:0 ~dst:1 ~flow:1 () in
   Alcotest.(check bool) "unique uids" true (a.Packet.uid <> b.Packet.uid)
 
-let test_packet_tags () =
-  let p = Packet.make ~src:0 ~dst:1 ~flow:1 ~birth:0. () in
-  Alcotest.(check (option (float 0.))) "missing" None (Packet.tag_value p "k");
-  Packet.tag p "k" 1.5;
-  Alcotest.(check (option (float 0.))) "set" (Some 1.5) (Packet.tag_value p "k");
-  Packet.tag p "k" 2.5;
-  Alcotest.(check (option (float 0.))) "overwritten" (Some 2.5) (Packet.tag_value p "k");
-  Alcotest.(check int) "no duplicate keys" 1 (List.length p.Packet.tags)
+(* A packet is one 10-word block (nine immediate fields, no float box
+   beside it). [make_ack] adds its two-word [Ack] payload; [Data] and
+   [Syn] are constants. Arguments vary per call so none is a constant. *)
+let test_packet_constructor_words () =
+  let n = 100_000 in
+  let sink = ref (Packet.make ~src:0 ~dst:1 ~flow:0 ()) in
+  let words_per_call build =
+    let w0 = Gc.minor_words () in
+    for i = 1 to n do
+      sink := build i
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let check name expected build =
+    let w = words_per_call build in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s allocates %d words (%.3f per call)" name expected w)
+      true
+      (Float.abs (w -. float_of_int expected) < 0.01)
+  in
+  check "make_data" 10 (fun i ->
+      Packet.make_data ~size:(1000 + (i land 7)) ~seq:i ~ttl:64 ~src:0 ~dst:1 ~flow:i);
+  check "make_control Syn" 10 (fun i ->
+      Packet.make_control ~payload:Packet.Syn ~src:i ~dst:1 ~flow:i);
+  check "make_ack" 12 (fun i -> Packet.make_ack ~acked:i ~src:1 ~dst:0 ~flow:i);
+  Alcotest.(check bool) "last packet kept" true (!sink.Packet.flow = n)
 
 (* ---------------- Resource ---------------- *)
 
@@ -465,7 +483,8 @@ let () =
         [
           Alcotest.test_case "defaults" `Quick test_packet_defaults;
           Alcotest.test_case "unique uids" `Quick test_packet_uids_unique;
-          Alcotest.test_case "tags" `Quick test_packet_tags;
+          Alcotest.test_case "constructors allocate one block" `Quick
+            test_packet_constructor_words;
         ] );
       ( "resource",
         [

@@ -303,7 +303,7 @@ let delivery_scenario seed =
       for s = 0 to n_pkts - 1 do
         let at = !t in
         Engine.schedule engine ~at (fun () ->
-            Net.send_from_host net (Packet.make_data ~size ~seq:s ~ttl ~src ~dst ~flow:f ~birth:at));
+            Net.send_from_host net (Packet.make_data ~size ~seq:s ~ttl ~src ~dst ~flow:f));
         Simnet.schedule sim ~at (fun () ->
             Simnet.send_from_host sim ~src ~dst ~flow:f ~size ~ttl);
         t := !t +. Prng.exponential rng ~mean:gap_mean

@@ -87,7 +87,7 @@ let test_forged_mode_clear_from_bot () =
     let access = Ff_netsim.Net.access_switch net ~host:bot in
     Ff_netsim.Engine.schedule (Ff_netsim.Net.engine net) ~at:forged_at (fun () ->
         Ff_netsim.Net.send_from_host net
-          (Packet.make_control ~src:bot ~dst:access ~flow:0 ~birth:forged_at
+          (Packet.make_control ~src:bot ~dst:access ~flow:0
              ~payload:
                (Packet.Mode_probe
                   { attack = Packet.Lfa; epoch = max_int / 2; origin = access;

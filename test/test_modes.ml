@@ -77,7 +77,7 @@ let test_stale_epoch_ignored () =
   Alcotest.(check bool) "cleared" false (Protocol.active p ~sw:2 "reroute");
   (* replay the original activation probe: its epoch is stale *)
   let stale =
-    Packet.make ~src:0 ~dst:0 ~flow:0 ~birth:2.
+    Packet.make ~src:0 ~dst:0 ~flow:0
       ~payload:(Packet.Mode_probe
                   { attack = Packet.Lfa; epoch = 1; origin = 0; activate = true; region_ttl = 8 })
       ()

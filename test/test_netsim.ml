@@ -61,7 +61,7 @@ let test_engine_reuse_after_clear () =
   let first_run = ref 0 and second_run = ref 0 in
   Engine.set_packet_handler e (fun ~to_node:_ ~from_node:_ _ -> incr first_run);
   Engine.schedule_packet e ~at:5. ~to_node:1 ~from_node:0
-    (Packet.make ~src:0 ~dst:1 ~flow:1 ~size:100 ~birth:0. ());
+    (Packet.make ~src:0 ~dst:1 ~flow:1 ~size:100 ());
   Engine.schedule e ~at:7. (fun () -> ());
   Engine.run e ~until:10.;
   Alcotest.(check int) "first run delivered" 1 !first_run;
@@ -71,7 +71,7 @@ let test_engine_reuse_after_clear () =
   (* schedules at times before the previous run's clock must be legal *)
   Engine.set_packet_handler e (fun ~to_node:_ ~from_node:_ _ -> incr second_run);
   Engine.schedule_packet e ~at:1. ~to_node:1 ~from_node:0
-    (Packet.make ~src:0 ~dst:1 ~flow:2 ~size:100 ~birth:0. ());
+    (Packet.make ~src:0 ~dst:1 ~flow:2 ~size:100 ());
   Engine.run e ~until:2.;
   Alcotest.(check int) "second handler fired" 1 !second_run;
   Alcotest.(check int) "first handler not replayed" 1 !first_run
@@ -99,7 +99,7 @@ let test_engine_dispatch_no_alloc () =
   let e = Engine.create () in
   let fired = ref 0 in
   Engine.set_packet_handler e (fun ~to_node:_ ~from_node:_ _ -> incr fired);
-  let pkt = Packet.make ~src:0 ~dst:1 ~flow:1 ~birth:0. () in
+  let pkt = Packet.make ~src:0 ~dst:1 ~flow:1 () in
   let n = 100_000 in
   for i = 1 to n do
     Engine.schedule_packet e ~at:(float_of_int i *. 1e-4) ~to_node:1 ~from_node:0 pkt
@@ -130,7 +130,7 @@ let test_link_latency () =
   let _, engine, net, h0, h1, _ = two_hosts () in
   let arrival = ref 0. in
   (Net.host net h1).Net.fallback_rx <- Some (fun _ -> arrival := Engine.now engine);
-  let pkt = Packet.make ~src:h0 ~dst:h1 ~flow:99 ~birth:0. ~size:1000 () in
+  let pkt = Packet.make ~src:h0 ~dst:h1 ~flow:99 ~size:1000 () in
   Engine.schedule engine ~at:0. (fun () -> Net.send_from_host net pkt);
   Engine.run engine ~until:1.;
   (* 2 hops: 2 x (1000 B / 10 Mb/s = 0.8 ms serialization + 1 ms prop) *)
@@ -141,7 +141,7 @@ let test_queue_overflow () =
   (* blast 200 packets instantaneously into a 37.5 kB queue *)
   Engine.schedule engine ~at:0. (fun () ->
       for i = 0 to 199 do
-        Net.send_from_host net (Packet.make ~src:h0 ~dst:h1 ~flow:1 ~seq:i ~birth:0. ())
+        Net.send_from_host net (Packet.make ~src:h0 ~dst:h1 ~flow:1 ~seq:i ())
       done);
   Engine.run engine ~until:2.;
   let drops = List.assoc_opt "queue-overflow" (Net.drops_by_reason net) in
@@ -155,8 +155,8 @@ let test_ttl_expiry_generates_reply () =
       | Packet.Traceroute_reply { responder; hop; _ } -> got := Some (hop, responder)
       | _ -> ());
   let probe =
-    Packet.make ~src:h0 ~dst:h1 ~flow:7 ~ttl:1 ~birth:0.
-      ~payload:(Packet.Traceroute_probe { probe_id = 1; probe_ttl = 1 })
+    Packet.make ~src:h0 ~dst:h1 ~flow:7 ~ttl:1
+      ~payload:(Packet.Traceroute_probe { probe_id = 1; probe_ttl = 1; responder = -1 })
       ()
   in
   Engine.schedule engine ~at:0. (fun () -> Net.send_from_host net probe);
@@ -167,6 +167,31 @@ let test_ttl_expiry_generates_reply () =
     Alcotest.(check bool) "responder is the switch" true
       ((T.node (Net.topology net) responder).T.kind = T.Switch)
   | None -> Alcotest.fail "no time-exceeded reply"
+
+(* The time-exceeded reply names the probe's [responder] when a stage
+   (topology obfuscation) set one, and the expiring switch otherwise. *)
+let test_ttl_expiry_reply_responder () =
+  let _, engine, net, h0, h1, s0 = two_hosts () in
+  let replies = ref [] in
+  Hashtbl.replace (Net.host net h0).Net.receivers 7 (fun pkt ->
+      match pkt.Packet.payload with
+      | Packet.Traceroute_reply { probe_id; responder; _ } ->
+        replies := (probe_id, responder) :: !replies
+      | _ -> ());
+  let virtual_responder = 1000 + s0 in
+  List.iter
+    (fun (probe_id, responder) ->
+      let probe =
+        Packet.make ~src:h0 ~dst:h1 ~flow:7 ~ttl:1
+          ~payload:(Packet.Traceroute_probe { probe_id; probe_ttl = 1; responder })
+          ()
+      in
+      Engine.schedule engine ~at:0. (fun () -> Net.send_from_host net probe))
+    [ (1, -1); (2, virtual_responder) ];
+  Engine.run engine ~until:1.;
+  Alcotest.(check (list (pair int int))) "unset names the switch, set names the responder"
+    [ (1, s0); (2, virtual_responder) ]
+    (List.sort compare !replies)
 
 let test_utilization_tracking () =
   let _, engine, net, h0, h1, s0 = two_hosts () in
@@ -202,7 +227,7 @@ let test_drop_stage () =
   let received = ref 0 in
   (Net.host net h1).Net.fallback_rx <- Some (fun _ -> incr received);
   Engine.schedule engine ~at:0. (fun () ->
-      Net.send_from_host net (Packet.make ~src:h0 ~dst:h1 ~flow:1 ~birth:0. ()));
+      Net.send_from_host net (Packet.make ~src:h0 ~dst:h1 ~flow:1 ()));
   Engine.run engine ~until:1.;
   Alcotest.(check int) "nothing delivered" 0 !received;
   Alcotest.(check (option int)) "reason counted" (Some 1)
@@ -226,8 +251,8 @@ let test_host_control_dropped () =
   Engine.schedule engine ~at:0. (fun () ->
       List.iter
         (fun payload ->
-          Net.send_from_host net (Packet.make_control ~payload ~src:h0 ~dst:h1 ~flow:1 ~birth:0.))
-        (forged @ ordinary @ [ Packet.Traceroute_probe { probe_id = 1; probe_ttl = 64 } ]));
+          Net.send_from_host net (Packet.make_control ~payload ~src:h0 ~dst:h1 ~flow:1))
+        (forged @ ordinary @ [ Packet.Traceroute_probe { probe_id = 1; probe_ttl = 64; responder = -1 } ]));
   Engine.run engine ~until:1.;
   Alcotest.(check (option int)) "every forged control packet dropped"
     (Some (List.length forged))
@@ -263,7 +288,7 @@ let test_pair_routes_override () =
     };
   Net.set_pair_route net ~sw:i ~src ~dst ~next_hop:b;
   Engine.schedule engine ~at:0. (fun () ->
-      Net.send_from_host net (Packet.make ~src ~dst ~flow:1 ~birth:0. ()));
+      Net.send_from_host net (Packet.make ~src ~dst ~flow:1 ()));
   Engine.run engine ~until:1.;
   Alcotest.(check int) "pair route wins" 1 !seen_at_b;
   Alcotest.(check (option int)) "lookup" (Some b) (Net.pair_route_lookup net ~sw:i ~src ~dst)
@@ -323,13 +348,13 @@ let test_switch_down_and_backup () =
   (* no backup: packet dies at i when a goes down *)
   Net.set_switch_up net ~sw:a false;
   Engine.schedule engine ~at:0. (fun () ->
-      Net.send_from_host net (Packet.make ~src ~dst ~flow:1 ~birth:0. ()));
+      Net.send_from_host net (Packet.make ~src ~dst ~flow:1 ()));
   Engine.run engine ~until:0.5;
   Alcotest.(check int) "no delivery without backup" 0 !received;
   (* with a backup route, fast reroute kicks in *)
   Net.set_backup_route net ~sw:i ~dst ~next_hop:b;
   Engine.schedule engine ~at:0.6 (fun () ->
-      Net.send_from_host net (Packet.make ~src ~dst ~flow:1 ~birth:0.6 ()));
+      Net.send_from_host net (Packet.make ~src ~dst ~flow:1 ()));
   Engine.run engine ~until:1.;
   Alcotest.(check int) "fast reroute delivers" 1 !received
 
@@ -366,11 +391,11 @@ let test_tracing_follows_packet () =
   | Some p -> Net.install_path net ~dst:h1 p
   | None -> Alcotest.fail "no path");
   let events = Net.trace_flow net ~flow:42 in
-  let pkt = Packet.make ~src:h0 ~dst:h1 ~flow:42 ~birth:0. () in
+  let pkt = Packet.make ~src:h0 ~dst:h1 ~flow:42 () in
   Engine.schedule engine ~at:0. (fun () -> Net.send_from_host net pkt);
   (* a second flow should not pollute the trace *)
   Engine.schedule engine ~at:0. (fun () ->
-      Net.send_from_host net (Packet.make ~src:h0 ~dst:h1 ~flow:7 ~birth:0. ()));
+      Net.send_from_host net (Packet.make ~src:h0 ~dst:h1 ~flow:7 ()));
   Engine.run engine ~until:1.;
   let ordered = List.rev !events in
   let kinds = List.map (fun (e : Net.trace_event) -> e.Net.kind) ordered in
@@ -394,7 +419,7 @@ let test_tracing_captures_drop () =
     { Net.stage_name = "drop-all"; process = (fun _ _ -> Net.Drop "traced-drop") };
   let events = Net.trace_flow net ~flow:9 in
   Engine.schedule engine ~at:0. (fun () ->
-      Net.send_from_host net (Packet.make ~src:h0 ~dst:h1 ~flow:9 ~birth:0. ()));
+      Net.send_from_host net (Packet.make ~src:h0 ~dst:h1 ~flow:9 ()));
   Engine.run engine ~until:1.;
   Alcotest.(check bool) "drop event recorded" true
     (List.exists
@@ -404,7 +429,7 @@ let test_tracing_captures_drop () =
   Net.set_tracer net None;
   let before = List.length !events in
   Engine.schedule engine ~at:1.5 (fun () ->
-      Net.send_from_host net (Packet.make ~src:h0 ~dst:h1 ~flow:9 ~birth:1.5 ()));
+      Net.send_from_host net (Packet.make ~src:h0 ~dst:h1 ~flow:9 ()));
   Engine.run engine ~until:2.;
   Alcotest.(check int) "no events after clearing" before (List.length !events)
 
@@ -559,7 +584,7 @@ let prop_two_lane_order =
           let at = float_of_int ti in
           if packet_lane then
             Engine.schedule_packet e ~at ~to_node:i ~from_node:0
-              (Packet.make ~src:0 ~dst:0 ~flow:0 ~birth:0. ())
+              (Packet.make ~src:0 ~dst:0 ~flow:0 ())
           else Engine.schedule e ~at (fun () -> log := i :: !log))
         ops;
       Engine.run e ~until:100.;
@@ -696,6 +721,8 @@ let () =
           Alcotest.test_case "latency" `Quick test_link_latency;
           Alcotest.test_case "queue overflow" `Quick test_queue_overflow;
           Alcotest.test_case "ttl expiry reply" `Quick test_ttl_expiry_generates_reply;
+          Alcotest.test_case "ttl expiry reply names responder" `Quick
+            test_ttl_expiry_reply_responder;
           Alcotest.test_case "utilization" `Quick test_utilization_tracking;
         ] );
       ( "switching",

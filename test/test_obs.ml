@@ -247,7 +247,7 @@ let test_net_drop_counter () =
       Net.attach_metrics net (Some m);
       (* packet to an unroutable destination gets dropped and counted *)
       let sw = List.hd (Net.switch_ids net) in
-      let pkt = Packet.make ~src:999 ~dst:998 ~flow:1 ~birth:0. () in
+      let pkt = Packet.make ~src:999 ~dst:998 ~flow:1 () in
       Net.inject_at_switch net ~sw pkt;
       Engine.run engine ~until:1.);
   Alcotest.(check bool) "drop traced" true (Trace.count_kind tr "drop" > 0);

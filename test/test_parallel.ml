@@ -143,7 +143,7 @@ let prop_random_partition =
 
 (* ---------------- Mailbox ---------------- *)
 
-let packet i = Packet.make ~src:0 ~dst:1 ~flow:i ~birth:0. ()
+let packet i = Packet.make ~src:0 ~dst:1 ~flow:i ()
 
 (* A capacity-4 ring takes 10 pushes: 4 in the ring, 6 in the spill. The
    drain must schedule them in push order, and the mailbox must work again

@@ -50,7 +50,7 @@ let two_hosts () =
 
 let syn net ~src ~dst ~flow =
   Net.send_from_host net
-    (Packet.make ~src ~dst ~flow ~birth:(Net.now net) ~payload:Packet.Syn ())
+    (Packet.make ~src ~dst ~flow ~payload:Packet.Syn ())
 
 (* The small fix under test: the backlog is a hard cap (SYNs past it are
    refused, not queued), and a half-open entry that never completes its
