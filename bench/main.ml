@@ -298,6 +298,7 @@ let abl_fec () =
   let run ~loss ~fec ~seed =
     let topo = T.linear ~n:4 () in
     let engine = Ff_netsim.Engine.create () in
+    (* not a scenario: a lone state transfer over an idle chain, no traffic *)
     let net = Ff_netsim.Net.create engine topo in
     let s0 = (T.node_by_name topo "s0").T.id in
     let s3 = (T.node_by_name topo "s3").T.id in
@@ -361,6 +362,7 @@ let abl_scaling () =
     let lm = T.Fig2.build () in
     let topo = lm.T.Fig2.topo in
     let engine = Ff_netsim.Engine.create () in
+    (* hand-built: switch repurposing is not a spec element yet *)
     let net = Ff_netsim.Net.create engine topo in
     Ff_netsim.Net.install_shortest_paths net;
     let mid_of (l : T.link) = if l.T.a = lm.T.Fig2.agg then l.T.b else l.T.a in
@@ -446,33 +448,27 @@ let abl_sync () =
   let run ~rate_pps_per_bot =
     let lm = T.Fig2.build ~bots:8 ~normals:4 () in
     let topo = lm.T.Fig2.topo in
-    let engine = Ff_netsim.Engine.create () in
-    let net = Ff_netsim.Net.create engine topo in
-    Ff_netsim.Net.install_shortest_paths net;
     let e1 = (T.node_by_name topo "e1").T.id and e2 = (T.node_by_name topo "e2").T.id in
-    (* local-only detector: the same per-destination logic but with a view
-       limited to one ingress (no synchronization) *)
-    let local_alarm = ref false in
-    let _local =
-      Ff_boosters.Network_wide_hh.install net ~ingresses:[ e1 ]
-        ~on_alarm:(fun _ -> local_alarm := true)
-        ~on_clear:(fun _ -> ())
+    let r =
+      Scenario.run
+        { testbed = { topo; routes = Ff_netsim.Net.install_shortest_paths }; server = None;
+          flows = []; defense = Scenario.Fastflex Orchestrator.default_config;
+          (* a local-only detector (the same per-destination logic, its
+             view limited to one ingress) beside the network-wide one *)
+          boosters =
+            [ Orchestrator.Network_wide_hh { ingresses = [ e1 ] };
+              Orchestrator.Network_wide_hh { ingresses = [ e1; e2 ] } ];
+          attacks =
+            [ Scenario.Flood
+                { bots = lm.T.Fig2.bot_sources; victim = lm.T.Fig2.victim;
+                  rate_pps = rate_pps_per_bot; start = 1.; spoof_as = [] } ];
+          duration = 8.; sample_period = None; hook = ignore }
     in
-    (* network-wide detector across both ingresses *)
-    let nw_alarm = ref false in
-    let nw =
-      Ff_boosters.Network_wide_hh.install net ~ingresses:[ e1; e2 ]
-        ~on_alarm:(fun _ -> nw_alarm := true)
-        ~on_clear:(fun _ -> ())
-    in
-    List.iter
-      (fun bot ->
-        ignore
-          (Ff_netsim.Flow.Cbr.start net ~src:bot ~dst:lm.T.Fig2.victim
-             ~rate_pps:rate_pps_per_bot ~at:1. ()))
-      lm.T.Fig2.bot_sources;
-    Ff_netsim.Engine.run engine ~until:8.;
-    (!local_alarm, !nw_alarm, Ff_boosters.Network_wide_hh.sync_probes nw)
+    match (Option.get r.Scenario.deployment).Orchestrator.network_hhs with
+    | [ local; nw ] ->
+      let module N = Ff_boosters.Network_wide_hh in
+      (N.alarmed local, N.alarmed nw, N.sync_probes nw)
+    | _ -> assert false
   in
   let rows =
     List.map
@@ -694,13 +690,6 @@ let chaos_exp () =
   banner "chaos"
     "control channels under the conditions they exist for: probe loss, flaps, crashes";
   let module Chaos = Ff_chaos.Chaos in
-  let modes_for = function
-    | Ff_dataplane.Packet.Lfa -> [ "reroute"; "obfuscate" ]
-    | Ff_dataplane.Packet.Volumetric -> [ "drop" ]
-    | Ff_dataplane.Packet.Pulsing -> [ "reroute" ]
-    | Ff_dataplane.Packet.Recon -> [ "obfuscate" ]
-    | Ff_dataplane.Packet.Synflood -> [ "syn_guard" ]
-  in
   (* part 1: mode convergence across a linear-8 chain whose middle link
      eats the first probe of every epoch (the cut-vertex failure
      fire-and-forget flooding cannot survive), plus 30% bursty loss on
@@ -712,6 +701,7 @@ let chaos_exp () =
   let converge ~anti_entropy ~seed =
     let topo = T.linear ~n:8 () in
     let engine = Ff_netsim.Engine.create () in
+    (* not a scenario: a bare mode protocol raised by hand, no traffic *)
     let net = Ff_netsim.Net.create engine topo in
     let id name = (T.node_by_name topo name).T.id in
     let h = Chaos.create ~seed net in
@@ -722,7 +712,9 @@ let chaos_exp () =
           (Chaos.burst_loss h ~sw ~start:0. ~until:infinity ~loss:0.3 ~mean_burst:2.
              ~classes:Ff_scaling.Loss.Control_only ()))
       (Ff_netsim.Net.switch_ids net);
-    let p = Ff_modes.Protocol.create net ~modes_for ~anti_entropy ~seed () in
+    let p =
+      Ff_modes.Protocol.create net ~modes_for:Orchestrator.modes_for ~anti_entropy ~seed ()
+    in
     Ff_modes.Protocol.raise_alarm p ~sw:(id "s0") Ff_dataplane.Packet.Lfa;
     Ff_netsim.Engine.run engine ~until:8.;
     let active =
@@ -762,6 +754,7 @@ let chaos_exp () =
   let xfer_run ~seed ~fault =
     let topo = T.ring ~n:6 () in
     let engine = Ff_netsim.Engine.create () in
+    (* not a scenario: a lone state transfer over an idle ring, no traffic *)
     let net = Ff_netsim.Net.create engine topo in
     let h = Chaos.create ~seed net in
     Chaos.watch h;
@@ -1152,20 +1145,9 @@ let check_parallel p =
 let fluid_opt = ref false
 
 type fluid_sample = {
-  f_flows : int;
-  f_classes : int;
+  f : Scenario.fluid_result;
   f_wall_s : float;
-  f_equivalents : float;
   f_equiv_per_sec : float;
-  f_demoted_frac_peak : float;
-  f_demotions : int;
-  f_promotions : int;
-  f_demote_denied : int;
-  f_solves : int;
-  f_skipped : int;
-  f_full_solves : int;
-  f_touched_frac : float;
-  f_loss_cuts : int;
   f_alloc_words_per_equiv : float;
 }
 
@@ -1173,8 +1155,8 @@ type fluid_sample = {
    100k+ benign flows ride the fluid tier, the flood volume is fluid
    aggregates, and the defense's mode protocol demotes the flows near the
    action to packet level. Work is measured in packet-equivalents: actual
-   per-hop packet transmissions plus fluid hop-bytes / packet_size. *)
-(* Above 100k flows the per-flow rate scales down so the aggregate benign
+   per-hop packet transmissions plus fluid hop-bytes / packet_size.
+   Above 100k flows the per-flow rate scales down so the aggregate benign
    offer stays ~4 Gb/s: a million users means thinner flows, not a
    thousandfold-oversubscribed ISP, and it keeps the benign population
    bound-limited so the attack's bottleneck components stay local. The
@@ -1189,29 +1171,15 @@ let measure_fluid ~flows ~duration =
   let bytes0 = Gc.allocated_bytes () in
   let t0 = Unix.gettimeofday () in
   let r =
-    Fastflex.Scenario.run_lfa_fluid ~flows ~duration ~flow_rate_bps
-      ?demote_budget ~goodput_period ()
+    Scenario.run_lfa_fluid ~flows ~duration ~flow_rate_bps ?demote_budget ~goodput_period ()
   in
   let wall_s = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
   let alloc_words = (Gc.allocated_bytes () -. bytes0) /. float_of_int (Sys.word_size / 8) in
-  let module S = Fastflex.Scenario in
-  let st = r.S.fr_solver in
   {
-    f_flows = flows;
-    f_classes = r.S.fr_classes;
+    f = r;
     f_wall_s = wall_s;
-    f_equivalents = r.S.fr_packet_equivalents;
-    f_equiv_per_sec = r.S.fr_packet_equivalents /. wall_s;
-    f_demoted_frac_peak = r.S.fr_demoted_frac_peak;
-    f_demotions = r.S.fr_demotions;
-    f_promotions = r.S.fr_promotions;
-    f_demote_denied = r.S.fr_demote_denied;
-    f_solves = st.Ff_fluid.Fluid.solves;
-    f_skipped = st.Ff_fluid.Fluid.skipped;
-    f_full_solves = st.Ff_fluid.Fluid.full_solves;
-    f_touched_frac = r.S.fr_touched_frac;
-    f_loss_cuts = st.Ff_fluid.Fluid.loss_cuts;
-    f_alloc_words_per_equiv = alloc_words /. Float.max 1. r.S.fr_packet_equivalents;
+    f_equiv_per_sec = r.Scenario.fr_packet_equivalents /. wall_s;
+    f_alloc_words_per_equiv = alloc_words /. Float.max 1. r.Scenario.fr_packet_equivalents;
   }
 
 (* The all-packet baseline: the same scenario forced through the packet
@@ -1222,12 +1190,11 @@ let measure_fluid_baseline ~flows =
   Gc.compact ();
   let t0 = Unix.gettimeofday () in
   let r =
-    Fastflex.Scenario.run_lfa_fluid ~flows ~duration:2.5
-      ~force:Ff_fluid.Hybrid.All_packet ~packet_recon:false ()
+    Scenario.run_lfa_fluid ~flows ~duration:2.5 ~force:Ff_fluid.Hybrid.All_packet
+      ~packet_recon:false ()
   in
   let wall_s = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
-  let module S = Fastflex.Scenario in
-  (wall_s, r.S.fr_packet_equivalents /. wall_s)
+  (wall_s, r.Scenario.fr_packet_equivalents /. wall_s)
 
 let fluid_sample_to_json s =
   Printf.sprintf
@@ -1236,10 +1203,10 @@ let fluid_sample_to_json s =
      \"promotions\": %d, \"demote_denied\": %d,\n\
     \        \"solves\": %d, \"skipped\": %d, \"full_solves\": %d, \"touched_frac\": %.4f, \
      \"loss_cuts\": %d, \"alloc_words_per_equiv\": %.2f }"
-    s.f_flows s.f_classes s.f_wall_s s.f_equivalents s.f_equiv_per_sec
-    s.f_demoted_frac_peak s.f_demotions s.f_promotions s.f_demote_denied s.f_solves
-    s.f_skipped s.f_full_solves s.f_touched_frac s.f_loss_cuts
-    s.f_alloc_words_per_equiv
+    s.f.fr_flows s.f.fr_classes s.f_wall_s s.f.fr_packet_equivalents s.f_equiv_per_sec
+    s.f.fr_demoted_frac_peak s.f.fr_demotions s.f.fr_promotions s.f.fr_demote_denied
+    s.f.fr_solver.solves s.f.fr_solver.skipped s.f.fr_solver.full_solves s.f.fr_touched_frac
+    s.f.fr_solver.loss_cuts s.f_alloc_words_per_equiv
 
 let fluid_to_json ~sweep ~baseline_flows ~baseline_eps ~speedup ~solver_alloc =
   Printf.sprintf
@@ -1264,6 +1231,7 @@ let measure_solver_alloc () =
   let module Fluid = Ff_fluid.Fluid in
   let topo = T.isp ~cores:4 ~access_per_core:2 ~hosts_per_access:4 () in
   let engine = Engine.create () in
+  (* not a scenario: the fluid solver alone, the engine never runs *)
   let net = Net.create engine topo in
   Scenario.install_all_routes net;
   let hosts = Array.of_list (List.map (fun (n : T.node) -> n.T.id) (T.hosts topo)) in
@@ -1334,30 +1302,30 @@ let check_fluid ~top ~speedup ~solver_alloc =
       Printf.printf
         "[perf] solver allocation check ok: %.1f <= budget %.1f words/recompute\n"
         solver_alloc budget);
-  if top.f_flows >= 1_000_000 && top.f_equiv_per_sec < fluid_equiv_floor then begin
+  if top.f.fr_flows >= 1_000_000 && top.f_equiv_per_sec < fluid_equiv_floor then begin
     Printf.printf "[perf] FAIL: %.2e equiv/s at %d flows is under the %.0e floor\n"
-      top.f_equiv_per_sec top.f_flows fluid_equiv_floor;
+      top.f_equiv_per_sec top.f.fr_flows fluid_equiv_floor;
     exit 1
   end
   else
     Printf.printf "[perf] fluid throughput check ok: %.2e equiv/s at %d flows\n"
-      top.f_equiv_per_sec top.f_flows;
-  if top.f_touched_frac > fluid_touched_frac_max then begin
+      top.f_equiv_per_sec top.f.fr_flows;
+  if top.f.fr_touched_frac > fluid_touched_frac_max then begin
     Printf.printf
       "[perf] FAIL: solver touched_frac %.3f exceeds %.2f — incremental locality lost\n"
-      top.f_touched_frac fluid_touched_frac_max;
+      top.f.fr_touched_frac fluid_touched_frac_max;
     exit 1
   end
   else
     Printf.printf "[perf] solver locality check ok: touched_frac %.3f <= %.2f\n"
-      top.f_touched_frac fluid_touched_frac_max;
+      top.f.fr_touched_frac fluid_touched_frac_max;
   if speedup < 20. then
     Printf.printf
       "[perf] WARNING: hybrid speedup %.1fx at %d flows (target 20x vs all-packet)\n"
-      speedup top.f_flows
+      speedup top.f.fr_flows
   else
     Printf.printf "[perf] hybrid speedup check ok: %.1fx >= 20x at %d flows\n" speedup
-      top.f_flows
+      top.f.fr_flows
 
 (* The all-packet baseline is pinned at 100k flows: the pure packet engine
    cannot finish the 10^6-flow scenario in tractable wall time, and its
@@ -1485,12 +1453,12 @@ let perf () =
       ~rows:
         (List.map
            (fun f ->
-             [ string_of_int f.f_flows; string_of_int f.f_classes;
+             [ string_of_int f.f.fr_flows; string_of_int f.f.fr_classes;
                Printf.sprintf "%.2f" f.f_wall_s;
                Printf.sprintf "%.2e" f.f_equiv_per_sec;
-               Printf.sprintf "%.2f%%" (100. *. f.f_demoted_frac_peak);
-               Printf.sprintf "%.3f" f.f_touched_frac;
-               Printf.sprintf "%d/%d" f.f_full_solves f.f_solves;
+               Printf.sprintf "%.2f%%" (100. *. f.f.fr_demoted_frac_peak);
+               Printf.sprintf "%.3f" f.f.fr_touched_frac;
+               Printf.sprintf "%d/%d" f.f.fr_solver.full_solves f.f.fr_solver.solves;
                Printf.sprintf "%.2f" f.f_alloc_words_per_equiv ])
            sweep);
     Printf.printf
@@ -1815,9 +1783,7 @@ let () =
   (match (trace_file, trace) with
   | Some file, Some tr ->
     (match trace_filter with
-    | None ->
-      if Filename.check_suffix file ".csv" then Ff_obs.Trace.write_csv tr file
-      else Ff_obs.Trace.write_jsonl tr file
+    | None -> Ff_obs.Trace.write tr file
     | Some keep ->
       (* the golden-trace format: filtered JSONL keeping original seq
          numbers, closed by a summary object whose per-kind totals come

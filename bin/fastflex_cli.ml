@@ -40,16 +40,11 @@ let run_lfa defense duration te_period roll_times csv bots normals trace_file ch
       end
     in
     let spec = Fastflex.Scenario.lfa_spec ~defense ~attack ~duration lm in
-    let trace =
-      Option.map
-        (fun _ ->
-          let tr = Ff_obs.Trace.create () in
-          Ff_obs.Trace.set_ambient (Some tr);
-          tr)
-        trace_file
-    in
+    let trace = Option.map (fun _ -> Ff_obs.Trace.create ()) trace_file in
     let span = Ff_obs.Profile.start ~events:(Ff_netsim.Engine.total_steps ()) "lfa" in
-    let r = Fastflex.Scenario.run_lfa_spec { spec with hook } in
+    let r =
+      Ff_obs.Trace.with_ambient trace (fun () -> Fastflex.Scenario.run_lfa_spec { spec with hook })
+    in
     let report =
       Ff_obs.Profile.finish span ~events:(Ff_netsim.Engine.total_steps ())
         ~trace_events:(match trace with Some tr -> Ff_obs.Trace.count tr | None -> 0)
@@ -63,8 +58,7 @@ let run_lfa defense duration te_period roll_times csv bots normals trace_file ch
     Format.printf "%a@." Ff_obs.Profile.pp_report report;
     (match (trace_file, trace) with
     | Some file, Some tr ->
-      if Filename.check_suffix file ".csv" then Ff_obs.Trace.write_csv tr file
-      else Ff_obs.Trace.write_jsonl tr file;
+      Ff_obs.Trace.write tr file;
       Printf.printf "trace: %d events -> %s\n" (Ff_obs.Trace.count tr) file
     | _ -> ());
     (match !harness with
@@ -184,11 +178,7 @@ let fluid_cmd flows duration force trace_file =
   let t0 = Unix.gettimeofday () in
   let r = Fastflex.Scenario.run_lfa_fluid ~flows ~duration ~force ?obs () in
   let wall = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
-  (match (obs, trace_file) with
-  | Some tr, Some file ->
-    if Filename.check_suffix file ".csv" then Ff_obs.Trace.write_csv tr file
-    else Ff_obs.Trace.write_jsonl tr file
-  | _ -> ());
+  (match (obs, trace_file) with Some tr, Some file -> Ff_obs.Trace.write tr file | _ -> ());
   let open Fastflex.Scenario in
   Ff_util.Table.print
     ~header:[ "metric"; "value" ]

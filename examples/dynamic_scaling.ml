@@ -14,6 +14,7 @@ let () =
   let lm = T.Fig2.build () in
   let topo = lm.T.Fig2.topo in
   let engine = Engine.create () in
+  (* hand-built: switch repurposing is not a spec element yet *)
   let net = Net.create engine topo in
   Net.install_shortest_paths net;
 

@@ -24,3 +24,32 @@ let mode_hcf = "hcf"
 let mode_acl = "acl"
 let mode_grl = "grl"
 let mode_syn_guard = "syn_guard"
+
+(* Per-(switch, key) byte counters over a 1 s window. *)
+type local_rates = {
+  net : Ff_netsim.Net.t;
+  counters : (int * int, Ff_util.Stats.Window_counter.t) Hashtbl.t;
+}
+
+let local_rates net = { net; counters = Hashtbl.create 64 }
+
+let count r ~sw ~key bytes =
+  let c =
+    match Hashtbl.find_opt r.counters (sw, key) with
+    | Some c -> c
+    | None ->
+      let c = Ff_util.Stats.Window_counter.create ~width:1.0 in
+      Hashtbl.replace r.counters (sw, key) c;
+      c
+  in
+  Ff_util.Stats.Window_counter.add c ~now:(Ff_netsim.Net.now r.net) bytes
+
+let local_rate r ~sw ~key =
+  match Hashtbl.find_opt r.counters (sw, key) with
+  | None -> 0.
+  | Some c -> Ff_util.Stats.Window_counter.rate c ~now:(Ff_netsim.Net.now r.net) *. 8.
+
+let local_view r ~sw =
+  Hashtbl.fold
+    (fun (s, key) _ acc -> if s = sw then (key, local_rate r ~sw ~key) :: acc else acc)
+    r.counters []

@@ -40,3 +40,19 @@ val mode_grl : string
 
 val mode_syn_guard : string
 (** SYN-cookie split-proxy interception at an edge switch. *)
+
+(** {1 Local rate views}
+
+    The local views the network-wide boosters advertise through
+    [Ff_modes.Sync]: byte counters per (switch, key) over a 1 s window. *)
+
+type local_rates
+
+val local_rates : Ff_netsim.Net.t -> local_rates
+val count : local_rates -> sw:int -> key:int -> float -> unit
+
+val local_rate : local_rates -> sw:int -> key:int -> float
+(** Bits/s; 0. for a pair never counted. *)
+
+val local_view : local_rates -> sw:int -> (int * float) list
+(** Every key counted at [sw], with its {!local_rate}. *)

@@ -1,7 +1,6 @@
 module Net = Ff_netsim.Net
 module Packet = Ff_dataplane.Packet
 module Sync = Ff_modes.Sync
-module Window_counter = Ff_util.Stats.Window_counter
 
 type t = {
   net : Net.t;
@@ -9,89 +8,59 @@ type t = {
   rng : Ff_util.Prng.t;
   limits : (int, float) Hashtbl.t; (* tenant -> bps *)
   tenants : (int, int) Hashtbl.t; (* src host -> tenant *)
-  local : (int, (int, Window_counter.t) Hashtbl.t) Hashtbl.t; (* sw -> tenant -> bytes window *)
+  local : Common.local_rates; (* per (participant, tenant) *)
   sync : Sync.t;
   mutable dropped : int;
 }
 
-let local_counter local sw tenant =
-  let per_sw =
-    match Hashtbl.find_opt local sw with
-    | Some h -> h
-    | None ->
-      let h = Hashtbl.create 8 in
-      Hashtbl.replace local sw h;
-      h
-  in
-  match Hashtbl.find_opt per_sw tenant with
-  | Some c -> c
-  | None ->
-    let c = Window_counter.create ~width:1.0 in
-    Hashtbl.replace per_sw tenant c;
-    c
-
-let rate net local ~sw ~tenant =
-  Window_counter.rate (local_counter local sw tenant) ~now:(Net.now net) *. 8.
-
-(* The rates a participant advertises: every tenant it has counted. *)
-let local_view net local ~sw =
-  match Hashtbl.find_opt local sw with
-  | None -> []
-  | Some per_sw ->
-    Hashtbl.fold (fun tenant _ acc -> (tenant, rate net local ~sw ~tenant) :: acc) per_sw []
-
-let local_rate t ~sw ~tenant = rate t.net t.local ~sw ~tenant
+let local_rate t ~sw ~tenant = Common.local_rate t.local ~sw ~key:tenant
 
 let global_rate t ~sw ~tenant =
   let remote = Sync.remote_contribution t.sync ~sw ~key:tenant in
   remote +. local_rate t ~sw ~tenant
 
+(* Policing drops with probability [1 - limit/global], so the aggregate
+   converges to the limit wherever the tenant enters. *)
 let stage t =
   let mode_key = Common.mode_key Common.mode_grl in
+  let police ctx pkt tenant =
+    let sw = ctx.Net.sw.Net.sw_id in
+    Common.count t.local ~sw ~key:tenant (float_of_int pkt.Packet.size);
+    match Hashtbl.find_opt t.limits tenant with
+    | Some limit when Common.mode_on ctx.Net.sw mode_key ->
+      let global = global_rate t ~sw ~tenant in
+      if global > limit && Ff_util.Prng.float t.rng 1. < 1. -. (limit /. global) then begin
+        t.dropped <- t.dropped + 1;
+        Net.Drop "global-rate-limit"
+      end
+      else Net.Continue
+    | _ -> Net.Continue
+  in
   {
     Net.stage_name = "global-rate-limit";
     process =
       (fun ctx pkt ->
         let sw = ctx.Net.sw.Net.sw_id in
-        match pkt.Packet.payload with
-        | Packet.Data -> (
-          match Hashtbl.find_opt t.tenants pkt.Packet.src with
-          | Some tenant when List.mem sw t.participants
-                             && Net.access_switch t.net ~host:pkt.Packet.src = sw -> (
-            Window_counter.add (local_counter t.local sw tenant) ~now:(Net.now t.net)
-              (float_of_int pkt.Packet.size);
-            match Hashtbl.find_opt t.limits tenant with
-            | Some limit when Common.mode_on ctx.Net.sw mode_key ->
-              let global = global_rate t ~sw ~tenant in
-              if global > limit then begin
-                let drop_p = 1. -. (limit /. global) in
-                if Ff_util.Prng.float t.rng 1. < drop_p then begin
-                  t.dropped <- t.dropped + 1;
-                  Net.Drop "global-rate-limit"
-                end
-                else Net.Continue
-              end
-              else Net.Continue
-            | _ -> Net.Continue)
-          | _ -> Net.Continue)
+        match (pkt.Packet.payload, Hashtbl.find_opt t.tenants pkt.Packet.src) with
+        | Packet.Data, Some tenant
+          when List.mem sw t.participants && Net.access_switch t.net ~host:pkt.Packet.src = sw ->
+          police ctx pkt tenant
         | _ -> Net.Continue);
   }
 
-let install net ~participants =
-  let local = Hashtbl.create 16 in
+let install net ~participants ~tenants ~limits =
+  let local = Common.local_rates net in
   (* probe class 0 is this booster's; the other sync services use theirs *)
   let sync =
-    Sync.create net ~participants ~period:0.2
-      ~local_view:(fun ~sw -> local_view net local ~sw)
-      ~probe_class:0 ()
+    Sync.create net ~participants ~period:0.2 ~local_view:(Common.local_view local) ~probe_class:0 ()
   in
   let t =
     {
       net;
       participants;
       rng = Ff_util.Prng.create ~seed:7;
-      limits = Hashtbl.create 8;
-      tenants = Hashtbl.create 32;
+      limits = Hashtbl.of_seq (List.to_seq limits);
+      tenants = Hashtbl.of_seq (List.to_seq tenants);
       local;
       sync;
       dropped = 0;
@@ -100,7 +69,5 @@ let install net ~participants =
   List.iter (fun sw -> Net.add_stage net ~sw (stage t)) (Net.switch_ids net);
   t
 
-let set_limit t ~tenant limit = Hashtbl.replace t.limits tenant limit
-let assign t ~src ~tenant = Hashtbl.replace t.tenants src tenant
 let dropped t = t.dropped
 let sync_probes t = Sync.probes_sent t.sync

@@ -8,19 +8,23 @@
     the views they receive, so each holds an estimate of the tenant's
     {e global} rate: its own local rate plus the other participants'
     fresh advertisements. While the
-    ["grl"] mode is active, a tenant above its limit is policed
+    ["grl"] mode is active (a [Volumetric] alarm's mode change switches it
+    on, [Orchestrator.modes_for]), a tenant above its limit is policed
     probabilistically with drop probability [1 - limit/global] — the
     aggregate converges to the limit wherever the traffic enters. *)
 
 type t
 
-val install : Ff_netsim.Net.t -> participants:int list -> t
-
-val set_limit : t -> tenant:int -> float -> unit
-(** Global limit in bits/s. *)
-
-val assign : t -> src:int -> tenant:int -> unit
-(** Map a source host to a tenant (unassigned sources are not policed). *)
+val install :
+  Ff_netsim.Net.t ->
+  participants:int list ->
+  tenants:(int * int) list ->
+  limits:(int * float) list ->
+  t
+(** [tenants] maps source hosts to tenants (unassigned sources are not
+    policed); [limits] gives each tenant's global limit in bits/s.
+    [Orchestrator.deploy] installs it for a [Global_rate_limit]
+    defense. *)
 
 val global_rate : t -> sw:int -> tenant:int -> float
 (** The switch-local estimate of the tenant's network-wide rate (bits/s). *)

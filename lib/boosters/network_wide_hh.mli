@@ -12,6 +12,7 @@ type t
 
 val install :
   Ff_netsim.Net.t ->
+  id:int ->
   ingresses:int list ->
   on_alarm:(Lfa_detector.alarm -> unit) ->
   on_clear:(Lfa_detector.alarm -> unit) ->
@@ -19,8 +20,11 @@ val install :
 (** Checks every 0.5 s and syncs every 0.25 s; alarms when a
     destination's global rate exceeds 6 Mb/s. Local entries under
     100 kb/s are not advertised (the paper's "minimize synchronization"
-    knob). Instances coexist: each gets unique stage names and a unique
-    sync probe class. *)
+    knob). Instances with distinct [id]s coexist on one net: the id names
+    the counting stage ([nw-hh-counter-<id>]) and the sync probe class
+    ([100 + id]). [Orchestrator.deploy] installs it for a
+    [Network_wide_hh] defense, numbering from 1 within the deployment
+    and passing the deployment's alarm sink. *)
 
 val global_rate : t -> sw:int -> dst:int -> float
 (** The ingress's estimate of the destination's network-wide inbound rate. *)

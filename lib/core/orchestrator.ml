@@ -56,7 +56,7 @@ let modes_for = function
   | Packet.Lfa ->
     [ B.Common.mode_classify; B.Common.mode_reroute; B.Common.mode_obfuscate;
       B.Common.mode_drop ]
-  | Packet.Volumetric -> [ B.Common.mode_drop; B.Common.mode_hcf ]
+  | Packet.Volumetric -> [ B.Common.mode_drop; B.Common.mode_hcf; B.Common.mode_grl ]
   | Packet.Pulsing -> [ B.Common.mode_reroute; B.Common.mode_drop ]
   | Packet.Recon -> [ B.Common.mode_obfuscate ]
   | Packet.Synflood -> [ B.Common.mode_syn_guard ]
@@ -197,7 +197,7 @@ let sketch_handoff net sink (src, dst) =
   let ship () =
     if (not !shipped) && Sketch.total suspect > 0. then begin
       shipped := true;
-      ignore (Transfer.send_sketch net ~src_sw:src ~dst_sw:dst ~sketch:suspect ~into ())
+      ignore (Transfer.send_sketch net ~src_sw:src ~dst_sw:dst ~sketch:suspect ~into)
     end
   in
   let on_alarm a =
@@ -280,6 +280,12 @@ type defense =
       fanout_guard : bool;
     }
   | Syn_guard of { sw : int; protect : int; tracker_capacity : int; syn_threshold_pps : float }
+  | Network_wide_hh of { ingresses : int list }
+  | Global_rate_limit of {
+      participants : int list;
+      tenants : (int * int) list;
+      limits : (int * float) list;
+    }
 
 type deployment = {
   protocol : Ff_modes.Protocol.t;
@@ -290,6 +296,8 @@ type deployment = {
   heavy_hitters : B.Heavy_hitter.t list;
   hop_count_filters : B.Hop_count_filter.t list;
   syn_guards : B.Syn_guard.t list;
+  network_hhs : B.Network_wide_hh.t list;
+  rate_limits : B.Global_rate_limit.t list;
 }
 
 let pervasive topo =
@@ -368,17 +376,28 @@ let install_stack net config sink d = function
         ~on_alarm:sink.on_alarm ~on_clear:sink.on_clear
     in
     { d with syn_guards = d.syn_guards @ [ guard ] }
+  | Network_wide_hh { ingresses } ->
+    (* numbered within the deployment, so stage names and sync probe
+       classes do not depend on earlier runs in the process *)
+    let nw =
+      B.Network_wide_hh.install net ~id:(List.length d.network_hhs + 1) ~ingresses
+        ~on_alarm:sink.on_alarm ~on_clear:sink.on_clear
+    in
+    { d with network_hhs = d.network_hhs @ [ nw ] }
+  | Global_rate_limit { participants; tenants; limits } ->
+    let grl = B.Global_rate_limit.install net ~participants ~tenants ~limits in
+    { d with rate_limits = d.rate_limits @ [ grl ] }
 
-let deploy net ?(config = default_config) ?on_mode defenses =
+let deploy net ?(config = default_config) defenses =
   let protocol =
     Ff_modes.Protocol.create net ~region_ttl:config.region_ttl ~min_dwell:config.min_dwell
       ~modes_for ()
   in
   let sink = sink net config protocol in
-  Option.iter (Ff_modes.Protocol.on_transition protocol) on_mode;
   List.fold_left (install_stack net config sink)
-    { protocol; detectors = []; droppers = []; reroute = None;
-      obfuscator = None; heavy_hitters = []; hop_count_filters = []; syn_guards = [] }
+    { protocol; detectors = []; droppers = []; reroute = None; obfuscator = None;
+      heavy_hitters = []; hop_count_filters = []; syn_guards = []; network_hhs = [];
+      rate_limits = [] }
     defenses
 
 type synguard = {
@@ -401,8 +420,8 @@ type wide = {
   w_droppers : (int * B.Dropper.t) list;
 }
 
-let deploy_wide net ~protect ?config ?on_mode () =
+let deploy_wide net ~protect ?config () =
   let sites = pervasive (Net.topology net) in
-  let d = deploy net ?config ?on_mode [ Lfa { sites; protect; handoff = None } ] in
+  let d = deploy net ?config [ Lfa { sites; protect; handoff = None } ] in
   { w_protocol = d.protocol; w_detectors = d.detectors; w_reroute = Option.get d.reroute;
     w_obfuscator = Option.get d.obfuscator; w_droppers = d.droppers }

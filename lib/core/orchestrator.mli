@@ -41,13 +41,16 @@ type config = {
 val default_config : config
 
 val modes_for : Ff_dataplane.Packet.attack_kind -> string list
-(** The attack -> booster-mode mapping the protocol distributes. *)
+(** The attack -> booster-mode mapping the protocol distributes:
+    [Volumetric] switches on dropping, hop-count filtering and global rate
+    limiting. *)
 
 (** {1 The alarm path}
 
     {!deploy} is the only creator of a detector protocol: one per
     deployment, behind one alarm sink through which every detector (LFA
-    detectors, heavy hitters, fanout guards, SYN guards) raises and
+    detectors, heavy hitters, fanout guards, SYN guards, network-wide
+    heavy hitters) raises and
     clears, so {!Ff_modes.Protocol.raises} counts detector alarms. The
     sink reference-counts raises per attack class and forwards only the
     last clear: a bare [Protocol.clear_alarm] would deactivate the region
@@ -103,6 +106,22 @@ type defense =
           listener with {!Ff_boosters.Syn_guard.attach_server_agent}.
           Hardening jitters the SYN-rate threshold and rotates the cookie
           secret. *)
+  | Network_wide_hh of { ingresses : int list }
+      (** Network-wide heavy-hitter detection (paper section 3.3): the
+          [ingresses] count per-destination bytes and sync their views, and
+          a destination above 6 Mb/s network-wide raises a [Volumetric]
+          alarm at the first ingress, though no single ingress sees a heavy
+          hitter ({!Ff_boosters.Network_wide_hh}). Numbered from 1 within
+          the deployment. *)
+  | Global_rate_limit of {
+      participants : int list;  (** ingress switches that count and police *)
+      tenants : (int * int) list;  (** (source host, tenant) *)
+      limits : (int * float) list;  (** (tenant, global limit in bits/s) *)
+    }
+      (** Distributed global rate limiting (paper section 3.3): while its
+          switch's [Volumetric] modes are on, a tenant above its limit
+          network-wide is policed at every participant
+          ({!Ff_boosters.Global_rate_limit}). *)
 
 type deployment = {
   protocol : Ff_modes.Protocol.t;
@@ -113,22 +132,16 @@ type deployment = {
   heavy_hitters : Ff_boosters.Heavy_hitter.t list;
   hop_count_filters : Ff_boosters.Hop_count_filter.t list;
   syn_guards : Ff_boosters.Syn_guard.t list;
+  network_hhs : Ff_boosters.Network_wide_hh.t list;
+  rate_limits : Ff_boosters.Global_rate_limit.t list;
 }
 (** What a {!deploy} installed, in defense-list order. *)
 
-val deploy :
-  Ff_netsim.Net.t ->
-  ?config:config ->
-  ?on_mode:(sw:int -> attack:Ff_dataplane.Packet.attack_kind -> active:bool -> unit) ->
-  defense list ->
-  deployment
+val deploy : Ff_netsim.Net.t -> ?config:config -> defense list -> deployment
 (** One protocol and alarm sink from [config] (default
     {!default_config}: [region_ttl], [min_dwell], {!modes_for}), then each
-    defense in list order; the droppers police
-    at [drop_rate_limit] and [drop_prob]. [on_mode] observes every applied mode
-    transition — the hybrid fluid tier registers its demotion predicate
-    here, so flows crossing a mode-changing region drop to packet
-    fidelity. *)
+    defense in list order; the droppers police at [drop_rate_limit] and
+    [drop_prob]. *)
 
 val pervasive : Ff_topology.Topology.t -> (int * (int * int) list) list
 (** [Lfa] sites on every switch with switch-to-switch links, watching all
@@ -151,13 +164,7 @@ type wide = {
   w_droppers : (int * Ff_boosters.Dropper.t) list;
 }
 
-val deploy_wide :
-  Ff_netsim.Net.t ->
-  protect:int list ->
-  ?config:config ->
-  ?on_mode:(sw:int -> attack:Ff_dataplane.Packet.attack_kind -> active:bool -> unit) ->
-  unit ->
-  wide
+val deploy_wide : Ff_netsim.Net.t -> protect:int list -> ?config:config -> unit -> wide
 (** One [Lfa] stack on the {!pervasive} sites of any topology, without a
     handoff: an attack's modes stay up until the last alarmed detector
     clears. *)

@@ -4,6 +4,8 @@ module Engine = Ff_netsim.Engine
 module Flow = Ff_netsim.Flow
 module Monitor = Ff_netsim.Monitor
 module Series = Ff_util.Series
+module Hybrid = Ff_fluid.Hybrid
+module Fluid = Ff_fluid.Fluid
 
 type defense =
   | No_defense
@@ -22,6 +24,14 @@ type flow =
   | Tcp of { src : int; dst : int; max_cwnd : float }
   | Cbr of { src : int; dst : int; rate_pps : float; packet_size : int }
   | Handshake of { src : int; dst : int }
+  | Population of {
+      count : int;
+      seed : int;
+      rate_bps : float;
+      packet_size : int;
+      force : Hybrid.force;
+      demote_budget : int option;
+    }
 
 type server = { host : int; backlog : int; syn_timeout : float }
 
@@ -42,6 +52,16 @@ type attack =
       targets : int list;
       sinks : int list;
       config : Ff_attacks.Adaptive.config;
+    }
+  | Fluid_crossfire of {
+      bots : int list;
+      decoy_groups : int list list;
+      rate_bps_per_flow : float;
+      packet_size : int;
+      start : float;
+      stop : float;
+      roll_schedule : float list;
+      recon : bool;
     }
 
 type spec = {
@@ -67,8 +87,36 @@ and report = {
   crossfires : Ff_attacks.Lfa.t list;
   syn_floods : Ff_attacks.Synflood.t list;
   adaptives : Ff_attacks.Adaptive.t list;
+  hybrid : Hybrid.t option;
+  population : (Hybrid.member * int) option;
+  fluid_floods : Ff_attacks.Lfa.Fluid_volume.t list;
   goodput : Series.t;
 }
+
+(* Uniform-rate CBR members between random host pairs; one rate level
+   keeps the path-class count at O(host pairs). Consecutive [add_flow]
+   calls issue a contiguous range of members, so the first one and the
+   count stand for the whole population. *)
+let admit_population hybrid ~count ~seed ~rate_bps ~packet_size =
+  let hosts = Array.of_list (Net.host_ids (Hybrid.net hybrid)) in
+  let nh = Array.length hosts in
+  let rng = Ff_util.Prng.create ~seed in
+  let profile = Hybrid.Cbr { rate_pps = rate_bps /. float_of_int (8 * packet_size); packet_size } in
+  let add () =
+    let src = hosts.(Ff_util.Prng.int rng nh) in
+    let dst = ref hosts.(Ff_util.Prng.int rng nh) in
+    while !dst = src do dst := hosts.(Ff_util.Prng.int rng nh) done;
+    Hybrid.add_flow hybrid ~src ~dst:!dst profile
+  in
+  let first = if count > 0 then Some (add ()) else None in
+  for _ = 2 to count do
+    ignore (add ())
+  done;
+  Option.map (fun first -> (first, count)) first
+
+let population_bytes hybrid = function
+  | Some (first, count) -> Hybrid.sum_delivered_bytes (Option.get hybrid) ~first ~count
+  | None -> 0.
 
 let run spec =
   let net = Net.create (Engine.create ()) spec.testbed.topo in
@@ -79,7 +127,7 @@ let run spec =
         Flow.Listener.install net ~host ~backlog ~syn_timeout ())
       spec.server
   in
-  let tcp = ref [] and clients = ref [] in
+  let tcp = ref [] and clients = ref [] and hybrid = ref None and population = ref None in
   List.iter
     (function
       | Tcp { src; dst; max_cwnd } ->
@@ -87,9 +135,15 @@ let run spec =
       | Cbr { src; dst; rate_pps; packet_size } ->
         ignore (Flow.Cbr.start net ~src ~dst ~rate_pps ~packet_size ~at:0.1 ())
       | Handshake { src; dst } ->
-        clients := Flow.Handshake.start net ~src ~dst ~at:0.5 ~conn_interval:0.4 () :: !clients)
+        clients := Flow.Handshake.start net ~src ~dst ~at:0.5 ~conn_interval:0.4 () :: !clients
+      | Population { count; seed; rate_bps; packet_size; force; demote_budget } ->
+        if Option.is_some !hybrid then invalid_arg "Scenario.run: more than one Population";
+        let h = Hybrid.create ~force ?demote_budget net () in
+        hybrid := Some h;
+        population := admit_population h ~count ~seed ~rate_bps ~packet_size)
     spec.flows;
   let tcp = List.rev !tcp and clients = List.rev !clients in
+  let hybrid = !hybrid and population = !population in
   let controller, deployment =
     match spec.defense with
     | No_defense -> (None, None)
@@ -103,12 +157,19 @@ let run spec =
       (Some (Ff_te.Controller.start net ~period ~delay ~estimate ()), None)
     | Fastflex config ->
       let d = Orchestrator.deploy net ~config spec.boosters in
+      (* on the hybrid tier, flows whose paths cross a mode-changing
+         switch drop to packet fidelity *)
+      Option.iter
+        (fun h ->
+          Ff_modes.Protocol.on_transition d.protocol (fun ~sw ~attack:_ ~active ->
+              if active then Hybrid.mark_hot h ~node:sw else Hybrid.clear_hot h ~node:sw))
+        hybrid;
       Option.iter
         (fun l -> List.iter (fun g -> Ff_boosters.Syn_guard.attach_server_agent g l) d.syn_guards)
         listener;
       (None, Some d)
   in
-  let crossfires = ref [] and syn_floods = ref [] and adaptives = ref [] in
+  let crossfires = ref [] and syn_floods = ref [] and adaptives = ref [] and fluid_floods = ref [] in
   List.iter
     (function
       | Crossfire { bots; decoy_groups; plan = p } ->
@@ -128,7 +189,20 @@ let run spec =
         ignore (Ff_attacks.Pulsing.launch net ~bots ~victim ~burst_pps ~duty ~start ())
       | Adaptive { strategy; bots; targets; sinks; config } ->
         adaptives :=
-          Ff_attacks.Adaptive.launch net ~strategy ~bots ~targets ~sinks ~config :: !adaptives)
+          Ff_attacks.Adaptive.launch net ~strategy ~bots ~targets ~sinks ~config :: !adaptives
+      | Fluid_crossfire
+          { bots; decoy_groups; rate_bps_per_flow; packet_size; start; stop; roll_schedule; recon }
+        ->
+        if Option.is_none hybrid then invalid_arg "Scenario.run: Fluid_crossfire needs a Population";
+        fluid_floods :=
+          Ff_attacks.Lfa.Fluid_volume.launch (Option.get hybrid) ~bots ~decoy_groups ~rate_bps_per_flow
+            ~packet_size ~start ~stop ~roll_schedule
+          :: !fluid_floods;
+        if recon then
+          crossfires :=
+            Ff_attacks.Lfa.launch net ~bots ~decoy_groups ~start ~stop ~flows_per_bot:1
+              ~roll_on_path_change:false ~roll_schedule ()
+            :: !crossfires)
     spec.attacks;
   let goodput =
     match spec.sample_period with
@@ -137,13 +211,19 @@ let run spec =
       let completed () =
         List.fold_left (fun acc c -> acc +. Flow.Handshake.completed_bytes c) 0. clients
       in
-      let probes = if clients = [] then [] else [ Monitor.counter_probe completed ] in
+      let probes =
+        (if clients = [] then [] else [ Monitor.counter_probe completed ])
+        @
+        if Option.is_none population then []
+        else [ Monitor.counter_probe (fun () -> population_bytes hybrid population) ]
+      in
       Monitor.aggregate_goodput net ~flows:tcp ~probes ~period ~name:"goodput" ()
   in
   let report =
     { spec; net; tcp; clients; listener; deployment; controller;
       crossfires = List.rev !crossfires; syn_floods = List.rev !syn_floods;
-      adaptives = List.rev !adaptives; goodput }
+      adaptives = List.rev !adaptives; hybrid; population; fluid_floods = List.rev !fluid_floods;
+      goodput }
   in
   spec.hook report;
   Engine.run (Net.engine net) ~until:spec.duration;
@@ -156,7 +236,8 @@ let attack_start spec =
     List.fold_left
       (fun t -> function
         | Crossfire { plan = { start; _ }; _ }
-        | Flood { start; _ } | Syn_flood { start; _ } | Pulse { start; _ } -> Float.min t start
+        | Flood { start; _ } | Syn_flood { start; _ } | Pulse { start; _ }
+        | Fluid_crossfire { start; _ } -> Float.min t start
         | Adaptive { config; _ } -> Float.min t config.Ff_attacks.Adaptive.start)
       infinity attacks
 
@@ -447,33 +528,11 @@ let run_synflood ~defended ?(hardened = false) ?(duration = 60.)
     sf_alarmed = Option.fold ~none:false ~some:Ff_boosters.Syn_guard.alarmed guard;
   }
 
-(* shortest-path route trees toward every host, over switches only (hosts
-   are reachable but never transited) *)
 let install_all_routes net =
-  let is_switch =
-    let tbl = Hashtbl.create 64 in
-    List.iter (fun sw -> Hashtbl.replace tbl sw ()) (Net.switch_ids net);
-    fun n -> Hashtbl.mem tbl n
-  in
+  let topo = Net.topology net in
   List.iter
     (fun dst ->
-      let visited = Hashtbl.create 64 in
-      Hashtbl.replace visited dst ();
-      let q = Queue.create () in
-      Queue.add dst q;
-      while not (Queue.is_empty q) do
-        let u = Queue.pop q in
-        List.iter
-          (fun v ->
-            if not (Hashtbl.mem visited v) then begin
-              Hashtbl.replace visited v ();
-              if is_switch v then begin
-                Net.set_route net ~sw:v ~dst ~next_hop:u;
-                Queue.add v q
-              end
-            end)
-          (Net.neighbors_of net u)
-      done)
+      Topology.route_tree topo ~dst (fun ~sw ~next_hop -> Net.set_route net ~sw ~dst ~next_hop))
     (Net.host_ids net)
 
 (* ---- closed-loop adversarial arena ------------------------------------- *)
@@ -649,9 +708,6 @@ let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1) ?(durat
 
 (* ---- hybrid fluid/packet ISP scenario ---------------------------------- *)
 
-module Hybrid = Ff_fluid.Hybrid
-module Fluid = Ff_fluid.Fluid
-
 type fluid_result = {
   fr_flows : int;
   fr_classes : int;
@@ -680,92 +736,50 @@ let run_lfa_fluid ?(flows = 100_000) ?(duration = 40.) ?(force = Hybrid.Auto) ?(
     ?(goodput_period = 0.5) ?obs () =
   let access_per_core = 2 and hosts_per_access = 4 and packet_size = 1000 in
   let topo = Topology.isp ~cores ~access_per_core ~hosts_per_access () in
-  let engine = Engine.create () in
-  let net = Net.create engine topo in
-  Net.attach_obs net obs;
-  install_all_routes net;
-  let hosts = List.map (fun (n : Topology.node) -> n.Topology.id) (Topology.hosts topo) in
-  let host_arr = Array.of_list hosts in
-  let nh = Array.length host_arr in
+  let host_arr =
+    Array.of_list (List.map (fun (n : Topology.node) -> n.Topology.id) (Topology.hosts topo))
+  in
   let behind_access a =
     Array.to_list (Array.sub host_arr (a * hosts_per_access) hosts_per_access)
   in
-  let victim, decoys_a =
-    match behind_access 0 with
-    | v :: rest -> (v, rest)
-    | [] -> invalid_arg "run_lfa_fluid: empty access"
-  in
+  let victim = host_arr.(0) and decoys_a = List.tl (behind_access 0) in
   let decoys_b = behind_access 1 in
-  (* bots: the first host of up to 8 PoPs spread away from PoP 0 *)
+  (* bots: the first host of up to 8 of the PoPs 2 .. cores - 2, spread
+     away from PoP 0 *)
   let bots =
-    let pops = List.init (cores - 3) (fun i -> 2 + i) in
-    let step = Float.max 1. (float_of_int (List.length pops) /. 8.) in
-    List.init (min 8 (List.length pops)) (fun i ->
-        let p = List.nth pops (int_of_float (float_of_int i *. step)) in
+    let pops = cores - 3 in
+    let step = Float.max 1. (float_of_int pops /. 8.) in
+    List.init (min 8 pops) (fun i ->
+        let p = 2 + int_of_float (float_of_int i *. step) in
         host_arr.(p * access_per_core * hosts_per_access))
   in
-  let hybrid = Hybrid.create ~force ?demote_budget net () in
-  (* benign population: uniform-rate CBR-class flows between random host
-     pairs; one rate level keeps the path-class count at O(host pairs) *)
-  let rng = Ff_util.Prng.create ~seed in
-  let rate_pps = flow_rate_bps /. float_of_int (8 * packet_size) in
-  let profile = Hybrid.Cbr { rate_pps; packet_size } in
-  let add_benign () =
-    let src = host_arr.(Ff_util.Prng.int rng nh) in
-    let dst = ref host_arr.(Ff_util.Prng.int rng nh) in
-    while !dst = src do dst := host_arr.(Ff_util.Prng.int rng nh) done;
-    Hybrid.add_flow hybrid ~src ~dst:!dst profile
+  (* the flood volume rides the fluid tier; its packet-level side (recon
+     traceroutes + low-rate TCP decoy flows) is optional *)
+  let spec =
+    { testbed = { topo; routes = install_all_routes }; server = None;
+      flows =
+        [ Population
+            { count = flows; seed; rate_bps = flow_rate_bps; packet_size; force; demote_budget } ];
+      defense =
+        Fastflex
+          { Orchestrator.default_config with
+            region_ttl = 1; min_dwell = 0.5; clear_hold = 1.5; check_period = 0.1 };
+      boosters =
+        [ Orchestrator.Lfa
+            { sites = Orchestrator.pervasive topo; protect = victim :: (decoys_a @ decoys_b);
+              handoff = None } ];
+      attacks =
+        [ Fluid_crossfire
+            { bots; decoy_groups = [ decoys_a; decoys_b ]; rate_bps_per_flow = attack_bps_per_flow;
+              packet_size; start = attack_start; stop = attack_stop; roll_schedule = [ roll_at ];
+              recon = packet_recon } ];
+      duration; sample_period = Some goodput_period; hook = ignore }
   in
-  (* consecutive add_flow calls issue a contiguous range of members *)
-  let benign_first = if flows > 0 then Some (add_benign ()) else None in
-  for _ = 2 to flows do
-    ignore (add_benign ())
-  done;
-  let wide =
-    Orchestrator.deploy_wide net ~protect:(victim :: (decoys_a @ decoys_b))
-      ~config:
-        {
-          Orchestrator.default_config with
-          region_ttl = 1;
-          min_dwell = 0.5;
-          clear_hold = 1.5;
-          check_period = 0.1;
-        }
-      ~on_mode:(fun ~sw ~attack:_ ~active ->
-        if active then Hybrid.mark_hot hybrid ~node:sw else Hybrid.clear_hot hybrid ~node:sw)
-      ()
-  in
-  (* the flood volume rides the fluid tier; the packet-level side of the
-     adversary (recon traceroutes + low-rate TCP decoy flows) is optional *)
-  let volume =
-    Ff_attacks.Lfa.Fluid_volume.launch hybrid ~bots
-      ~decoy_groups:[ decoys_a; decoys_b ]
-      ~rate_bps_per_flow:attack_bps_per_flow ~packet_size ~start:attack_start
-      ~stop:attack_stop ~roll_schedule:[ roll_at ]
-  in
-  let recon =
-    if packet_recon then
-      Some
-        (Ff_attacks.Lfa.launch net ~bots ~decoy_groups:[ decoys_a; decoys_b ]
-           ~start:attack_start ~stop:attack_stop ~flows_per_bot:1
-           ~roll_on_path_change:false ~roll_schedule:[ roll_at ] ())
-    else None
-  in
-  let benign_delivered () =
-    match benign_first with
-    | Some first -> Hybrid.sum_delivered_bytes hybrid ~first ~count:flows
-    | None -> 0.
-  in
-  let fr_goodput =
-    Monitor.aggregate_goodput net
-      ~probes:[ Monitor.counter_probe benign_delivered ]
-      ~period:goodput_period ~until:duration ~name:"fluid_goodput" ()
-  in
-  Engine.run engine ~until:duration;
-  ignore volume;
-  (match recon with Some a -> Ff_attacks.Lfa.stop_now a | None -> ());
+  (* the net takes [obs] as its trace where it is created *)
+  let r = Ff_obs.Trace.with_ambient obs (fun () -> run spec) in
+  let hybrid = Option.get r.hybrid in
   let fluid = Hybrid.fluid hybrid in
-  let fr_packet_tx = Net.total_tx_packets net in
+  let fr_packet_tx = Net.total_tx_packets r.net in
   let fr_fluid_hop_bytes = Fluid.hop_bytes fluid in
   {
     fr_flows = flows;
@@ -775,19 +789,19 @@ let run_lfa_fluid ?(flows = 100_000) ?(duration = 40.) ?(force = Hybrid.Auto) ?(
     fr_fluid_hop_bytes;
     fr_packet_equivalents =
       (fr_fluid_hop_bytes /. float_of_int packet_size) +. float_of_int fr_packet_tx;
-    fr_delivered_bytes = benign_delivered ();
+    fr_delivered_bytes = population_bytes r.hybrid r.population;
     fr_demoted_peak = Hybrid.demoted_peak hybrid;
     fr_demoted_frac_peak =
       (if flows = 0 then 0.
        else float_of_int (Hybrid.demoted_peak hybrid) /. float_of_int flows);
     fr_demotions = Hybrid.demotions hybrid;
     fr_promotions = Hybrid.promotions hybrid;
-    fr_mode_changes = Ff_modes.Protocol.transitions wide.Orchestrator.w_protocol;
-    fr_rolls = List.length (Ff_attacks.Lfa.Fluid_volume.rolls volume);
+    fr_mode_changes = Ff_modes.Protocol.transitions (Option.get r.deployment).protocol;
+    fr_rolls = List.length (List.concat_map Ff_attacks.Lfa.Fluid_volume.rolls r.fluid_floods);
     fr_rate_events = Fluid.rate_events fluid;
     fr_solver = Fluid.solver_stats fluid;
     fr_touched_frac = Fluid.touched_frac fluid;
     fr_demote_denied = Hybrid.demote_denied hybrid;
-    fr_goodput;
-    fr_drops = Net.drops_by_reason net;
+    fr_goodput = r.goodput;
+    fr_drops = Net.drops_by_reason r.net;
   }

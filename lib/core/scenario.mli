@@ -1,6 +1,7 @@
-(** Scenarios. {!run} builds every packet-tier scenario from a
-    {!spec}; the case study of paper section 4.3 (Figure 3) and the other
-    Figure 2 experiments are specs over it. Throughput is reported
+(** Scenarios. {!run} builds every scenario that carries traffic from a
+    {!spec}, on the packet tier or, when the spec holds a fluid
+    [Population], on the hybrid tier; the case study of paper section 4.3
+    (Figure 3) and the other Figure 2 experiments are specs over it. Throughput is reported
     normalized to the no-attack steady state measured in the same run
     before the attack begins, matching the figure's y-axis. *)
 
@@ -24,11 +25,12 @@ val default_attack : attack_plan
 (** Starts at 10 s; forced rolls at 45 s and 80 s (three rounds over
     120 s); 3 flows per bot. *)
 
-(** {1 Packet-tier runs}
+(** {1 Runs}
 
-    {!run} builds in one fixed order: testbed and routes, the server and
-    the normal traffic, the defense, the attacks, the goodput monitor,
-    and last the [hook]; then it runs the clock to [duration]. *)
+    {!run} builds in one fixed order: testbed and routes (the net takes
+    the ambient trace, {!Ff_obs.Trace.ambient}, where it is created), the
+    server and the normal traffic, the defense, the attacks, the goodput
+    monitor, and last the [hook]; then it runs the clock to [duration]. *)
 
 type testbed = { topo : Ff_topology.Topology.t; routes : Ff_netsim.Net.t -> unit }
 
@@ -37,6 +39,22 @@ type flow =
   | Cbr of { src : int; dst : int; rate_pps : float; packet_size : int }  (** from 0.1 s *)
   | Handshake of { src : int; dst : int }
       (** a connection every 0.4 s from 0.5 s; completed handshakes are goodput *)
+  | Population of {
+      count : int;
+      seed : int;
+      rate_bps : float;
+      packet_size : int;
+      force : Ff_fluid.Hybrid.force;
+      demote_budget : int option;
+    }
+      (** [count] CBR members of [rate_bps] each between host pairs drawn
+          from [seed] (source and destination distinct), admitted to a
+          hybrid fluid/packet tier ({!Ff_fluid.Hybrid.create} with [force]
+          and [demote_budget]) the run creates for them; their delivered
+          bytes are goodput. A spec holding a population runs on the
+          hybrid tier: the deployment's mode transitions mark switches
+          hot, and members whose paths cross a hot switch drop to packet
+          fidelity. At most one per spec. *)
 
 type server = { host : int; backlog : int; syn_timeout : float }
 (** An accept-backlog listener; a [Syn_guard] attaches its server agent. *)
@@ -62,6 +80,21 @@ type attack =
       config : Ff_attacks.Adaptive.config;
     }
       (** {!Ff_attacks.Adaptive.launch}, from [config.start] *)
+  | Fluid_crossfire of {
+      bots : int list;
+      decoy_groups : int list list;
+      rate_bps_per_flow : float;
+      packet_size : int;
+      start : float;
+      stop : float;
+      roll_schedule : float list;
+      recon : bool;
+    }
+      (** A rolling flood whose volume rides the hybrid tier as fluid
+          aggregates ({!Ff_attacks.Lfa.Fluid_volume}); with [recon], also
+          its packet-level side ({!Ff_attacks.Lfa.launch}: traceroutes and
+          one low-rate TCP flow per bot, rolling only on the schedule).
+          Needs a [Population]. *)
 
 type spec = {
   testbed : testbed;
@@ -87,7 +120,12 @@ and report = {
   crossfires : Ff_attacks.Lfa.t list;
   syn_floods : Ff_attacks.Synflood.t list;
   adaptives : Ff_attacks.Adaptive.t list;
-  goodput : Ff_util.Series.t;  (** TCP goodput plus completed handshakes, bytes/s *)
+  hybrid : Ff_fluid.Hybrid.t option;  (** with a [Population] *)
+  population : (Ff_fluid.Hybrid.member * int) option;
+      (** the population's first member and count, when it is not empty *)
+  fluid_floods : Ff_attacks.Lfa.Fluid_volume.t list;
+  goodput : Ff_util.Series.t;
+      (** TCP goodput plus completed handshakes and population bytes, bytes/s *)
 }
 
 val run : spec -> report
@@ -267,13 +305,10 @@ val run_adversarial :
 
 (** {1 Hybrid fluid/packet ISP scenario}
 
-    The scale tier: an ISP-like three-tier topology ({!Ff_topology.Topology.isp})
-    carrying 10^5+ concurrent benign flows in the hybrid engine
-    ({!Ff_fluid.Hybrid}) while a rolling link-flooding adversary injects
-    its volume as fluid aggregates. The wide defense deployment's mode
-    protocol drives the hybrid tier's demotion predicate: flows whose
-    paths cross a switch with active modes drop to packet fidelity and
-    promote back once the region clears. *)
+    The scale tier: 10^5+ benign flows on an ISP-like topology
+    ({!Ff_topology.Topology.isp}) under a rolling flood whose volume is
+    fluid; flows near the defense's mode changes drop to packet fidelity
+    and promote back once the region clears. *)
 
 type fluid_result = {
   fr_flows : int;  (** benign hybrid members admitted *)
@@ -303,8 +338,8 @@ type fluid_result = {
 }
 
 val install_all_routes : Ff_netsim.Net.t -> unit
-(** Shortest-path route trees toward every host (BFS per destination,
-    transiting switches only). *)
+(** {!Ff_topology.Topology.route_tree} toward every host, installed as
+    the switches' destination routes. *)
 
 val run_lfa_fluid :
   ?flows:int ->
@@ -323,7 +358,10 @@ val run_lfa_fluid :
   ?obs:Ff_obs.Trace.t ->
   unit ->
   fluid_result
-(** Runs the wide deployment over an ISP topology with 2 access switches
+(** {!run} of a spec on the hybrid tier: a [Population] of [flows], the
+    wide deployment ({!Orchestrator.pervasive} [Lfa] sites) and a
+    [Fluid_crossfire] ([recon] is [packet_recon]), over an ISP topology
+    with 2 access switches
     per core and 4 hosts per access switch, 1000-byte packets and the
     incremental solver re-solving every 0.25 s. Defaults: 100k flows at
     25 kb/s each over 12 cores (96 hosts) for 40 s; the flood (8 bots x
@@ -331,4 +369,5 @@ val run_lfa_fluid :
     between decoy groups at t=14.
     [force] selects the engine tier: [Auto] is the hybrid proper,
     [All_packet] reproduces the pure packet engine bit-identically (the
-    differential anchor), [All_fluid] never demotes. *)
+    differential anchor), [All_fluid] never demotes. The net traces into
+    [obs] (none when [None], whatever the ambient trace). *)

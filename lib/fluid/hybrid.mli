@@ -6,8 +6,9 @@
     {!Ff_netsim.Flow.Tcp}) while its path touches a {e hot} node — one
     inside an attacked / mode-changing / chaos-faulted region. Hot nodes
     are tracked as a per-node counter fed by {!mark_hot}/{!clear_hot} —
-    for the common case from the mode protocol's applied transitions, via
-    [Orchestrator.deploy]'s [on_mode]. Every hot-set change schedules a
+    for the common case from the mode protocol's applied transitions
+    ([Ff_modes.Protocol.on_transition], which [Scenario.run] registers
+    for a spec with a fluid population). Every hot-set change schedules a
     single coalesced re-evaluation sweep at the current instant that
     demotes/promotes the members whose tier no longer matches their path.
 

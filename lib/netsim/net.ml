@@ -99,7 +99,10 @@ and t = {
          flows *earlier* simulations in the same process created,
          breaking run-to-run determinism. Atomic because flows may be
          started while shard domains run. *)
+  mutable exts : ext list; (* per-net state of the subsystems above *)
 }
+
+and ext = ..
 
 and xshard = {
   owned : Bytes.t;
@@ -124,6 +127,8 @@ and trace_kind =
 
 let engine t = t.engine
 let fresh_flow_id t = 1 + Atomic.fetch_and_add t.flow_ids 1
+let find_ext t f = List.find_map f t.exts
+let add_ext t e = t.exts <- e :: t.exts
 let topology t = t.topo
 let now t = Engine.now t.engine
 
@@ -644,6 +649,7 @@ let create ?(queue_limit_bytes = 37_500.) engine topo =
       xshard = None;
       forwards = Array.init num_nodes (fun i -> Forward i);
       flow_ids = Atomic.make 0;
+      exts = [];
     }
   in
   (* hosts are directly reachable from their access switch *)

@@ -87,6 +87,13 @@ val fresh_flow_id : t -> int
     depend on how many flows earlier simulations in the same process
     created; two identically-seeded runs replay bit-for-bit. *)
 
+type ext = ..
+(** Per-net state of a subsystem built above the net (one constructor
+    each): it dies with the net and stays in the net's domain. *)
+
+val find_ext : t -> (ext -> 'a option) -> 'a option
+val add_ext : t -> ext -> unit
+
 val flag_mask : string -> int
 (** Intern a boolean switch-var name into a process-wide one-hot bit mask.
     Call once at install time; at most [Sys.int_size - 1] distinct names. *)

@@ -96,24 +96,21 @@ let entry_to_json (e : entry) =
   ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields)
   ^ "}"
 
-let output_jsonl t oc =
-  iter t (fun e ->
-      output_string oc (entry_to_json e);
-      output_char oc '\n')
-
-let write_jsonl t path =
+let write t path =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_jsonl t oc)
-
-let output_csv t oc =
-  output_string oc "seq,time,event,node,detail\n";
-  iter t (fun e ->
-      Printf.fprintf oc "%d,%.6f,%s,%d,%S\n" e.seq e.time (Event.kind e.event)
-        (Event.node e.event) (Event.detail e.event))
-
-let write_csv t path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_csv t oc)
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      if Filename.check_suffix path ".csv" then begin
+        output_string oc "seq,time,event,node,detail\n";
+        iter t (fun e ->
+            Printf.fprintf oc "%d,%.6f,%s,%d,%S\n" e.seq e.time (Event.kind e.event)
+              (Event.node e.event) (Event.detail e.event))
+      end
+      else
+        iter t (fun e ->
+            output_string oc (entry_to_json e);
+            output_char oc '\n'))
 
 (* The ambient trace: the default sink that [Ff_netsim.Net] picks up at
    creation, so experiment harnesses can trace scenarios whose networks are
@@ -129,5 +126,5 @@ let ambient () = Domain.DLS.get ambient_key
 
 let with_ambient tr f =
   let saved = ambient () in
-  set_ambient (Some tr);
+  set_ambient tr;
   Fun.protect ~finally:(fun () -> set_ambient saved) f

@@ -35,8 +35,9 @@ val iter : t -> (entry -> unit) -> unit
 val entry_to_json : entry -> string
 (** One JSON object: [{"seq": .., "time": .., "event": "..", ...payload}]. *)
 
-val write_jsonl : t -> string -> unit
-val write_csv : t -> string -> unit
+val write : t -> string -> unit
+(** Write every buffered entry to a file: CSV ([seq,time,event,node,detail])
+    when the name ends in [.csv], else JSONL, one {!entry_to_json} per line. *)
 
 (** {2 Ambient trace}
 
@@ -49,5 +50,6 @@ val write_csv : t -> string -> unit
 val set_ambient : t option -> unit
 val ambient : unit -> t option
 
-val with_ambient : t -> (unit -> 'a) -> 'a
-(** Run [f] with the ambient trace set, restoring the previous one after. *)
+val with_ambient : t option -> (unit -> 'a) -> 'a
+(** Run [f] with the ambient trace set ([None]: no trace), restoring the
+    previous one after. *)

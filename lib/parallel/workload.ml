@@ -31,35 +31,6 @@ type counters = {
   time_sum : float array; (* sum of delivery times per slot *)
 }
 
-(* Per-destination BFS route tree over the switch graph, rooted at the
-   destination's access switch. [Topology.neighbors] order makes it a
-   pure function of the topology, so every net copy gets identical
-   tables. *)
-let route_tree topo ~dst ~acc =
-  match Topology.neighbors topo dst with
-  | [] -> acc (* isolated host: unreachable, no entries *)
-  | (asw, _) :: _ ->
-    let n = Topology.num_nodes topo in
-    let seen = Array.make n false in
-    seen.(asw) <- true;
-    let q = Queue.create () in
-    Queue.add asw q;
-    let acc = ref acc in
-    while not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      List.iter
-        (fun (peer, _) ->
-          if (not seen.(peer)) && (Topology.node topo peer).Topology.kind = Topology.Switch
-          then begin
-            seen.(peer) <- true;
-            (* the packet at [peer] moves toward [u], one hop closer *)
-            acc := (peer, dst, u) :: !acc;
-            Queue.add peer q
-          end)
-        (Topology.neighbors topo u)
-    done;
-    !acc
-
 let make ?(rate_pps = 2_000.) ?(packet_size = 1_000) ?(duration = 0.5) topo =
   let hosts =
     Topology.hosts topo |> List.map (fun (nd : Topology.node) -> nd.Topology.id)
@@ -72,7 +43,12 @@ let make ?(rate_pps = 2_000.) ?(packet_size = 1_000) ?(duration = 0.5) topo =
   let pairs = Array.init h (fun i -> (hosts.(i), hosts.((i + (h / 2)) mod h))) in
   let dsts = Array.to_list (Array.map snd pairs) |> List.sort_uniq Int.compare in
   let route_entries =
-    List.fold_left (fun acc dst -> route_tree topo ~dst ~acc) [] dsts
+    List.fold_left
+      (fun acc dst ->
+        let acc = ref acc in
+        Topology.route_tree topo ~dst (fun ~sw ~next_hop -> acc := (sw, dst, next_hop) :: !acc);
+        !acc)
+      [] dsts
   in
   {
     topo;

@@ -8,7 +8,6 @@ type t = {
   xfer_id : int;
   src_sw : int;
   dst_sw : int;
-  retransmit_timeout : float; (* base of the exponential backoff *)
   max_retries : int;
   rng : Ff_util.Prng.t; (* retransmit jitter; seeded, so runs replay *)
   chunks_by_group : (int, Fec.chunk list) Hashtbl.t;
@@ -40,12 +39,19 @@ type t = {
    sooner than burning all [max_retries] exponential-backoff rounds. *)
 let dead_round_limit = 3
 
-let next_xfer_id = ref 0
+(* Groups of 4 data chunks of 8 entries each; retransmission backs off
+   from an 80 ms base. *)
+let group_size = 4
+let per_chunk = 8
+let retransmit_timeout = 0.08
 
-(* registry so that a single per-switch stage dispatches to live transfers *)
-let registry : (int, t) Hashtbl.t = Hashtbl.create 16
+(* The transfers of one net, by id, so that a single per-switch stage
+   dispatches to them. Ids count from 1 per net: a run's ids, the chunk
+   flow ids and the jitter seeds derived from them do not depend on what
+   ran earlier in the process, and the table dies with its net. *)
+type transfers = { mutable last_id : int; by_id : (int, t) Hashtbl.t }
 
-let stage_name = "state-transfer"
+type Net.ext += Transfers of transfers
 
 let emit_phase t phase =
   Net.obs_emit t.net
@@ -121,30 +127,38 @@ let on_chunk t (c : Fec.chunk) =
     (* retransmission of an already-complete group: the ack was lost, re-ack *)
     send_ack t ~group:c.Fec.group
 
-let transfer_stage =
+let transfer_stage registry =
   {
-    Net.stage_name;
+    Net.stage_name = "state-transfer";
     process =
       (fun ctx pkt ->
         let here = ctx.Net.sw.Net.sw_id in
         match pkt.Packet.payload with
         | Packet.State_chunk { xfer_id; group; index; of_group; parity; entries }
           when pkt.Packet.dst = here -> (
-          (match Hashtbl.find_opt registry xfer_id with
+          (match Hashtbl.find_opt registry.by_id xfer_id with
           | Some t when t.dst_sw = here ->
             on_chunk t { Fec.group; index; of_group; parity; entries }
           | _ -> ());
           Net.Absorb)
         | Packet.State_ack { xfer_id; group } when pkt.Packet.dst = here -> (
-          (match Hashtbl.find_opt registry xfer_id with
+          (match Hashtbl.find_opt registry.by_id xfer_id with
           | Some t when t.src_sw = here -> Hashtbl.replace t.acked group ()
           | _ -> ());
           Net.Absorb)
         | _ -> Net.Continue);
   }
 
-let ensure_stage net sw =
-  if not (Net.has_stage net ~sw ~name:stage_name) then Net.add_stage net ~sw transfer_stage
+(* The net's registry; the first transfer of a net puts the endpoint
+   stage on every switch. *)
+let transfers net =
+  match Net.find_ext net (function Transfers x -> Some x | _ -> None) with
+  | Some x -> x
+  | None ->
+    let x = { last_id = 0; by_id = Hashtbl.create 4 } in
+    Net.add_ext net (Transfers x);
+    List.iter (fun sw -> Net.add_stage net ~sw (transfer_stage x)) (Net.switch_ids net);
+    x
 
 let send_group t g =
   match Hashtbl.find_opt t.chunks_by_group g with
@@ -202,8 +216,7 @@ let reroute_live t =
    with each other or with periodic congestion. *)
 let backoff_delay t ~tries =
   let factor = Float.min (2. ** float_of_int tries) 8. in
-  (t.retransmit_timeout *. factor)
-  +. Ff_util.Prng.float t.rng (0.25 *. t.retransmit_timeout)
+  (retransmit_timeout *. factor) +. Ff_util.Prng.float t.rng (0.25 *. retransmit_timeout)
 
 let rec watch_group t g =
   if (not t.failed) && (not t.complete) && not (Hashtbl.mem t.acked g) then begin
@@ -236,13 +249,14 @@ and dead_round t g reason =
   Hashtbl.replace t.dead_rounds g streak;
   if streak >= dead_round_limit then fail t reason
   else
-    Engine.after (Net.engine t.net) ~delay:t.retransmit_timeout (fun () ->
+    Engine.after (Net.engine t.net) ~delay:retransmit_timeout (fun () ->
         watch_group t g)
 
-let send net ~src_sw ~dst_sw ~entries ?(group_size = 4) ?(per_chunk = 8) ?(fec = true)
-    ?(retransmit_timeout = 0.08) ?(max_retries = 10) ?(seed = 17)
+let send net ~src_sw ~dst_sw ~entries ?(fec = true) ?(max_retries = 10) ?(seed = 17)
     ?(on_fail = fun (_ : string) -> ()) ~on_complete () =
-  incr next_xfer_id;
+  let registry = transfers net in
+  registry.last_id <- registry.last_id + 1;
+  let xfer_id = registry.last_id in
   let chunks = Fec.encode ~group_size ~per_chunk entries in
   let chunks = if fec then chunks else Fec.data_chunks chunks in
   let by_group = Hashtbl.create 8 in
@@ -255,12 +269,11 @@ let send net ~src_sw ~dst_sw ~entries ?(group_size = 4) ?(per_chunk = 8) ?(fec =
   let t =
     {
       net;
-      xfer_id = !next_xfer_id;
+      xfer_id;
       src_sw;
       dst_sw;
-      retransmit_timeout;
       max_retries;
-      rng = Ff_util.Prng.create ~seed:(seed + !next_xfer_id);
+      rng = Ff_util.Prng.create ~seed:(seed + xfer_id);
       chunks_by_group = by_group;
       total_groups;
       acked = Hashtbl.create 8;
@@ -281,10 +294,9 @@ let send net ~src_sw ~dst_sw ~entries ?(group_size = 4) ?(per_chunk = 8) ?(fec =
     }
   in
   if t.complete then on_complete [];
-  Hashtbl.replace registry t.xfer_id t;
+  Hashtbl.replace registry.by_id xfer_id t;
   emit_phase t Ff_obs.Event.Xfer_start;
-  (* endpoints everywhere; a statically disconnected pair fails outright *)
-  List.iter (fun sw -> ensure_stage net sw) (Net.switch_ids net);
+  (* a statically disconnected pair fails outright *)
   let topo = Net.topology net in
   if Topology.shortest_path topo ~src:src_sw ~dst:dst_sw = None
      || Topology.shortest_path topo ~src:dst_sw ~dst:src_sw = None
@@ -305,28 +317,25 @@ let sketch_wire_entries (snap : Ff_dataplane.Sketch.snapshot) =
        (fun (i, v) -> (Printf.sprintf "cell:%d" i, v))
        snap.Ff_dataplane.Sketch.cells
 
-let sketch_snapshot_of_entries entries =
-  let cells, total =
-    List.fold_left
-      (fun (cells, total) (k, v) ->
-        match String.index_opt k ':' with
-        | Some i when String.sub k 0 i = "cell" -> (
-          match int_of_string_opt (String.sub k (i + 1) (String.length k - i - 1)) with
-          | Some idx -> ((idx, v) :: cells, total)
-          | None -> (cells, total))
-        | _ -> if k = "total" then (cells, total +. v) else (cells, total))
-      ([], 0.) entries
-  in
-  { Ff_dataplane.Sketch.cells = List.rev cells; total }
+(* The index [i] of a ["<prefix>:<i>"] entry key. *)
+let key_index prefix k =
+  let p = prefix ^ ":" in
+  if String.starts_with ~prefix:p k then
+    int_of_string_opt (String.sub k (String.length p) (String.length k - String.length p))
+  else None
 
-let send_sketch net ~src_sw ~dst_sw ~sketch ~into ?group_size ?per_chunk ?fec
-    ?retransmit_timeout ?max_retries ?seed ?on_fail ?(on_complete = fun () -> ()) () =
+let sketch_snapshot_of_entries entries =
+  let cells =
+    List.filter_map (fun (k, v) -> Option.map (fun i -> (i, v)) (key_index "cell" k)) entries
+  in
+  let total = List.fold_left (fun acc (k, v) -> if k = "total" then acc +. v else acc) 0. entries in
+  { Ff_dataplane.Sketch.cells; total }
+
+let send_sketch net ~src_sw ~dst_sw ~sketch ~into =
   let entries = sketch_wire_entries (Ff_dataplane.Sketch.serialize sketch) in
-  send net ~src_sw ~dst_sw ~entries ?group_size ?per_chunk ?fec
-    ?retransmit_timeout ?max_retries ?seed ?on_fail
+  send net ~src_sw ~dst_sw ~entries
     ~on_complete:(fun entries ->
-      Ff_dataplane.Sketch.absorb into (sketch_snapshot_of_entries entries);
-      on_complete ())
+      Ff_dataplane.Sketch.absorb into (sketch_snapshot_of_entries entries))
     ()
 
 (* Cuckoo snapshots carry exact members, so the wire format must be
@@ -355,13 +364,7 @@ let cuckoo_snapshot_of_entries entries =
   let mask = (1 lsl fp_bits) - 1 in
   let packed =
     List.filter_map
-      (fun (k, v) ->
-        match String.index_opt k ':' with
-        | Some i when String.sub k 0 i = "fp" -> (
-          match int_of_string_opt (String.sub k (i + 1) (String.length k - i - 1)) with
-          | Some idx -> Some (idx, int_of_float v)
-          | None -> None)
-        | _ -> None)
+      (fun (k, v) -> Option.map (fun i -> (i, int_of_float v)) (key_index "fp" k))
       entries
   in
   let ordered = List.sort (fun (a, _) (b, _) -> compare a b) packed in
@@ -373,11 +376,9 @@ let cuckoo_snapshot_of_entries entries =
     ck_entries = List.map (fun (_, p) -> (p lsr fp_bits, p land mask)) ordered;
   }
 
-let send_cuckoo net ~src_sw ~dst_sw ~cuckoo ~into ?group_size ?per_chunk ?fec
-    ?retransmit_timeout ?max_retries ?seed ?on_fail ?(on_complete = fun () -> ()) () =
+let send_cuckoo net ~src_sw ~dst_sw ~cuckoo ~into ~seed ~max_retries ~on_complete =
   let entries = cuckoo_wire_entries (Ff_dataplane.Cuckoo.serialize cuckoo) in
-  send net ~src_sw ~dst_sw ~entries ?group_size ?per_chunk ?fec
-    ?retransmit_timeout ?max_retries ?seed ?on_fail
+  send net ~src_sw ~dst_sw ~entries ~seed ~max_retries
     ~on_complete:(fun entries ->
       Ff_dataplane.Cuckoo.absorb into (cuckoo_snapshot_of_entries entries);
       on_complete ())

@@ -14,34 +14,32 @@ val send :
   src_sw:int ->
   dst_sw:int ->
   entries:(string * float) list ->
-  ?group_size:int ->
-  ?per_chunk:int ->
   ?fec:bool ->
-  ?retransmit_timeout:float ->
   ?max_retries:int ->
   ?seed:int ->
   ?on_fail:(string -> unit) ->
   on_complete:((string * float) list -> unit) ->
   unit ->
   t
-(** Installs transfer endpoints (idempotently) on both switches, routes
+(** Installs transfer endpoints on every switch (once per net), routes
     chunks over the shortest {e live} path — recomputed on every
     retransmission round, so mid-transfer link failures and healed links
     are picked up — and starts sending. [on_complete] fires at the
     receiver with the reassembled entries. [~fec:false] disables parity
     chunks (the ablation), leaving recovery to retransmission alone.
 
+    Chunks go in groups of 4 data chunks of 8 entries. Transfers are
+    numbered per net from 1 (the id rides the chunks as their flow id).
     Retransmissions back off exponentially: round [k] waits
-    [retransmit_timeout * min 2^k 8] plus seeded jitter ([seed]), so
-    retries don't synchronize with periodic congestion.
-    [retransmit_timeout] is the base of that schedule. When the
-    destination (or source) switch is down or no live path exists, the
+    [80 ms * min 2^k 8] plus jitter seeded from [seed] plus the id, so
+    retries don't synchronize with periodic congestion or with each
+    other, and a run replays whatever ran earlier in the process. When
+    the destination (or source) switch is down or no live path exists, the
     round is not charged against [max_retries]; after three such
     consecutive rounds the transfer fails promptly with a reason
     (["destination-down"], ["source-down"], ["no-path"]) instead of
     burning every retry — [on_fail] fires with it, once, and an
-    [Xfer_failed] event is emitted. Defaults: groups of 4 data chunks, 8
-    entries per chunk, 80 ms base timeout, 10 retries per group. *)
+    [Xfer_failed] event is emitted. Default: 10 retries per group. *)
 
 val send_sketch :
   Ff_netsim.Net.t ->
@@ -49,15 +47,6 @@ val send_sketch :
   dst_sw:int ->
   sketch:Ff_dataplane.Sketch.t ->
   into:Ff_dataplane.Sketch.t ->
-  ?group_size:int ->
-  ?per_chunk:int ->
-  ?fec:bool ->
-  ?retransmit_timeout:float ->
-  ?max_retries:int ->
-  ?seed:int ->
-  ?on_fail:(string -> unit) ->
-  ?on_complete:(unit -> unit) ->
-  unit ->
   t
 (** Ship a snapshot of [sketch] from [src_sw] to [dst_sw] and absorb it
     into [into] on completion. The snapshot's [total] travels with the
@@ -71,15 +60,9 @@ val send_cuckoo :
   dst_sw:int ->
   cuckoo:Ff_dataplane.Cuckoo.t ->
   into:Ff_dataplane.Cuckoo.t ->
-  ?group_size:int ->
-  ?per_chunk:int ->
-  ?fec:bool ->
-  ?retransmit_timeout:float ->
-  ?max_retries:int ->
-  ?seed:int ->
-  ?on_fail:(string -> unit) ->
-  ?on_complete:(unit -> unit) ->
-  unit ->
+  seed:int ->
+  max_retries:int ->
+  on_complete:(unit -> unit) ->
   t
 (** Exact-member state transfer: ship a snapshot of the [cuckoo] tracker
     from [src_sw] to [dst_sw] and union-merge it into [into] on

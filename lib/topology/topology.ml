@@ -232,6 +232,28 @@ let k_shortest_paths ?weight ?(k = 4) t ~src ~dst =
     iterate ();
     !accepted
 
+(* a pure function of the topology: every caller gets the same tree *)
+let route_tree t ~dst f =
+  match neighbors t dst with
+  | [] -> ()
+  | (asw, _) :: _ ->
+    let seen = Array.make t.nnodes false in
+    seen.(asw) <- true;
+    let q = Queue.create () in
+    Queue.add asw q;
+    while not (Queue.is_empty q) do
+      let u = Queue.pop q in
+      List.iter
+        (fun (peer, _) ->
+          if (not seen.(peer)) && t.node_arr.(peer).kind = Switch then begin
+            seen.(peer) <- true;
+            (* a packet at [peer] moves toward [u], one hop closer *)
+            f ~sw:peer ~next_hop:u;
+            Queue.add peer q
+          end)
+        (neighbors t u)
+    done
+
 let is_connected t =
   if t.nnodes = 0 then true
   else begin

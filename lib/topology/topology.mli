@@ -76,6 +76,13 @@ val k_shortest_paths : ?weight:(link -> float) -> ?k:int -> t -> src:int -> dst:
 (** Yen's algorithm, loop-free paths in increasing weight order
     (default [k = 4]). *)
 
+val route_tree : t -> dst:int -> (sw:int -> next_hop:int -> unit) -> unit
+(** The shortest-path tree toward host [dst] over switches only (hosts are
+    never transited): [f ~sw ~next_hop] once per switch that reaches
+    [dst], in BFS order from [dst]'s access switch (its first neighbor),
+    peers in {!neighbors} order. The access switch itself is the root and
+    gets no call. *)
+
 val is_connected : t -> bool
 
 val edge_betweenness : t -> (int, float) Hashtbl.t

@@ -7,6 +7,7 @@ module Net = Ff_netsim.Net
 module Flow = Ff_netsim.Flow
 module Packet = Ff_dataplane.Packet
 module B = Ff_boosters
+module Orchestrator = Fastflex.Orchestrator
 
 let fig2_net () =
   let lm = T.Fig2.build ~bots:8 ~normals:4 () in
@@ -438,13 +439,18 @@ let test_grl_converges_to_limit () =
   let lm, engine, net = fig2_net () in
   let topo = lm.T.Fig2.topo in
   let e1 = (T.node_by_name topo "e1").T.id and e2 = (T.node_by_name topo "e2").T.id in
-  let grl = B.Global_rate_limit.install net ~participants:[ e1; e2 ] in
-  List.iter (fun sw -> B.Common.set_mode (Net.switch net sw) "grl" true) [ e1; e2 ];
   (* one tenant entering at two different switches, 2 Mb/s each, 2 Mb/s cap *)
   let tenant = 1 in
-  B.Global_rate_limit.set_limit grl ~tenant 2_000_000.;
   let senders = List.filteri (fun i _ -> i < 2) lm.T.Fig2.bot_sources in
-  List.iter (fun src -> B.Global_rate_limit.assign grl ~src ~tenant) senders;
+  let d =
+    Orchestrator.deploy net
+      [ Orchestrator.Global_rate_limit
+          { participants = [ e1; e2 ]; tenants = List.map (fun src -> (src, tenant)) senders;
+            limits = [ (tenant, 2_000_000.) ] } ]
+  in
+  let grl = List.hd d.Orchestrator.rate_limits in
+  (* no detector here: switch the policing mode on by hand *)
+  List.iter (fun sw -> B.Common.set_mode (Net.switch net sw) "grl" true) [ e1; e2 ];
   let flows =
     List.map
       (fun src -> Flow.Cbr.start net ~src ~dst:lm.T.Fig2.victim ~rate_pps:250. ())
@@ -503,12 +509,8 @@ let test_nwhh_detects_distributed_flood () =
   let lm, engine, net = fig2_net () in
   let topo = lm.T.Fig2.topo in
   let e1 = (T.node_by_name topo "e1").T.id and e2 = (T.node_by_name topo "e2").T.id in
-  let alarms = ref [] in
-  let nw =
-    B.Network_wide_hh.install net ~ingresses:[ e1; e2 ]
-      ~on_alarm:(fun a -> alarms := a :: !alarms)
-      ~on_clear:(fun _ -> ())
-  in
+  let d = Orchestrator.deploy net [ Orchestrator.Network_wide_hh { ingresses = [ e1; e2 ] } ] in
+  let nw = List.hd d.Orchestrator.network_hhs in
   (* 8 bots at ~1 Mb/s each toward the victim: under 4 Mb/s at either
      ingress, 8 Mb/s network-wide *)
   List.iter
@@ -529,10 +531,10 @@ let test_nwhh_detects_distributed_flood () =
   Alcotest.(check bool) "alarmed" true (B.Network_wide_hh.alarmed nw);
   Alcotest.(check bool) "victim among offenders" true
     (List.mem lm.T.Fig2.victim (B.Network_wide_hh.offenders nw));
-  Alcotest.(check bool) "volumetric kind" true
-    (match !alarms with
-    | { B.Lfa_detector.attack; _ } :: _ -> attack = Packet.Volumetric
-    | [] -> false);
+  Alcotest.(check bool) "volumetric modes on at e1" true
+    (List.exists
+       (fun (_, sw, attack, up) -> sw = e1 && up && attack = Packet.Volumetric)
+       (Ff_modes.Protocol.log d.Orchestrator.protocol));
   Alcotest.(check bool) "sync probes flowed" true (B.Network_wide_hh.sync_probes nw > 5);
   (* exact: pins the sync cadence and the advertisement threshold *)
   Alcotest.(check int) "sync probes" 40 (B.Network_wide_hh.sync_probes nw);
@@ -545,34 +547,32 @@ let test_nwhh_quiet_under_local_threshold () =
   let lm, engine, net = fig2_net () in
   let topo = lm.T.Fig2.topo in
   let e1 = (T.node_by_name topo "e1").T.id and e2 = (T.node_by_name topo "e2").T.id in
-  let nw =
-    B.Network_wide_hh.install net ~ingresses:[ e1; e2 ] ~on_alarm:(fun _ -> ())
-      ~on_clear:(fun _ -> ())
-  in
+  let d = Orchestrator.deploy net [ Orchestrator.Network_wide_hh { ingresses = [ e1; e2 ] } ] in
+  let nw = List.hd d.Orchestrator.network_hhs in
   (* modest legitimate traffic only *)
   List.iter
     (fun n -> ignore (Flow.Cbr.start net ~src:n ~dst:lm.T.Fig2.victim ~rate_pps:60. ()))
     lm.T.Fig2.normal_sources;
   Engine.run engine ~until:5.;
   Alcotest.(check bool) "no alarm" false (B.Network_wide_hh.alarmed nw);
-  Alcotest.(check (list int)) "no offenders" [] (B.Network_wide_hh.offenders nw)
+  Alcotest.(check (list int)) "no offenders" [] (B.Network_wide_hh.offenders nw);
+  Alcotest.(check int) "no mode change" 0 (Ff_modes.Protocol.transitions d.Orchestrator.protocol)
 
 let test_nwhh_clears_after_flood () =
   let lm, engine, net = fig2_net () in
   let topo = lm.T.Fig2.topo in
   let e1 = (T.node_by_name topo "e1").T.id and e2 = (T.node_by_name topo "e2").T.id in
-  let clears = ref 0 in
-  let nw =
-    B.Network_wide_hh.install net ~ingresses:[ e1; e2 ]
-      ~on_alarm:(fun _ -> ())
-      ~on_clear:(fun _ -> incr clears)
-  in
+  let d = Orchestrator.deploy net [ Orchestrator.Network_wide_hh { ingresses = [ e1; e2 ] } ] in
+  let nw = List.hd d.Orchestrator.network_hhs in
   List.iter
     (fun bot ->
       ignore (Flow.Cbr.start net ~src:bot ~dst:lm.T.Fig2.victim ~rate_pps:125. ~stop:4. ()))
     lm.T.Fig2.bot_sources;
   Engine.run engine ~until:10.;
-  Alcotest.(check bool) "cleared after the flood ends" true (!clears >= 1);
+  Alcotest.(check bool) "modes off after the flood ends" true
+    (List.exists
+       (fun (_, sw, attack, up) -> sw = e1 && (not up) && attack = Packet.Volumetric)
+       (Ff_modes.Protocol.log d.Orchestrator.protocol));
   Alcotest.(check bool) "not alarmed at the end" false (B.Network_wide_hh.alarmed nw)
 
 (* ---------------- Specs ---------------- *)

@@ -185,7 +185,6 @@ let test_transfer_fails_fast_without_path () =
   let reason = ref "" in
   let x =
     Transfer.send net ~src_sw:0 ~dst_sw:3 ~entries:(entries 400) ~seed
-      ~retransmit_timeout:0.08
       ~on_fail:(fun r ->
         failed_at := Engine.now engine;
         reason := r)

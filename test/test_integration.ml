@@ -328,6 +328,135 @@ let test_compile_pipeline_end_to_end () =
       rows
   | Error e -> Alcotest.fail e
 
+(* ---- routes ------------------------------------------------------------ *)
+
+(* The route trees [install_all_routes] installed before it shared one
+   builder with [Ff_parallel.Workload]: a BFS from the destination host
+   over [Net.neighbors_of], every switch it reaches pointing one hop
+   closer. *)
+let reference_routes net =
+  let module Net = Ff_netsim.Net in
+  let routes = Hashtbl.create 1024 in
+  List.iter
+    (fun dst ->
+      let seen = Hashtbl.create 64 in
+      Hashtbl.replace seen dst ();
+      let q = Queue.create () in
+      Queue.add dst q;
+      while not (Queue.is_empty q) do
+        let u = Queue.pop q in
+        List.iter
+          (fun v ->
+            if not (Hashtbl.mem seen v) then begin
+              Hashtbl.replace seen v ();
+              Hashtbl.replace routes (v, dst) u;
+              Queue.add v q
+            end)
+          (Net.neighbors_of net u)
+      done)
+    (Net.host_ids net);
+  routes
+
+let test_route_trees_unchanged () =
+  let module Net = Ff_netsim.Net in
+  let module Topology = Ff_topology.Topology in
+  List.iter
+    (fun (label, topo) ->
+      let net = Net.create (Ff_netsim.Engine.create ()) topo in
+      Scenario.install_all_routes net;
+      let reference = reference_routes net in
+      List.iter
+        (fun sw ->
+          List.iter
+            (fun dst ->
+              Alcotest.(check (option int))
+                (Printf.sprintf "%s: route %d -> %d" label sw dst)
+                (Hashtbl.find_opt reference (sw, dst))
+                (Net.route_lookup net ~sw ~dst))
+            (Net.host_ids net))
+        (Net.switch_ids net))
+    [ ("fat-tree(4)", Topology.fat_tree ~k:4 ());
+      ("fat-tree(8)", Topology.fat_tree ~k:8 ());
+      ("isp", Topology.isp ~cores:12 ~access_per_core:2 ~hosts_per_access:4 ()) ]
+
+(* ---- network-wide boosters ---------------------------------------------- *)
+
+(* Figure 2 under a flood from its 8 bots toward the victim, split over
+   both ingresses; one deployment runs the network-wide heavy hitter at
+   the ingresses and a 2 Mb/s global limit on the bots' tenant there. *)
+let network_wide_spec ~aggregate_bps =
+  let module T = Ff_topology.Topology in
+  let lm = T.Fig2.build ~bots:8 ~normals:4 () in
+  let topo = lm.T.Fig2.topo and bots = lm.T.Fig2.bot_sources in
+  let ingresses = List.map (fun n -> (T.node_by_name topo n).T.id) [ "e1"; "e2" ] in
+  { Scenario.testbed = { topo; routes = Ff_netsim.Net.install_shortest_paths }; server = None;
+    flows = []; defense = Scenario.Fastflex Orchestrator.default_config;
+    boosters =
+      [ Orchestrator.Network_wide_hh { ingresses };
+        Orchestrator.Global_rate_limit
+          { participants = ingresses; tenants = List.map (fun b -> (b, 1)) bots;
+            limits = [ (1, 2_000_000.) ] } ];
+    attacks =
+      [ Scenario.Flood
+          { bots; victim = lm.T.Fig2.victim;
+            rate_pps = aggregate_bps /. float_of_int (8000 * List.length bots); start = 1.;
+            spoof_as = [] } ];
+    duration = 10.; sample_period = None; hook = ignore }
+
+(* The chain runs in the data plane alone: no mode is set by hand. *)
+let test_network_wide_chain () =
+  let run aggregate_bps =
+    let tr = Ff_obs.Trace.create () in
+    let r =
+      Ff_obs.Trace.with_ambient (Some tr) (fun () ->
+          Scenario.run (network_wide_spec ~aggregate_bps))
+    in
+    let volumetric_on =
+      List.filter_map
+        (fun (t, _, attack, up) -> if up && attack = Packet.Volumetric then Some t else None)
+        (Scenario.mode_log r)
+    in
+    let grl_drops =
+      List.filter_map
+        (fun (e : Ff_obs.Trace.entry) ->
+          match e.Ff_obs.Trace.event with
+          | Ff_obs.Event.Drop { reason = "global-rate-limit"; _ } -> Some e.Ff_obs.Trace.time
+          | _ -> None)
+        (Ff_obs.Trace.events tr)
+    in
+    let d = Option.get r.Scenario.deployment in
+    (volumetric_on, grl_drops, Ff_boosters.Global_rate_limit.dropped (List.hd d.rate_limits))
+  in
+  let on, drops, dropped = run 8_000_000. in
+  Alcotest.(check bool) "8 Mb/s activates volumetric modes" true (on <> []);
+  Alcotest.(check bool) "8 Mb/s is policed" true (dropped > 0);
+  Alcotest.(check int) "every drop traced" dropped (List.length drops);
+  let first_on = List.fold_left Float.min infinity on in
+  Alcotest.(check bool) "no drop before the activation" true
+    (List.for_all (fun t -> t >= first_on) drops);
+  let on, _, dropped = run 5_000_000. in
+  Alcotest.(check int) "5 Mb/s activates nothing" 0 (List.length on);
+  Alcotest.(check int) "5 Mb/s drops nothing" 0 dropped
+
+(* Numbering is per deployment: a second identical run in the process
+   gets the same stage names and sync probe classes, hence the same
+   probe counts. *)
+let test_network_wide_numbering_per_deployment () =
+  let run () =
+    let r = Scenario.run (network_wide_spec ~aggregate_bps:8_000_000.) in
+    let d = Option.get r.Scenario.deployment in
+    let topo = Ff_netsim.Net.topology r.Scenario.net in
+    let e1 = (Ff_topology.Topology.node_by_name topo "e1").Ff_topology.Topology.id in
+    let has name = Ff_netsim.Net.has_stage r.Scenario.net ~sw:e1 ~name in
+    ( has "nw-hh-counter-1" && has "view-sync-101",
+      Ff_boosters.Network_wide_hh.sync_probes (List.hd d.Orchestrator.network_hhs) )
+  in
+  let named1, probes1 = run () in
+  let named2, probes2 = run () in
+  Alcotest.(check (pair bool bool)) "stage and probe class numbered from 1" (true, true)
+    (named1, named2);
+  Alcotest.(check int) "same sync probes" probes1 probes2
+
 let () =
   Alcotest.run "integration"
     [
@@ -363,5 +492,13 @@ let () =
             test_deploy_wide_last_clear_wins;
           Alcotest.test_case "deploy_wide: last clear reaches far regions" `Quick
             test_deploy_wide_last_clear_reaches_far_regions;
+          Alcotest.test_case "install_all_routes tables unchanged" `Quick
+            test_route_trees_unchanged;
+        ] );
+      ( "network",
+        [
+          Alcotest.test_case "detect, switch modes, police" `Quick test_network_wide_chain;
+          Alcotest.test_case "numbering per deployment" `Quick
+            test_network_wide_numbering_per_deployment;
         ] );
     ]

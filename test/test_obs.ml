@@ -95,7 +95,7 @@ let test_trace_jsonl_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Trace.write_jsonl tr path;
+      Trace.write tr path;
       let ic = open_in path in
       let lines = ref [] in
       (try
@@ -126,7 +126,7 @@ let test_ambient_restored () =
   let outer = Trace.create () and inner = Trace.create () in
   Trace.set_ambient (Some outer);
   let is tr = match Trace.ambient () with Some t -> t == tr | None -> false in
-  Trace.with_ambient inner (fun () ->
+  Trace.with_ambient (Some inner) (fun () ->
       Alcotest.(check bool) "inner ambient" true (is inner));
   Alcotest.(check bool) "outer restored" true (is outer);
   Trace.set_ambient None
@@ -186,7 +186,7 @@ let modes_for = function
 
 let test_mode_transitions_traced () =
   let tr = Trace.create () in
-  Trace.with_ambient tr (fun () ->
+  Trace.with_ambient (Some tr) (fun () ->
       let topo = T.ring ~n:4 () in
       let engine = Engine.create () in
       let net = Net.create engine topo in
@@ -199,7 +199,7 @@ let test_mode_transitions_traced () =
 
 let test_state_transfer_traced () =
   let tr = Trace.create () in
-  Trace.with_ambient tr (fun () ->
+  Trace.with_ambient (Some tr) (fun () ->
       let topo = T.linear ~n:4 () in
       let engine = Engine.create () in
       let net = Net.create engine topo in
@@ -226,7 +226,7 @@ let test_sketch_transfer_preserves_total () =
   for key = 0 to 30 do
     Sketch.add src key (float_of_int (key + 1))
   done;
-  let x = Transfer.send_sketch net ~src_sw:s0 ~dst_sw:s3 ~sketch:src ~into:dst () in
+  let x = Transfer.send_sketch net ~src_sw:s0 ~dst_sw:s3 ~sketch:src ~into:dst in
   Engine.run engine ~until:5.;
   Alcotest.(check bool) "transfer complete" true (Transfer.complete x);
   Alcotest.(check (float 1e-9)) "total preserved exactly" (Sketch.total src)
@@ -240,7 +240,7 @@ let test_sketch_transfer_preserves_total () =
 let test_net_drop_counter () =
   let m = Metrics.create () in
   let tr = Trace.create () in
-  Trace.with_ambient tr (fun () ->
+  Trace.with_ambient (Some tr) (fun () ->
       let topo = T.linear ~n:2 () in
       let engine = Engine.create () in
       let net = Net.create engine topo in

@@ -380,6 +380,31 @@ let test_lossy_transfer_replays_under_seed () =
   Alcotest.(check (option (float 0.))) "same completion time" done1 done2;
   Alcotest.(check bool) "completed" true (done1 <> None)
 
+(* Transfer ids and bookkeeping belong to the net: the first transfer of
+   every net is id 1, so an identical lossy run later in the process
+   replays the first (retransmit jitter is seeded from the id), and a
+   finished net is not kept alive by a process-wide registry. *)
+let test_transfer_state_per_net () =
+  let run () =
+    let _, engine, net, s0, s3 = transfer_net () in
+    let _loss = Loss.install net ~sw:(s0 + 1) ~prob:0.3 ~classes:Loss.State_chunks_only () in
+    let done_at = ref infinity in
+    let _x =
+      Transfer.send net ~src_sw:s0 ~dst_sw:s3 ~entries:(entries 400) ~fec:false
+        ~on_complete:(fun _ -> done_at := Engine.now engine) ()
+    in
+    Engine.run engine ~until:30.;
+    let alive = Weak.create 1 in
+    Weak.set alive 0 (Some net);
+    (!done_at, alive)
+  in
+  let first, alive = run () in
+  let second, _ = run () in
+  Alcotest.(check bool) "completed" true (first < infinity);
+  Alcotest.(check (float 0.)) "same completion time" first second;
+  Gc.full_major ();
+  Alcotest.(check bool) "finished net collected" false (Weak.check alive 0)
+
 let () =
   let qcheck =
     List.map Test_seed.to_alcotest
@@ -423,6 +448,7 @@ let () =
         ] );
       ( "determinism",
         [ Alcotest.test_case "lossy transfer replays under seed" `Quick
-            test_lossy_transfer_replays_under_seed ] );
+            test_lossy_transfer_replays_under_seed;
+          Alcotest.test_case "transfer state is per net" `Quick test_transfer_state_per_net ] );
       ("properties", qcheck);
     ]

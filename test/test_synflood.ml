@@ -128,7 +128,6 @@ let prop_transfer_no_false_negatives =
         Transfer.send_cuckoo net ~src_sw:0 ~dst_sw:3 ~cuckoo:src ~into:dst ~seed
           ~max_retries:40
           ~on_complete:(fun () -> complete := true)
-          ()
       in
       Engine.run engine ~until:240.;
       !complete
