@@ -15,7 +15,7 @@ type t = {
   rates : Common.local_rates; (* per (ingress, dst) *)
   sync : Sync.t;
   mutable offenders : int list;
-  mutable alarmed : bool;
+  mutable raised : int list; (* ingresses whose alarm is up *)
 }
 
 let local_rate t ~sw ~dst = Common.local_rate t.rates ~sw ~key:dst
@@ -35,21 +35,27 @@ let counting_stage net ~id ~ingresses rates =
         Net.Continue);
   }
 
+(* Each ingress judges its own global view and raises or clears its own
+   alarm, so the mode region forms around every ingress the flood enters
+   by; the deployment's sink counts the raises per attack class. *)
 let check t ~on_alarm ~on_clear () =
-  (* any ingress's global view suffices; take the union for robustness *)
   let over (dst, rate) = if rate >= threshold_bps then Some dst else None in
-  t.offenders <-
-    List.sort_uniq compare
-      (List.concat_map (fun sw -> List.filter_map over (Sync.global_view t.sync ~sw)) t.ingresses);
-  let detector = match t.ingresses with sw :: _ -> sw | [] -> 0 in
-  match (t.offenders, t.alarmed) with
-  | _ :: _, false ->
-    t.alarmed <- true;
-    on_alarm { Lfa_detector.switch = detector; attack = Packet.Volumetric }
-  | [], true ->
-    t.alarmed <- false;
-    on_clear { Lfa_detector.switch = detector; attack = Packet.Volumetric }
-  | _ -> ()
+  let views =
+    List.map (fun sw -> (sw, List.filter_map over (Sync.global_view t.sync ~sw))) t.ingresses
+  in
+  t.offenders <- List.sort_uniq compare (List.concat_map snd views);
+  List.iter
+    (fun (sw, offenders) ->
+      let alarm = { Lfa_detector.switch = sw; attack = Packet.Volumetric } in
+      match (offenders, List.mem sw t.raised) with
+      | _ :: _, false ->
+        t.raised <- sw :: t.raised;
+        on_alarm alarm
+      | [], true ->
+        t.raised <- List.filter (( <> ) sw) t.raised;
+        on_clear alarm
+      | _ -> ())
+    views
 
 let install net ~id ~ingresses ~on_alarm ~on_clear =
   let rates = Common.local_rates net in
@@ -59,11 +65,11 @@ let install net ~id ~ingresses ~on_alarm ~on_clear =
       ~local_view:(Common.local_view rates) ~threshold:sync_threshold_bps
       ~probe_class:(100 + id) ()
   in
-  let t = { ingresses; rates; sync; offenders = []; alarmed = false } in
+  let t = { ingresses; rates; sync; offenders = []; raised = [] } in
   Engine.every (Net.engine net) ~period:check_period (check t ~on_alarm ~on_clear);
   t
 
 let global_rate t ~sw ~dst = Sync.global_value t.sync ~sw ~key:dst
 let offenders t = t.offenders
-let alarmed t = t.alarmed
+let alarmed t = t.raised <> []
 let sync_probes t = Sync.probes_sent t.sync

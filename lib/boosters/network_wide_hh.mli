@@ -17,8 +17,9 @@ val install :
   on_alarm:(Lfa_detector.alarm -> unit) ->
   on_clear:(Lfa_detector.alarm -> unit) ->
   t
-(** Checks every 0.5 s and syncs every 0.25 s; alarms when a
-    destination's global rate exceeds 6 Mb/s. Local entries under
+(** Checks every 0.5 s and syncs every 0.25 s; an ingress whose global
+    view holds a destination above 6 Mb/s raises a [Volumetric] alarm at
+    itself, and clears it once its view falls back under. Local entries under
     100 kb/s are not advertised (the paper's "minimize synchronization"
     knob). Instances with distinct [id]s coexist on one net: the id names
     the counting stage ([nw-hh-counter-<id>]) and the sync probe class
@@ -35,4 +36,6 @@ val offenders : t -> int list
 (** Destinations currently above threshold (globally). *)
 
 val alarmed : t -> bool
+(** Some ingress's alarm is up. *)
+
 val sync_probes : t -> int

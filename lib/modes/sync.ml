@@ -84,18 +84,20 @@ let stage t =
 
 let advertise t () =
   t.round <- t.round + 1;
-  List.iter
-    (fun sw ->
-      let entries = List.filter (fun (_, v) -> v >= t.threshold) (t.local_view ~sw) in
-      if entries <> [] then begin
-        t.probes_sent <- t.probes_sent + 1;
-        Net.obs_emit t.net (Ff_obs.Event.Probe { sw; kind = "sync" });
-        Hashtbl.replace (state t sw).seen (sw, t.round) ();
-        let payload = Packet.Sync_probe { origin = sw; round = t.round; entries } in
-        Net.flood_from_switch t.net ~sw ~except:[] (fun () ->
-            Packet.make_control ~src:sw ~dst:sw ~flow:t.probe_class ~payload)
-      end)
-    t.participants
+  (* a lone participant has no peer to read its advertisements *)
+  if List.compare_length_with t.participants 1 > 0 then
+    List.iter
+      (fun sw ->
+        let entries = List.filter (fun (_, v) -> v >= t.threshold) (t.local_view ~sw) in
+        if entries <> [] then begin
+          t.probes_sent <- t.probes_sent + 1;
+          Net.obs_emit t.net (Ff_obs.Event.Probe { sw; kind = "sync" });
+          Hashtbl.replace (state t sw).seen (sw, t.round) ();
+          let payload = Packet.Sync_probe { origin = sw; round = t.round; entries } in
+          Net.flood_from_switch t.net ~sw ~except:[] (fun () ->
+              Packet.make_control ~src:sw ~dst:sw ~flow:t.probe_class ~payload)
+        end)
+      t.participants
 
 let create net ~participants ~period ~local_view ?(threshold = 0.) ?staleness
     ?(period_jitter = 0.) ?(seed = 0x5C11) ?(probe_class = 1) () =

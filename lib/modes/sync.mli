@@ -26,7 +26,8 @@ val create :
   ?probe_class:int ->
   unit ->
   t
-(** [local_view ~sw] is polled at each round. [threshold] (default 0.)
+(** [local_view ~sw] is polled at each round. A service with a single
+    participant floods nothing: no peer would read its view. [threshold] (default 0.)
     suppresses small entries from probes. Remote entries older than
     [staleness] (default 3 periods) no longer count. [probe_class]
     disambiguates multiple sync services on one network (default 1).

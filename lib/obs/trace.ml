@@ -96,7 +96,13 @@ let entry_to_json (e : entry) =
   ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields)
   ^ "}"
 
-let write t path =
+(* The kinds a filtered trace's closing summary totals. *)
+let summary_kinds =
+  [ "mode_transition"; "reroute"; "state_transfer"; "fec_recovery"; "drop"; "probe"; "fault";
+    "repair" ]
+
+let write ?kinds t path =
+  let keep e = match kinds with None -> true | Some ks -> List.mem (Event.kind e.event) ks in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
@@ -104,13 +110,22 @@ let write t path =
       if Filename.check_suffix path ".csv" then begin
         output_string oc "seq,time,event,node,detail\n";
         iter t (fun e ->
-            Printf.fprintf oc "%d,%.6f,%s,%d,%S\n" e.seq e.time (Event.kind e.event)
-              (Event.node e.event) (Event.detail e.event))
+            if keep e then
+              Printf.fprintf oc "%d,%.6f,%s,%d,%S\n" e.seq e.time (Event.kind e.event)
+                (Event.node e.event) (Event.detail e.event))
       end
-      else
+      else begin
         iter t (fun e ->
-            output_string oc (entry_to_json e);
-            output_char oc '\n'))
+            if keep e then begin
+              output_string oc (entry_to_json e);
+              output_char oc '\n'
+            end);
+        if kinds <> None then
+          Printf.fprintf oc "{\"summary\": {%s}, \"total\": %d}\n"
+            (String.concat ", "
+               (List.map (fun k -> Printf.sprintf "%S: %d" k (count_kind t k)) summary_kinds))
+            (count t)
+      end)
 
 (* The ambient trace: the default sink that [Ff_netsim.Net] picks up at
    creation, so experiment harnesses can trace scenarios whose networks are

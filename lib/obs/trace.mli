@@ -35,9 +35,13 @@ val iter : t -> (entry -> unit) -> unit
 val entry_to_json : entry -> string
 (** One JSON object: [{"seq": .., "time": .., "event": "..", ...payload}]. *)
 
-val write : t -> string -> unit
-(** Write every buffered entry to a file: CSV ([seq,time,event,node,detail])
-    when the name ends in [.csv], else JSONL, one {!entry_to_json} per line. *)
+val write : ?kinds:string list -> t -> string -> unit
+(** Write the buffered entries to a file: CSV ([seq,time,event,node,detail])
+    when the name ends in [.csv], else JSONL, one {!entry_to_json} per line.
+    With [kinds], only entries of those {!Event.kind}s are written, keeping
+    their original [seq], and the JSONL closes with one summary object: the
+    drop-proof per-kind totals and {!count}, covering the whole run even
+    past capacity. That is the format of the committed golden traces. *)
 
 (** {2 Ambient trace}
 

@@ -575,6 +575,29 @@ let test_nwhh_clears_after_flood () =
        (Ff_modes.Protocol.log d.Orchestrator.protocol));
   Alcotest.(check bool) "not alarmed at the end" false (B.Network_wide_hh.alarmed nw)
 
+(* Each offending ingress raises its own alarm: with one-hop mode regions
+   the Volumetric modes come on at e2 as well as at e1. *)
+let test_nwhh_alarms_every_ingress () =
+  let lm, engine, net = fig2_net () in
+  let topo = lm.T.Fig2.topo in
+  let e1 = (T.node_by_name topo "e1").T.id and e2 = (T.node_by_name topo "e2").T.id in
+  let config = { Orchestrator.default_config with region_ttl = 1 } in
+  let d =
+    Orchestrator.deploy net ~config [ Orchestrator.Network_wide_hh { ingresses = [ e1; e2 ] } ]
+  in
+  List.iter
+    (fun bot ->
+      ignore (Flow.Cbr.start net ~src:bot ~dst:lm.T.Fig2.victim ~rate_pps:125. ()))
+    lm.T.Fig2.bot_sources;
+  Engine.run engine ~until:5.;
+  let up_at sw =
+    List.exists
+      (fun (_, s, attack, up) -> s = sw && up && attack = Packet.Volumetric)
+      (Ff_modes.Protocol.log d.Orchestrator.protocol)
+  in
+  Alcotest.(check bool) "volumetric modes on at e1" true (up_at e1);
+  Alcotest.(check bool) "volumetric modes on at e2" true (up_at e2)
+
 (* ---------------- Specs ---------------- *)
 
 let test_specs_catalogue () =
@@ -645,6 +668,7 @@ let () =
           Alcotest.test_case "quiet under threshold" `Quick
             test_nwhh_quiet_under_local_threshold;
           Alcotest.test_case "clears after flood" `Quick test_nwhh_clears_after_flood;
+          Alcotest.test_case "alarms at every ingress" `Quick test_nwhh_alarms_every_ingress;
         ] );
       ("specs", [ Alcotest.test_case "catalogue" `Quick test_specs_catalogue ]);
     ]

@@ -212,14 +212,15 @@ let test_sync_threshold_suppresses () =
 
 let test_sync_classes_isolated () =
   let _, engine, net = ring_net 4 in
+  (* two participants per class, each class's view held at one of them *)
   let s1 =
-    Sync.create net ~participants:[ 0 ] ~period:0.2 ~probe_class:5
-      ~local_view:(fun ~sw:_ -> [ (1, 100.) ])
+    Sync.create net ~participants:[ 0; 2 ] ~period:0.2 ~probe_class:5
+      ~local_view:(fun ~sw -> if sw = 0 then [ (1, 100.) ] else [])
       ()
   in
   let s2 =
-    Sync.create net ~participants:[ 2 ] ~period:0.2 ~probe_class:6
-      ~local_view:(fun ~sw:_ -> [ (1, 7.) ])
+    Sync.create net ~participants:[ 2; 0 ] ~period:0.2 ~probe_class:6
+      ~local_view:(fun ~sw -> if sw = 2 then [ (1, 7.) ] else [])
       ()
   in
   Engine.run engine ~until:1.5;
@@ -227,6 +228,22 @@ let test_sync_classes_isolated () =
     (Sync.global_value s1 ~sw:1 ~key:1);
   Alcotest.(check (float 0.01)) "class 6 sees only class 6" 7.
     (Sync.global_value s2 ~sw:1 ~key:1)
+
+(* A lone participant has no peer: it floods nothing, and its own global
+   view is still its local one. *)
+let test_sync_lone_participant_silent () =
+  let _, engine, net = ring_net 4 in
+  let sync =
+    Sync.create net ~participants:[ 0 ] ~period:0.2
+      ~local_view:(fun ~sw:_ -> [ (1, 100.); (2, 3.) ])
+      ()
+  in
+  Engine.run engine ~until:1.5;
+  Alcotest.(check int) "no probes" 0 (Sync.probes_sent sync);
+  Alcotest.(check (list (pair int (float 0.)))) "own view intact" [ (1, 100.); (2, 3.) ]
+    (Sync.global_view sync ~sw:0);
+  Alcotest.(check (float 0.)) "nothing reached a neighbour" 0.
+    (Sync.remote_contribution sync ~sw:1 ~key:1)
 
 (* ---------------- Stability analysis ---------------- *)
 
@@ -355,6 +372,7 @@ let () =
           Alcotest.test_case "staleness expires" `Quick test_sync_staleness_expires;
           Alcotest.test_case "threshold suppresses" `Quick test_sync_threshold_suppresses;
           Alcotest.test_case "classes isolated" `Quick test_sync_classes_isolated;
+          Alcotest.test_case "lone participant silent" `Quick test_sync_lone_participant_silent;
         ] );
       ( "stability",
         [

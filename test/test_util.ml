@@ -4,6 +4,7 @@ module Prng = Ff_util.Prng
 module Stats = Ff_util.Stats
 module Heap = Ff_util.Heap
 module Series = Ff_util.Series
+module Gates = Ff_util.Gates
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_float_loose = Alcotest.(check (float 1e-3))
@@ -517,6 +518,43 @@ let test_series_ascii_renders () =
   Alcotest.(check bool) "chart body drawn" true (String.contains out '*');
   Alcotest.(check bool) "legend includes the name" true (contains out "wave")
 
+(* ---------------- Gate file ---------------- *)
+
+let gate_keys = [ "perf.alloc"; "shard.imbalance" ]
+
+let test_gates_parse () =
+  match
+    Gates.parse ~keys:gate_keys
+      "# budgets\n\nperf.alloc: 14\n  shard.imbalance :1.4  \n# trailing comment\n"
+  with
+  | Error e -> Alcotest.failf "rejected a well-formed file: %s" e
+  | Ok g ->
+    check_float "perf" 14. (Option.get (Gates.find g "perf.alloc"));
+    check_float "shard" 1.4 (Option.get (Gates.find g "shard.imbalance"));
+    Alcotest.(check (option (float 0.))) "outside the keys" None (Gates.find g "fluid")
+
+(* Every malformed file is refused, and the message names what is wrong. *)
+let test_gates_reject () =
+  let rejects name text fragment =
+    match Gates.parse ~keys:gate_keys text with
+    | Ok _ -> Alcotest.failf "%s: accepted %S" name text
+    | Error e ->
+      let nl = String.length fragment and el = String.length e in
+      let rec has i = i + nl <= el && (String.sub e i nl = fragment || has (i + 1)) in
+      if not (has 0) then Alcotest.failf "%s: message %S does not mention %S" name e fragment
+  in
+  let ok_shard = "shard.imbalance: 1.4\n" in
+  rejects "non-number" ("perf.alloc: fourteen\n" ^ ok_shard) "line 1";
+  rejects "nan" ("perf.alloc: nan\n" ^ ok_shard) "not a finite number";
+  rejects "no colon" ("perf.alloc 14\n" ^ ok_shard) "expected";
+  rejects "bare number" ("14\n" ^ ok_shard) "line 1";
+  rejects "empty key" ("perf.alloc: 14\n: 3\n" ^ ok_shard) "empty key";
+  rejects "unknown key" "perf.alloc: 14\nshrad.imbalance: 1.4\n"
+    "unknown key \"shrad.imbalance\"";
+  rejects "duplicate" ("perf.alloc: 14\n" ^ ok_shard ^ "perf.alloc: 15\n") "line 3: duplicate";
+  rejects "missing" "perf.alloc: 14\n" "missing key \"shard.imbalance\"";
+  rejects "empty file" "" "missing key"
+
 let () =
   let qcheck =
     List.map Test_seed.to_alcotest
@@ -564,6 +602,11 @@ let () =
           Alcotest.test_case "basics" `Quick test_int_table_basics;
           Alcotest.test_case "growth" `Quick test_int_table_growth;
           Alcotest.test_case "tombstone churn" `Quick test_int_table_tombstone_churn;
+        ] );
+      ( "gates",
+        [
+          Alcotest.test_case "parse" `Quick test_gates_parse;
+          Alcotest.test_case "reject malformed" `Quick test_gates_reject;
         ] );
       ( "series",
         [
