@@ -109,10 +109,11 @@ type defense =
   | Network_wide_hh of { ingresses : int list }
       (** Network-wide heavy-hitter detection (paper section 3.3): the
           [ingresses] count per-destination bytes and sync their views, and
-          a destination above 6 Mb/s network-wide raises a [Volumetric]
-          alarm at the first ingress, though no single ingress sees a heavy
-          hitter ({!Ff_boosters.Network_wide_hh}). Numbered from 1 within
-          the deployment. *)
+          each ingress whose view holds a destination above 6 Mb/s
+          network-wide raises a [Volumetric] alarm at itself, though no
+          single ingress sees a heavy hitter; each clears its own alarm
+          once its view falls back under ({!Ff_boosters.Network_wide_hh}).
+          Numbered from 1 within the deployment. *)
   | Global_rate_limit of {
       participants : int list;  (** ingress switches that count and police *)
       tenants : (int * int) list;  (** (source host, tenant) *)

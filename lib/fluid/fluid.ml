@@ -29,18 +29,10 @@ type clss = {
   mutable c_path : int array;  (* node ids, hosts included; [||] = unroutable *)
   mutable c_links : int array;  (* directed-link indices along c_path *)
   mutable c_members : int;
-  mutable c_rate : float;  (* per-flow allocated rate, bits/s *)
-  mutable c_cum_bits : float;  (* per-flow delivered-bits integral *)
-  (* Closed-form AIMD cap: cap(t) = min(max_rate, base + slope*(t - t0)).
-     Evaluated absolutely at every solve (never accumulated) so a class
-     solved lazily produces the same bits as one solved eagerly. *)
-  mutable c_cap : float;  (* cap(now) as of the last evaluation *)
-  mutable c_cap_base : float;
-  (* the cap's t0 and the last cut's time live in [t]'s class columns *)
+  (* the class's floats live in [t]'s class columns *)
   mutable c_pending : bool;  (* queued as a dirty seed for the next solve *)
   c_next_pair : int;  (* next class with the same (src, dst), or -1 *)
   (* solver scratch, epoch/stamp-guarded so it never needs clearing *)
-  mutable c_bound : float;
   mutable c_active : bool;
   mutable c_touch : int;  (* epoch: member of the touched set *)
   mutable c_done : int;  (* epoch: rate assigned this solve *)
@@ -70,10 +62,18 @@ type t = {
   mutable cls : clss array;  (* dense store, index = c_id *)
   mutable n_cls : int;
   nil : clss;  (* growth filler *)
-  (* per class, dense, index = c_id: times kept unboxed, since the engine
-     clock they are copied from is unboxed *)
+  (* per class, dense, index = c_id: float columns, since a mutable float
+     field of the mixed [clss] record boxes a fresh float on every write.
+     Closed-form AIMD cap: cap(t) = min(max_rate, base + slope*(t - t0)),
+     evaluated absolutely at every solve (never accumulated) so a class
+     solved lazily produces the same bits as one solved eagerly. *)
+  mutable c_rate : float array;  (* per-flow allocated rate, bits/s *)
+  mutable c_cum_bits : float array;  (* per-flow delivered-bits integral *)
+  mutable c_cap : float array;  (* cap(now) as of the last evaluation *)
+  mutable c_cap_base : float array;
   mutable c_t0 : float array;  (* the AIMD cap's t0 *)
   mutable c_cut : float array;  (* time of the last cut *)
+  mutable c_bound : float array;  (* solver scratch: this solve's bound *)
   (* per flow, dense, index = flow id *)
   mutable f_cls : int array;  (* class id *)
   mutable f_att : Bytes.t;  (* '\001' while attached *)
@@ -106,6 +106,8 @@ type t = {
   comp_links : Vec.t;
   reload : Vec.t;
   mutable sort_buf : int array;
+  path_buf : int array;  (* [Net.path_into] scratch *)
+  mutable live : int -> int -> bool;  (* incidence pair (id, gen) is current *)
   mutable epoch : int;
   mutable fill_stamp : int;
   mutable attached : int;
@@ -131,13 +133,8 @@ let nil_class =
     c_path = [||];
     c_links = [||];
     c_members = 0;
-    c_rate = 0.;
-    c_cum_bits = 0.;
-    c_cap = 0.;
-    c_cap_base = 0.;
     c_pending = false;
     c_next_pair = -1;
-    c_bound = 0.;
     c_active = false;
     c_touch = 0;
     c_done = 0;
@@ -148,63 +145,75 @@ let nil_class =
 let create ?(update_period = 0.25) ?(mss_bits = 12_000.)
     ?(solver = Incremental) ?(full_frac = 0.6) net () =
   let n_links = Net.n_dirlinks net in
-  {
-    net;
-    period = update_period;
-    mss_bits;
-    mode = solver;
-    full_frac;
-    n_nodes = Ff_topology.Topology.num_nodes (Net.topology net);
-    pair_head = Int_table.create ~capacity:256 ();
-    cls = Array.make 64 nil_class;
-    n_cls = 0;
-    nil = nil_class;
-    c_t0 = Array.make 64 0.;
-    c_cut = Array.make 64 0.;
-    f_cls = Array.make 64 0;
-    f_att = Bytes.make 64 '\000';
-    f_base = Array.make 64 0.;
-    f_join = Array.make 64 0.;
-    n_flows = 0;
-    n_links;
-    l_inc = Array.init n_links (fun _ -> Vec.create ());
-    l_stale = Array.make n_links 0;
-    l_has = Array.make n_links false;
-    l_demand = Array.make n_links 0.;
-    l_avail = Array.make n_links 0.;
-    l_pkt = Array.make n_links 0.;
-    l_load = Array.make n_links 0.;
-    l_rem = Array.make n_links 0.;
-    l_w = Array.make n_links 0.;
-    l_contended = Array.make n_links false;
-    l_pending = Array.make n_links false;
-    l_dropped = Array.make n_links false;
-    l_seen = Array.make n_links 0;
-    l_fill = Array.make n_links 0;
-    l_reload = Array.make n_links 0;
-    links_used = Vec.create ();
-    pending_cls = Vec.create ();
-    pending_links = Vec.create ();
-    drop_links = Vec.create ();
-    touched = Vec.create ();
-    comp = Vec.create ();
-    comp_links = Vec.create ();
-    reload = Vec.create ();
-    sort_buf = Array.make 64 0;
-    epoch = 0;
-    fill_stamp = 0;
-    attached = 0;
-    armed = false;
-    acc = { last_advance = Net.now net; delivered_bits = 0.; hop_bits = 0. };
-    rate_events = 0;
-    st_solves = 0;
-    st_skipped = 0;
-    st_full = 0;
-    st_touched = 0;
-    st_seen = 0;
-    st_loss_cuts = 0;
-    st_max_comp = 0;
-  }
+  let t =
+    {
+      net;
+      period = update_period;
+      mss_bits;
+      mode = solver;
+      full_frac;
+      n_nodes = Ff_topology.Topology.num_nodes (Net.topology net);
+      pair_head = Int_table.create ~capacity:256 ();
+      cls = Array.make 64 nil_class;
+      n_cls = 0;
+      nil = nil_class;
+      c_rate = Array.make 64 0.;
+      c_cum_bits = Array.make 64 0.;
+      c_cap = Array.make 64 0.;
+      c_cap_base = Array.make 64 0.;
+      c_t0 = Array.make 64 0.;
+      c_cut = Array.make 64 0.;
+      c_bound = Array.make 64 0.;
+      f_cls = Array.make 64 0;
+      f_att = Bytes.make 64 '\000';
+      f_base = Array.make 64 0.;
+      f_join = Array.make 64 0.;
+      n_flows = 0;
+      n_links;
+      l_inc = Array.init n_links (fun _ -> Vec.create ());
+      l_stale = Array.make n_links 0;
+      l_has = Array.make n_links false;
+      l_demand = Array.make n_links 0.;
+      l_avail = Array.make n_links 0.;
+      l_pkt = Array.make n_links 0.;
+      l_load = Array.make n_links 0.;
+      l_rem = Array.make n_links 0.;
+      l_w = Array.make n_links 0.;
+      l_contended = Array.make n_links false;
+      l_pending = Array.make n_links false;
+      l_dropped = Array.make n_links false;
+      l_seen = Array.make n_links 0;
+      l_fill = Array.make n_links 0;
+      l_reload = Array.make n_links 0;
+      links_used = Vec.create ();
+      pending_cls = Vec.create ();
+      pending_links = Vec.create ();
+      drop_links = Vec.create ();
+      touched = Vec.create ();
+      comp = Vec.create ();
+      comp_links = Vec.create ();
+      reload = Vec.create ();
+      sort_buf = Array.make 64 0;
+      path_buf = Net.path_buffer net;
+      live = (fun _ _ -> true);
+      epoch = 0;
+      fill_stamp = 0;
+      attached = 0;
+      armed = false;
+      acc = { last_advance = Net.now net; delivered_bits = 0.; hop_bits = 0. };
+      rate_events = 0;
+      st_solves = 0;
+      st_skipped = 0;
+      st_full = 0;
+      st_touched = 0;
+      st_seen = 0;
+      st_loss_cuts = 0;
+      st_max_comp = 0;
+    }
+  in
+  (* built once: incidence compaction calls it, a closure over [t] *)
+  t.live <- (fun id gen -> t.cls.(id).c_gen = gen);
+  t
 
 (* handles are plain ints: reject one this population did not issue
    (or issued before a [clear]) before it indexes a column *)
@@ -221,8 +230,8 @@ let class_id t f =
 let flow_class t f = t.cls.(class_id t f)
 let src t f = (flow_class t f).c_src
 let dst t f = (flow_class t f).c_dst
-let rate t f = if is_attached t f then (flow_class t f).c_rate else 0.
-let cap t f = (flow_class t f).c_cap
+let rate t f = if is_attached t f then t.c_rate.(class_id t f) else 0.
+let cap t f = t.c_cap.(class_id t f)
 let classes t = t.n_cls
 let rate_events t = t.rate_events
 let hop_bytes t = t.acc.hop_bits /. 8.
@@ -253,16 +262,15 @@ let touched_frac t =
 let dump_rates t =
   let acc = ref [] in
   for id = t.n_cls - 1 downto 0 do
-    let c = t.cls.(id) in
-    acc := (id, c.c_rate, c.c_cap) :: !acc
+    acc := (id, t.c_rate.(id), t.c_cap.(id)) :: !acc
   done;
   !acc
 
-let cap_now t c now =
+let[@inline] cap_now t c now =
   match c.c_kind with
   | Constant { rate } -> rate
   | Adaptive { rtt; max_rate } ->
-    let v = c.c_cap_base +. (t.mss_bits /. (rtt *. rtt) *. (now -. t.c_t0.(c.c_id))) in
+    let v = t.c_cap_base.(c.c_id) +. (t.mss_bits /. (rtt *. rtt) *. (now -. t.c_t0.(c.c_id))) in
     if v > max_rate then max_rate else v
 
 (* ---- dirty-set plumbing ------------------------------------------------ *)
@@ -290,17 +298,9 @@ let note_drop t li =
    bit-identity anchor. *)
 let enable_loss_coupling t = Net.set_drop_hook t.net (Some (fun li -> note_drop t li))
 
-(* Iterate the live incident classes of a link (stale generations skipped). *)
-let iter_inc t li f =
-  let inc = t.l_inc.(li) in
-  let n = Vec.length inc in
-  let j = ref 0 in
-  while !j + 1 < n do
-    let id = Vec.get inc !j and gen = Vec.get inc (!j + 1) in
-    let c = t.cls.(id) in
-    if c.c_gen = gen then f c;
-    j := !j + 2
-  done
+(* A link's incidence vector holds flat (class id, gen) pairs; the loops
+   over it below skip a pair whose gen is stale. They are written out,
+   not passed a closure, so a solve allocates nothing per class. *)
 
 (* ---- routing / incidence maintenance ----------------------------------- *)
 
@@ -317,44 +317,52 @@ let link_path t nodes =
     if !ok then ls else [||]
   end
 
+let rec same_nodes buf p i n = i >= n || (buf.(i) = p.(i) && same_nodes buf p (i + 1) n)
+
+(* Re-read the class's route. A route the tables still give keeps its
+   [c_path]/[c_links] arrays; a moved one is rebuilt. Either way the class
+   gets a new generation and fresh incidence entries, and its old links are
+   marked dirty. *)
 let resolve_class t c =
   (* retire the old incidence entries and make sure the old links' loads
      get re-pushed even if no live class references them afterwards *)
-  Array.iter
-    (fun li ->
-      t.l_stale.(li) <- t.l_stale.(li) + 1;
-      mark_link_dirty t li)
-    c.c_links;
+  let old = c.c_links in
+  for i = 0 to Array.length old - 1 do
+    let li = old.(i) in
+    t.l_stale.(li) <- t.l_stale.(li) + 1;
+    mark_link_dirty t li
+  done;
   c.c_gen <- c.c_gen + 1;
-  let nodes =
-    match Net.current_path t.net ~src:c.c_src ~dst:c.c_dst with
-    | Some p when List.length p >= 2 -> Array.of_list p
-    | _ -> [||]
-  in
-  let links = link_path t nodes in
-  if Array.length links = 0 then begin
-    c.c_path <- [||];
-    c.c_links <- [||]
-  end
-  else begin
-    c.c_path <- nodes;
-    c.c_links <- links;
-    Array.iter
-      (fun li ->
-        if not t.l_has.(li) then begin
-          t.l_has.(li) <- true;
-          Vec.push t.links_used li
-        end;
-        let inc = t.l_inc.(li) in
-        Vec.push inc c.c_id;
-        Vec.push inc c.c_gen;
-        (* compact when over half the entries are stale *)
-        if t.l_stale.(li) * 4 > Vec.length inc then begin
-          Vec.filter_pairs_in_place (fun id gen -> t.cls.(id).c_gen = gen) inc;
-          t.l_stale.(li) <- 0
-        end)
-      links
-  end
+  let buf = t.path_buf in
+  let n = Net.path_into t.net ~src:c.c_src ~dst:c.c_dst buf in
+  if not (n >= 2 && Array.length c.c_path = n && same_nodes buf c.c_path 0 n) then begin
+    let nodes = if n >= 2 then Array.sub buf 0 n else [||] in
+    let links = link_path t nodes in
+    if Array.length links = 0 then begin
+      c.c_path <- [||];
+      c.c_links <- [||]
+    end
+    else begin
+      c.c_path <- nodes;
+      c.c_links <- links
+    end
+  end;
+  let links = c.c_links in
+  for i = 0 to Array.length links - 1 do
+    let li = links.(i) in
+    if not t.l_has.(li) then begin
+      t.l_has.(li) <- true;
+      Vec.push t.links_used li
+    end;
+    let inc = t.l_inc.(li) in
+    Vec.push inc c.c_id;
+    Vec.push inc c.c_gen;
+    (* compact when over half the entries are stale *)
+    if t.l_stale.(li) * 4 > Vec.length inc then begin
+      Vec.filter_pairs_in_place t.live inc;
+      t.l_stale.(li) <- 0
+    end
+  done
 
 (* ---- analytic advance -------------------------------------------------- *)
 
@@ -365,10 +373,11 @@ let advance t =
   if dt > 0. then begin
     for id = 0 to t.n_cls - 1 do
       let c = t.cls.(id) in
-      if c.c_members > 0 && c.c_rate > 0. then begin
-        let per_flow = c.c_rate *. dt in
+      let r = t.c_rate.(id) in
+      if c.c_members > 0 && r > 0. then begin
+        let per_flow = r *. dt in
         let agg = per_flow *. float_of_int c.c_members in
-        c.c_cum_bits <- c.c_cum_bits +. per_flow;
+        t.c_cum_bits.(id) <- t.c_cum_bits.(id) +. per_flow;
         a.delivered_bits <- a.delivered_bits +. agg;
         a.hop_bits <- a.hop_bits +. (agg *. float_of_int (Array.length c.c_path - 1))
       end
@@ -383,14 +392,13 @@ let total_delivered_bytes t =
 let total_rate t =
   let acc = ref 0. in
   for id = 0 to t.n_cls - 1 do
-    let c = t.cls.(id) in
-    acc := !acc +. (c.c_rate *. float_of_int c.c_members)
+    acc := !acc +. (t.c_rate.(id) *. float_of_int t.cls.(id).c_members)
   done;
   !acc
 
 (* delivered bytes as of the last [advance] *)
 let[@inline] accrued_bytes t f =
-  if is_attached t f then t.f_base.(f) +. (((flow_class t f).c_cum_bits -. t.f_join.(f)) /. 8.)
+  if is_attached t f then t.f_base.(f) +. ((t.c_cum_bits.(t.f_cls.(f)) -. t.f_join.(f)) /. 8.)
   else t.f_base.(f)
 
 let delivered_bytes t f =
@@ -429,34 +437,47 @@ let sum_delivered_bytes t ~flows ~first ~count ~extra ~extra_of =
 *)
 
 (* In-place heapsort of sort_buf[0..n-1] by (c_bound, c_id): allocation-free
-   and deterministic, unlike sorting a freshly built array per component. *)
+   and deterministic, unlike sorting a freshly built array per component.
+   The helpers are top-level so that no sort builds a closure. *)
+let sort_less t a i j =
+  let bi = t.c_bound.(a.(i)) and bj = t.c_bound.(a.(j)) in
+  bi < bj || (bi = bj && a.(i) < a.(j))
+
+let sort_swap a i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+let rec sift t a i len =
+  let l = (2 * i) + 1 in
+  if l < len then begin
+    let m = if l + 1 < len && sort_less t a l (l + 1) then l + 1 else l in
+    if sort_less t a i m then begin
+      sort_swap a i m;
+      sift t a m len
+    end
+  end
+
 let sort_comp t n =
   let a = t.sort_buf in
-  let less i j =
-    let ci = t.cls.(a.(i)) and cj = t.cls.(a.(j)) in
-    ci.c_bound < cj.c_bound || (ci.c_bound = cj.c_bound && ci.c_id < cj.c_id)
-  in
-  let swap i j =
-    let x = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- x
-  in
-  let rec sift i len =
-    let l = (2 * i) + 1 in
-    if l < len then begin
-      let m = if l + 1 < len && less l (l + 1) then l + 1 else l in
-      if less i m then begin
-        swap i m;
-        sift m len
-      end
-    end
-  in
   for i = (n / 2) - 1 downto 0 do
-    sift i n
+    sift t a i n
   done;
   for len = n - 1 downto 1 do
-    swap 0 len;
-    sift 0 len
+    sort_swap a 0 len;
+    sift t a 0 len
+  done
+
+(* Freeze [c] at the rate already stored in its column: it leaves the
+   filling, and its weight leaves the component's links. *)
+let freeze t ~stamp ~epoch c =
+  c.c_frozen <- stamp;
+  c.c_done <- epoch;
+  let w = float_of_int c.c_members in
+  let links = c.c_links in
+  for i = 0 to Array.length links - 1 do
+    let li = links.(i) in
+    if t.l_fill.(li) = stamp then t.l_w.(li) <- t.l_w.(li) -. w
   done
 
 let fill_component t epoch entry =
@@ -470,20 +491,25 @@ let fill_component t epoch entry =
   while !qi < Vec.length t.comp do
     let c = t.cls.(Vec.get t.comp !qi) in
     incr qi;
-    Array.iter
-      (fun li ->
-        if t.l_contended.(li) && t.l_fill.(li) <> stamp then begin
-          t.l_fill.(li) <- stamp;
-          Vec.push t.comp_links li;
-          t.l_rem.(li) <- t.l_avail.(li);
-          t.l_w.(li) <- 0.;
-          iter_inc t li (fun c2 ->
-              if c2.c_active && c2.c_comp <> stamp then begin
-                c2.c_comp <- stamp;
-                Vec.push t.comp c2.c_id
-              end)
-        end)
-      c.c_links
+    let links = c.c_links in
+    for i = 0 to Array.length links - 1 do
+      let li = links.(i) in
+      if t.l_contended.(li) && t.l_fill.(li) <> stamp then begin
+        t.l_fill.(li) <- stamp;
+        Vec.push t.comp_links li;
+        t.l_rem.(li) <- t.l_avail.(li);
+        t.l_w.(li) <- 0.;
+        let inc = t.l_inc.(li) in
+        for p = 0 to (Vec.length inc / 2) - 1 do
+          let c2 = t.cls.(Vec.get inc (2 * p)) in
+          if c2.c_gen = Vec.get inc ((2 * p) + 1) && c2.c_active && c2.c_comp <> stamp
+          then begin
+            c2.c_comp <- stamp;
+            Vec.push t.comp c2.c_id
+          end
+        done
+      end
+    done
   done;
   let n = Vec.length t.comp in
   if n > t.st_max_comp then t.st_max_comp <- n;
@@ -496,9 +522,11 @@ let fill_component t epoch entry =
   for k = 0 to n - 1 do
     let c = t.cls.(t.sort_buf.(k)) in
     let w = float_of_int c.c_members in
-    Array.iter
-      (fun li -> if t.l_fill.(li) = stamp then t.l_w.(li) <- t.l_w.(li) +. w)
-      c.c_links
+    let links = c.c_links in
+    for i = 0 to Array.length links - 1 do
+      let li = links.(i) in
+      if t.l_fill.(li) = stamp then t.l_w.(li) <- t.l_w.(li) +. w
+    done
   done;
   (* progressive filling: the component's unfrozen classes share one rising
      water level; each round freezes the classes that hit their bound or
@@ -506,23 +534,11 @@ let fill_component t epoch entry =
   let unfrozen = ref n in
   let level = ref 0. in
   let bi = ref 0 in
-  let freeze c r =
-    c.c_frozen <- stamp;
-    c.c_done <- epoch;
-    c.c_rate <- Float.max 0. r;
-    decr unfrozen;
-    let w = float_of_int c.c_members in
-    Array.iter
-      (fun li -> if t.l_fill.(li) = stamp then t.l_w.(li) <- t.l_w.(li) -. w)
-      c.c_links
-  in
   while !unfrozen > 0 do
     while !bi < n && t.cls.(t.sort_buf.(!bi)).c_frozen = stamp do
       incr bi
     done;
-    let b =
-      if !bi < n then t.cls.(t.sort_buf.(!bi)).c_bound -. !level else infinity
-    in
+    let b = if !bi < n then t.c_bound.(t.sort_buf.(!bi)) -. !level else infinity in
     let s = ref infinity in
     for k = 0 to nlc - 1 do
       let li = Vec.get t.comp_links k in
@@ -543,9 +559,12 @@ let fill_component t epoch entry =
       let continue_ = ref true in
       while !continue_ && !bi < n do
         let c = t.cls.(t.sort_buf.(!bi)) in
+        let bound = t.c_bound.(c.c_id) in
         if c.c_frozen = stamp then incr bi
-        else if c.c_bound <= !level +. (1e-9 *. (Float.abs !level +. 1.)) then begin
-          freeze c c.c_bound;
+        else if bound <= !level +. (1e-9 *. (Float.abs !level +. 1.)) then begin
+          t.c_rate.(c.c_id) <- Float.max 0. bound;
+          freeze t ~stamp ~epoch c;
+          decr unfrozen;
           incr bi
         end
         else continue_ := false
@@ -555,9 +574,19 @@ let fill_component t epoch entry =
       (* a link saturated: its surviving classes are stuck at the level *)
       for k = 0 to nlc - 1 do
         let li = Vec.get t.comp_links k in
-        if t.l_w.(li) > 0. && t.l_rem.(li) <= 1e-9 *. (t.l_avail.(li) +. 1.) then
-          iter_inc t li (fun c2 ->
-              if c2.c_comp = stamp && c2.c_frozen <> stamp then freeze c2 !level)
+        if t.l_w.(li) > 0. && t.l_rem.(li) <= 1e-9 *. (t.l_avail.(li) +. 1.) then begin
+          let inc = t.l_inc.(li) in
+          for p = 0 to (Vec.length inc / 2) - 1 do
+            let c2 = t.cls.(Vec.get inc (2 * p)) in
+            if c2.c_gen = Vec.get inc ((2 * p) + 1) && c2.c_comp = stamp
+               && c2.c_frozen <> stamp
+            then begin
+              t.c_rate.(c2.c_id) <- Float.max 0. !level;
+              freeze t ~stamp ~epoch c2;
+              decr unfrozen
+            end
+          done
+        end
       done;
     if !unfrozen = before && !unfrozen > 0 then begin
       (* numerical failsafe: force progress at the bound pointer *)
@@ -565,7 +594,10 @@ let fill_component t epoch entry =
         incr bi
       done;
       if !bi < n then begin
-        freeze t.cls.(t.sort_buf.(!bi)) !level;
+        let c = t.cls.(t.sort_buf.(!bi)) in
+        t.c_rate.(c.c_id) <- Float.max 0. !level;
+        freeze t ~stamp ~epoch c;
+        decr unfrozen;
         incr bi
       end
       else unfrozen := 0
@@ -578,14 +610,32 @@ let fill_component t epoch entry =
     let c = t.cls.(t.sort_buf.(k)) in
     match c.c_kind with
     | Adaptive { rtt; _ } ->
-      if c.c_rate < c.c_cap *. 0.999 && now -. t.c_cut.(c.c_id) >= rtt then begin
-        c.c_cap_base <-
-          Float.max (t.mss_bits /. rtt) (c.c_rate +. (0.5 *. (c.c_cap -. c.c_rate)));
-        t.c_t0.(c.c_id) <- now;
-        t.c_cut.(c.c_id) <- now
+      let id = c.c_id in
+      let r = t.c_rate.(id) and cp = t.c_cap.(id) in
+      if r < cp *. 0.999 && now -. t.c_cut.(id) >= rtt then begin
+        t.c_cap_base.(id) <- Float.max (t.mss_bits /. rtt) (r +. (0.5 *. (cp -. r)));
+        t.c_t0.(id) <- now;
+        t.c_cut.(id) <- now
       end
     | Constant _ -> ()
   done
+
+let touch t epoch c =
+  if c.c_touch <> epoch then begin
+    c.c_touch <- epoch;
+    Vec.push t.touched c.c_id
+  end
+
+(* touch every live class crossing link [li] *)
+let touch_link t epoch li =
+  let inc = t.l_inc.(li) in
+  for p = 0 to (Vec.length inc / 2) - 1 do
+    let c = t.cls.(Vec.get inc (2 * p)) in
+    if c.c_gen = Vec.get inc ((2 * p) + 1) then touch t epoch c
+  done
+
+let rec crosses_contended t links i =
+  i < Array.length links && (t.l_contended.(links.(i)) || crosses_contended t links (i + 1))
 
 let solve t =
   let now = Net.now t.net in
@@ -598,17 +648,20 @@ let solve t =
   for k = 0 to n_drop - 1 do
     let li = Vec.get t.drop_links k in
     t.l_dropped.(li) <- false;
-    iter_inc t li (fun c ->
-        if c.c_members > 0 then
-          match c.c_kind with
-          | Adaptive { rtt; _ } when now -. t.c_cut.(c.c_id) >= rtt ->
-            let cp = cap_now t c now in
-            c.c_cap_base <- Float.max (t.mss_bits /. rtt) (0.5 *. cp);
-            t.c_t0.(c.c_id) <- now;
-            t.c_cut.(c.c_id) <- now;
-            t.st_loss_cuts <- t.st_loss_cuts + 1;
-            mark_class_dirty t c
-          | _ -> ())
+    let inc = t.l_inc.(li) in
+    for p = 0 to (Vec.length inc / 2) - 1 do
+      let c = t.cls.(Vec.get inc (2 * p)) in
+      if c.c_gen = Vec.get inc ((2 * p) + 1) && c.c_members > 0 then
+        match c.c_kind with
+        | Adaptive { rtt; _ } when now -. t.c_cut.(c.c_id) >= rtt ->
+          let cp = cap_now t c now in
+          t.c_cap_base.(c.c_id) <- Float.max (t.mss_bits /. rtt) (0.5 *. cp);
+          t.c_t0.(c.c_id) <- now;
+          t.c_cut.(c.c_id) <- now;
+          t.st_loss_cuts <- t.st_loss_cuts + 1;
+          mark_class_dirty t c
+        | _ -> ()
+    done
   done;
   Vec.clear t.drop_links;
   (* 2. class scan: activity, closed-form bounds, volatile seeding. An
@@ -626,15 +679,15 @@ let solve t =
     if act then begin
       incr active;
       let cp = cap_now t c now in
-      let moved = cp <> c.c_cap in
-      c.c_cap <- cp;
-      c.c_bound <- cp;
+      let moved = cp <> t.c_cap.(id) in
+      t.c_cap.(id) <- cp;
+      t.c_bound.(id) <- cp;
       match c.c_kind with
       | Adaptive _ ->
-        if moved || c.c_rate < cp *. 0.999 then mark_class_dirty t c
+        if moved || t.c_rate.(id) < cp *. 0.999 then mark_class_dirty t c
       | Constant _ -> ()
     end
-    else if c.c_rate <> 0. then mark_class_dirty t c
+    else if t.c_rate.(id) <> 0. then mark_class_dirty t c
   done;
   (* 3. link scan: availability is re-read every solve; packet-rate drift
      dirties the link only when it can move the solution — the link was a
@@ -675,8 +728,12 @@ let solve t =
       for id = 0 to t.n_cls - 1 do
         let c = t.cls.(id) in
         if c.c_active then begin
-          let d = c.c_bound *. float_of_int c.c_members in
-          Array.iter (fun li -> t.l_demand.(li) <- t.l_demand.(li) +. d) c.c_links
+          let d = t.c_bound.(id) *. float_of_int c.c_members in
+          let links = c.c_links in
+          for i = 0 to Array.length links - 1 do
+            let li = links.(i) in
+            t.l_demand.(li) <- t.l_demand.(li) +. d
+          done
         end
       done
     end;
@@ -693,17 +750,11 @@ let solve t =
     (* 6. touched closure: dirty seeds expand through contended links to
        whole components (a component is re-solved entirely or not at all) *)
     Vec.clear t.touched;
-    let touch c =
-      if c.c_touch <> epoch then begin
-        c.c_touch <- epoch;
-        Vec.push t.touched c.c_id
-      end
-    in
     let np = Vec.length t.pending_cls in
     for k = 0 to np - 1 do
       let c = t.cls.(Vec.get t.pending_cls k) in
       c.c_pending <- false;
-      touch c
+      touch t epoch c
     done;
     Vec.clear t.pending_cls;
     Vec.clear t.reload;
@@ -715,7 +766,7 @@ let solve t =
         t.l_reload.(li) <- epoch;
         Vec.push t.reload li
       end;
-      iter_inc t li touch
+      touch_link t epoch li
     done;
     Vec.clear t.pending_links;
     let qi = ref 0 in
@@ -725,13 +776,14 @@ let solve t =
       (* expand through the class's links whether or not it is still
          active: a freshly-detached class is dirty precisely because the
          rate it gave back must be re-filled across its old links *)
-      Array.iter
-        (fun li ->
-          if t.l_contended.(li) && t.l_seen.(li) <> epoch then begin
-            t.l_seen.(li) <- epoch;
-            iter_inc t li touch
-          end)
-        c.c_links
+      let links = c.c_links in
+      for i = 0 to Array.length links - 1 do
+        let li = links.(i) in
+        if t.l_contended.(li) && t.l_seen.(li) <> epoch then begin
+          t.l_seen.(li) <- epoch;
+          touch_link t epoch li
+        end
+      done
     done;
     (* fallback: once the dirty region covers most of the population, the
        bookkeeping costs more than it saves *)
@@ -744,7 +796,7 @@ let solve t =
       t.st_full <- t.st_full + 1;
       for id = 0 to t.n_cls - 1 do
         let c = t.cls.(id) in
-        if (c.c_active || c.c_rate <> 0.) && c.c_touch <> epoch then begin
+        if (c.c_active || t.c_rate.(id) <> 0.) && c.c_touch <> epoch then begin
           c.c_touch <- epoch;
           Vec.push t.touched c.c_id
         end
@@ -762,27 +814,22 @@ let solve t =
         if c.c_done <> epoch then begin
           if not c.c_active then begin
             c.c_done <- epoch;
-            c.c_rate <- 0.
+            t.c_rate.(id) <- 0.
           end
-          else begin
-            let contended = ref false in
-            Array.iter
-              (fun li -> if t.l_contended.(li) then contended := true)
-              c.c_links;
-            if not !contended then begin
-              c.c_done <- epoch;
-              c.c_rate <- c.c_bound
-            end
-            else fill_component t epoch c
+          else if not (crosses_contended t c.c_links 0) then begin
+            c.c_done <- epoch;
+            t.c_rate.(id) <- t.c_bound.(id)
           end
+          else fill_component t epoch c
         end;
-        Array.iter
-          (fun li ->
-            if t.l_reload.(li) <> epoch then begin
-              t.l_reload.(li) <- epoch;
-              Vec.push t.reload li
-            end)
-          c.c_links
+        let links = c.c_links in
+        for i = 0 to Array.length links - 1 do
+          let li = links.(i) in
+          if t.l_reload.(li) <> epoch then begin
+            t.l_reload.(li) <- epoch;
+            Vec.push t.reload li
+          end
+        done
       end
     done;
     (* 8. push the affected links' fluid loads into the packet tier; the sum
@@ -792,9 +839,12 @@ let solve t =
     for k = 0 to nr - 1 do
       let li = Vec.get t.reload k in
       let sum = ref 0. in
-      iter_inc t li (fun c ->
-          if c.c_members > 0 then
-            sum := !sum +. (c.c_rate *. float_of_int c.c_members));
+      let inc = t.l_inc.(li) in
+      for p = 0 to (Vec.length inc / 2) - 1 do
+        let c = t.cls.(Vec.get inc (2 * p)) in
+        if c.c_gen = Vec.get inc ((2 * p) + 1) && c.c_members > 0 then
+          sum := !sum +. (t.c_rate.(c.c_id) *. float_of_int c.c_members)
+      done;
       if !sum <> t.l_load.(li) then begin
         t.l_load.(li) <- !sum;
         Net.set_fluid_load_i t.net li !sum
@@ -841,7 +891,7 @@ let attach t f =
   if not (is_attached t f) then begin
     advance t;
     let c = flow_class t f in
-    t.f_join.(f) <- c.c_cum_bits;
+    t.f_join.(f) <- t.c_cum_bits.(c.c_id);
     Bytes.set t.f_att f '\001';
     c.c_members <- c.c_members + 1;
     t.attached <- t.attached + 1;
@@ -853,7 +903,7 @@ let detach t f =
   if is_attached t f then begin
     advance t;
     let c = flow_class t f in
-    t.f_base.(f) <- t.f_base.(f) +. ((c.c_cum_bits -. t.f_join.(f)) /. 8.);
+    t.f_base.(f) <- t.f_base.(f) +. ((t.c_cum_bits.(c.c_id) -. t.f_join.(f)) /. 8.);
     Bytes.set t.f_att f '\000';
     c.c_members <- c.c_members - 1;
     t.attached <- t.attached - 1;
@@ -889,8 +939,13 @@ let new_class t ~src ~dst kind ~next =
       Array.blit a 0 b 0 id;
       b
     in
+    t.c_rate <- grow_f t.c_rate;
+    t.c_cum_bits <- grow_f t.c_cum_bits;
+    t.c_cap <- grow_f t.c_cap;
+    t.c_cap_base <- grow_f t.c_cap_base;
     t.c_t0 <- grow_f t.c_t0;
-    t.c_cut <- grow_f t.c_cut
+    t.c_cut <- grow_f t.c_cut;
+    t.c_bound <- grow_f t.c_bound
   end;
   let c =
     {
@@ -902,18 +957,8 @@ let new_class t ~src ~dst kind ~next =
       c_path = [||];
       c_links = [||];
       c_members = 0;
-      c_rate = 0.;
-      c_cum_bits = 0.;
-      c_cap = 0.;
-      c_cap_base =
-        (match kind with
-        | Constant { rate } -> rate
-        | Adaptive { rtt; max_rate } ->
-          (* slow-start-ish initial window: 10 MSS per RTT *)
-          Float.min max_rate (10. *. t.mss_bits /. rtt));
       c_pending = false;
       c_next_pair = next;
-      c_bound = 0.;
       c_active = false;
       c_touch = 0;
       c_done = 0;
@@ -921,7 +966,18 @@ let new_class t ~src ~dst kind ~next =
       c_frozen = 0;
     }
   in
-  c.c_cap <- c.c_cap_base;
+  let base =
+    match kind with
+    | Constant { rate } -> rate
+    | Adaptive { rtt; max_rate } ->
+      (* slow-start-ish initial window: 10 MSS per RTT *)
+      Float.min max_rate (10. *. t.mss_bits /. rtt)
+  in
+  t.c_rate.(id) <- 0.;
+  t.c_cum_bits.(id) <- 0.;
+  t.c_cap.(id) <- base;
+  t.c_cap_base.(id) <- base;
+  t.c_bound.(id) <- 0.;
   t.c_t0.(id) <- now;
   t.c_cut.(id) <- now;
   t.cls.(id) <- c;

@@ -61,6 +61,7 @@ type t = {
   mutable m_next : int array;  (* next older member of the same bucket, or -1 *)
   mutable m_state : Bytes.t;  (* tier code and flag bits *)
   stops : (int, float) Hashtbl.t;  (* members with a stop time *)
+  path_buf : int array;  (* [Net.path_into] scratch *)
   (* per packet slot, dense, in first-start order *)
   mutable slots : slot array;
   mutable slot_bytes : float array;  (* scratch for [sum_delivered_bytes] *)
@@ -101,6 +102,7 @@ let create ?(force = Auto) ?update_period ?solver ?full_frac ?demote_budget net
     m_next = Array.make 64 0;
     m_state = Bytes.create 64;
     stops = Hashtbl.create 16;
+    path_buf = Net.path_buffer net;
     slots = [||];
     slot_bytes = [||];
     n_slots = 0;
@@ -138,14 +140,16 @@ let demote_denied t = t.demote_denied
 let is_demoted t m = has t m f_demoted
 
 let path_rtt t ~src ~dst =
-  match Net.current_path t.net ~src ~dst with
-  | Some p when List.length p >= 2 ->
-    let rec sum acc = function
-      | a :: (b :: _ as rest) -> sum (acc +. Net.link_delay t.net ~from_:a ~to_:b) rest
-      | _ -> acc
-    in
-    Float.max 0.001 (2. *. sum 0. p)
-  | _ -> 0.01
+  let p = t.path_buf in
+  let n = Net.path_into t.net ~src ~dst p in
+  if n >= 2 then begin
+    let sum = ref 0. in
+    for i = 0 to n - 2 do
+      sum := !sum +. Net.link_delay t.net ~from_:p.(i) ~to_:p.(i + 1)
+    done;
+    Float.max 0.001 (2. *. !sum)
+  end
+  else 0.01
 
 let fluid_kind t ~src ~dst = function
   | Cbr { rate_pps; packet_size } ->

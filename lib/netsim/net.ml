@@ -762,45 +762,83 @@ let iter_path_switches t path ~f =
 let install_path t ~dst path =
   iter_path_switches t path ~f:(fun a b -> set_route t ~sw:a ~dst ~next_hop:b)
 
+(* One Dijkstra per source host, installed in the per-pair order
+   (destination outer, source inner): hosts never transit, so a source's
+   tree holds its shortest path to every host. *)
 let install_shortest_paths t =
-  let hosts = Topology.hosts t.topo in
-  List.iter
+  let hosts = Array.of_list (Topology.hosts t.topo) in
+  let trees =
+    Array.map (fun (src : Topology.node) -> Topology.shortest_paths_from t.topo ~src:src.id) hosts
+  in
+  Array.iter
     (fun (dst : Topology.node) ->
-      List.iter
-        (fun (src : Topology.node) ->
-          if src.Topology.id <> dst.Topology.id then
-            match Topology.shortest_path t.topo ~src:src.Topology.id ~dst:dst.Topology.id with
-            | Some p -> install_path t ~dst:dst.Topology.id p
-            | None -> ())
+      Array.iteri
+        (fun i (src : Topology.node) ->
+          if src.id <> dst.id then
+            match trees.(i) dst.id with Some p -> install_path t ~dst:dst.id p | None -> ())
         hosts)
     hosts
 
 let install_pair_path t ~src ~dst path =
   iter_path_switches t path ~f:(fun a b -> set_pair_route t ~sw:a ~src ~dst ~next_hop:b)
 
+let rec visited buf k v i = i < k && (buf.(i) = v || visited buf k v (i + 1))
+
+let path_buffer t = Array.make (Array.length t.nodes + 2) 0
+
+(* One step of the table walk behind [current_path]: [k] nodes are in
+   [buf], one per hop taken, and the walk stands at [node]. Top-level, so
+   that a walk builds no closure. *)
+let rec walk_path t ~src ~dst buf k node =
+  let n = Array.length t.nodes in
+  if k > n + 1 then 0
+  else if node = dst then begin
+    buf.(k) <- node;
+    k + 1
+  end
+  else
+    match t.nodes.(node) with
+    | Ho _ when node <> src -> 0
+    | Ho _ ->
+      let links = t.adj.(node) in
+      if Array.length links = 0 then 0
+      else begin
+        buf.(k) <- node;
+        walk_path t ~src ~dst buf (k + 1) links.(0).to_node
+      end
+    | Sw sw ->
+      let dst_ok = dst >= 0 && dst < n in
+      let pair =
+        if Ff_util.Int_table.length sw.pair_routes = 0 || not dst_ok then -1
+        else Ff_util.Int_table.get sw.pair_routes (pair_key t ~src ~dst) ~default:(-1)
+      in
+      let next = if pair >= 0 then pair else if dst_ok then sw.routes.(dst) else -1 in
+      (* a next hop already walked is a loop *)
+      if next < 0 || visited buf k next 0 then 0
+      else begin
+        buf.(k) <- node;
+        walk_path t ~src ~dst buf (k + 1) next
+      end
+
+(* The count of nodes written, 0 on a loop, a missing entry or a host in
+   the middle. *)
+let path_into t ~src ~dst buf =
+  if Array.length buf < Array.length t.nodes + 2 then
+    invalid_arg "Net.path_into: buffer shorter than path_buffer";
+  check_node t "path_into" src;
+  walk_path t ~src ~dst buf 0 src
+
 let current_path t ~src ~dst =
-  let max_hops = Topology.num_nodes t.topo + 1 in
-  let rec walk acc node hops =
-    if hops > max_hops then None
-    else if node = dst then Some (List.rev (node :: acc))
-    else
-      match t.nodes.(node) with
-      | Ho _ when node <> src -> None
-      | Ho _ -> (
-        match Topology.neighbors t.topo node with
-        | (sw, _) :: _ -> walk (node :: acc) sw (hops + 1)
-        | [] -> None)
-      | Sw sw -> (
-        let next =
-          match pair_route_lookup t ~sw:sw.sw_id ~src ~dst with
-          | Some _ as p -> p
-          | None -> dense_lookup sw.routes dst
-        in
-        match next with
-        | Some n when not (List.mem n acc) -> walk (node :: acc) n (hops + 1)
-        | _ -> None)
-  in
-  walk [] src 0
+  let buf = path_buffer t in
+  let k = path_into t ~src ~dst buf in
+  if k = 0 then None
+  else begin
+    let p = ref [] in
+    for i = k - 1 downto 0 do
+      p := buf.(i) :: !p
+    done;
+    Some !p
+  end
 
 (* ---------------- traffic entry points ---------------- *)
 

@@ -153,7 +153,9 @@ val install_path : t -> dst:int -> Ff_topology.Topology.path -> unit
 val install_shortest_paths : t -> unit
 (** Default connectivity: for every ordered host pair, [install_path] the
     topology's shortest path (destination-major order, so where two
-    sources' paths disagree on a switch the later source's hop wins). *)
+    sources' paths disagree on a switch the later source's hop wins).
+    One Dijkstra per source host ({!Ff_topology.Topology.shortest_paths_from})
+    gives the same tables as a per-pair {!Ff_topology.Topology.shortest_path}. *)
 
 val install_pair_path : t -> src:int -> dst:int -> Ff_topology.Topology.path -> unit
 (** Pin the (src,dst) pair to this path (per-pair entries on every switch
@@ -163,7 +165,18 @@ val current_path : t -> src:int -> dst:int -> int list option
 (** The path a (src,dst) packet would take through the current tables
     (pair routes first, then destination routes), hosts included. [None]
     on a routing loop or missing entry. Used to snapshot the "virtual
-    topology" the obfuscator answers traceroutes with. *)
+    topology" the obfuscator answers traceroutes with. The list form of
+    {!path_into}. *)
+
+val path_buffer : t -> int array
+(** A fresh buffer long enough for any {!path_into} walk on this net. *)
+
+val path_into : t -> src:int -> dst:int -> int array -> int
+(** [path_into t ~src ~dst buf] writes the nodes of [current_path t ~src
+    ~dst] into [buf] from index 0 and returns their count, or returns 0
+    where [current_path] gives [None]. Allocation-free, so a caller that
+    re-reads many routes reuses one buffer. Raises [Invalid_argument]
+    when [buf] is shorter than {!path_buffer}'s or [src] is not a node. *)
 
 (** {1 Traffic} *)
 

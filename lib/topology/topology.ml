@@ -117,15 +117,13 @@ let path_delay t p = List.fold_left (fun acc l -> acc +. l.delay) 0. (path_links
 
 let unit_weight (_ : link) = 1.
 
-(* Dijkstra; hosts are never used as transit (only as endpoints). The
-   heap is drained through [min_prio]/[pop_min], which pop in the same
-   order as [pop] without boxing a tuple per node. *)
-let dijkstra ~weight t ~src ~dst ~node_banned ~link_banned =
-  let n = t.nnodes in
-  if src < 0 || src >= n || dst < 0 || dst >= n then invalid_arg "Topology.shortest_path";
-  let dist = Array.make n infinity in
-  let prev = Array.make n (-1) in
-  let finished = Array.make n false in
+(* The one Dijkstra loop: fills [dist]/[prev] (all infinity/-1 on entry)
+   from [src] over the whole graph; hosts are never used as transit (only
+   as endpoints), and [stop] is not expanded either (-1 expands every
+   switch). The heap is drained through [min_prio]/[pop_min], which pop in
+   the same order as [pop] without boxing a tuple per node. *)
+let dijkstra_tree ~weight t ~src ~stop ~node_banned ~link_banned dist prev =
+  let finished = Array.make t.nnodes false in
   let heap = Ff_util.Heap.create () in
   dist.(src) <- 0.;
   Ff_util.Heap.push heap ~prio:0. src;
@@ -134,7 +132,7 @@ let dijkstra ~weight t ~src ~dst ~node_banned ~link_banned =
     let u = Ff_util.Heap.pop_min heap in
     if not (finished.(u) || d > dist.(u)) then begin
       finished.(u) <- true;
-      if u <> dst && (u = src || t.node_arr.(u).kind = Switch) then begin
+      if u <> stop && (u = src || t.node_arr.(u).kind = Switch) then begin
         let rest = ref t.adjacency.(u) in
         while !rest != [] do
           match !rest with
@@ -152,12 +150,18 @@ let dijkstra ~weight t ~src ~dst ~node_banned ~link_banned =
         done
       end
     end
-  done;
-  if dist.(dst) = infinity then None
-  else begin
-    let rec build acc v = if v = src then src :: acc else build (v :: acc) prev.(v) in
-    Some (build [] dst, dist.(dst))
-  end
+  done
+
+let tree_path ~src prev v =
+  let rec build acc v = if v = src then src :: acc else build (v :: acc) prev.(v) in
+  build [] v
+
+let dijkstra ~weight t ~src ~dst ~node_banned ~link_banned =
+  let n = t.nnodes in
+  if src < 0 || src >= n || dst < 0 || dst >= n then invalid_arg "Topology.shortest_path";
+  let dist = Array.make n infinity and prev = Array.make n (-1) in
+  dijkstra_tree ~weight t ~src ~stop:dst ~node_banned ~link_banned dist prev;
+  if dist.(dst) = infinity then None else Some (tree_path ~src prev dst, dist.(dst))
 
 let never (_ : int) = false
 
@@ -168,6 +172,20 @@ let shortest_path_excluding ?(weight = unit_weight) t ~src ~dst ~banned_nodes ~b
 
 let shortest_path ?(weight = unit_weight) t ~src ~dst =
   Option.map fst (dijkstra ~weight t ~src ~dst ~node_banned:never ~link_banned:never)
+
+(* Leaving [dst] unexpanded cannot change its own path: with non-negative
+   weights, expanding it only improves nodes farther than it, and a prev
+   entry moves only on a strict improvement. So one tree serves every
+   destination. *)
+let shortest_paths_from t ~src =
+  let n = t.nnodes in
+  if src < 0 || src >= n then invalid_arg "Topology.shortest_paths_from";
+  let dist = Array.make n infinity and prev = Array.make n (-1) in
+  dijkstra_tree ~weight:unit_weight t ~src ~stop:(-1) ~node_banned:never ~link_banned:never dist
+    prev;
+  fun dst ->
+    if dst < 0 || dst >= n then invalid_arg "Topology.shortest_paths_from";
+    if dist.(dst) = infinity then None else Some (tree_path ~src prev dst)
 
 let path_weight ?(weight = unit_weight) t p =
   List.fold_left (fun acc l -> acc +. weight l) 0. (path_links t p)

@@ -72,6 +72,12 @@ val shortest_path : ?weight:(link -> float) -> t -> src:int -> dst:int -> path o
 (** Dijkstra. Default weight is hop count (1 per link). Hosts other than
     the endpoints are never used as transit. *)
 
+val shortest_paths_from : t -> src:int -> int -> path option
+(** [shortest_paths_from t ~src] runs one hop-count Dijkstra from [src]
+    and returns the path lookup of its tree: applied to [dst] it equals
+    [shortest_path t ~src ~dst], for every [dst]. Raises
+    [Invalid_argument] on a node id outside the topology. *)
+
 val k_shortest_paths : ?weight:(link -> float) -> ?k:int -> t -> src:int -> dst:int -> path list
 (** Yen's algorithm, loop-free paths in increasing weight order
     (default [k = 4]). *)

@@ -377,6 +377,90 @@ let test_loss_coupling_cuts () =
     true
     (Fluid.cap fl f < ramped_cap)
 
+(* [classes] classes over ten fixed (src, dst) pairs of a small ISP, so a
+   population of 100 and one of 1,000 load the same links; the kinds'
+   rates tell the classes of one pair apart. *)
+let steady_population ~classes =
+  let topo = T.isp ~cores:4 ~access_per_core:2 ~hosts_per_access:4 () in
+  let engine, net = make_net topo in
+  let hosts = Array.of_list (Net.host_ids net) in
+  let nh = Array.length hosts in
+  let fl = Fluid.create net () in
+  for i = 0 to classes - 1 do
+    let p = i mod 10 and k = float_of_int (i / 10) in
+    let kind =
+      if i mod 3 = 0 then Fluid.Adaptive { rtt = 0.02; max_rate = 1e8 +. k }
+      else Fluid.Constant { rate = 5e7 +. k }
+    in
+    ignore (Fluid.add fl ~src:hosts.(p) ~dst:hosts.(nh - 1 - p) kind)
+  done;
+  Alcotest.(check int) "distinct classes" classes (Fluid.classes fl);
+  Fluid.recompute fl;
+  (engine, net, hosts, fl)
+
+(* minor words per call of [f], after a warm-up that grows every buffer *)
+let words_per_call f =
+  for _ = 1 to 5 do
+    f ()
+  done;
+  let n = 50 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let test_recompute_alloc_flat () =
+  (* the class floats sit in float columns and the solve runs loops, not
+     closures, so a re-solve allocates nothing per class *)
+  let words classes =
+    let _, net, hosts, fl = steady_population ~classes in
+    let li = Net.link_index net ~from_:hosts.(0) ~to_:(List.hd (Net.neighbors_of net hosts.(0))) in
+    words_per_call (fun () ->
+        Fluid.mark_link_dirty fl li;
+        Fluid.recompute fl)
+  in
+  let w100 = words 100 and w1000 = words 1000 in
+  Alcotest.(check (float 0.))
+    (Printf.sprintf "words per recompute at 1000 classes = at 100 (%.1f vs %.1f)" w1000 w100)
+    w100 w1000
+
+let test_refresh_alloc_free () =
+  (* a refresh whose routes did not move keeps each class's path arrays:
+     it allocates nothing at all, at any population size *)
+  let words classes =
+    let _, _, _, fl = steady_population ~classes in
+    words_per_call (fun () -> Fluid.refresh_paths fl)
+  in
+  let w100 = words 100 and w1000 = words 1000 in
+  Alcotest.(check (float 0.)) "words per refresh at 100 classes" 0. w100;
+  Alcotest.(check (float 0.)) "words per refresh at 1000 classes" 0. w1000
+
+let test_refresh_follows_moved_route () =
+  (* h0 -> h2 on an 8-ring runs s0 s1 s2; rewriting three tables sends it
+     the long way round, and the refresh must move the class and its load *)
+  let n = 8 in
+  let topo = T.ring ~n () in
+  let _, net = make_net topo in
+  let fl = Fluid.create net () in
+  let src = ring_host n 0 and dst = ring_host n 2 in
+  let f = Fluid.add fl ~src ~dst (Fluid.Constant { rate = 4e6 }) in
+  Fluid.recompute fl;
+  Alcotest.(check (float 1.)) "short way loaded" 4e6 (Net.fluid_load net ~from_:0 ~to_:1);
+  Alcotest.(check (float 0.)) "long way idle" 0. (Net.fluid_load net ~from_:0 ~to_:7);
+  Net.set_route net ~sw:0 ~dst ~next_hop:7;
+  Net.set_route net ~sw:7 ~dst ~next_hop:6;
+  Net.set_route net ~sw:6 ~dst ~next_hop:5;
+  Alcotest.(check (option (list int))) "tables give the long way"
+    (Some [ src; 0; 7; 6; 5; 4; 3; 2; dst ])
+    (Net.current_path net ~src ~dst);
+  Fluid.refresh_paths fl;
+  Fluid.recompute fl;
+  Alcotest.(check bool) "class re-routed" true (Fluid.path_crosses fl f ~f:(fun v -> v = 7));
+  Alcotest.(check (float 0.)) "short way released" 0. (Net.fluid_load net ~from_:0 ~to_:1);
+  Alcotest.(check (float 1.)) "long way loaded" 4e6 (Net.fluid_load net ~from_:0 ~to_:7);
+  Alcotest.(check (float 1.)) "rate kept" 4e6 (Fluid.rate fl f)
+
 (* random op sequence for the incremental≡full differential: fluid flows
    (constant and adaptive) arriving over time, some detached mid-run and
    some re-attached, plus packet CBR cross-traffic so link drift and loss
@@ -638,6 +722,12 @@ let () =
             test_solver_clear_rerun;
           Alcotest.test_case "loss-coupled aimd cuts" `Quick test_loss_coupling_cuts;
           Alcotest.test_case "unknown handles rejected" `Quick test_unknown_handle_rejected;
+          Alcotest.test_case "recompute allocation flat in classes" `Quick
+            test_recompute_alloc_flat;
+          Alcotest.test_case "refresh over unchanged routes allocation-free" `Quick
+            test_refresh_alloc_free;
+          Alcotest.test_case "refresh follows a moved route" `Quick
+            test_refresh_follows_moved_route;
         ] );
       ( "differential",
         [

@@ -328,6 +328,39 @@ let test_current_path_cycle () =
     "routing cycle yields no path" None
     (Net.current_path net ~src ~dst)
 
+let test_shortest_routes_per_source () =
+  (* one Dijkstra per source must install exactly the tables of one
+     Dijkstra per (src, dst) pair, in the same destination-major order *)
+  let per_pair net topo =
+    let hosts = T.hosts topo in
+    List.iter
+      (fun (dst : T.node) ->
+        List.iter
+          (fun (src : T.node) ->
+            if src.T.id <> dst.T.id then
+              match T.shortest_path topo ~src:src.T.id ~dst:dst.T.id with
+              | Some p -> Net.install_path net ~dst:dst.T.id p
+              | None -> ())
+          hosts)
+      hosts
+  in
+  let tables topo install =
+    let net = Net.create (Engine.create ()) topo in
+    install net;
+    List.map (fun sw -> (sw, Net.route_entries net ~sw)) (Net.switch_ids net)
+  in
+  List.iter
+    (fun (name, topo) ->
+      Alcotest.(check (list (pair int (list (pair int int)))))
+        (name ^ " tables") (tables topo (fun net -> per_pair net topo))
+        (tables topo Net.install_shortest_paths))
+    [
+      ("fig2", (T.Fig2.build ()).T.Fig2.topo);
+      ("fat-tree(4)", T.fat_tree ~k:4 ());
+      ("abilene", T.abilene ());
+      ("isp", T.isp ());
+    ]
+
 let test_switch_down_and_backup () =
   let topo = T.create () in
   let src = T.add_node topo ~kind:T.Host ~name:"src" in
@@ -739,6 +772,8 @@ let () =
             test_link_failure_rejects_non_adjacent;
           Alcotest.test_case "tracing follows packet" `Quick test_tracing_follows_packet;
           Alcotest.test_case "tracing captures drop" `Quick test_tracing_captures_drop;
+          Alcotest.test_case "shortest routes per source" `Quick
+            test_shortest_routes_per_source;
         ] );
       ( "transport",
         [
