@@ -1,9 +1,10 @@
 (* perf, the hot-path regression run: a fixed fat-tree + rolling-LFA
    scenario measured for packets/s, events/s and GC words per packet, with
    the sharded engine (--shards N) and the hybrid fluid sweep (--fluid)
-   beside it. It rewrites BENCH_netsim.json (keeping the committed
-   "before" entry) and checks every perf gate of bench/GATES. The parallel
-   and fluid subcommands print through the same two tables. *)
+   beside it. Run from the repository root, it rewrites BENCH_netsim.json
+   (keeping the committed "before" entry); elsewhere it writes nothing.
+   It checks every perf gate of bench/GATES. The parallel and fluid
+   subcommands print through the same two tables. *)
 
 module T = Ff_topology.Topology
 module Scenario = Fastflex.Scenario
@@ -493,32 +494,33 @@ let check_fluid v ~top ~speedup ~solver_alloc =
       speedup flows
   else Printf.printf "[perf] hybrid speedup check ok: %.1fx >= 20x at %d flows\n" speedup flows
 
-(* Keeps the last section of the previous file that this run did not
-   measure. *)
+(* Rewrites the file only where one already exists (the repository root
+   keeps the committed copy), keeping its "before" entry and the last
+   section this run did not measure. A run anywhere else writes nothing:
+   a fresh file there would record this run as its own "before". *)
 let write_json s ~par ~fluid =
-  let old_text = read_file perf_json_file in
-  let previous key =
-    Option.value ~default:"null" (Option.bind old_text (fun text -> extract_object text key))
-  in
-  let current = sample_to_json s in
-  let before =
-    Option.value ~default:current (Option.bind old_text (fun t -> extract_object t "before"))
-  in
-  let parallel_json =
-    match par with
-    | Some (shards, (_, baseline, run)) -> parallel_to_json ~shards baseline run
-    | None -> previous "parallel"
-  in
-  let fluid_json =
-    match fluid with
-    | Some (sweep, baseline_eps, speedup, solver_alloc) ->
-      fluid_to_json ~sweep ~baseline_flows:fluid_baseline_flows ~baseline_eps ~speedup
-        ~solver_alloc
-    | None -> previous "fluid"
-  in
-  let oc = open_out perf_json_file in
-  Printf.fprintf oc
-    "{\n\
+  match read_file perf_json_file with
+  | None ->
+    Printf.printf "[perf] no %s in the working directory: nothing written\n" perf_json_file
+  | Some old_text ->
+    let previous key = Option.value ~default:"null" (extract_object old_text key) in
+    let current = sample_to_json s in
+    let before = Option.value ~default:current (extract_object old_text "before") in
+    let parallel_json =
+      match par with
+      | Some (shards, (_, baseline, run)) -> parallel_to_json ~shards baseline run
+      | None -> previous "parallel"
+    in
+    let fluid_json =
+      match fluid with
+      | Some (sweep, baseline_eps, speedup, solver_alloc) ->
+        fluid_to_json ~sweep ~baseline_flows:fluid_baseline_flows ~baseline_eps ~speedup
+          ~solver_alloc
+      | None -> previous "fluid"
+    in
+    let oc = open_out perf_json_file in
+    Printf.fprintf oc
+      "{\n\
     \  \"schema\": \"fastflex-netsim-perf/2\",\n\
     \  \"scenario\": \"fat-tree(4), deploy_wide defense, 6 CBR + 3 TCP flows, rolling LFA, \
      30 sim seconds\",\n\
@@ -530,8 +532,8 @@ let write_json s ~par ~fluid =
     \  \"parallel\": %s,\n\
     \  \"fluid\": %s\n\
      }\n"
-    before current parallel_json fluid_json;
-  close_out oc
+      before current parallel_json fluid_json;
+    close_out oc
 
 let perf ~shards ~fluid =
   let s = measure_perf () in

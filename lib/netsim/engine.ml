@@ -7,6 +7,11 @@
    allocation. Everything rare — timers, bursts, the mode protocol —
    stays on the thunk lane.
 
+   Each lane is an [Ff_util.Heap]: slot-indexed, so its sifts move only
+   the (time, seq) keys and an int slot id, and a packet is stored once
+   per hop, by the push into its arena row, never by a sift level. Only
+   the packet lane calls [push_tagged], so only it allocates tag columns.
+
    Ordering: every schedule, on either lane, draws the next value of the
    engine-wide [next_seq] counter, and dispatch always picks the lane
    whose top has the smaller (time, seq). That is exactly the order the

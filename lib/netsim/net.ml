@@ -81,7 +81,7 @@ and t = {
       (* switch neighbors per node id, [Topology.neighbors] order — probe
          floods walk this list on every improved probe, so it is built once
          instead of filtered out of the topology per flood *)
-  drop_reasons : (string, int) Hashtbl.t;
+  drop_reasons : (string, int ref) Hashtbl.t;
   mutable tracer : (trace_event -> unit) option;
   mutable obs : Ff_obs.Trace.t option;
   mutable metrics : Ff_obs.Metrics.t option;
@@ -205,9 +205,12 @@ let host_ids t =
   Array.to_list t.nodes
   |> List.filter_map (function Ho h -> Some h.host_id | Sw _ -> None)
 
+(* one hash of [reason] per drop: the counter is bumped in place and only
+   a reason's first drop inserts *)
 let count_drop t reason =
-  Hashtbl.replace t.drop_reasons reason
-    (1 + (try Hashtbl.find t.drop_reasons reason with Not_found -> 0))
+  match Hashtbl.find t.drop_reasons reason with
+  | n -> incr n
+  | exception Not_found -> Hashtbl.add t.drop_reasons reason (ref 1)
 
 let emit_trace t ~node ~(pkt : Packet.t) kind =
   match t.tracer with
@@ -238,7 +241,7 @@ let drop_packet t ~node (pkt : Packet.t) reason =
     end
 
 let drops_by_reason t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.drop_reasons []
+  Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.drop_reasons []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let dirlink_opt t ~from_ ~to_ =

@@ -2,17 +2,31 @@
 
     Elements are ordered by a float priority with an integer tiebreaker so
     that events scheduled at the same instant pop in insertion order
-    (deterministic simulation).
+    (deterministic simulation). Every (prio, seq) key on one heap must be
+    unique ([push] draws fresh sequences, [push_seq] callers supply
+    distinct ones): the pop order among equal keys is unspecified.
 
-    Storage is parallel arrays (unboxed float priorities, int sequence
-    numbers, two int tag columns, values), so [push] allocates nothing;
-    the [min_prio]/[pop_min] group lets callers drain the heap
-    without the option/tuple boxing of [pop].
+    Storage is slot-indexed. The heap order lives in three columns indexed
+    by heap position: the unboxed float priorities, the int sequence
+    numbers and an int slot id. Each element's value and its two tags sit
+    in an arena row named by that slot id, written once by the push and
+    cleared once by the pop; free slot ids are kept in the slot column
+    past the current size, so the arena needs no free list. [push]
+    allocates nothing (beyond doubling the columns when full), and the
+    [min_prio]/[pop_min] group lets callers drain the heap without the
+    option/tuple boxing of [pop].
+
+    Why a sift must store no pointer: a sift moves one key per tree level.
+    A value moved with it would cost a [caml_modify] per level, and since
+    the columns live in the major heap, each level would record a young
+    value (a fresh packet) in the remembered set for the next minor
+    collection to scan and promote. Sifts here move floats and ints only.
 
     The tag columns carry two unboxed payload ints per element for
     callers that would otherwise have to box a record per push (the
-    engine's packet lane stores to/from node ids there). [push] and
-    [push_seq] leave them at 0. *)
+    engine's packet lane stores to/from node ids there). They are
+    allocated by the first [push_tagged]; [push] and [push_seq] leave the
+    tags at 0. *)
 
 type 'a t
 

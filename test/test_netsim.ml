@@ -112,6 +112,37 @@ let test_engine_dispatch_no_alloc () =
     (Printf.sprintf "dispatch allocates nothing (%.3f words per event)" per_event)
     true (per_event < 0.01)
 
+(* The push path, pinned the way the test above pins the pop path: with
+   both lanes' capacity already grown (a clear keeps it), scheduling
+   packets and a pre-built closure into an engine holding about 2,000
+   events writes keys, slot ids and one arena row per call, and
+   allocates nothing. *)
+let test_engine_schedule_no_alloc () =
+  let e = Engine.create () in
+  let pkt = Packet.make ~src:0 ~dst:1 ~flow:1 () in
+  let f () = () in
+  let held = 2_000 and n = 100_000 in
+  for i = 1 to held + n do
+    Engine.schedule_packet e ~at:(float_of_int i) ~to_node:1 ~from_node:0 pkt;
+    Engine.schedule e ~at:(float_of_int i) f
+  done;
+  Engine.clear e;
+  let at i = float_of_int (i * 7919 mod 1009) in
+  for i = 1 to held / 2 do
+    Engine.schedule_packet e ~at:(at i) ~to_node:1 ~from_node:0 pkt;
+    Engine.schedule e ~at:(at i) f
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    Engine.schedule_packet e ~at:(at i) ~to_node:(i land 15) ~from_node:0 pkt;
+    Engine.schedule e ~at:(at i) f
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int (2 * n) in
+  Alcotest.(check int) "every event queued" (held + (2 * n)) (Engine.pending e);
+  Alcotest.(check bool)
+    (Printf.sprintf "schedule allocates nothing (%.3f words per call)" per_call)
+    true (per_call < 0.01)
+
 (* ---------------- Link model ---------------- *)
 
 let two_hosts () =
@@ -748,6 +779,7 @@ let () =
           Alcotest.test_case "reuse after clear" `Quick test_engine_reuse_after_clear;
           Alcotest.test_case "per-engine steps" `Quick test_engine_per_engine_steps;
           Alcotest.test_case "dispatch allocation-free" `Quick test_engine_dispatch_no_alloc;
+          Alcotest.test_case "schedule allocation-free" `Quick test_engine_schedule_no_alloc;
         ] );
       ( "links",
         [

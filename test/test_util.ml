@@ -369,6 +369,93 @@ let test_heap_float_values () =
   Heap.push h ~prio:(-1.) (-2.);
   Alcotest.(check (float 0.)) "refilled min" (-2.) (Heap.pop_min h)
 
+(* Slots are recycled across a clear: pops first scatter the free row ids
+   through the slot column, then a clear frees the rest, and a refill to
+   the same size (no growth) must still pop every value and tag in key
+   order. *)
+let test_heap_clear_refill () =
+  let h = Heap.create () in
+  let fill base =
+    for i = 0 to 39 do
+      let k = (i * 17) mod 40 in
+      Heap.push_tagged h ~prio:(float_of_int (k mod 8)) ~seq:(base + k) ~tag1:(base + k)
+        ~tag2:(-k) (base + k)
+    done
+  in
+  fill 0;
+  for _ = 1 to 13 do
+    ignore (Heap.pop_min h)
+  done;
+  Heap.clear h;
+  Alcotest.(check int) "cleared" 0 (Heap.size h);
+  fill 1000;
+  let expected =
+    List.init 40 Fun.id
+    |> List.sort (fun a b -> compare (a mod 8, a) (b mod 8, b))
+  in
+  List.iteri
+    (fun i k ->
+      Alcotest.(check int) "size" (40 - i) (Heap.size h);
+      Alcotest.(check int) "tag1" (1000 + k) (Heap.top_tag1 h);
+      Alcotest.(check int) "tag2" (-k) (Heap.top_tag2 h);
+      Alcotest.(check int) "value" (1000 + k) (Heap.pop_min h))
+    expected;
+  Alcotest.(check bool) "drained" true (Heap.is_empty h)
+
+(* Random interleavings of every push flavour, pops and clears, with
+   priority ties, against a sorted-list reference keyed (prio, seq).
+   [push] draws its sequence from the heap's own counter (reset by
+   [clear]); the explicit sequences start at 10^6, so they dominate it
+   and every key stays unique. *)
+let prop_heap_matches_model =
+  QCheck.Test.make ~name:"heap matches a sorted-list model" ~count:300
+    QCheck.(list (triple (int_bound 19) (int_bound 5) small_nat))
+    (fun ops ->
+      let h = Heap.create () in
+      (* model entries: (prio, seq, value, tag1, tag2) *)
+      let model = ref [] and own_seq = ref 0 and ext_seq = ref 1_000_000 and id = ref 0 in
+      let add prio seq tag1 tag2 =
+        incr id;
+        model := (prio, seq, !id, tag1, tag2) :: !model
+      in
+      let ok = ref true in
+      let pop () =
+        match List.sort compare !model with
+        | [] -> ok := !ok && Heap.is_empty h
+        | (prio, _, v, t1, t2) :: rest ->
+          model := rest;
+          let got_prio = Heap.min_prio h and g1 = Heap.top_tag1 h and g2 = Heap.top_tag2 h in
+          let got = Heap.pop_min h in
+          ok := !ok && got_prio = prio && g1 = t1 && g2 = t2 && got = v
+      in
+      List.iter
+        (fun (op, p, tag) ->
+          let prio = float_of_int p in
+          (match op with
+          | 0 | 1 | 2 | 3 ->
+            add prio !own_seq 0 0;
+            incr own_seq;
+            Heap.push h ~prio !id
+          | 4 | 5 | 6 ->
+            add prio !ext_seq 0 0;
+            Heap.push_seq h ~prio ~seq:!ext_seq !id;
+            incr ext_seq
+          | 7 | 8 | 9 | 10 ->
+            add prio !ext_seq tag (-tag);
+            Heap.push_tagged h ~prio ~seq:!ext_seq ~tag1:tag ~tag2:(-tag) !id;
+            incr ext_seq
+          | 19 ->
+            Heap.clear h;
+            model := [];
+            own_seq := 0
+          | _ -> pop ());
+          ok := !ok && Heap.size h = List.length !model)
+        ops;
+      while !model <> [] do
+        pop ()
+      done;
+      !ok && Heap.is_empty h)
+
 (* ---------------- Int_table ---------------- *)
 
 module It = Ff_util.Int_table
@@ -596,6 +683,8 @@ let () =
           Alcotest.test_case "empty" `Quick test_heap_empty;
           Alcotest.test_case "pop releases values" `Quick test_heap_pop_releases;
           Alcotest.test_case "float values" `Quick test_heap_float_values;
+          Alcotest.test_case "clear then refill reuses slots" `Quick test_heap_clear_refill;
+          Test_seed.to_alcotest prop_heap_matches_model;
         ] );
       ( "int_table",
         [
