@@ -366,27 +366,6 @@ let dot_command =
     (Cmd.info "dot" ~doc:"Emit the merged booster dataflow graph as Graphviz dot.")
     Term.(const run $ const ())
 
-let stability_command =
-  let dwell =
-    Arg.(value & opt nonneg_float 1.0 & info [ "dwell" ] ~docv:"SECONDS"
-           ~doc:"Minimum mode dwell.")
-  in
-  let run dwell =
-    let automaton =
-      Ff_modes.Stability.of_protocol ~modes_for:Fastflex.Orchestrator.modes_for ~dwell
-    in
-    let report = Ff_modes.Stability.analyze automaton in
-    Printf.printf "mode automaton: %d reachable states\n"
-      (List.length report.Ff_modes.Stability.reachable);
-    match report.Ff_modes.Stability.issues with
-    | [] -> print_endline "stable: every state returns to default, no zero-dwell cycles"
-    | issues ->
-      List.iter (fun i -> Format.printf "issue: %a@." Ff_modes.Stability.pp_issue i) issues
-  in
-  Cmd.v
-    (Cmd.info "stability" ~doc:"Statically analyze the mode automaton for stability.")
-    Term.(const run $ dwell)
-
 let () =
   let doc = "FastFlex: programmable data plane defenses architected into the network" in
   exit
@@ -395,4 +374,4 @@ let () =
           (Cmd.info "fastflex" ~version:"1.0.0" ~doc)
           (List.map experiment_command experiments
           @ [ all_command; lfa_command; parallel_command; fluid_command; verify_command;
-              dot_command; stability_command ])))
+              dot_command ])))

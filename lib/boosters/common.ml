@@ -1,19 +1,15 @@
-(* Mode flags live in two places kept in sync by the writers below: the
-   switch's [vars] table under "mode:NAME" keys (the introspectable contract
-   shared with Ff_modes.Protocol.refresh_vars) and the switch's interned
-   [flags] bits. The per-packet read path used to hash the string key into
-   [vars] on every packet at every boosted switch — three stages deep, that
-   was a string hash per stage per hop — so [mode_key] now interns the name
-   into a bit mask once at booster-install time and [mode_on] is one [land]. *)
+(* A mode is one interned flag bit per switch, named by
+   [Ff_modes.Protocol.mode_var]. [mode_key] interns the name into a bit
+   mask once at booster-install time, so the per-packet read [mode_on] is
+   one [land] rather than a string hash per stage per hop. *)
 
-let mode_key name = Ff_netsim.Net.flag_mask ("mode:" ^ name)
+let mode_key name = Ff_netsim.Net.flag_mask (Ff_modes.Protocol.mode_var name)
 
 let mode_on (sw : Ff_netsim.Net.switch) key = Ff_netsim.Net.flag_on sw ~mask:key
 
 let mode_active (sw : Ff_netsim.Net.switch) name = mode_on sw (mode_key name)
 
 let set_mode (sw : Ff_netsim.Net.switch) name on =
-  Hashtbl.replace sw.Ff_netsim.Net.vars ("mode:" ^ name) (if on then 1. else 0.);
   Ff_netsim.Net.set_flag sw ~mask:(mode_key name) on
 
 let mode_classify = "classify"

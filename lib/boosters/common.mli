@@ -1,12 +1,10 @@
 (** Conventions shared by all booster runtimes.
 
-    Mode activation is communicated through switch vars under the key
-    ["mode:<name>"] (written by [Ff_modes.Protocol], read here), keeping
-    boosters free of a dependency on the mode-protocol library — exactly
-    the loose coupling a real data plane has, where a mode bit in switch
-    memory gates a table. The vars entry is mirrored into the switch's
-    interned flag bits ({!Ff_netsim.Net.flag_mask}), which is what the
-    per-packet read path tests. *)
+    A mode's activation is one interned flag bit per switch
+    ({!Ff_netsim.Net.flag_mask}) named by [Ff_modes.Protocol.mode_var]:
+    [Ff_modes.Protocol] writes it, the stages here read it — the loose
+    coupling a real data plane has, where a mode bit in switch memory
+    gates a table. *)
 
 val mode_active : Ff_netsim.Net.switch -> string -> bool
 (** [mode_active sw name] interns the name on every call; fine off the
@@ -23,8 +21,7 @@ val mode_on : Ff_netsim.Net.switch -> int -> bool
 
 val set_mode : Ff_netsim.Net.switch -> string -> bool -> unit
 (** Directly toggle a mode (tests and standalone examples; production
-    paths go through the mode protocol). Updates both the [vars] mirror
-    and the flag bit. *)
+    paths go through the mode protocol). *)
 
 (** Standard mode names used by the shipped boosters. *)
 

@@ -5,30 +5,109 @@ module Prng = Ff_util.Prng
 
 type attack = Packet.attack_kind
 
-(* Per-(switch, attack) anti-entropy state: the latest (epoch, activate)
-   this switch is responsible for spreading, which neighbors have not yet
-   confirmed it, and the backoff timer driving re-advertisement. A probe
-   flood is fire-and-forget, so a single lost probe used to strand a
-   switch in the wrong mode until the next epoch; the advert closes that
-   hole by re-sending until every neighbor acks. *)
-type advert = {
+(* ---------------- the switch transition ---------------- *)
+
+(* One switch's state for one attack: the newest epoch applied, and the
+   advert — the (epoch, activate) this switch is responsible for spreading
+   and the neighbors that have not confirmed it yet. A flood is
+   fire-and-forget, so one lost probe would strand a switch in the wrong
+   mode until the next epoch; the advert closes that hole by re-sending
+   until every neighbor acks. *)
+type node = {
+  mutable seen : int;
+  mutable active : bool;
   mutable ad_epoch : int;
   mutable ad_activate : bool;
-  mutable ad_ttl : int; (* region_ttl carried by this switch's re-sends *)
-  mutable pending : int list; (* neighbors not yet confirmed at ad_epoch *)
-  mutable interval : float; (* current backoff interval *)
+  mutable ad_ttl : int;
+  mutable pending : int list;
+}
+
+type input =
+  | Probe of { from : int; epoch : int; activate : bool; ttl : int }
+  | Alarm of { epoch : int; activate : bool; ttl : int }
+  | Readvert
+
+type send = Ack | Repair | Resend
+
+type 'c io = {
+  learned : 'c -> seen:int -> active:bool -> ad_epoch:int -> unit;
+  flood : 'c -> except:int -> epoch:int -> activate:bool -> ttl:int -> unit;
+  send : 'c -> send -> to_:int -> epoch:int -> activate:bool -> ttl:int -> unit;
+}
+
+(* Take (epoch, activate) as this switch's own: apply it, and make the
+   advert responsible for spreading it to every neighbor but [confirmed].
+   [ttl] is the region budget the advert's re-sends carry: 0 at the region
+   boundary, where re-advertising would grow the region by one hop per
+   round. *)
+let learn io ~anti_entropy ~neighbors c n ~epoch ~activate ~ttl ~confirmed =
+  let seen = n.seen and active = n.active and ad_epoch = n.ad_epoch in
+  n.seen <- epoch;
+  n.active <- activate;
+  if anti_entropy then begin
+    n.ad_epoch <- epoch;
+    n.ad_activate <- activate;
+    n.ad_ttl <- ttl;
+    n.pending <- (if ttl > 0 then List.filter (fun p -> p <> confirmed) neighbors else [])
+  end;
+  io.learned c ~seen ~active ~ad_epoch
+
+let step io ~anti_entropy ~neighbors c n input =
+  match input with
+  | Alarm { epoch; activate; ttl } ->
+    (* epochs come from one counter per attack, so an alarm's is fresh *)
+    learn io ~anti_entropy ~neighbors c n ~epoch ~activate ~ttl ~confirmed:(-1);
+    if ttl > 0 then io.flood c ~except:(-1) ~epoch ~activate ~ttl
+  | Probe { from; epoch; activate; ttl } ->
+    let from_neighbor = from >= 0 && List.mem from neighbors in
+    let known = max n.seen n.ad_epoch in
+    if epoch > known then begin
+      (* fresh: apply, re-flood through the region, ack the sender *)
+      learn io ~anti_entropy ~neighbors c n ~epoch ~activate ~ttl:(max 0 (ttl - 1))
+        ~confirmed:(if from_neighbor then from else -1);
+      if ttl - 1 > 0 then io.flood c ~except:from ~epoch ~activate ~ttl:(ttl - 1);
+      (* an ack is an equal-epoch probe with ttl 0: it confirms the sender
+         without a new wire format, and is itself never re-flooded or
+         re-acked *)
+      if anti_entropy && from_neighbor && ttl > 0 then
+        io.send c Ack ~to_:from ~epoch ~activate ~ttl:0
+    end
+    else if epoch = known && known > 0 then begin
+      if from_neighbor then begin
+        (* the sender provably holds our epoch: stop re-advertising to it *)
+        if n.ad_epoch = epoch && List.mem from n.pending then
+          n.pending <- List.filter (fun p -> p <> from) n.pending;
+        if anti_entropy && ttl > 0 then io.send c Ack ~to_:from ~epoch ~activate ~ttl:0
+      end
+    end
+    else if from_neighbor && known > 0 && n.ad_epoch > 0 then
+      (* the sender is behind: push our fresher state straight back — the
+         fast path of anti-entropy, the timed readvert being the slow one *)
+      io.send c Repair ~to_:from ~epoch:n.ad_epoch ~activate:n.ad_activate ~ttl:n.ad_ttl
+  | Readvert ->
+    List.iter
+      (fun peer ->
+        io.send c Resend ~to_:peer ~epoch:n.ad_epoch ~activate:n.ad_activate ~ttl:n.ad_ttl)
+      n.pending
+
+(* ---------------- the runtime around it ---------------- *)
+
+(* Per-(switch, attack) runtime state: the transition's [node] plus what
+   the clock decides — when the attack went active (its dwell), a clear
+   held back by the dwell, and the jittered, backed-off due time of the
+   next re-advertisement. *)
+type slot = {
+  owner : t;
+  sw : int;
+  attack : attack;
+  node : node;
+  mutable pending_clear : int; (* epoch of a clear waiting for the dwell; 0 = none *)
+  mutable activated_at : float;
+  mutable interval : float; (* current readvert backoff interval *)
   mutable due : float; (* absolute time of the next re-advertisement *)
 }
 
-type sw_state = {
-  (* per attack kind *)
-  seen_epoch : (attack, int) Hashtbl.t;
-  active_attacks : (attack, float) Hashtbl.t; (* activation time *)
-  pending_clear : (attack, int) Hashtbl.t; (* epoch of a clear waiting for dwell *)
-  adverts : (attack, advert) Hashtbl.t;
-}
-
-type t = {
+and t = {
   net : Net.t;
   region_ttl : int;
   min_dwell : float;
@@ -38,7 +117,7 @@ type t = {
   rng : Prng.t;
   modes_for : attack -> string list;
   epochs : (attack, int) Hashtbl.t;
-  states : (int, sw_state) Hashtbl.t;
+  states : (int, (attack, slot) Hashtbl.t) Hashtbl.t;
   mutable history : (float * int * attack * bool) list;
   mutable observers : (sw:int -> attack:attack -> active:bool -> unit) list;
       (* notified on every applied transition — the hybrid fluid tier
@@ -53,37 +132,46 @@ type t = {
 
 let mode_var name = "mode:" ^ name
 
-let state t sw =
+let slots t sw =
   match Hashtbl.find_opt t.states sw with
+  | Some s -> s
+  | None ->
+    let s = Hashtbl.create 4 in
+    Hashtbl.replace t.states sw s;
+    s
+
+let slot t sw attack =
+  let slots = slots t sw in
+  match Hashtbl.find_opt slots attack with
   | Some s -> s
   | None ->
     let s =
       {
-        seen_epoch = Hashtbl.create 4;
-        active_attacks = Hashtbl.create 4;
-        pending_clear = Hashtbl.create 4;
-        adverts = Hashtbl.create 4;
+        owner = t;
+        sw;
+        attack;
+        node =
+          { seen = 0; active = false; ad_epoch = 0; ad_activate = false; ad_ttl = 0;
+            pending = [] };
+        pending_clear = 0;
+        activated_at = 0.;
+        interval = t.anti_entropy;
+        due = 0.;
       }
     in
-    Hashtbl.replace t.states sw s;
+    Hashtbl.replace slots attack s;
     s
 
-let refresh_vars t sw =
-  let st = state t sw in
+(* recompute every mode flag from the set of active attacks *)
+let refresh_flags t sw =
   let sw_rec = Net.switch t.net sw in
-  let vars = sw_rec.Net.vars in
-  (* recompute every mode var from the set of active attacks; the interned
-     flag bit is the copy per-packet booster stages actually read *)
-  let write m on =
-    Hashtbl.replace vars (mode_var m) (if on then 1. else 0.);
-    Net.set_flag sw_rec ~mask:(Net.flag_mask (mode_var m)) on
-  in
+  let write m on = Net.set_flag sw_rec ~mask:(Net.flag_mask (mode_var m)) on in
   List.iter
     (fun attack -> List.iter (fun m -> write m false) (t.modes_for attack))
     Packet.all_attack_kinds;
   Hashtbl.iter
-    (fun attack _ -> List.iter (fun m -> write m true) (t.modes_for attack))
-    st.active_attacks
+    (fun attack s -> if s.node.active then List.iter (fun m -> write m true) (t.modes_for attack))
+    (slots t sw)
 
 let on_transition t f = t.observers <- f :: t.observers
 
@@ -129,194 +217,104 @@ let note_activation t attack =
 let flap_entries t attack =
   List.length (try Hashtbl.find t.flap_times attack with Not_found -> [])
 
-(* ---------------- anti-entropy bookkeeping ---------------- *)
+let find_slot t ~sw attack =
+  match Hashtbl.find_opt t.states sw with
+  | Some slots -> Hashtbl.find_opt slots attack
+  | None -> None
 
 let known_epoch t ~sw ~attack =
-  let st = state t sw in
-  let seen = match Hashtbl.find_opt st.seen_epoch attack with Some e -> e | None -> 0 in
-  match Hashtbl.find_opt st.adverts attack with
-  | Some ad when ad.ad_epoch > seen -> ad.ad_epoch
-  | _ -> seen
+  match find_slot t ~sw attack with
+  | Some s -> max s.node.seen s.node.ad_epoch
+  | None -> 0
 
 (* Re-advertisements fire [0.75,1.25]x the nominal delay so neighbors that
    learned an epoch in the same flood don't re-send in lockstep. *)
 let jittered t base = base *. (0.75 +. (0.5 *. Prng.float t.rng 1.))
 
-(* The switch now knows (epoch, activate): start (or refresh) the advert
-   responsible for keeping its neighbors at least this fresh. [ttl] is the
-   region budget this switch's own re-sends may spend — 0 at the region
-   boundary, where re-advertising would grow the region by one hop per
-   round. [confirmed] neighbors (the probe's sender) already have it. *)
-let note_known t ~sw ~attack ~epoch ~activate ~ttl ~confirmed =
-  if t.anti_entropy > 0. then begin
-    let st = state t sw in
-    let ad =
-      match Hashtbl.find_opt st.adverts attack with
-      | Some ad -> ad
-      | None ->
-        let ad =
-          { ad_epoch = 0; ad_activate = false; ad_ttl = 0; pending = [];
-            interval = t.anti_entropy; due = 0. }
-        in
-        Hashtbl.replace st.adverts attack ad;
-        ad
-    in
-    if epoch > ad.ad_epoch then begin
-      ad.ad_epoch <- epoch;
-      ad.ad_activate <- activate;
-      ad.ad_ttl <- ttl;
-      ad.pending <-
-        (if ttl > 0 then
-           List.filter (fun p -> not (List.mem p confirmed)) (Net.neighbors_of t.net sw)
-         else []);
-      ad.interval <- t.anti_entropy;
-      ad.due <- Net.now t.net +. jittered t t.anti_entropy
-    end
-    else if epoch = ad.ad_epoch && confirmed <> [] then
-      ad.pending <- List.filter (fun p -> not (List.mem p confirmed)) ad.pending
-  end
-
-let confirm t ~sw ~attack ~epoch ~neighbor =
-  let st = state t sw in
-  match Hashtbl.find_opt st.adverts attack with
-  | Some ad when ad.ad_epoch = epoch ->
-    if List.mem neighbor ad.pending then
-      ad.pending <- List.filter (fun p -> p <> neighbor) ad.pending
-  | _ -> ()
-
 let probe_packet ~sw ~attack ~epoch ~activate ~ttl =
   Packet.make_control ~src:sw ~dst:sw ~flow:0
     ~payload:(Packet.Mode_probe { attack; epoch; origin = sw; activate; region_ttl = ttl })
 
-(* An ack is an ordinary equal-epoch probe with region_ttl = 0: it confirms
-   the sender without changing the wire format, and the zero ttl keeps it
-   from being re-flooded or re-acked (no ping-pong). *)
-let send_ack t ~sw ~to_ ~attack ~epoch ~activate =
-  if t.anti_entropy > 0. then
-    Net.emit_from_switch t.net ~sw ~next:to_
-      (probe_packet ~sw ~attack ~epoch ~activate ~ttl:0)
-
-(* A neighbor just sent a probe with an epoch behind ours: it missed an
-   update. Send our latest directly — the stimulus-driven fast path of
-   anti-entropy (the timer-driven readvert is the slow path). *)
-let repair t ~sw ~to_ ~attack =
-  let st = state t sw in
-  match Hashtbl.find_opt st.adverts attack with
-  | Some ad when ad.ad_epoch > 0 ->
-    t.repairs <- t.repairs + 1;
-    if Net.obs_active t.net then
-      Net.obs_emit t.net
-        (Ff_obs.Event.Repair
-           { subsystem = "mode"; node = sw;
-             info = Packet.attack_kind_to_string attack });
-    Net.emit_from_switch t.net ~sw ~next:to_
-      (probe_packet ~sw ~attack ~epoch:ad.ad_epoch ~activate:ad.ad_activate
-         ~ttl:ad.ad_ttl)
-  | _ -> ()
-
-(* ---------------- epoch application ---------------- *)
-
-let activate_at t ~sw ~attack ~epoch =
-  let st = state t sw in
-  let fresh =
-    match Hashtbl.find_opt st.seen_epoch attack with Some e -> epoch > e | None -> true
-  in
-  if fresh then begin
-    Hashtbl.replace st.seen_epoch attack epoch;
-    Hashtbl.remove st.pending_clear attack;
-    if not (Hashtbl.mem st.active_attacks attack) then begin
-      Hashtbl.replace st.active_attacks attack (Net.now t.net);
-      refresh_vars t sw;
-      record t sw attack true
-    end;
-    true
+(* The clock-bound half of a clear at an active switch: apply it once the
+   attack has been on for the current dwell, else hold the freshest
+   epoch in [pending_clear] and retry when the dwell ends — unless a
+   newer activation supersedes it in the meantime. *)
+let rec clear_after_dwell s ~epoch =
+  let t = s.owner in
+  let now = Net.now t.net in
+  let dwell = current_dwell t s.attack in
+  (* epsilon slack: the expiry timer fires at exactly activated+dwell
+     and must count as expired despite floating-point rounding *)
+  if now -. s.activated_at >= dwell -. 1e-9 then begin
+    s.node.seen <- epoch;
+    s.node.active <- false;
+    refresh_flags t s.sw;
+    record t s.sw s.attack false
   end
-  else false
-
-(* Outcome of processing a probe at one switch: [`Stale] probes stop here;
-   fresh ones keep flooding whether applied now or deferred by the dwell. *)
-let rec deactivate_at t ~sw ~attack ~epoch =
-  let st = state t sw in
-  let fresh =
-    match Hashtbl.find_opt st.seen_epoch attack with Some e -> epoch > e | None -> true
-  in
-  if not fresh then `Stale
-  else
-    match Hashtbl.find_opt st.active_attacks attack with
-    | None ->
-      Hashtbl.replace st.seen_epoch attack epoch;
-      `Applied
-    | Some activated_at ->
-      let now = Net.now t.net in
-      let dwell = current_dwell t attack in
-      (* epsilon slack: the expiry timer fires at exactly activated+dwell
-         and must count as expired despite floating-point rounding *)
-      if now -. activated_at >= dwell -. 1e-9 then begin
-        Hashtbl.replace st.seen_epoch attack epoch;
-        Hashtbl.remove st.active_attacks attack;
-        refresh_vars t sw;
-        record t sw attack false;
-        `Applied
-      end
-      else if Hashtbl.mem st.pending_clear attack then begin
-        (* a newer clear arrived while one is queued: keep the freshest
-           epoch; the already-scheduled dwell timer applies whatever is
-           stored when it fires *)
-        let stored = Hashtbl.find st.pending_clear attack in
-        if epoch > stored then Hashtbl.replace st.pending_clear attack epoch;
-        `Deferred
-      end
-      else begin
-        (* honor the dwell: apply the clear when it expires, unless a newer
-           activation supersedes it in the meantime *)
-        Hashtbl.replace st.pending_clear attack epoch;
-        Engine.after (Net.engine t.net)
-          ~delay:(Float.max 0. (activated_at +. dwell -. now))
-          (fun () ->
-            match Hashtbl.find_opt st.pending_clear attack with
-            | Some e ->
-              Hashtbl.remove st.pending_clear attack;
-              ignore (deactivate_at t ~sw ~attack ~epoch:e)
-            | None -> ());
-        `Deferred
-      end
-
-let flood t ~from_sw ~except ~attack ~epoch ~activate ~ttl =
-  if ttl > 0 then begin
-    Net.obs_emit t.net (Ff_obs.Event.Probe { sw = from_sw; kind = "mode" });
-    Net.flood_from_switch t.net ~sw:from_sw ~except (fun () ->
-        probe_packet ~sw:from_sw ~attack ~epoch ~activate ~ttl)
+  else if s.pending_clear > 0 then begin
+    (* the already-scheduled dwell timer applies whatever is stored *)
+    if epoch > s.pending_clear then s.pending_clear <- epoch
+  end
+  else begin
+    s.pending_clear <- epoch;
+    Engine.after (Net.engine t.net)
+      ~delay:(Float.max 0. (s.activated_at +. dwell -. now))
+      (fun () ->
+        let e = s.pending_clear in
+        if e > 0 then begin
+          s.pending_clear <- 0;
+          if e > s.node.seen then
+            if s.node.active then clear_after_dwell s ~epoch:e else s.node.seen <- e
+        end)
   end
 
-let handle_probe t ~sw ~in_port ~attack ~epoch ~activate ~region_ttl =
-  let known = known_epoch t ~sw ~attack in
-  let from_neighbor = in_port >= 0 && List.mem in_port (Net.neighbors_of t.net sw) in
-  if epoch > known then begin
-    let fresh =
-      if activate then activate_at t ~sw ~attack ~epoch
-      else deactivate_at t ~sw ~attack ~epoch <> `Stale
-    in
-    if fresh then begin
-      note_known t ~sw ~attack ~epoch ~activate
-        ~ttl:(max 0 (region_ttl - 1))
-        ~confirmed:(if from_neighbor then [ in_port ] else []);
-      (* re-flood fresh information through the region *)
-      flood t ~from_sw:sw ~except:[ in_port ] ~attack ~epoch ~activate
-        ~ttl:(region_ttl - 1);
-      if from_neighbor && region_ttl > 0 then
-        send_ack t ~sw ~to_:in_port ~attack ~epoch ~activate
+(* [step] has just written the node: record an activation, hold a clear
+   back behind the dwell, and time the advert's first re-send. *)
+let learned s ~seen ~active ~ad_epoch =
+  let t = s.owner and n = s.node in
+  if n.active then begin
+    s.pending_clear <- 0;
+    if not active then begin
+      s.activated_at <- Net.now t.net;
+      refresh_flags t s.sw;
+      record t s.sw s.attack true
     end
   end
-  else if epoch = known && known > 0 then begin
-    if from_neighbor then begin
-      (* the sender provably holds our epoch: stop re-advertising to it *)
-      confirm t ~sw ~attack ~epoch ~neighbor:in_port;
-      if region_ttl > 0 then send_ack t ~sw ~to_:in_port ~attack ~epoch ~activate
-    end
+  else if active then begin
+    let epoch = n.seen in
+    n.seen <- seen;
+    n.active <- true;
+    clear_after_dwell s ~epoch
+  end;
+  if n.ad_epoch > ad_epoch then begin
+    s.interval <- t.anti_entropy;
+    s.due <- Net.now t.net +. jittered t t.anti_entropy
   end
-  else if from_neighbor && known > 0 then
-    (* the sender is behind: push our fresher state straight back *)
-    repair t ~sw ~to_:in_port ~attack
+
+let flood s ~except ~epoch ~activate ~ttl =
+  let t = s.owner and sw = s.sw and attack = s.attack in
+  Net.obs_emit t.net (Ff_obs.Event.Probe { sw; kind = "mode" });
+  Net.flood_from_switch t.net ~sw ~except:(if except < 0 then [] else [ except ]) (fun () ->
+      probe_packet ~sw ~attack ~epoch ~activate ~ttl)
+
+let send s kind ~to_ ~epoch ~activate ~ttl =
+  let t = s.owner in
+  (match kind with
+   | Repair ->
+     t.repairs <- t.repairs + 1;
+     if Net.obs_active t.net then
+       Net.obs_emit t.net
+         (Ff_obs.Event.Repair
+            { subsystem = "mode"; node = s.sw; info = Packet.attack_kind_to_string s.attack })
+   | Ack | Resend -> ());
+  Net.emit_from_switch t.net ~sw:s.sw ~next:to_
+    (probe_packet ~sw:s.sw ~attack:s.attack ~epoch ~activate ~ttl)
+
+let io = { learned; flood; send }
+
+let step_at t s input =
+  step io ~anti_entropy:(t.anti_entropy > 0.) ~neighbors:(Net.neighbors_of t.net s.sw) s s.node
+    input
 
 let stage t =
   {
@@ -325,41 +323,46 @@ let stage t =
       (fun ctx pkt ->
         match pkt.Packet.payload with
         | Packet.Mode_probe { attack; epoch; activate; region_ttl; _ } ->
-          handle_probe t ~sw:ctx.Net.sw.Net.sw_id ~in_port:ctx.Net.in_port ~attack
-            ~epoch ~activate ~region_ttl;
+          let s = slot t ctx.Net.sw.Net.sw_id attack in
+          step_at t s (Probe { from = ctx.Net.in_port; epoch; activate; ttl = region_ttl });
           Net.Absorb
         | _ -> Net.Continue);
   }
 
-(* Timer-driven slow path: walk this switch's adverts and re-send to any
-   neighbor still pending past its due time. Runs on the rare thunk lane —
-   it never touches per-packet state, so the packet hot path stays
-   allocation-free. Backoff doubles up to 8x base so a partitioned
-   neighbor costs O(1/8 base) sends per second, not a constant hammer. *)
+(* Timer-driven slow path: re-send each advert still pending past its due
+   time. Runs on the rare thunk lane — it never touches per-packet state,
+   so the packet hot path stays allocation-free. Backoff doubles up to 8x
+   base so a partitioned neighbor costs O(1/8 base) sends per second, not
+   a constant hammer. *)
 let anti_entropy_tick t sw =
   match Hashtbl.find_opt t.states sw with
   | None -> ()
-  | Some st ->
+  | Some slots ->
     let now = Net.now t.net in
     Hashtbl.iter
-      (fun attack ad ->
-        if ad.pending <> [] && now >= ad.due -. 1e-9 then begin
+      (fun _ s ->
+        if s.node.pending <> [] && now >= s.due -. 1e-9 then begin
           t.readverts <- t.readverts + 1;
           if Net.obs_active t.net then
             Net.obs_emit t.net (Ff_obs.Event.Probe { sw; kind = "mode-readvert" });
-          List.iter
-            (fun peer ->
-              Net.emit_from_switch t.net ~sw ~next:peer
-                (probe_packet ~sw ~attack ~epoch:ad.ad_epoch
-                   ~activate:ad.ad_activate ~ttl:ad.ad_ttl))
-            ad.pending;
-          ad.interval <- Float.min (ad.interval *. 2.) (8. *. t.anti_entropy);
-          ad.due <- now +. jittered t ad.interval
+          step_at t s Readvert;
+          s.interval <- Float.min (s.interval *. 2.) (8. *. t.anti_entropy);
+          s.due <- now +. jittered t s.interval
         end)
-      st.adverts
+      slots
+
+let check_arg what ok v =
+  if not ok then invalid_arg (Printf.sprintf "Protocol.create: %s (got %g)" what v)
 
 let create net ?(region_ttl = 8) ?(min_dwell = 1.0) ?(flap_window = 10.)
     ?(max_holddown = 16.) ?(anti_entropy = 0.5) ?(seed = 11) ~modes_for () =
+  check_arg "region_ttl must be >= 0" (region_ttl >= 0) (float_of_int region_ttl);
+  check_arg "min_dwell must be finite and > 0" (Float.is_finite min_dwell && min_dwell > 0.)
+    min_dwell;
+  check_arg "flap_window must be finite and >= 0"
+    (Float.is_finite flap_window && flap_window >= 0.) flap_window;
+  check_arg "max_holddown must be >= min_dwell" (max_holddown >= min_dwell) max_holddown;
+  check_arg "anti_entropy must be finite" (Float.is_finite anti_entropy) anti_entropy;
   let t =
     {
       net;
@@ -403,30 +406,22 @@ let next_epoch t attack =
   Hashtbl.replace t.epochs attack e;
   e
 
+let attack_active t ~sw attack =
+  match find_slot t ~sw attack with Some s -> s.node.active | None -> false
+
 let raise_alarm t ~sw attack =
   t.raises <- t.raises + 1;
-  let st = state t sw in
-  if not (Hashtbl.mem st.active_attacks attack) then begin
+  if not (attack_active t ~sw attack) then begin
     note_activation t attack;
     let epoch = next_epoch t attack in
-    if activate_at t ~sw ~attack ~epoch then begin
-      note_known t ~sw ~attack ~epoch ~activate:true ~ttl:t.region_ttl ~confirmed:[];
-      flood t ~from_sw:sw ~except:[] ~attack ~epoch ~activate:true ~ttl:t.region_ttl
-    end
+    step_at t (slot t sw attack) (Alarm { epoch; activate = true; ttl = t.region_ttl })
   end
 
 let clear_alarm t ~sw attack =
   let epoch = next_epoch t attack in
-  (match deactivate_at t ~sw ~attack ~epoch with `Stale | `Applied | `Deferred -> ());
-  note_known t ~sw ~attack ~epoch ~activate:false ~ttl:t.region_ttl ~confirmed:[];
-  flood t ~from_sw:sw ~except:[] ~attack ~epoch ~activate:false ~ttl:t.region_ttl
+  step_at t (slot t sw attack) (Alarm { epoch; activate = false; ttl = t.region_ttl })
 
-let active t ~sw mode =
-  match Hashtbl.find_opt (Net.switch t.net sw).Net.vars (mode_var mode) with
-  | Some v -> v > 0.
-  | None -> false
-
-let attack_active t ~sw attack = Hashtbl.mem (state t sw).active_attacks attack
+let active t ~sw mode = Net.flag_on (Net.switch t.net sw) ~mask:(Net.flag_mask (mode_var mode))
 
 let active_anywhere t mode = List.exists (fun sw -> active t ~sw mode) (Net.switch_ids t.net)
 
@@ -448,8 +443,6 @@ let repairs t = t.repairs
 
 let pending_adverts t =
   Hashtbl.fold
-    (fun _sw st acc ->
-      Hashtbl.fold
-        (fun _attack ad acc -> if ad.pending = [] then acc else acc + 1)
-        st.adverts acc)
+    (fun _sw slots acc ->
+      Hashtbl.fold (fun _attack s acc -> if s.node.pending = [] then acc else acc + 1) slots acc)
     t.states 0

@@ -11,16 +11,75 @@
     stability concern for attackers that intentionally trigger mode
     changes).
 
-    Activation state is mirrored into each switch's [vars] table under the
-    key ["mode:<name>"] so booster stages can gate themselves without a
-    dependency on this module. *)
+    A mode's activation is the switch's interned flag bit for
+    [mode_var name] ({!Ff_netsim.Net.flag_mask}), so booster stages gate
+    themselves without a dependency on this module. *)
 
 type t
 
 type attack = Ff_dataplane.Packet.attack_kind
 
 val mode_var : string -> string
-(** ["mode:" ^ name] — the switch-vars key mirroring a mode's activation. *)
+(** ["mode:" ^ name] — the flag name of a mode's activation bit. *)
+
+(** {1 The switch transition}
+
+    What one switch decides, for one attack kind, with the clock taken
+    out. The ["mode-protocol"] stage runs every probe through {!step}, and
+    the model checker of the test suite explores the same function over
+    every delivery order and loss of a small graph.
+
+    Left around it in the runtime, because they read the clock: the dwell
+    that holds a clear back ([learned] undoes the step's clear and applies
+    it when the dwell ends, or on a timer), the flap hold-down that grows
+    the dwell, the jittered due times and backoff of re-advertisements,
+    and the counters, observation events and mode flags. *)
+
+type node = {
+  mutable seen : int;  (** newest epoch applied *)
+  mutable active : bool;  (** the attack's modes are on *)
+  mutable ad_epoch : int;  (** the advert: the newest epoch this switch spreads *)
+  mutable ad_activate : bool;
+  mutable ad_ttl : int;  (** region budget its re-sends carry *)
+  mutable pending : int list;  (** neighbors not yet confirmed at [ad_epoch] *)
+}
+(** A switch's protocol state for one attack. The advert stays at 0 with
+    anti-entropy off. *)
+
+type input =
+  | Probe of { from : int; epoch : int; activate : bool; ttl : int }
+      (** a mode probe from neighbor [from] ([-1]: injected locally) *)
+  | Alarm of { epoch : int; activate : bool; ttl : int }
+      (** the local half of {!raise_alarm} / {!clear_alarm}, [ttl] the
+          region budget *)
+  | Readvert  (** one anti-entropy round: re-send the advert to [pending] *)
+
+type send =
+  | Ack  (** equal epoch, ttl 0: confirms the receiver holds it *)
+  | Repair  (** our advert, back to a sender that is behind *)
+  | Resend  (** our advert, to a neighbor still pending *)
+
+type 'c io = {
+  learned : 'c -> seen:int -> active:bool -> ad_epoch:int -> unit;
+      (** the step wrote a fresher epoch into the node; the labels hold
+          the values before it. Called before any probe goes out. *)
+  flood : 'c -> except:int -> epoch:int -> activate:bool -> ttl:int -> unit;
+      (** one probe to every neighbor but [except] ([-1]: none) *)
+  send : 'c -> send -> to_:int -> epoch:int -> activate:bool -> ttl:int -> unit;
+}
+(** How a step reaches the world, in the order it happens: [learned]
+    first, then the probes. ['c] names the switch to the caller. *)
+
+val step :
+  'c io -> anti_entropy:bool -> neighbors:int list -> 'c -> node -> input -> unit
+(** [step io ~anti_entropy ~neighbors c node input] applies [input] to
+    [node] in place and names the probes it sends through [io]. A fresh
+    probe (epoch above [max seen ad_epoch]) is applied, re-flooded with
+    one less ttl and acked; an equal one confirms its sender; an older one
+    from a neighbor gets a repair. [anti_entropy = false] is fire-and-forget
+    flooding: no advert, no ack, no repair. *)
+
+(** {1 The runtime} *)
 
 val create :
   Ff_netsim.Net.t ->
@@ -47,7 +106,13 @@ val create :
     epoch. Receiving a probe with a stale epoch triggers an immediate
     direct repair, independent of the timer. Pass [anti_entropy <= 0.] to
     disable (the pre-hardening fire-and-forget behavior). [seed] drives
-    the jitter deterministically. *)
+    the jitter deterministically.
+
+    Raises [Invalid_argument] naming the parameter unless [region_ttl >= 0],
+    [min_dwell] is finite and [> 0] (a zero dwell makes the hold-down
+    [0 * 2^k]: nothing damps an attacker's flapping), [flap_window] is
+    finite and [>= 0], [max_holddown >= min_dwell] and [anti_entropy] is
+    finite. *)
 
 val raise_alarm : t -> sw:int -> attack -> unit
 (** Called by a detector at its own switch: activates locally and floods

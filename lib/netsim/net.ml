@@ -17,10 +17,8 @@ type switch = {
          test, as the Hashtbl.length = 0 check used to *)
   pair_routes : Ff_util.Int_table.t; (* keyed src * num_nodes + dst *)
   mutable up : bool;
-  vars : (string, float) Hashtbl.t;
   mutable flags : int;
-      (* interned boolean vars (see [flag_mask]): per-packet stages test a
-         bit here instead of hashing a string key into [vars] *)
+      (* interned boolean switch state, one bit per [flag_mask] name *)
   mutable sctx : ctx option;
       (* the switch's reusable pipeline context (internal) *)
 }
@@ -139,10 +137,9 @@ let forward t next =
 (* ---------------- interned switch flags ---------------- *)
 
 (* Boolean switch state read on the per-packet path (mode gates, mostly)
-   pays a string hash per stage per hop if kept in [vars]. Flag names are
-   interned process-wide into one-hot masks; the per-switch state is a
-   single int, so the hot-path test is one [land]. Writers keep mirroring
-   the value into [vars] for introspection. *)
+   would pay a string hash per stage per hop if kept in a table. Flag names
+   are interned process-wide into one-hot masks; the per-switch state is a
+   single int, so the hot-path test is one [land]. *)
 let flag_ids : (string, int) Hashtbl.t = Hashtbl.create 16
 
 (* the intern table is process-wide state touched from every shard domain
@@ -594,7 +591,6 @@ let create ?(queue_limit_bytes = 37_500.) engine topo =
               backup_count = 0;
               pair_routes = Ff_util.Int_table.create ~capacity:32 ();
               up = true;
-              vars = Hashtbl.create 8;
               flags = 0;
               sctx = None;
             }

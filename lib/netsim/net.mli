@@ -35,10 +35,9 @@ type switch = {
       (** [src * num_nodes + dst] -> next hop; consulted before [routes],
           which lets traffic engineering pick per-pair paths *)
   mutable up : bool;  (** false while being repurposed/failed *)
-  vars : (string, float) Hashtbl.t;  (** scalar switch state (modes, config) *)
   mutable flags : int;
-      (** interned boolean vars, one bit per {!flag_mask} name; test with
-          {!flag_on} on per-packet paths instead of hashing into [vars] *)
+      (** interned boolean switch state (the mode bits), one bit per
+          {!flag_mask} name; test with {!flag_on} *)
   mutable sctx : ctx option;
       (** the switch's reusable pipeline context — internal to
           [handle_at_switch], do not touch *)
@@ -99,8 +98,8 @@ val flag_mask : string -> int
     Call once at install time; at most [Sys.int_size - 1] distinct names. *)
 
 val set_flag : switch -> mask:int -> bool -> unit
-(** Set/clear an interned flag bit. Writers that keep the same state in
-    [vars] (the mode protocol) should update both. *)
+(** Set/clear an interned flag bit. The bit is the only copy of the state
+    it names. *)
 
 val flag_on : switch -> mask:int -> bool
 (** One [land]: the per-packet read path for mode gates. *)

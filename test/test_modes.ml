@@ -1,12 +1,12 @@
-(* Tests for Ff_modes: the distributed mode-change protocol and the static
-   stability analysis. *)
+(* Tests for Ff_modes: the distributed mode-change protocol and the
+   detection-sync service. The model checker over the protocol's switch
+   transition is in test_explore.ml. *)
 
 module T = Ff_topology.Topology
 module Engine = Ff_netsim.Engine
 module Net = Ff_netsim.Net
 module Packet = Ff_dataplane.Packet
 module Protocol = Ff_modes.Protocol
-module Stability = Ff_modes.Stability
 
 let ring_net n =
   let topo = T.ring ~n () in
@@ -37,8 +37,8 @@ let test_alarm_propagates () =
         (Protocol.active p ~sw "obfuscate"))
     (Net.switch_ids net);
   Alcotest.(check int) "six activations logged" 6 (List.length (Protocol.log p));
-  Alcotest.(check bool) "vars mirror" true
-    (Hashtbl.find (Net.switch net 3).Net.vars (Protocol.mode_var "reroute") = 1.)
+  Alcotest.(check bool) "flag bit set" true
+    (Net.flag_on (Net.switch net 3) ~mask:(Net.flag_mask (Protocol.mode_var "reroute")))
 
 let test_region_ttl_bounds_propagation () =
   (* a long ring with a small region ttl: far switches stay in default *)
@@ -154,6 +154,38 @@ let test_overlapping_attacks_share_mode () =
   Engine.run engine ~until:3.;
   Alcotest.(check bool) "reroute cleared at last" false (Protocol.active p ~sw:0 "reroute")
 
+(* Every out-of-range parameter is refused by name, before a stage is
+   installed. A zero dwell is the one that matters most: the hold-down is
+   dwell * 2^k, so nothing would damp an attacker's flapping. *)
+let test_create_rejects_out_of_range () =
+  let rejects what create =
+    let _, _, net = ring_net 4 in
+    match create net with
+    | (_ : Protocol.t) -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (Printf.sprintf "%S names %s" msg what) true
+        (String.starts_with ~prefix:("Protocol.create: " ^ what) msg)
+  in
+  rejects "min_dwell" (fun net -> Protocol.create net ~min_dwell:0. ~modes_for ());
+  rejects "min_dwell" (fun net -> Protocol.create net ~min_dwell:(-1.) ~modes_for ());
+  rejects "min_dwell" (fun net -> Protocol.create net ~min_dwell:nan ~modes_for ());
+  rejects "min_dwell" (fun net ->
+      Protocol.create net ~min_dwell:infinity ~max_holddown:infinity ~modes_for ());
+  rejects "region_ttl" (fun net -> Protocol.create net ~region_ttl:(-1) ~modes_for ());
+  rejects "flap_window" (fun net -> Protocol.create net ~flap_window:(-1.) ~modes_for ());
+  rejects "flap_window" (fun net -> Protocol.create net ~flap_window:nan ~modes_for ());
+  rejects "flap_window" (fun net -> Protocol.create net ~flap_window:infinity ~modes_for ());
+  rejects "max_holddown" (fun net ->
+      Protocol.create net ~min_dwell:2. ~max_holddown:1. ~modes_for ());
+  rejects "max_holddown" (fun net -> Protocol.create net ~max_holddown:nan ~modes_for ());
+  rejects "anti_entropy" (fun net -> Protocol.create net ~anti_entropy:nan ~modes_for ());
+  rejects "anti_entropy" (fun net -> Protocol.create net ~anti_entropy:infinity ~modes_for ());
+  (* the edges stay accepted: no region, no flap memory, anti-entropy off *)
+  let _, _, net = ring_net 4 in
+  ignore
+    (Protocol.create net ~region_ttl:0 ~flap_window:0. ~min_dwell:0.5 ~max_holddown:0.5
+       ~anti_entropy:(-1.) ~modes_for ())
+
 (* ---------------- Detection synchronization ---------------- *)
 
 module Sync = Ff_modes.Sync
@@ -245,60 +277,6 @@ let test_sync_lone_participant_silent () =
   Alcotest.(check (float 0.)) "nothing reached a neighbour" 0.
     (Sync.remote_contribution sync ~sw:1 ~key:1)
 
-(* ---------------- Stability analysis ---------------- *)
-
-let test_stability_protocol_automaton_stable () =
-  let a = Stability.of_protocol ~modes_for ~dwell:1.0 in
-  let report = Stability.analyze a in
-  Alcotest.(check bool) "protocol automaton is stable" true (Stability.stable a);
-  Alcotest.(check int) "no issues" 0 (List.length report.Stability.issues);
-  Alcotest.(check bool) "explores many states" true
-    (List.length report.Stability.reachable >= 8)
-
-let test_stability_zero_dwell_detected () =
-  let a = Stability.of_protocol ~modes_for ~dwell:0. in
-  let report = Stability.analyze a in
-  Alcotest.(check bool) "zero dwell flagged" true
-    (List.exists
-       (function Stability.Zero_dwell_cycle _ -> true | _ -> false)
-       report.Stability.issues)
-
-let test_stability_unreachable_default () =
-  let a =
-    {
-      Stability.initial = [];
-      transitions =
-        [
-          { Stability.from_modes = []; trigger = "alarm"; to_modes = [ "stuck" ]; dwell = 1. };
-          (* no way back from "stuck" *)
-        ];
-    }
-  in
-  let report = Stability.analyze a in
-  Alcotest.(check bool) "trap state flagged" true
-    (List.exists
-       (function Stability.Unreachable_default st -> st = [ "stuck" ] | _ -> false)
-       report.Stability.issues)
-
-let test_stability_nondeterminism () =
-  let a =
-    {
-      Stability.initial = [];
-      transitions =
-        [
-          { Stability.from_modes = []; trigger = "alarm"; to_modes = [ "a" ]; dwell = 1. };
-          { Stability.from_modes = []; trigger = "alarm"; to_modes = [ "b" ]; dwell = 1. };
-          { Stability.from_modes = [ "a" ]; trigger = "clear"; to_modes = []; dwell = 1. };
-          { Stability.from_modes = [ "b" ]; trigger = "clear"; to_modes = []; dwell = 1. };
-        ];
-    }
-  in
-  let report = Stability.analyze a in
-  Alcotest.(check bool) "duplicate trigger flagged" true
-    (List.exists
-       (function Stability.Nondeterministic ([], "alarm") -> true | _ -> false)
-       report.Stability.issues)
-
 (* Random alarm/clear sequences: afterwards, with enough settle time,
    every switch's mode vars agree with its active-attack set, and if the
    last action was a clear followed by quiescence the network returns to
@@ -342,15 +320,10 @@ let prop_protocol_vars_consistent =
             [ "reroute"; "obfuscate"; "drop" ])
         (Net.switch_ids net))
 
-let prop_protocol_automaton_stable_any_dwell =
-  QCheck.Test.make ~name:"protocol automaton stable for any positive dwell" ~count:50
-    QCheck.(float_range 0.001 60.)
-    (fun dwell -> Stability.stable (Stability.of_protocol ~modes_for ~dwell))
-
 let () =
   let qcheck =
     List.map Test_seed.to_alcotest
-      [ prop_protocol_automaton_stable_any_dwell; prop_protocol_vars_consistent ]
+      [ prop_protocol_vars_consistent ]
   in
   Alcotest.run "ff_modes"
     [
@@ -365,6 +338,8 @@ let () =
           Alcotest.test_case "flap list bounded" `Quick test_flap_list_bounded;
           Alcotest.test_case "overlapping attacks share mode" `Quick
             test_overlapping_attacks_share_mode;
+          Alcotest.test_case "create rejects out-of-range" `Quick
+            test_create_rejects_out_of_range;
         ] );
       ( "sync",
         [
@@ -373,14 +348,6 @@ let () =
           Alcotest.test_case "threshold suppresses" `Quick test_sync_threshold_suppresses;
           Alcotest.test_case "classes isolated" `Quick test_sync_classes_isolated;
           Alcotest.test_case "lone participant silent" `Quick test_sync_lone_participant_silent;
-        ] );
-      ( "stability",
-        [
-          Alcotest.test_case "protocol automaton stable" `Quick
-            test_stability_protocol_automaton_stable;
-          Alcotest.test_case "zero dwell detected" `Quick test_stability_zero_dwell_detected;
-          Alcotest.test_case "unreachable default" `Quick test_stability_unreachable_default;
-          Alcotest.test_case "nondeterminism" `Quick test_stability_nondeterminism;
         ] );
       ("properties", qcheck);
     ]

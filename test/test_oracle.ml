@@ -1,9 +1,7 @@
-(* Tests for Ff_oracle: the reference queue/routing/mode semantics and
-   the bounded model checker over the anti-entropy protocol. *)
+(* Tests for Ff_oracle: the reference queue and routing semantics. *)
 
 module T = Ff_topology.Topology
 module Oracle = Ff_oracle.Oracle
-module Explore = Ff_oracle.Explore
 
 (* ---------------- Oracle.Queue ---------------- *)
 
@@ -86,83 +84,6 @@ let test_routing_hosts_never_transit () =
   Alcotest.(check (option (list int))) "no transit through host" None
     (Oracle.Routing.shortest_path t ~src:s1 ~dst:s2)
 
-(* ---------------- model checker ---------------- *)
-
-let show_report name (r : Explore.report) =
-  Printf.printf
-    "[explore] %s: %d states, %d transitions, %d terminals (%d converged), exhausted=%b\n%!"
-    name r.states r.transitions r.terminals r.converged r.exhausted
-
-let check_clean name (r : Explore.report) =
-  show_report name r;
-  Alcotest.(check bool) (name ^ ": exhausted (no silent truncation)") true r.exhausted;
-  Alcotest.(check (list string)) (name ^ ": no violations") [] r.violations;
-  Alcotest.(check bool) (name ^ ": explored something") true (r.states > 1);
-  Alcotest.(check bool) (name ^ ": has terminal states") true (r.terminals > 0);
-  Alcotest.(check int) (name ^ ": every terminal converged") r.terminals r.converged
-
-let test_explore_line3 () =
-  check_clean "line3 raise+clear" (Explore.run (Explore.default ~adj:(Explore.line 3)))
-
-let test_explore_triangle () =
-  check_clean "triangle raise+clear" (Explore.run (Explore.default ~adj:(Explore.complete 3)))
-
-let test_explore_raise_only_loss2 () =
-  let cfg =
-    { (Explore.default ~adj:(Explore.line 3)) with
-      Explore.include_clear = false;
-      loss_budget = 2;
-    }
-  in
-  check_clean "line3 raise-only loss=2" (Explore.run cfg)
-
-let test_explore_region_boundary () =
-  (* region_ttl 2 on a 4-switch line: the far switch must never hear the
-     epoch, on any interleaving *)
-  let cfg =
-    { (Explore.default ~adj:(Explore.line 4)) with
-      Explore.region_ttl = 2;
-      include_clear = false;
-    }
-  in
-  check_clean "line4 ttl=2 boundary" (Explore.run cfg)
-
-let test_explore_flooding_alone_fails () =
-  (* with anti-entropy off the model is fire-and-forget flooding: one
-     lost probe strands the tail of the line in the wrong mode, and the
-     checker must find that interleaving *)
-  let cfg =
-    { (Explore.default ~adj:(Explore.line 3)) with
-      Explore.anti_entropy = false;
-      include_clear = false;
-    }
-  in
-  let r = Explore.run cfg in
-  show_report "line3 no-anti-entropy" r;
-  Alcotest.(check bool) "exhausted" true r.Explore.exhausted;
-  Alcotest.(check bool) "finds the convergence hole" true (r.Explore.violations <> []);
-  match r.Explore.counterexample with
-  | None -> Alcotest.fail "no counterexample trace"
-  | Some trace ->
-    Alcotest.(check bool) "trace contains a loss" true
-      (List.exists (fun s -> String.length s >= 4 && String.sub s 0 4 = "lose") trace)
-
-let test_explore_deep () =
-  (* CI-only (@deep): wider graphs, bigger loss budgets *)
-  if Test_seed.deep then begin
-    check_clean "line4 raise+clear"
-      (Explore.run (Explore.default ~adj:(Explore.line 4)));
-    check_clean "cycle4 raise-only loss=2"
-      (Explore.run
-         { (Explore.default ~adj:(Explore.cycle 4)) with
-           Explore.include_clear = false;
-           loss_budget = 2;
-         });
-    check_clean "cycle5 raise-only"
-      (Explore.run
-         { (Explore.default ~adj:(Explore.cycle 5)) with Explore.include_clear = false })
-  end
-
 let () =
   Alcotest.run "ff_oracle"
     [
@@ -172,14 +93,5 @@ let () =
           Alcotest.test_case "matches dijkstra on builders" `Quick test_routing_matches_dijkstra;
           Alcotest.test_case "region on a ring" `Quick test_routing_region_ring;
           Alcotest.test_case "hosts never transit" `Quick test_routing_hosts_never_transit;
-        ] );
-      ( "model checker",
-        [
-          Alcotest.test_case "line3 raise+clear exhaustive" `Quick test_explore_line3;
-          Alcotest.test_case "triangle raise+clear exhaustive" `Quick test_explore_triangle;
-          Alcotest.test_case "line3 raise-only loss=2" `Quick test_explore_raise_only_loss2;
-          Alcotest.test_case "region boundary holds" `Quick test_explore_region_boundary;
-          Alcotest.test_case "flooding alone fails" `Quick test_explore_flooding_alone_fails;
-          Alcotest.test_case "deep sweeps" `Slow test_explore_deep;
         ] );
     ]
