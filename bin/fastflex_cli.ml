@@ -45,7 +45,8 @@ let check_shards ~k shards =
          switches k shards)
 
 (* --trace, --trace-filter and --metrics, shared by every subcommand that
-   simulates *)
+   simulates; [Harness.check_obs] refuses a request the run could not
+   honour with exit 124 *)
 let obs_term =
   let trace =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
@@ -62,8 +63,12 @@ let obs_term =
     Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
            ~doc:"Write the counter/gauge registry to $(docv) as CSV.")
   in
-  Term.(const (fun trace kinds metrics -> { Harness.trace; kinds; metrics })
-        $ trace $ kinds $ metrics)
+  let check trace kinds metrics =
+    match Harness.check_obs { Harness.trace; kinds; metrics } with
+    | Ok obs -> `Ok obs
+    | Error e -> `Error (false, e)
+  in
+  Term.(ret (const check $ trace $ kinds $ metrics))
 
 (* ------------------------------------------------------------------ *)
 (* Experiments: each a subcommand; `all` runs them in this order        *)

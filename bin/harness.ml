@@ -57,6 +57,41 @@ let conclude ?all_hold v =
 
 type obs = { trace : string option; kinds : string list option; metrics : string option }
 
+(* Refuses what the run could not honour, before anything simulates: a
+   --trace or --metrics file that cannot be written (the run would
+   simulate in full, then die on the write), an unknown --trace-filter
+   kind (the trace would be silently empty) and a --trace-filter with no
+   --trace to filter. *)
+let check_obs obs =
+  let writable path =
+    let dir = Filename.dirname path in
+    let target = if Sys.file_exists path then path else dir in
+    path <> "" && Sys.file_exists dir && Sys.is_directory dir
+    && (not (Sys.file_exists path && Sys.is_directory path))
+    && try Unix.access target [ Unix.W_OK ]; true with Unix.Unix_error _ -> false
+  in
+  let unwritable opt = function
+    | Some path when not (writable path) -> [ Printf.sprintf "%s: cannot write %S" opt path ]
+    | _ -> []
+  in
+  let filter =
+    match (obs.kinds, obs.trace) with
+    | None, _ -> []
+    | Some _, None -> [ "--trace-filter needs --trace" ]
+    | Some kinds, Some _ ->
+      List.filter_map
+        (fun k ->
+          if List.mem k Ff_obs.Event.kinds then None
+          else
+            Some
+              (Printf.sprintf "--trace-filter: unknown event kind %S (known: %s)" k
+                 (String.concat ", " Ff_obs.Event.kinds)))
+        kinds
+  in
+  match unwritable "--trace" obs.trace @ unwritable "--metrics" obs.metrics @ filter with
+  | [] -> Ok obs
+  | e :: _ -> Error e
+
 (* Runs each [(name, run)] in turn with the trace and the metrics registry
    ambient, so the networks that scenarios build deep in the library
    report into them; prints a profile line after each, then writes the
@@ -76,7 +111,7 @@ let observe obs experiments =
       run ();
       let report =
         Ff_obs.Profile.finish span ~events:(Ff_netsim.Engine.total_steps ())
-          ~trace_events:(trace_events ()) ()
+          ~trace_events:(trace_events ())
       in
       Format.printf "%a@." Ff_obs.Profile.pp_report report)
     experiments;

@@ -12,77 +12,51 @@ let strategy_name = function
   | Collision_probe -> "collision-probe"
   | Epoch_time -> "epoch-time"
 
-type config = {
-  seed : int;
-  observe_period : float;
-  tx_period : float;
-  start : float;
-  stop : float;
-  keys_per_emitter : int;
-  (* threshold hugger *)
-  hug_start_rate : float;
-  hug_growth : float;
-  hug_settle : float;
-  hug_probe_hold : float;
-  hug_precision : float;
-  hug_idle_frac : float;
-  (* collision prober *)
-  cp_trial_rate : float;
-  cp_trials : int;
-  cp_trial_len : float;
-  cp_blast_rate : float;
-  cp_pairs_wanted : int;
-  cp_loss_found : float;
-  cp_loss_dead : float;
-  (* epoch timer *)
-  et_cal_rate : float;
-  et_cal_len : float;
-  et_cal_gap : float;
-  et_onsets_needed : int;
-  et_pulse_rate : float;
-  et_pulse_duty : float;
-  et_pulse_bots : int;
-}
+(* Tuning constants: the arena (Scenario.adversarial_spec) varies only
+   the seed and the attack window. *)
+let observe_period = 0.5 (* decision-loop cadence, s *)
+let tx_period = 0.02 (* emitter pacing quantum, s *)
+let packet_size = 1000 (* every crafted packet, B *)
+let keys_per_emitter = 2 (* hugger fan-out per (bot, target) *)
 
-let default_config =
-  {
-    seed = 0xADA9;
-    observe_period = 0.5;
-    tx_period = 0.02;
-    start = 10.;
-    stop = 70.;
-    keys_per_emitter = 2;
-    hug_start_rate = 4_000_000.;
-    hug_growth = 1.35;
-    hug_settle = 6.0;
-    hug_probe_hold = 3.0;
-    hug_precision = 0.10;
-    hug_idle_frac = 0.02;
-    cp_trial_rate = 1_400_000.;
-    cp_trials = 2;
-    cp_trial_len = 2.5;
-    (* one pair at a time, blasting just under the bottleneck capacity:
-       stacking pairs or overshooting only manufactures congestion loss,
-       which the loss-based feedback cannot tell apart from policing and
-       prunes as if the defense had caught up *)
-    cp_blast_rate = 8_500_000.;
-    cp_pairs_wanted = 1;
-    cp_loss_found = 0.25;
-    cp_loss_dead = 0.6;
-    et_cal_rate = 3_000_000.;
-    (* a burst must outlive the defense's worst-case detection latency
-       (rest of the current epoch + one full epoch + mode propagation) or
-       it is never policed and yields no onset *)
-    et_cal_len = 2.6;
-    et_cal_gap = 1.3;
-    et_onsets_needed = 5;
-    et_pulse_rate = 11_200_000.;
-    et_pulse_duty = 0.25;
-    (* few senders, each well over the per-sender threshold when a pulse
-       is mis-timed: spraying the pulse over the whole botnet would slip
-       under per-sender accounting by dilution alone, no timing needed *)
-    et_pulse_bots = 4;
-  }
+(* threshold hugger *)
+let hug_start_rate = 4_000_000. (* aggregate b/s at ramp start *)
+let hug_growth = 1.35 (* multiplicative ramp per tick *)
+let hug_settle = 6.0 (* back-off dwell after an alarm, s *)
+let hug_probe_hold = 3.0 (* how long a midpoint must stay clean, s *)
+let hug_precision = 0.10 (* stop when hi/lo <= 1 + precision *)
+let hug_idle_frac = 0.02 (* settle-phase rate, fraction of start *)
+
+(* collision prober *)
+let cp_trial_rate = 1_400_000. (* per-key trial rate, b/s *)
+let cp_trials = 2 (* parallel pair trials per round *)
+let cp_trial_len = 2.5 (* trial duration, s (>= 2 HH epochs) *)
+(* one pair at a time, blasting just under the bottleneck capacity:
+   stacking pairs or overshooting only manufactures congestion loss,
+   which the loss-based feedback cannot tell apart from policing and
+   prunes as if the defense had caught up *)
+let cp_blast_rate = 8_500_000.
+let cp_pairs_wanted = 1
+let cp_loss_found = 0.25 (* trial loss below this = not policed *)
+let cp_loss_dead = 0.6 (* blast loss above this = caught *)
+
+(* epoch timer *)
+let et_cal_rate = 3_000_000. (* calibration burst rate, b/s *)
+(* a burst must outlive the defense's worst-case detection latency
+   (rest of the current epoch + one full epoch + mode propagation) or
+   it is never policed and yields no onset *)
+let et_cal_len = 2.6
+let et_cal_gap = 1.3 (* gap between bursts, s *)
+let et_onsets_needed = 5 (* onsets before period estimation *)
+let et_pulse_rate = 11_200_000. (* aggregate pulse rate, b/s *)
+(* pulse width as a fraction of the pulse period (two learned epochs —
+   pulsing every epoch would fill every epoch with a full duty cycle of
+   bytes regardless of phase) *)
+let et_pulse_duty = 0.25
+(* few senders, each well over the per-sender threshold when a pulse
+   is mis-timed: spraying the pulse over the whole botnet would slip
+   under per-sender accounting by dilution alone, no timing needed *)
+let et_pulse_bots = 4
 
 (* ---------------- observation: per-key delivery stats ---------------- *)
 
@@ -110,7 +84,6 @@ type emitter = {
   e_keys : int array;
   mutable e_key_i : int;
   mutable e_rate : float; (* bits/s *)
-  e_size : int;
   mutable e_credit : float;
   mutable e_on : bool;
   mutable e_probe : bool;
@@ -164,7 +137,8 @@ type state = Hug of hug_state | Cp of cp_state | Et of et_state
 
 type t = {
   net : Net.t;
-  cfg : config;
+  start : float;
+  stop : float;
   bots : int array;
   targets : int array;
   sinks : int array;
@@ -238,7 +212,7 @@ let roll_windows t =
 
 let new_emitter t ~src ~dst ~keys ~rate ~probe =
   let e =
-    { e_src = src; e_dst = dst; e_keys = keys; e_key_i = 0; e_rate = rate; e_size = 1000;
+    { e_src = src; e_dst = dst; e_keys = keys; e_key_i = 0; e_rate = rate;
       e_credit = 0.; e_on = true; e_probe = probe; e_pulse = false; e_seq = 0 }
   in
   t.emitters := e :: !(t.emitters);
@@ -247,8 +221,8 @@ let new_emitter t ~src ~dst ~keys ~rate ~probe =
 (* Is [now] inside the epoch timer's predicted blind window — the pulse
    straddling a learned epoch boundary? Evaluated per tx tick: the
    windows are sub-second, far finer than the decision loop's cadence. *)
-let et_in_pulse t (e : et_state) now =
-  let half = t.cfg.et_pulse_duty *. e.p_period /. 2. in
+let et_in_pulse (e : et_state) now =
+  let half = et_pulse_duty *. e.p_period /. 2. in
   let u = Float.rem (now -. e.p_anchor +. (1000. *. e.p_period)) e.p_period in
   u >= e.p_period -. half || u < half
 
@@ -256,15 +230,15 @@ let tx_tick t () =
   let now = Net.now t.net in
   let pulse_on =
     match t.state with
-    | Et e -> e.p_phase = Pulsing && et_in_pulse t e now
+    | Et e -> e.p_phase = Pulsing && et_in_pulse e now
     | _ -> false
   in
-  if now >= t.cfg.start && now < t.cfg.stop then
+  if now >= t.start && now < t.stop then
     List.iter
       (fun e ->
         if e.e_on && (not e.e_pulse || pulse_on) && e.e_rate > 0. then begin
           e.e_credit <-
-            e.e_credit +. (e.e_rate *. t.cfg.tx_period /. (8. *. float_of_int e.e_size));
+            e.e_credit +. (e.e_rate *. tx_period /. (8. *. float_of_int packet_size));
           let n = int_of_float e.e_credit in
           let n = if n > 2000 then 2000 else n in
           e.e_credit <- e.e_credit -. float_of_int n;
@@ -279,7 +253,7 @@ let tx_tick t () =
             | None -> ());
             if e.e_probe then t.probes <- t.probes + 1;
             Net.send_from_host t.net
-              (Packet.make_data ~size:e.e_size ~seq:e.e_seq ~ttl:64 ~src:e.e_src ~dst:e.e_dst
+              (Packet.make_data ~size:packet_size ~seq:e.e_seq ~ttl:64 ~src:e.e_src ~dst:e.e_dst
                  ~flow:key)
           done
         end)
@@ -305,11 +279,11 @@ let hug_setup t h =
       Array.iteri
         (fun bi bot ->
           ignore (ti, bi);
-          let keys = Array.init t.cfg.keys_per_emitter (fun _ -> fresh_key t) in
+          let keys = Array.init keys_per_emitter (fun _ -> fresh_key t) in
           ignore (new_emitter t ~src:bot ~dst:target ~keys ~rate:0. ~probe:false))
         t.bots)
     t.targets;
-  hug_apply t h t.cfg.hug_start_rate
+  hug_apply t h hug_start_rate
 
 (* Mitigation signal: the TCP sensor flows toward each target are exactly
    the persistent low-rate traffic the defense polices once alarmed, so a
@@ -321,17 +295,17 @@ let hug_decide t (h : hug_state) now =
   let retx = sensors_retx t in
   let tripped = retx - h.h_retx >= 2 in
   h.h_retx <- retx;
-  let idle = t.cfg.hug_idle_frac *. t.cfg.hug_start_rate in
+  let idle = hug_idle_frac *. hug_start_rate in
   let back_off () =
     h.h_hi <- h.h_rate;
-    if h.h_lo >= h.h_hi then h.h_lo <- h.h_hi /. t.cfg.hug_growth;
+    if h.h_lo >= h.h_hi then h.h_lo <- h.h_hi /. hug_growth;
     h.h_trips <- h.h_trips + 1;
     logf t "hug: tripped at %.0f" h.h_rate;
     hug_apply t h idle;
-    h.h_phase <- Settling (now +. t.cfg.hug_settle)
+    h.h_phase <- Settling (now +. hug_settle)
   in
   let narrow_or_hold () =
-    if h.h_hi /. h.h_lo <= 1. +. t.cfg.hug_precision then begin
+    if h.h_hi /. h.h_lo <= 1. +. hug_precision then begin
       logf t "hug: holding at %.0f" h.h_lo;
       hug_apply t h h.h_lo;
       h.h_phase <- Holding
@@ -347,7 +321,7 @@ let hug_decide t (h : hug_state) now =
     if tripped then back_off ()
     else begin
       h.h_lo <- Float.max h.h_lo h.h_rate;
-      hug_apply t h (h.h_rate *. t.cfg.hug_growth)
+      hug_apply t h (h.h_rate *. hug_growth)
     end
   | Settling until ->
     (* wait out the defense's clear-hold: resume only once the sensors
@@ -355,7 +329,7 @@ let hug_decide t (h : hug_state) now =
     if now >= until && not tripped then narrow_or_hold ()
   | Probing since ->
     if tripped then back_off ()
-    else if now -. since >= t.cfg.hug_probe_hold then begin
+    else if now -. since >= hug_probe_hold then begin
       h.h_lo <- h.h_rate;
       narrow_or_hold ()
     end
@@ -367,7 +341,7 @@ let cp_start_round t (c : cp_state) now =
   let sink = t.sinks.(0) in
   c.c_rounds <- c.c_rounds + 1;
   let trials =
-    List.init t.cfg.cp_trials (fun _ ->
+    List.init cp_trials (fun _ ->
         let bot = t.bots.(c.c_bot_i) in
         c.c_bot_i <- (c.c_bot_i + 1) mod Array.length t.bots;
         let h = fresh_key t and m = fresh_key t in
@@ -378,12 +352,12 @@ let cp_start_round t (c : cp_state) now =
            neither residency ever accumulates a full epoch of bytes *)
         let em =
           new_emitter t ~src:bot ~dst:sink ~keys:[| h; m |]
-            ~rate:(2. *. t.cfg.cp_trial_rate) ~probe:true
+            ~rate:(2. *. cp_trial_rate) ~probe:true
         in
         { t_h = h; t_m = m; t_em = em })
   in
   c.c_trials <- trials;
-  c.c_round_ends <- now +. t.cfg.cp_trial_len;
+  c.c_round_ends <- now +. cp_trial_len;
   fp_mix t c.c_rounds;
   logf t "cp: round %d (%d trials)" c.c_rounds (List.length trials)
 
@@ -391,7 +365,7 @@ let cp_decide t (c : cp_state) now =
   let sink = t.sinks.(0) in
   (* prune blasting pairs the defense caught up with (salt rotation) *)
   let live, dead =
-    List.partition (fun tr -> window_loss t tr.t_h < t.cfg.cp_loss_dead) c.c_found
+    List.partition (fun tr -> window_loss t tr.t_h < cp_loss_dead) c.c_found
   in
   List.iter
     (fun tr ->
@@ -411,10 +385,10 @@ let cp_decide t (c : cp_state) now =
            congests the path and the hider backs off *)
         let loss = Float.max (total_loss t tr.t_h) (total_loss t tr.t_m) in
         fp_mix_f t loss;
-        if loss <= t.cfg.cp_loss_found && tr.t_em.e_seq > 50 then begin
+        if loss <= cp_loss_found && tr.t_em.e_seq > 50 then begin
           (* evaded the heavy-hitter for a whole trial: promote to blast *)
           tr.t_em.e_probe <- false;
-          tr.t_em.e_rate <- t.cfg.cp_blast_rate;
+          tr.t_em.e_rate <- cp_blast_rate;
           c.c_found <- tr :: c.c_found;
           logf t "cp: collision found (%d,%d) loss=%.2f" tr.t_h tr.t_m loss
         end
@@ -426,7 +400,7 @@ let cp_decide t (c : cp_state) now =
       c.c_trials;
     c.c_trials <- []
   end;
-  if c.c_trials = [] && List.length c.c_found < t.cfg.cp_pairs_wanted then
+  if c.c_trials = [] && List.length c.c_found < cp_pairs_wanted then
     cp_start_round t c now
 
 (* ---------------- epoch timer ---------------- *)
@@ -523,7 +497,7 @@ let et_end_cal t (e : et_state) ~onset =
    then the period, its divisors and that multiple all explain the data
    equally well. Spreading burst starts across well over one epoch mixes
    the spacing multiples and leaves the true period as the unique gcd. *)
-let et_gap t = t.cfg.et_cal_gap *. (0.6 +. Prng.float t.rng 1.4)
+let et_gap t = et_cal_gap *. (0.6 +. Prng.float t.rng 1.4)
 
 let et_begin_cal t (e : et_state) now =
   let sink = t.sinks.(0) in
@@ -531,18 +505,18 @@ let et_begin_cal t (e : et_state) now =
   e.p_cal_bot <- (e.p_cal_bot + 1) mod Array.length t.bots;
   let key = fresh_key t in
   track t ~sink ~key;
-  let em = new_emitter t ~src:bot ~dst:sink ~keys:[| key |] ~rate:t.cfg.et_cal_rate ~probe:true in
+  let em = new_emitter t ~src:bot ~dst:sink ~keys:[| key |] ~rate:et_cal_rate ~probe:true in
   e.p_cal <- Some (em, key, now);
   (* Fine-grained onset watcher: the decision loop's 0.5 s cadence is far
      too coarse to localize an epoch boundary, so each burst runs its own
      50 ms delivery-rate monitor. Policing shows as the delivered rate
      collapsing below 40% of a previously healthy (>= 70%) level; the
      window midpoint is the onset estimate. *)
-  let expect = t.cfg.et_cal_rate *. 0.05 /. (8. *. float_of_int em.e_size) in
+  let expect = et_cal_rate *. 0.05 /. (8. *. float_of_int packet_size) in
   let prev_rcvd = ref (keystat t key).rcvd_t in
   let healthy = ref false in
   let engine = Net.engine t.net in
-  Engine.every engine ~start:(now +. 0.05) ~until:(now +. t.cfg.et_cal_len) ~period:0.05
+  Engine.every engine ~start:(now +. 0.05) ~until:(now +. et_cal_len) ~period:0.05
     (fun () ->
       match e.p_cal with
       | Some (_, k, started) when k = key -> begin
@@ -579,9 +553,9 @@ let et_enter_pulsing t e now =
      before it reaches the per-sender accounting, and each sender stays
      under threshold only when its pulse straddles an epoch boundary *)
   let sink = t.sinks.(0) in
-  let nb = min t.cfg.et_pulse_bots (Array.length t.bots) in
+  let nb = min et_pulse_bots (Array.length t.bots) in
   let stride = Stdlib.max 1 (Array.length t.bots / nb) in
-  let per_bot = t.cfg.et_pulse_rate /. float_of_int nb in
+  let per_bot = et_pulse_rate /. float_of_int nb in
   for i = 0 to nb - 1 do
     let bot = t.bots.(i * stride mod Array.length t.bots) in
     let key = fresh_key t in
@@ -605,12 +579,12 @@ let et_decide t (e : et_state) now =
     | Some (_, _, started) ->
       (* onset detection lives in the 50 ms watcher attached to the burst;
          here we only expire bursts that ran their full length un-policed *)
-      if now -. started >= t.cfg.et_cal_len then begin
+      if now -. started >= et_cal_len then begin
         et_end_cal t e ~onset:None;
         e.p_next_cal <- now +. et_gap t
       end
     | None ->
-      if List.length e.p_onsets >= t.cfg.et_onsets_needed then et_enter_pulsing t e now
+      if List.length e.p_onsets >= et_onsets_needed then et_enter_pulsing t e now
       else if now >= e.p_next_cal then et_begin_cal t e now
   end
   | Pulsing ->
@@ -630,7 +604,7 @@ let et_decide t (e : et_state) now =
 
 let observe_tick t () =
   let now = Net.now t.net in
-  if now >= t.cfg.start && now < t.cfg.stop then begin
+  if now >= t.start && now < t.stop then begin
     (* TCP sensor packets are probes too: they are the observation budget *)
     let s = Array.fold_left (fun acc f -> acc + Flow.Tcp.sent_packets f) 0 t.sensors in
     t.probes <- t.probes + (s - t.sensor_sent);
@@ -641,22 +615,21 @@ let observe_tick t () =
     | Et e -> et_decide t e now);
     roll_windows t
   end
-  else if now >= t.cfg.stop then List.iter (fun e -> e.e_on <- false) !(t.emitters)
+  else if now >= t.stop then List.iter (fun e -> e.e_on <- false) !(t.emitters)
 
-let launch net ~strategy ~bots ~targets ~sinks ~config =
+let launch net ~strategy ~bots ~targets ~sinks ~seed ~start ~stop =
   if bots = [] then invalid_arg "Adaptive.launch: no bots";
-  let cfg = config in
   let state =
     match strategy with
     | Threshold_hug ->
       Hug
-        { h_phase = Ramping; h_rate = 0.; h_lo = cfg.hug_start_rate /. 2.; h_hi = infinity;
+        { h_phase = Ramping; h_rate = 0.; h_lo = hug_start_rate /. 2.; h_hi = infinity;
           h_retx = 0; h_trips = 0 }
     | Collision_probe ->
       Cp { c_trials = []; c_round_ends = 0.; c_found = []; c_bot_i = 0; c_rounds = 0 }
     | Epoch_time ->
       Et
-        { p_phase = Calibrating; p_onsets = []; p_cal = None; p_next_cal = cfg.start;
+        { p_phase = Calibrating; p_onsets = []; p_cal = None; p_next_cal = start;
           p_cal_bot = 0; p_period = 1.0; p_anchor = 0.; p_pulsing_since = 0.;
           p_pulse_loss = 0.; p_recals = 0 }
   in
@@ -670,7 +643,7 @@ let launch net ~strategy ~bots ~targets ~sinks ~config =
         (List.mapi
            (fun i target ->
              Flow.Tcp.start net ~src:bots.(i mod Array.length bots) ~dst:target
-               ~at:(Float.max 0.5 (cfg.start -. 5.)) ~max_cwnd:2. ())
+               ~at:(Float.max 0.5 (start -. 5.)) ~max_cwnd:2. ())
            targets)
     | _ -> [||]
   in
@@ -678,27 +651,26 @@ let launch net ~strategy ~bots ~targets ~sinks ~config =
   let t =
     {
       net;
-      cfg;
+      start;
+      stop;
       bots;
       targets = Array.of_list targets;
       sinks = Array.of_list sinks;
-      rng = Prng.create ~seed:cfg.seed;
+      rng = Prng.create ~seed;
       emitters = ref [];
       keystats = Hashtbl.create 64;
       sensors;
       sensor_sent = 0;
       probes = 0;
-      fp = cfg.seed;
+      fp = seed;
       log = [];
       state;
     }
   in
   (match t.state with Hug h -> hug_setup t h | _ -> ());
   let engine = Net.engine net in
-  Engine.every engine ~start:cfg.start ~period:cfg.tx_period (tx_tick t);
-  Engine.every engine
-    ~start:(cfg.start +. cfg.observe_period)
-    ~period:cfg.observe_period (observe_tick t);
+  Engine.every engine ~start ~period:tx_period (tx_tick t);
+  Engine.every engine ~start:(start +. observe_period) ~period:observe_period (observe_tick t);
   t
 
 let probes_sent t = t.probes

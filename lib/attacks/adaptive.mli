@@ -29,48 +29,17 @@
     — the numerator of the work-factor metric
     ({!Ff_obs.Workfactor}). The scenario harness owns pairing the two.
 
-    Determinism: all randomness comes from the seeded config; the same
-    seed and network replay the identical run bit-for-bit. *)
+    The tuning values (decision and pacing cadence, the hugger's ramp
+    and back-off, the prober's trial and blast rates, the timer's
+    calibration and pulse shape) are documented constants at the top of
+    [adaptive.ml]; only the seed and the attack window are arguments.
+
+    Determinism: all randomness comes from [seed]; the same seed and
+    network replay the identical run bit-for-bit. *)
 
 type strategy = Threshold_hug | Collision_probe | Epoch_time
 
 val strategy_name : strategy -> string
-
-type config = {
-  seed : int;
-  observe_period : float;  (** decision-loop cadence, s *)
-  tx_period : float;  (** emitter pacing quantum, s *)
-  start : float;  (** attack begins *)
-  stop : float;  (** attack ends (emitters gate off) *)
-  keys_per_emitter : int;  (** hugger fan-out per (bot, target) *)
-  hug_start_rate : float;  (** aggregate b/s at ramp start *)
-  hug_growth : float;  (** multiplicative ramp per tick *)
-  hug_settle : float;  (** back-off dwell after an alarm, s *)
-  hug_probe_hold : float;  (** how long a midpoint must stay clean, s *)
-  hug_precision : float;  (** stop when hi/lo <= 1 + precision *)
-  hug_idle_frac : float;  (** settle-phase rate, fraction of start *)
-  cp_trial_rate : float;  (** per-key trial rate, b/s *)
-  cp_trials : int;  (** parallel pair trials per round *)
-  cp_trial_len : float;  (** trial duration, s (>= 2 HH epochs) *)
-  cp_blast_rate : float;  (** promoted-pair rate, b/s *)
-  cp_pairs_wanted : int;  (** stop probing once this many blast *)
-  cp_loss_found : float;  (** trial loss below this = not policed *)
-  cp_loss_dead : float;  (** blast loss above this = caught *)
-  et_cal_rate : float;  (** calibration burst rate, b/s *)
-  et_cal_len : float;  (** max burst length, s *)
-  et_cal_gap : float;  (** gap between bursts, s *)
-  et_onsets_needed : int;  (** onsets before period estimation *)
-  et_pulse_rate : float;  (** aggregate pulse rate, b/s *)
-  et_pulse_duty : float;
-      (** pulse width as a fraction of the pulse period (two learned
-          epochs — pulsing every epoch would fill every epoch with a full
-          duty cycle of bytes regardless of phase) *)
-  et_pulse_bots : int;
-      (** pulse senders (strided across the botnet so no shared uplink
-          dilutes their per-sender rate below the detector's threshold) *)
-}
-
-val default_config : config
 
 type t
 
@@ -80,15 +49,19 @@ val launch :
   bots:int list ->
   targets:int list ->
   sinks:int list ->
-  config:config ->
+  seed:int ->
+  start:float ->
+  stop:float ->
   t
 (** Install the attacker on the network: emitters, sensor flows and the
     decision loop are scheduled on the engine; run the engine to run
-    the attack. [bots] are compromised source hosts; [targets] are the
-    decoy destinations the hugger floods (it also aims its TCP sensors
-    there); [sinks] are attacker-controlled receiver hosts where the
-    prober and timer register delivery counters for their crafted keys
-    (required for those strategies). *)
+    the attack. [seed] seeds the attacker's RNG and its fingerprint;
+    emitters and the decision loop run from [start] until [stop]. [bots]
+    are compromised source hosts; [targets] are the decoy destinations
+    the hugger floods (it also aims its TCP sensors there); [sinks] are
+    attacker-controlled receiver hosts where the prober and timer
+    register delivery counters for their crafted keys (required for those
+    strategies). *)
 
 val probes_sent : t -> int
 (** Packets spent observing: sensor-flow packets, collision-trial

@@ -89,8 +89,7 @@ let recon t () =
                    adapts its map, it does not re-roll on the same change *)
                 Hashtbl.replace t.baselines decoy hops;
                 roll t ~why:"path-change"
-              | _ -> ())
-          ())
+              | _ -> ()))
       decoys
   end
 
@@ -121,8 +120,7 @@ let launch net ~bots ~decoy_groups ?(start = 0.) ?stop ?(flows_per_bot = 3)
       List.iter
         (fun decoy ->
           Flow.Traceroute.run net ~src:(probe_bot t) ~dst:decoy
-            ~on_done:(fun hops -> Hashtbl.replace t.baselines decoy hops)
-            ())
+            ~on_done:(fun hops -> Hashtbl.replace t.baselines decoy hops))
         (List.concat decoy_groups));
   Engine.schedule engine ~at:start (fun () -> if t.running then open_flows t);
   Engine.every engine ~start:(start +. t.recon_interval) ~period:t.recon_interval (recon t);

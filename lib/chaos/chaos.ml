@@ -292,6 +292,13 @@ type directive = { text : string; op : op }
 let spec_seed ds =
   List.fold_left (fun acc d -> match d.op with D_seed s -> Some s | _ -> acc) None ds
 
+let schedule d =
+  match d.op with
+  | D_seed _ | D_loss _ -> ([], [])
+  | D_cut (_, _, t) | D_heal (_, _, t) -> ([ t ], [])
+  | D_crash (_, t, dur) -> ([ t ], [ dur ])
+  | D_flap (_, _, t0, t1, down, up) -> ([ t0; t1 ], [ down; up ])
+
 let split2 ~on s =
   match String.index_opt s on with
   | Some i ->

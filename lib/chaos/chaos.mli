@@ -151,6 +151,11 @@ val parse : string -> (directive list, string) result
 val spec_seed : directive list -> int option
 (** The [seed=N] directive's value, if present — pass it to {!create}. *)
 
+val schedule : directive -> float list * float list
+(** [(times, spans)]: the instants a directive acts at (cut and heal
+    time, crash time, flap start and end) and the lengths it waits for
+    (crash duration, flap dwells); both empty for [seed] and [loss]. *)
+
 val check : Ff_topology.Topology.t -> directive list -> (unit, string) result
 (** Resolve every directive's nodes against the topology: each named node
     exists, each [cut]/[heal]/[flap] pair is adjacent, each [crash]/[loss]

@@ -51,7 +51,9 @@ type attack =
       bots : int list;
       targets : int list;
       sinks : int list;
-      config : Ff_attacks.Adaptive.config;
+      seed : int;
+      start : float;
+      stop : float;
     }
   | Fluid_crossfire of {
       bots : int list;
@@ -152,9 +154,9 @@ let run spec =
          switch counts each pair at its ingress; attack flows are measured
          like any other traffic — indistinguishability is the baseline's
          handicap *)
-      let telemetry = Ff_te.Estimator.install net ~switches:(Net.switch_ids net) () in
+      let telemetry = Ff_te.Estimator.install net in
       let estimate () = Ff_te.Estimator.matrix telemetry in
-      (Some (Ff_te.Controller.start net ~period ~delay ~estimate ()), None)
+      (Some (Ff_te.Controller.start net ~period ~delay ~estimate), None)
     | Fastflex config ->
       let d = Orchestrator.deploy net ~config spec.boosters in
       (* on the hybrid tier, flows whose paths cross a mode-changing
@@ -187,9 +189,10 @@ let run spec =
           :: !syn_floods
       | Pulse { bots; victim; burst_pps; duty; start } ->
         ignore (Ff_attacks.Pulsing.launch net ~bots ~victim ~burst_pps ~duty ~start ())
-      | Adaptive { strategy; bots; targets; sinks; config } ->
+      | Adaptive { strategy; bots; targets; sinks; seed; start; stop } ->
         adaptives :=
-          Ff_attacks.Adaptive.launch net ~strategy ~bots ~targets ~sinks ~config :: !adaptives
+          Ff_attacks.Adaptive.launch net ~strategy ~bots ~targets ~sinks ~seed ~start ~stop
+          :: !adaptives
       | Fluid_crossfire
           { bots; decoy_groups; rate_bps_per_flow; packet_size; start; stop; roll_schedule; recon }
         ->
@@ -237,8 +240,7 @@ let attack_start spec =
       (fun t -> function
         | Crossfire { plan = { start; _ }; _ }
         | Flood { start; _ } | Syn_flood { start; _ } | Pulse { start; _ }
-        | Fluid_crossfire { start; _ } -> Float.min t start
-        | Adaptive { config; _ } -> Float.min t config.Ff_attacks.Adaptive.start)
+        | Fluid_crossfire { start; _ } | Adaptive { start; _ } -> Float.min t start)
       infinity attacks
 
 let window series t0 t1 =
@@ -655,11 +657,9 @@ let adversarial_spec ~strategy ~adversary ~hardened ~seed ~duration ~attack_star
     | Open_loop, (Adaptive.Collision_probe | Adaptive.Epoch_time) ->
       [ Flood { bots; victim = sink; rate_pps = 250.; start = attack_start; spoof_as = [] } ]
     | Closed_loop, _ ->
-      let c = Adaptive.default_config in
-      let config =
-        { c with seed = c.seed lxor (seed * 65599); start = attack_start; stop = duration }
-      in
-      [ Adaptive { strategy; bots; targets = decoys; sinks = [ sink ]; config } ]
+      [ Adaptive
+          { strategy; bots; targets = decoys; sinks = [ sink ]; seed = 0xADA9 lxor (seed * 65599);
+            start = attack_start; stop = duration } ]
   in
   (* the work-factor sampler: attacker probes and the hottest decoy link *)
   let hook r =
@@ -681,7 +681,7 @@ let adversarial_spec ~strategy ~adversary ~hardened ~seed ~duration ~attack_star
 
 let run_adversarial ~strategy ~adversary ?(hardened = false) ?(seed = 1) ?(duration = 70.) () =
   let attack_start = 10. in
-  let wf = Workfactor.create ~damage_floor:0.7 ~effective_damage:1.0 ~attack_start () in
+  let wf = Workfactor.create ~attack_start in
   let r = run (adversarial_spec ~strategy ~adversary ~hardened ~seed ~duration ~attack_start wf) in
   let d = Option.get r.deployment in
   let atk = match r.adaptives with [ a ] -> Some a | _ -> None in

@@ -77,9 +77,12 @@ type attack =
       bots : int list;
       targets : int list;
       sinks : int list;
-      config : Ff_attacks.Adaptive.config;
+      seed : int;
+      start : float;
+      stop : float;
     }
-      (** {!Ff_attacks.Adaptive.launch}, from [config.start] *)
+      (** {!Ff_attacks.Adaptive.launch} with [seed], active from [start]
+          to [stop]; its tuning constants live in [adaptive.ml] *)
   | Fluid_crossfire of {
       bots : int list;
       decoy_groups : int list list;

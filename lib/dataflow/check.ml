@@ -20,9 +20,11 @@ let pp_issue fmt = function
   | Probe_from_parser { ppm } ->
     Format.fprintf fmt "%s: parser/deparser emits probes" ppm
 
-let default_tables = [ "best_nexthop_table"; "virtual_topology"; "acl_policy" ]
+(* the match-action tables the shipped booster runtimes install, and the
+   metadata each table's actions write *)
+let declared_tables = [ "best_nexthop_table"; "virtual_topology"; "acl_policy" ]
 
-let default_table_outputs =
+let table_outputs =
   [ ("best_nexthop_table", []); ("virtual_topology", [ "vhop" ]); ("acl_policy", [ "acl_deny" ]) ]
 
 (* Metas read by an expression/condition. *)
@@ -42,7 +44,7 @@ let rec cond_metas acc = function
    a meta set in either branch counts as defined afterwards — conservative
    for double-set, permissive for single-branch definitions, which is the
    usual compromise for a lint-level check). *)
-let rec walk_stmt ~table_outputs ppm defined issues = function
+let rec walk_stmt ppm defined issues = function
   | Ppm.Set_meta (m, e) ->
     let issues = read_check ppm defined issues (expr_metas [] e) in
     (m :: defined, issues)
@@ -57,12 +59,12 @@ let rec walk_stmt ~table_outputs ppm defined issues = function
     (outs @ defined, issues)
   | Ppm.If (c, yes, no) ->
     let issues = read_check ppm defined issues (cond_metas [] c) in
-    let d1, issues = walk_body ~table_outputs ppm defined issues yes in
-    let d2, issues = walk_body ~table_outputs ppm defined issues no in
+    let d1, issues = walk_body ppm defined issues yes in
+    let d2, issues = walk_body ppm defined issues no in
     (List.sort_uniq compare (d1 @ d2), issues)
 
-and walk_body ~table_outputs ppm defined issues body =
-  List.fold_left (fun (d, i) s -> walk_stmt ~table_outputs ppm d i s) (defined, issues) body
+and walk_body ppm defined issues body =
+  List.fold_left (fun (d, i) s -> walk_stmt ppm d i s) (defined, issues) body
 
 and read_check ppm defined issues metas =
   List.fold_left
@@ -99,14 +101,13 @@ let resource_fits_estimate spec =
      hand-declared vectors; SRAM etc. are sized by table capacity choices *)
   (spec.Ppm.resources.Resource.stages >= need.Resource.stages, need)
 
-let check_pipeline ?(declared_tables = default_tables)
-    ?(table_outputs = default_table_outputs) specs =
+let check_pipeline specs =
   let _, issues =
     List.fold_left
       (fun (defined, issues) spec ->
         let ppm = spec.Ppm.name in
         (* metadata initialization, threaded across the whole pipeline *)
-        let defined, issues = walk_body ~table_outputs ppm defined issues spec.Ppm.body in
+        let defined, issues = walk_body ppm defined issues spec.Ppm.body in
         (* tables *)
         let issues =
           List.fold_left

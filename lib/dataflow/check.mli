@@ -22,12 +22,7 @@ type issue =
 
 val pp_issue : Format.formatter -> issue -> unit
 
-val check_pipeline :
-  ?declared_tables:string list ->
-  ?table_outputs:(string * string list) list ->
-  Ff_dataplane.Ppm.spec list ->
-  issue list
-(** Check one booster's PPMs in pipeline order. [declared_tables] lists
-    the match-action tables the deployment provides, and [table_outputs]
-    the metadata each table's actions write (both default to the tables
-    the shipped booster runtimes install). *)
+val check_pipeline : Ff_dataplane.Ppm.spec list -> issue list
+(** Check one booster's PPMs in pipeline order, against the match-action
+    tables the shipped booster runtimes install and the metadata each
+    table's actions write. *)

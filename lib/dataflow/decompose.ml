@@ -77,7 +77,11 @@ let rec stmt_touches_packet_state = function
 
 let intersects a b = List.exists (fun x -> List.mem x b) a
 
-let decompose ~booster ?(max_stmts_per_ppm = 6) body =
+(* the soft size limit: a PPM this long closes unless the next statement
+   shares its state *)
+let max_stmts_per_ppm = 6
+
+let decompose ~booster body =
   (* Walk the program, accumulating the current PPM; close it when the next
      statement shares no register with it (state-affinity boundary) or the
      soft size limit is reached with no coupling. *)

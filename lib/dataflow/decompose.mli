@@ -18,16 +18,15 @@ val estimate_resources : Ff_dataplane.Ppm.stmt list -> Ff_dataplane.Resource.t
 
 val decompose :
   booster:string ->
-  ?max_stmts_per_ppm:int ->
   Ff_dataplane.Ppm.stmt list ->
   Ff_dataplane.Ppm.spec list
 (** Partition a flat program into PPM specs named [<booster>-ppm<i>].
     Adjacent statements sharing register state always land in the same
     PPM; a PPM is closed when the next statement shares no state with it
-    or when it reaches [max_stmts_per_ppm] (default 6) statements without
-    state coupling to the next. The first PPM is a [Parser]-role module if
-    it only reads fields into metadata; mitigation-looking statements
-    (drops) give their PPM the [Mitigation] role, otherwise [Detection]. *)
+    or when it reaches 6 statements without state coupling to the next.
+    The first PPM is a [Parser]-role module if it only reads fields into
+    metadata; mitigation-looking statements (drops) give their PPM the
+    [Mitigation] role, otherwise [Detection]. *)
 
 val roundtrip : Ff_dataplane.Ppm.spec list -> Ff_dataplane.Ppm.stmt list
 (** Concatenated bodies, for checking order preservation. *)

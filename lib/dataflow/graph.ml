@@ -110,7 +110,7 @@ let merge graphs =
   in
   ({ vertices = Array.of_list !merged; edges }, List.rev !report)
 
-let clusters ?(threshold = 1.) t =
+let clusters t =
   let n = Array.length t.vertices in
   let parent = Array.init n Fun.id in
   let rec find i = if parent.(i) = i then i else (parent.(i) <- find parent.(i); parent.(i)) in
@@ -118,7 +118,7 @@ let clusters ?(threshold = 1.) t =
     let ri = find i and rj = find j in
     if ri <> rj then parent.(ri) <- rj
   in
-  List.iter (fun e -> if e.weight >= threshold then union e.u e.v) t.edges;
+  List.iter (fun e -> if e.weight >= 1. then union e.u e.v) t.edges;
   let groups = Hashtbl.create 16 in
   for i = 0 to n - 1 do
     let r = find i in

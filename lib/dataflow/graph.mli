@@ -32,10 +32,10 @@ val merge : t list -> t * (string * string) list
     resource vector is the component-wise max of the merged instances.
     Also returns the sharing report: pairs [(kept_name, absorbed_name)]. *)
 
-val clusters : ?threshold:float -> t -> int list list
-(** Connected groups of vertices linked by edges of weight >= [threshold]
-    (default 1.): the "dense, heavy-weight" clusters that should be
-    co-located on one switch. Singleton clusters included. *)
+val clusters : t -> int list list
+(** Connected groups of vertices linked by edges of weight >= 1: the
+    "dense, heavy-weight" clusters that should be co-located on one
+    switch. Singleton clusters included. *)
 
 val savings : before:t list -> after:t -> float
 (** Fraction of total resource stages saved by merging, in [0,1]. *)

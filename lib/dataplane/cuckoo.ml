@@ -12,12 +12,16 @@
    property the oracle-differential suite pins down (insert returned true
    iff the key is findable, false iff nothing changed). *)
 
+(* fingerprints per bucket *)
+let slots = 4
+
+(* bound on the eviction search's bucket expansions per insert *)
+let max_kicks = 128
+
 type t = {
   seed : int;
   n_buckets : int;  (* power of two, so the alt-bucket XOR stays in range *)
-  slots : int;
   fp_bits : int;
-  max_kicks : int;
   table : int array;  (* n_buckets * slots; 0 = empty, else fp in [1, 2^fp_bits) *)
   mutable occupied : int;
   mutable failed_inserts : int;
@@ -31,16 +35,14 @@ let occupancy_threshold = 0.95
 
 let rec pow2_ge n k = if k >= n then k else pow2_ge n (2 * k)
 
-let create ?(seed = 0xC0C0) ?(slots = 4) ?(fp_bits = 12) ?(max_kicks = 128) ~capacity () =
+let create ?(seed = 0xC0C0) ?(fp_bits = 12) ~capacity () =
   if capacity <= 0 then invalid_arg "Cuckoo.create: capacity must be positive";
   if fp_bits < 2 || fp_bits > 30 then invalid_arg "Cuckoo.create: fp_bits out of range";
   let n_buckets = pow2_ge ((capacity + slots - 1) / slots) 1 in
   {
     seed;
     n_buckets;
-    slots;
     fp_bits;
-    max_kicks;
     table = Array.make (n_buckets * slots) 0;
     occupied = 0;
     failed_inserts = 0;
@@ -48,12 +50,12 @@ let create ?(seed = 0xC0C0) ?(slots = 4) ?(fp_bits = 12) ?(max_kicks = 128) ~cap
     stash = [];
   }
 
-let capacity t = t.n_buckets * t.slots
+let capacity t = t.n_buckets * slots
 let size t = t.occupied
 let stash_size t = List.length t.stash
 let failed_inserts t = t.failed_inserts
 let kicks t = t.kicks
-let occupancy t = float_of_int t.occupied /. float_of_int (t.n_buckets * t.slots)
+let occupancy t = float_of_int t.occupied /. float_of_int (t.n_buckets * slots)
 
 (* fingerprint in [1, 2^fp_bits): 0 is the empty-slot marker *)
 let fingerprint t key = 1 + (Hash.mix ~seed:t.seed ~lane:0 key mod ((1 lsl t.fp_bits) - 1))
@@ -66,16 +68,16 @@ let bucket_of_key t key = Hash.mix ~seed:t.seed ~lane:1 key land (t.n_buckets - 
 let alt_bucket t b fp = b lxor (Hash.mix ~seed:t.seed ~lane:2 fp land (t.n_buckets - 1))
 
 let free_slot_in t b =
-  let base = b * t.slots in
+  let base = b * slots in
   let rec go s =
-    if s >= t.slots then -1 else if t.table.(base + s) = 0 then base + s else go (s + 1)
+    if s >= slots then -1 else if t.table.(base + s) = 0 then base + s else go (s + 1)
   in
   go 0
 
 let bucket_has t b fp =
-  let base = b * t.slots in
+  let base = b * slots in
   let rec go s =
-    if s >= t.slots then false
+    if s >= slots then false
     else if t.table.(base + s) = fp then true
     else go (s + 1)
   in
@@ -98,8 +100,8 @@ let find_eviction_path t b1 b2 =
   let parent = Hashtbl.create 16 in
   let q = Queue.create () in
   let seed_bucket b =
-    let base = b * t.slots in
-    for s = 0 to t.slots - 1 do
+    let base = b * slots in
+    for s = 0 to slots - 1 do
       let c = base + s in
       if not (Hashtbl.mem parent c) then begin
         Hashtbl.replace parent c (-1);
@@ -111,21 +113,21 @@ let find_eviction_path t b1 b2 =
   if b2 <> b1 then seed_bucket b2;
   let expansions = ref 0 in
   let found = ref (-1) in
-  while !found < 0 && !expansions < t.max_kicks && not (Queue.is_empty q) do
+  while !found < 0 && !expansions < max_kicks && not (Queue.is_empty q) do
     let c = Queue.pop q in
     incr expansions;
     let fp = t.table.(c) in
     (* a free seed cell means no eviction is needed at all — caller
        handles that before searching, so [fp <> 0] here *)
-    let nb = alt_bucket t (c / t.slots) fp in
+    let nb = alt_bucket t (c / slots) fp in
     let free = free_slot_in t nb in
     if free >= 0 then begin
       if not (Hashtbl.mem parent free) then Hashtbl.replace parent free c;
       found := free
     end
     else begin
-      let base = nb * t.slots in
-      for s = 0 to t.slots - 1 do
+      let base = nb * slots in
+      for s = 0 to slots - 1 do
         let c' = base + s in
         if not (Hashtbl.mem parent c') then begin
           Hashtbl.replace parent c' c;
@@ -180,9 +182,9 @@ let insert t key =
   ok
 
 let remove_from_bucket t b fp =
-  let base = b * t.slots in
+  let base = b * slots in
   let rec go s =
-    if s >= t.slots then false
+    if s >= slots then false
     else if t.table.(base + s) = fp then begin
       t.table.(base + s) <- 0;
       t.occupied <- t.occupied - 1;
@@ -214,7 +216,7 @@ let delete t key =
    occupied slots on average, each matching with probability 1/(2^f - 1). *)
 let expected_fp_rate t =
   let per_slot = 1. /. float_of_int ((1 lsl t.fp_bits) - 1) in
-  let compared = 2. *. float_of_int t.slots *. occupancy t in
+  let compared = 2. *. float_of_int slots *. occupancy t in
   1. -. ((1. -. per_slot) ** compared)
 
 (* Per-entry memory is the defining cost: fp_bits per slot of SRAM, two
@@ -222,7 +224,7 @@ let expected_fp_rate t =
    the insert path. TCAM-free. *)
 let resource t =
   Resource.make ~stages:2.
-    ~sram_kb:(float_of_int (t.n_buckets * t.slots * t.fp_bits) /. 8. /. 1024.)
+    ~sram_kb:(float_of_int (t.n_buckets * slots * t.fp_bits) /. 8. /. 1024.)
     ~alus:2. ~hash_units:2. ()
 
 type snapshot = {
@@ -236,13 +238,13 @@ type snapshot = {
 let serialize t =
   let entries = ref t.stash in
   for b = t.n_buckets - 1 downto 0 do
-    let base = b * t.slots in
-    for s = t.slots - 1 downto 0 do
+    let base = b * slots in
+    for s = slots - 1 downto 0 do
       let fp = t.table.(base + s) in
       if fp <> 0 then entries := (b, fp) :: !entries
     done
   done;
-  { ck_buckets = t.n_buckets; ck_slots = t.slots; ck_fp_bits = t.fp_bits; ck_seed = t.seed;
+  { ck_buckets = t.n_buckets; ck_slots = slots; ck_fp_bits = t.fp_bits; ck_seed = t.seed;
     ck_entries = !entries }
 
 (* Union semantics for migration: every fingerprint of the snapshot must be
@@ -251,7 +253,7 @@ let serialize t =
    Geometry and seed must match, otherwise (bucket, fingerprint) pairs are
    meaningless in this table. *)
 let absorb t snap =
-  if snap.ck_buckets <> t.n_buckets || snap.ck_slots <> t.slots
+  if snap.ck_buckets <> t.n_buckets || snap.ck_slots <> slots
      || snap.ck_fp_bits <> t.fp_bits || snap.ck_seed <> t.seed
   then invalid_arg "Cuckoo.absorb: geometry/seed mismatch";
   List.iter

@@ -2,7 +2,8 @@
     al.), the per-flow tracker of split-proxy SYN defenses. Two candidate
     buckets per key (partial-key cuckoo hashing: the alternate bucket is
     computed from the fingerprint, so relocation never needs the key),
-    [slots] fingerprints per bucket, BFS eviction bounded by [max_kicks].
+    4 fingerprints per bucket, BFS eviction bounded by 128 bucket
+    expansions.
 
     Failure semantics are exact: {!insert} returning [true] means the key
     is findable until deleted; returning [false] means the table was left
@@ -11,12 +12,10 @@
 
 type t
 
-val create : ?seed:int -> ?slots:int -> ?fp_bits:int -> ?max_kicks:int -> capacity:int ->
-  unit -> t
-(** A filter sized for at least [capacity] entries ([slots] per bucket,
-    default 4; bucket count rounded up to a power of two). [fp_bits]
-    (default 12) sets the false-positive/memory trade-off; [max_kicks]
-    (default 128) bounds the eviction search. *)
+val create : ?seed:int -> ?fp_bits:int -> capacity:int -> unit -> t
+(** A filter sized for at least [capacity] entries (bucket count rounded
+    up to a power of two). [fp_bits] (default 12) sets the
+    false-positive/memory trade-off. *)
 
 val capacity : t -> int
 (** Total fingerprint slots. *)
@@ -25,7 +24,7 @@ val insert : t -> int -> bool
 (** Add one copy of the key. [false] (and a {!failed_inserts} tick) when no
     eviction chain frees a slot — the filter is unchanged in that case.
     Duplicate inserts occupy additional slots (multiset semantics, capped
-    at [2 * slots] copies per key). *)
+    at 8 copies per key, twice the bucket size). *)
 
 val member : t -> int -> bool
 (** Never a false negative for an inserted-and-not-deleted key; false

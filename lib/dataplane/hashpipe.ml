@@ -2,10 +2,10 @@ type slot = { mutable key : int; mutable cnt : float; mutable used : bool }
 
 type t = { mutable seed : int; stages : slot array array }
 
-let create ?(seed = 0x9747b28c) ~stages ~slots_per_stage () =
+let create ~stages ~slots_per_stage () =
   assert (stages > 0 && slots_per_stage > 0);
   {
-    seed;
+    seed = 0x9747b28c;
     stages =
       Array.init stages (fun _ ->
           Array.init slots_per_stage (fun _ -> { key = 0; cnt = 0.; used = false }));

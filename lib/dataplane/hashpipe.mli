@@ -4,7 +4,8 @@
 
 type t
 
-val create : ?seed:int -> stages:int -> slots_per_stage:int -> unit -> t
+val create : stages:int -> slots_per_stage:int -> unit -> t
+(** Empty tables under a fixed initial salt; {!reseed} changes it. *)
 
 val reseed : t -> int -> unit
 (** Swap the hash salt. Resident (key, count) entries are kept and still

@@ -1,7 +1,7 @@
 module Array_reg = struct
   type t = { name : string; name_seed : int; data : float array }
 
-  let create ?(name = "reg") ~slots () =
+  let create ~name ~slots () =
     assert (slots > 0);
     { name; name_seed = Hash.of_string name; data = Array.make slots 0. }
 

@@ -7,7 +7,7 @@
 module Array_reg : sig
   type t
 
-  val create : ?name:string -> slots:int -> unit -> t
+  val create : name:string -> slots:int -> unit -> t
 
   val get : t -> int -> float
   (** Read by key (hashed). *)

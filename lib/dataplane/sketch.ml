@@ -1,16 +1,18 @@
+(* one hash salt for every sketch, so any two of equal dimensions merge *)
+let seed = 0x5bd1e995
+
 type t = {
-  seed : int;
   rows_n : int;
   cols_n : int;
   cells : float array; (* rows * cols, row-major *)
   mutable total : float;
 }
 
-let create ?(seed = 0x5bd1e995) ~rows ~cols () =
+let create ~rows ~cols () =
   assert (rows > 0 && cols > 0);
-  { seed; rows_n = rows; cols_n = cols; cells = Array.make (rows * cols) 0.; total = 0. }
+  { rows_n = rows; cols_n = cols; cells = Array.make (rows * cols) 0.; total = 0. }
 
-let index t row key = (row * t.cols_n) + (Hash.mix ~seed:t.seed ~lane:row key mod t.cols_n)
+let index t row key = (row * t.cols_n) + (Hash.mix ~seed ~lane:row key mod t.cols_n)
 
 let add t key w =
   for r = 0 to t.rows_n - 1 do
@@ -29,7 +31,7 @@ let estimate t key =
 let total t = t.total
 
 let merge_into ~dst ~src =
-  if dst.rows_n <> src.rows_n || dst.cols_n <> src.cols_n || dst.seed <> src.seed then
+  if dst.rows_n <> src.rows_n || dst.cols_n <> src.cols_n then
     invalid_arg "Sketch.merge_into: incompatible sketches";
   Array.iteri (fun i v -> dst.cells.(i) <- dst.cells.(i) +. v) src.cells;
   dst.total <- dst.total +. src.total

@@ -3,7 +3,7 @@
 
 type t
 
-val create : ?seed:int -> rows:int -> cols:int -> unit -> t
+val create : rows:int -> cols:int -> unit -> t
 (** [rows] independent hash rows of [cols] counters each. Error bound:
     estimates overshoot true counts by at most [e*N/cols] with probability
     [1 - e^-rows] where [N] is the total added weight. *)
@@ -18,9 +18,10 @@ val total : t -> float
 (** Total weight added since the last reset. *)
 
 val merge_into : dst:t -> src:t -> unit
-(** Component-wise sum; both sketches must share dimensions and seed
-    ([Invalid_argument] otherwise). This is the operation detector
-    synchronization probes perform for network-wide detection. *)
+(** Component-wise sum; both sketches must share dimensions
+    ([Invalid_argument] otherwise; every sketch hashes with one salt).
+    This is the operation detector synchronization probes perform for
+    network-wide detection. *)
 
 type snapshot = { cells : (int * float) list; total : float }
 (** Flat (cell index, value) pairs for non-zero cells plus the source's

@@ -10,6 +10,10 @@ type kind =
 
 type solver_mode = Incremental | Always_full
 
+(* the AIMD segment, bits (1500 B): additive increase adds one per RTT
+   every RTT *)
+let mss_bits = 12_000.
+
 type solver_stats = {
   solves : int;
   skipped : int;
@@ -54,7 +58,6 @@ type acc = {
 type t = {
   net : Net.t;
   period : float;
-  mss_bits : float;
   mode : solver_mode;
   full_frac : float;
   n_nodes : int;
@@ -142,14 +145,12 @@ let nil_class =
     c_frozen = 0;
   }
 
-let create ?(update_period = 0.25) ?(mss_bits = 12_000.)
-    ?(solver = Incremental) ?(full_frac = 0.6) net () =
+let create ?(update_period = 0.25) ?(solver = Incremental) ?(full_frac = 0.6) net () =
   let n_links = Net.n_dirlinks net in
   let t =
     {
       net;
       period = update_period;
-      mss_bits;
       mode = solver;
       full_frac;
       n_nodes = Ff_topology.Topology.num_nodes (Net.topology net);
@@ -270,7 +271,7 @@ let[@inline] cap_now t c now =
   match c.c_kind with
   | Constant { rate } -> rate
   | Adaptive { rtt; max_rate } ->
-    let v = t.c_cap_base.(c.c_id) +. (t.mss_bits /. (rtt *. rtt) *. (now -. t.c_t0.(c.c_id))) in
+    let v = t.c_cap_base.(c.c_id) +. (mss_bits /. (rtt *. rtt) *. (now -. t.c_t0.(c.c_id))) in
     if v > max_rate then max_rate else v
 
 (* ---- dirty-set plumbing ------------------------------------------------ *)
@@ -613,7 +614,7 @@ let fill_component t epoch entry =
       let id = c.c_id in
       let r = t.c_rate.(id) and cp = t.c_cap.(id) in
       if r < cp *. 0.999 && now -. t.c_cut.(id) >= rtt then begin
-        t.c_cap_base.(id) <- Float.max (t.mss_bits /. rtt) (r +. (0.5 *. (cp -. r)));
+        t.c_cap_base.(id) <- Float.max (mss_bits /. rtt) (r +. (0.5 *. (cp -. r)));
         t.c_t0.(id) <- now;
         t.c_cut.(id) <- now
       end
@@ -655,7 +656,7 @@ let solve t =
         match c.c_kind with
         | Adaptive { rtt; _ } when now -. t.c_cut.(c.c_id) >= rtt ->
           let cp = cap_now t c now in
-          t.c_cap_base.(c.c_id) <- Float.max (t.mss_bits /. rtt) (0.5 *. cp);
+          t.c_cap_base.(c.c_id) <- Float.max (mss_bits /. rtt) (0.5 *. cp);
           t.c_t0.(c.c_id) <- now;
           t.c_cut.(c.c_id) <- now;
           t.st_loss_cuts <- t.st_loss_cuts + 1;
@@ -971,7 +972,7 @@ let new_class t ~src ~dst kind ~next =
     | Constant { rate } -> rate
     | Adaptive { rtt; max_rate } ->
       (* slow-start-ish initial window: 10 MSS per RTT *)
-      Float.min max_rate (10. *. t.mss_bits /. rtt)
+      Float.min max_rate (10. *. mss_bits /. rtt)
   in
   t.c_rate.(id) <- 0.;
   t.c_cum_bits.(id) <- 0.;

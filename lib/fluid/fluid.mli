@@ -88,7 +88,6 @@ type flow = int
 
 val create :
   ?update_period:float ->
-  ?mss_bits:float ->
   ?solver:solver_mode ->
   ?full_frac:float ->
   Ff_netsim.Net.t ->
@@ -97,8 +96,8 @@ val create :
 (** [update_period] (default 0.25 s) is the background re-solve period
     that keeps fluid rates coupled to drifting packet-tier load; population
     changes additionally trigger a solve at the time of the change (batched
-    per instant). [mss_bits] (default 12_000 = 1500 B) drives the AIMD
-    additive-increase slope. [solver] (default {!Incremental}) selects the
+    per instant). AIMD additive increase adds one 1500 B segment per RTT
+    every RTT. [solver] (default {!Incremental}) selects the
     solving strategy — both produce bit-identical rates. [full_frac]
     (default 0.6) is the touched-classes fraction past which an incremental
     pass falls back to a full fill. *)

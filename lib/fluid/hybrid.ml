@@ -60,7 +60,6 @@ type t = {
   mutable m_slot : int array;  (* packet slot, -1 until first started at packet level *)
   mutable m_next : int array;  (* next older member of the same bucket, or -1 *)
   mutable m_state : Bytes.t;  (* tier code and flag bits *)
-  stops : (int, float) Hashtbl.t;  (* members with a stop time *)
   path_buf : int array;  (* [Net.path_into] scratch *)
   (* per packet slot, dense, in first-start order *)
   mutable slots : slot array;
@@ -78,12 +77,11 @@ type t = {
   mutable last_hot : int;
 }
 
-let create ?(force = Auto) ?update_period ?solver ?full_frac ?demote_budget net
-    () =
+let create ?(force = Auto) ?update_period ?demote_budget net () =
   let n_nodes =
     1 + List.fold_left max (-1) (Net.switch_ids net @ Net.host_ids net)
   in
-  let fl = Fluid.create ?update_period ?solver ?full_frac net () in
+  let fl = Fluid.create ?update_period net () in
   Fluid.enable_loss_coupling fl;
   let hot = Array.make (max 1 n_nodes) 0 in
   {
@@ -101,7 +99,6 @@ let create ?(force = Auto) ?update_period ?solver ?full_frac ?demote_budget net
     m_slot = Array.make 64 0;
     m_next = Array.make 64 0;
     m_state = Bytes.create 64;
-    stops = Hashtbl.create 16;
     path_buf = Net.path_buffer net;
     slots = [||];
     slot_bytes = [||];
@@ -171,9 +168,6 @@ let member_kind t m ~src ~dst =
     t.last_kind
   | Tcp _ as p -> fluid_kind t ~src ~dst p
 
-let stop_of t m =
-  if Hashtbl.length t.stops = 0 then None else Hashtbl.find_opt t.stops m
-
 let slot_of t m =
   let s = t.m_slot.(m) in
   if s >= 0 then t.slots.(s)
@@ -192,13 +186,12 @@ let slot_of t m =
   end
 
 let start_packet t m ~src ~dst ~at =
-  let stop = stop_of t m in
   let pf =
     match t.m_profile.(m) with
     | Cbr { rate_pps; packet_size } ->
-      Pcbr (Flow.Cbr.start t.net ~src ~dst ~rate_pps ~at ?stop ~packet_size ())
+      Pcbr (Flow.Cbr.start t.net ~src ~dst ~rate_pps ~at ~packet_size ())
     | Tcp { max_cwnd; packet_size } ->
-      Ptcp (Flow.Tcp.start t.net ~src ~dst ~at ?stop ~packet_size ~max_cwnd ())
+      Ptcp (Flow.Tcp.start t.net ~src ~dst ~at ~packet_size ~max_cwnd ())
   in
   (slot_of t m).p_cur <- pf
 
@@ -401,7 +394,7 @@ let grow_members t =
   t.m_next <- grow t.m_next 0;
   t.m_state <- Bytes.extend t.m_state 0 (cap - Bytes.length t.m_state)
 
-let add_flow t ~src ~dst ?at ?stop ?(tier = Tier_auto) profile =
+let add_flow t ~src ~dst ?at ?(tier = Tier_auto) profile =
   let now = Net.now t.net in
   let at = match at with Some a -> Float.max a now | None -> now in
   let m = t.n_members in
@@ -411,22 +404,15 @@ let add_flow t ~src ~dst ?at ?stop ?(tier = Tier_auto) profile =
   t.m_slot.(m) <- -1;
   t.m_next.(m) <- -1;
   Bytes.set t.m_state m (Char.chr (tier_code tier));
-  (match stop with Some s -> Hashtbl.replace t.stops m s | None -> ());
   t.n_members <- m + 1;
   if t.force = All_packet || (t.force = Auto && tier = Packet_only) then
     (* the bit-identity path: exactly the calls a pure packet setup makes,
        in the same order, with no extra scheduled events *)
     start_packet t m ~src ~dst ~at
-  else begin
-    if at <= now then admit t m ~src ~dst
-    else
-      Engine.schedule (Net.engine t.net) ~at (fun () ->
-          if not (has t m f_done) then admit t m ~src ~dst);
-    match stop with
-    | Some s when s > at ->
-      Engine.schedule (Net.engine t.net) ~at:s (fun () -> stop_member t m)
-    | _ -> ()
-  end;
+  else if at <= now then admit t m ~src ~dst
+  else
+    Engine.schedule (Net.engine t.net) ~at (fun () ->
+        if not (has t m f_done) then admit t m ~src ~dst);
   m
 
 let pflow_delivered = function

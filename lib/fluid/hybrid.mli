@@ -63,8 +63,9 @@ type member
     bucket newest first; {!sum_delivered_bytes}
     adds members oldest first. *)
 
-(** [solver]/[full_frac] are passed through to {!Fluid.create}; loss
-    coupling ({!Fluid.enable_loss_coupling}) is always installed.
+(** [update_period] is passed through to {!Fluid.create} (default
+    solver); loss coupling ({!Fluid.enable_loss_coupling}) is always
+    installed.
     [demote_budget] caps how many [Tier_auto] members may be concurrently
     demoted to the packet tier (default unlimited): at 10^6-flow scale an
     attack crossing most paths would otherwise flip the population to
@@ -74,8 +75,6 @@ type member
 val create :
   ?force:force ->
   ?update_period:float ->
-  ?solver:Fluid.solver_mode ->
-  ?full_frac:float ->
   ?demote_budget:int ->
   Ff_netsim.Net.t ->
   unit ->
@@ -84,12 +83,11 @@ val net : t -> Ff_netsim.Net.t
 val fluid : t -> Fluid.t
 
 val add_flow :
-  t -> src:int -> dst:int -> ?at:float -> ?stop:float -> ?tier:tier ->
-  profile -> member
+  t -> src:int -> dst:int -> ?at:float -> ?tier:tier -> profile -> member
 (** Admit a member at time [at] (default now; scheduling is only used when
     [at] is in the future and the member is not forced to packet level).
-    [stop] permanently retires the member at that absolute time. Passing
-    one profile value for many members lets them share it. *)
+    {!stop_member} retires it. Passing one profile value for many members
+    lets them share it. *)
 
 val stop_member : t -> member -> unit
 (** Permanently retire a member now (delivered bytes stay readable). *)

@@ -214,8 +214,10 @@ module Tcp = struct
     let ack = Packet.make_ack ~acked:pkt.seq ~src:t.dst ~dst:t.src ~flow:t.flow in
     Net.send_from_host t.net ack
 
-  let start net ~src ~dst ?at ?stop ?(packet_size = 1000) ?(max_cwnd = 64.)
-      ?(initial_cwnd = 2.) () =
+  (* congestion window at start, packets *)
+  let initial_cwnd = 2.
+
+  let start net ~src ~dst ?at ?stop ?(packet_size = 1000) ?(max_cwnd = 64.) () =
     let at = match at with Some a -> a | None -> Net.now net in
     let t =
       {
@@ -354,7 +356,7 @@ module Listener = struct
       Hashtbl.remove t.half_open pkt.Packet.flow
     | _ -> ()
 
-  let install net ~host ?(backlog = 64) ?(syn_timeout = 3.0) () =
+  let install net ~host ~backlog ~syn_timeout () =
     let t =
       {
         net;
@@ -381,16 +383,19 @@ module Handshake = struct
      push a small data burst, FIN, repeat. Completed handshakes are the
      scenario's goodput unit — a flooded (or guarded) server shows up
      directly in this counter. *)
+
+  (* SYN retransmission timeout (s) and retries before a connection
+     counts as failed; data packets per connection and their size *)
+  let syn_timeout = 1.0
+  let max_retries = 2
+  let data_packets = 4
+  let data_size = 1000
+
   type t = {
     net : Net.t;
     src : int;
     dst : int;
     conn_interval : float;
-    syn_timeout : float;
-    max_retries : int;
-    data_packets : int;
-    data_size : int;
-    stop : float option;
     mutable attempts : int;
     mutable completed : int;
     mutable failed : int;
@@ -402,67 +407,61 @@ module Handshake = struct
 
   (* Completed handshakes expressed as bytes for goodput probes: one
      handshake stands for its data burst. *)
-  let completed_bytes t = float_of_int (t.completed * t.data_packets * t.data_size)
-
-  let stopped t now = match t.stop with Some s -> now >= s | None -> false
+  let completed_bytes t = float_of_int (t.completed * data_packets * data_size)
 
   let send_ctl t ~flow payload =
     Net.send_from_host t.net (Packet.make_control ~payload ~src:t.src ~dst:t.dst ~flow)
 
   let rec attempt t =
-    let now = Net.now t.net in
-    if not (stopped t now) then begin
-      let flow = fresh_flow_id t.net in
-      t.attempts <- t.attempts + 1;
-      let state = ref `Waiting (* `Waiting -> `Done | `Failed *) in
-      let host = Net.host t.net t.src in
-      let finish () =
-        Hashtbl.remove host.Net.receivers flow;
-        Engine.after (Net.engine t.net) ~delay:t.conn_interval (fun () -> attempt t)
-      in
-      Hashtbl.replace host.Net.receivers flow (fun (pkt : Packet.t) ->
-          match pkt.Packet.payload with
-          | Packet.Syn_ack { cookie } when !state = `Waiting ->
-            state := `Done;
-            t.completed <- t.completed + 1;
-            send_ctl t ~flow (Packet.Handshake_ack { cookie });
-            (* short data burst, then teardown; paced a few ms apart so
-               the burst does not self-congest the access link *)
-            for i = 0 to t.data_packets - 1 do
-              Engine.after (Net.engine t.net)
-                ~delay:(0.002 *. float_of_int (i + 1))
-                (fun () ->
-                  let d =
-                    Packet.make_data ~size:t.data_size ~seq:i ~ttl:64 ~src:t.src ~dst:t.dst
-                      ~flow
-                  in
-                  Net.send_from_host t.net d)
-            done;
+    let flow = fresh_flow_id t.net in
+    t.attempts <- t.attempts + 1;
+    let state = ref `Waiting (* `Waiting -> `Done | `Failed *) in
+    let host = Net.host t.net t.src in
+    let finish () =
+      Hashtbl.remove host.Net.receivers flow;
+      Engine.after (Net.engine t.net) ~delay:t.conn_interval (fun () -> attempt t)
+    in
+    Hashtbl.replace host.Net.receivers flow (fun (pkt : Packet.t) ->
+        match pkt.Packet.payload with
+        | Packet.Syn_ack { cookie } when !state = `Waiting ->
+          state := `Done;
+          t.completed <- t.completed + 1;
+          send_ctl t ~flow (Packet.Handshake_ack { cookie });
+          (* short data burst, then teardown; paced a few ms apart so
+             the burst does not self-congest the access link *)
+          for i = 0 to data_packets - 1 do
             Engine.after (Net.engine t.net)
-              ~delay:(0.002 *. float_of_int (t.data_packets + 2))
+              ~delay:(0.002 *. float_of_int (i + 1))
               (fun () ->
-                send_ctl t ~flow Packet.Fin;
-                finish ())
-          | _ -> ());
-      let rec arm_timeout tries_left =
-        Engine.after (Net.engine t.net) ~delay:t.syn_timeout (fun () ->
-            if !state = `Waiting then
-              if tries_left > 0 then begin
-                send_ctl t ~flow Packet.Syn;
-                arm_timeout (tries_left - 1)
-              end
-              else begin
-                state := `Failed;
-                t.failed <- t.failed + 1;
-                finish ()
-              end)
-      in
-      send_ctl t ~flow Packet.Syn;
-      arm_timeout t.max_retries
-    end
+                let d =
+                  Packet.make_data ~size:data_size ~seq:i ~ttl:64 ~src:t.src ~dst:t.dst
+                    ~flow
+                in
+                Net.send_from_host t.net d)
+          done;
+          Engine.after (Net.engine t.net)
+            ~delay:(0.002 *. float_of_int (data_packets + 2))
+            (fun () ->
+              send_ctl t ~flow Packet.Fin;
+              finish ())
+        | _ -> ());
+    let rec arm_timeout tries_left =
+      Engine.after (Net.engine t.net) ~delay:syn_timeout (fun () ->
+          if !state = `Waiting then
+            if tries_left > 0 then begin
+              send_ctl t ~flow Packet.Syn;
+              arm_timeout (tries_left - 1)
+            end
+            else begin
+              state := `Failed;
+              t.failed <- t.failed + 1;
+              finish ()
+            end)
+    in
+    send_ctl t ~flow Packet.Syn;
+    arm_timeout max_retries
 
-  let start net ~src ~dst ?at ?stop ?(conn_interval = 0.5) ?(syn_timeout = 1.0)
-      ?(max_retries = 2) ?(data_packets = 4) ?(data_size = 1000) () =
+  let start net ~src ~dst ?at ~conn_interval () =
     let at = match at with Some a -> a | None -> Net.now net in
     let t =
       {
@@ -470,11 +469,6 @@ module Handshake = struct
         src;
         dst;
         conn_interval;
-        syn_timeout;
-        max_retries;
-        data_packets;
-        data_size;
-        stop;
         attempts = 0;
         completed = 0;
         failed = 0;
@@ -574,7 +568,13 @@ module Cbr = struct
 end
 
 module Traceroute = struct
-  let run net ~src ~dst ?(max_ttl = 16) ?(timeout = 1.0) ?(probes_per_hop = 3) ~on_done () =
+  (* probe TTLs 1..max_ttl, [probes_per_hop] attempts each; replies are
+     collected for [timeout] seconds *)
+  let max_ttl = 16
+  let timeout = 1.0
+  let probes_per_hop = 3
+
+  let run net ~src ~dst ~on_done =
     let flow = fresh_flow_id net in
     let replies : (int * int) list ref = ref [] in
     let host = Net.host net src in

@@ -23,11 +23,11 @@ module Tcp : sig
     ?stop:float ->
     ?packet_size:int ->
     ?max_cwnd:float ->
-    ?initial_cwnd:float ->
     unit ->
     t
   (** Begin an infinite (or [stop]-bounded) transfer at time [at]
-      (default: now). [max_cwnd] caps the
+      (default: now), from a congestion window of 2 packets. [max_cwnd]
+      (default 64) caps the
       congestion window — the attacker uses a small cap to produce
       persistent, low-rate, legitimate-looking flows (Crossfire). *)
 
@@ -58,8 +58,7 @@ module Listener : sig
       dropped with reason ["backlog-full"]. *)
   type t
 
-  val install : Net.t -> host:int -> ?backlog:int -> ?syn_timeout:float ->
-    unit -> t
+  val install : Net.t -> host:int -> backlog:int -> syn_timeout:float -> unit -> t
 
   val established : t -> int
   (** Connections that completed the three-way handshake. *)
@@ -98,14 +97,13 @@ module Handshake : sig
     src:int ->
     dst:int ->
     ?at:float ->
-    ?stop:float ->
-    ?conn_interval:float ->
-    ?syn_timeout:float ->
-    ?max_retries:int ->
-    ?data_packets:int ->
-    ?data_size:int ->
+    conn_interval:float ->
     unit ->
     t
+  (** Start connecting at [at] (default: now), [conn_interval] seconds
+      between one connection's end and the next. A SYN is retried twice,
+      1 s apart, before the connection counts as failed; an established
+      connection sends 4 data packets of 1000 B. *)
 
   val attempts : t -> int
   val completed : t -> int
@@ -149,16 +147,11 @@ module Traceroute : sig
     Net.t ->
     src:int ->
     dst:int ->
-    ?max_ttl:int ->
-    ?timeout:float ->
-    ?probes_per_hop:int ->
     on_done:((int * int) list -> unit) ->
-    unit ->
     unit
-  (** Probe with TTL 1..[max_ttl], [probes_per_hop] attempts per hop
-      (default 3 — congested queues drop probes, so single-shot probing
-      goes blind beyond a flooded link); after [timeout] seconds (default
-      1.) call [on_done] with the [(hop, responder)] pairs collected,
+  (** Probe with TTL 1..16, 3 attempts per hop (congested queues drop
+      probes, so single-shot probing goes blind beyond a flooded link);
+      after 1 s call [on_done] with the [(hop, responder)] pairs collected,
       sorted by hop. The responder ids are whatever the network answered —
       obfuscated if NetHide-style defense is active on the path. *)
 end

@@ -1,7 +1,7 @@
-let sample engine ~period ?start ?until ~name probe =
-  (* default to the current clock, not 0.: a monitor attached mid-run used
+let sample engine ~period ?until ~name probe =
+  (* start at the current clock, not 0.: a monitor attached mid-run used
      to make Engine.every reject the first tick as scheduled in the past *)
-  let start = match start with Some s -> s | None -> Engine.now engine in
+  let start = Engine.now engine in
   let series = Ff_util.Series.create ~name in
   Engine.every engine ~start ?until ~period (fun () ->
       let now = Engine.now engine in
@@ -50,12 +50,11 @@ let counter_probe read =
 
 let sum_probes probes now = List.fold_left (fun acc p -> acc +. p now) 0. probes
 
-let aggregate_goodput net ?(flows = []) ?(probes = []) ~period ?until ~name () =
+let aggregate_goodput net ?(flows = []) ?(probes = []) ~period ~name () =
   let probes = List.map tcp_probe flows @ probes in
-  sample (Net.engine net) ~period ?until ~name (fun now -> sum_probes probes now)
+  sample (Net.engine net) ~period ~name (fun now -> sum_probes probes now)
 
-let normalized_goodput net ?(flows = []) ?(probes = []) ~baseline ~period ?until ~name () =
+let normalized_goodput net ~flows ~baseline ~period ~name () =
   assert (baseline > 0.);
-  let probes = List.map tcp_probe flows @ probes in
-  sample (Net.engine net) ~period ?until ~name (fun now ->
-      sum_probes probes now /. baseline)
+  let probes = List.map tcp_probe flows in
+  sample (Net.engine net) ~period ~name (fun now -> sum_probes probes now /. baseline)

@@ -2,12 +2,12 @@
     (the data behind each figure). *)
 
 val sample :
-  Engine.t -> period:float -> ?start:float -> ?until:float -> name:string ->
-  (float -> float) -> Ff_util.Series.t
-(** Every [period] seconds evaluate the probe function on the current time
-    and append the result to a fresh series (returned immediately).
-    [start] defaults to the current simulation time, so a monitor can be
-    attached mid-run. *)
+  Engine.t -> period:float -> ?until:float -> name:string -> (float -> float) ->
+  Ff_util.Series.t
+(** From the current simulation time (so a monitor can be attached
+    mid-run), every [period] seconds evaluate the probe function on the
+    current time and append the result to a fresh series (returned
+    immediately). *)
 
 val link_utilization :
   Net.t -> from_:int -> to_:int -> period:float -> ?until:float -> unit -> Ff_util.Series.t
@@ -32,13 +32,13 @@ val counter_probe : (unit -> float) -> probe
     byte counter — the fluid tier exposes its populations this way. *)
 
 val aggregate_goodput :
-  Net.t -> ?flows:Flow.Tcp.t list -> ?probes:probe list -> period:float ->
-  ?until:float -> name:string -> unit -> Ff_util.Series.t
+  Net.t -> ?flows:Flow.Tcp.t list -> ?probes:probe list -> period:float -> name:string ->
+  unit -> Ff_util.Series.t
 (** Sum of the receiver-window goodputs of [flows] and any extra
     [probes], bytes/s. *)
 
 val normalized_goodput :
-  Net.t -> ?flows:Flow.Tcp.t list -> ?probes:probe list -> baseline:float ->
-  period:float -> ?until:float -> name:string -> unit -> Ff_util.Series.t
-(** Aggregate goodput divided by [baseline] (the no-attack stable
+  Net.t -> flows:Flow.Tcp.t list -> baseline:float -> period:float -> name:string -> unit ->
+  Ff_util.Series.t
+(** Goodput of [flows] divided by [baseline] (the no-attack stable
     throughput), i.e. exactly the y-axis of paper Figure 3. *)

@@ -42,7 +42,6 @@ and dirlink = {
          solver's flat scratch arrays are indexed by *)
   mutable link_up : bool;
   busy : busy; (* single-float record: flat layout, unboxed writes *)
-  queue_limit : float; (* bytes *)
   tx_window : Ff_util.Stats.Window_counter.t;
   mutable drops : int;
   mutable tx_packets : int;
@@ -344,6 +343,9 @@ let access_switch t ~host:h =
 
 (* ---------------- transmission ---------------- *)
 
+(* drop-tail queue per link direction, bytes: 30 ms at 10 Mb/s *)
+let queue_limit_bytes = 37_500.
+
 (* No legitimate host speaks the defense's control protocol: a mode, util
    or sync probe or a state-transfer packet arriving on a host port is
    forged, and one forged mode clear with a huge epoch would make every
@@ -378,7 +380,7 @@ let rec transmit t dl (pkt : Packet.t) =
   let backlog_bytes = (if waiting > 0. then waiting else 0.) *. cap /. 8. in
   let size = float_of_int pkt.size in
   if not dl.link_up then drop_packet t ~node:dl.from_node pkt "link-down"
-  else if backlog_bytes +. size > dl.queue_limit then begin
+  else if backlog_bytes +. size > queue_limit_bytes then begin
     dl.drops <- dl.drops + 1;
     (match t.drop_hook with None -> () | Some f -> f dl.dl_index);
     drop_packet t ~node:dl.from_node pkt "queue-overflow"
@@ -576,7 +578,7 @@ let ttl_stage =
         end);
   }
 
-let create ?(queue_limit_bytes = 37_500.) engine topo =
+let create engine topo =
   let num_nodes = Topology.num_nodes topo in
   let nodes =
     Array.init num_nodes (fun id ->
@@ -608,7 +610,6 @@ let create ?(queue_limit_bytes = 37_500.) engine topo =
                  dl_index = -1;
                  link_up = true;
                  busy = { busy_until = 0. };
-                 queue_limit = queue_limit_bytes;
                  tx_window = Ff_util.Stats.Window_counter.create ~width:0.2;
                  drops = 0;
                  tx_packets = 0;

@@ -63,9 +63,13 @@ type host = {
 
 (** {1 Construction} *)
 
-val create : ?queue_limit_bytes:float -> Engine.t -> Ff_topology.Topology.t -> t
-(** Every link direction gets a drop-tail queue of [queue_limit_bytes]
-    (default 37500 B = 30 ms at 10 Mb/s). Switches start with the default
+val queue_limit_bytes : float
+(** The drop-tail queue of every link direction, 37500 B (30 ms at
+    10 Mb/s); {!Ff_oracle.Simnet} models the same link. *)
+
+val create : Engine.t -> Ff_topology.Topology.t -> t
+(** Every link direction gets a drop-tail queue of {!queue_limit_bytes}.
+    Switches start with the default
     stage set: a TTL/traceroute stage followed by table routing.
 
     Registers the net as the engine's packet-lane handler

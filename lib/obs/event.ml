@@ -40,6 +40,25 @@ let kind = function
   | Fluid_rates _ -> "fluid_rates"
   | Fluid_tier _ -> "fluid_tier"
 
+(* [next] matches every constructor: an event added to [t] cannot be left
+   out of [kinds]. *)
+let kinds =
+  let next = function
+    | None -> Some (Mode_transition { sw = 0; attack = ""; activated = false })
+    | Some (Mode_transition _) -> Some (Reroute { sw = 0; dst = 0; next_hop = 0 })
+    | Some (Reroute _) ->
+      Some (State_transfer { xfer_id = 0; src = 0; dst = 0; phase = Xfer_start; chunks = 0 })
+    | Some (State_transfer _) -> Some (Fec_recovery { xfer_id = 0; group = 0 })
+    | Some (Fec_recovery _) -> Some (Drop { node = 0; reason = "" })
+    | Some (Drop _) -> Some (Probe { sw = 0; kind = "" })
+    | Some (Probe _) -> Some (Fault { kind = ""; a = 0; b = 0; up = false })
+    | Some (Fault _) -> Some (Repair { subsystem = ""; node = 0; info = "" })
+    | Some (Repair _) -> Some (Fluid_rates { flows = 0; classes = 0; total_bps = 0. })
+    | Some (Fluid_rates _) -> Some (Fluid_tier { node = 0; flows = 0; demoted = false })
+    | Some (Fluid_tier _) -> None
+  in
+  List.of_seq (Seq.unfold (fun e -> Option.map (fun e -> (kind e, Some e)) (next e)) None)
+
 let node = function
   | Mode_transition { sw; _ } | Reroute { sw; _ } | Probe { sw; _ } -> sw
   | State_transfer { src; _ } -> src

@@ -43,6 +43,9 @@ type t =
 val kind : t -> string
 (** Stable snake_case tag, also the JSONL ["event"] field. *)
 
+val kinds : string list
+(** The {!kind} of every constructor of {!t}, in declaration order. *)
+
 val node : t -> int
 (** Primary switch/node of the event; [-1] when not tied to one. *)
 

@@ -13,10 +13,10 @@ type report = {
   trace_events : int;  (** telemetry events emitted during the span *)
 }
 
-let start ?(events = 0) ?(trace_events = 0) label =
+let start ~events ~trace_events label =
   { label; wall_start = Unix.gettimeofday (); events_start = events; trace_start = trace_events }
 
-let finish span ?(events = 0) ?(trace_events = 0) () =
+let finish span ~events ~trace_events =
   let wall_s = Float.max 1e-9 (Unix.gettimeofday () -. span.wall_start) in
   let processed = max 0 (events - span.events_start) in
   {

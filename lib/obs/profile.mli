@@ -13,6 +13,6 @@ type report = {
   trace_events : int;
 }
 
-val start : ?events:int -> ?trace_events:int -> string -> span
-val finish : span -> ?events:int -> ?trace_events:int -> unit -> report
+val start : events:int -> trace_events:int -> string -> span
+val finish : span -> events:int -> trace_events:int -> report
 val pp_report : Format.formatter -> report -> unit

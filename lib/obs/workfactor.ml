@@ -1,6 +1,11 @@
+(* damage accrues above this decoy-link utilization *)
+let damage_floor = 0.7
+
+(* utilization-seconds of over-congestion at which the attack counts as
+   effective *)
+let effective_damage = 1.0
+
 type t = {
-  damage_floor : float;
-  effective_damage : float;
   attack_start : float;
   mutable probes : int;
   mutable damage : float;
@@ -9,10 +14,8 @@ type t = {
   mutable peak_util : float;
 }
 
-let create ?(damage_floor = 0.7) ?(effective_damage = 1.0) ?(attack_start = 0.) () =
+let create ~attack_start =
   {
-    damage_floor;
-    effective_damage;
     attack_start;
     probes = 0;
     damage = 0.;
@@ -25,10 +28,10 @@ let add_probes t n = if n > 0 then t.probes <- t.probes + n
 
 let sample t ~now ~dt ~util =
   if util > t.peak_util then t.peak_util <- util;
-  let over = util -. t.damage_floor in
+  let over = util -. damage_floor in
   if over > 0. then begin
     t.damage <- t.damage +. (over *. dt);
-    if Float.is_nan t.effective_at && t.damage >= t.effective_damage then begin
+    if Float.is_nan t.effective_at && t.damage >= effective_damage then begin
       t.effective_at <- now;
       t.probes_at_effective <- t.probes
     end

@@ -7,10 +7,10 @@
     - {b probes}: packets the attacker spent observing the defense
       (sensor flows, collision trials, calibration bursts);
     - {b damage integral}: over-utilization of the decoy links above
-      [damage_floor], integrated over time — chronic congestion the
+      [damage_floor] (0.7), integrated over time — chronic congestion the
       defense failed to shed;
     - {b time to effective}: when the damage integral first crosses
-      [effective_damage] (the attack "worked"), measured from
+      [effective_damage] (1.0; the attack "worked"), measured from
       [attack_start];
     - {b work factor} = probes-to-effective x time-to-effective. Runs
       that never become effective are censored at the experiment
@@ -23,11 +23,8 @@
 
 type t
 
-val create :
-  ?damage_floor:float -> ?effective_damage:float -> ?attack_start:float -> unit -> t
-(** Defaults: damage accrues above 0.7 utilization; the attack counts as
-    effective once 1.0 utilization-seconds of over-congestion have
-    accumulated; clock starts at 0. *)
+val create : attack_start:float -> t
+(** A fresh account; time to effective is measured from [attack_start]. *)
 
 val add_probes : t -> int -> unit
 

@@ -6,7 +6,6 @@ type dlink = {
   l_to : int;
   l_cap : float;
   l_delay : float;
-  l_limit : float;
   mutable l_busy : float;
   mutable l_up : bool;
   mutable l_tx : int;
@@ -31,7 +30,7 @@ type t = {
   mutable delivered : (int * float list) list; (* flow -> times, newest first *)
 }
 
-let create ?(queue_limit_bytes = 37_500.) topo =
+let create topo =
   let n = Topology.num_nodes topo in
   let adj =
     Array.init n (fun id ->
@@ -41,7 +40,6 @@ let create ?(queue_limit_bytes = 37_500.) topo =
                  l_to = peer;
                  l_cap = l.Topology.capacity;
                  l_delay = l.Topology.delay;
-                 l_limit = queue_limit_bytes;
                  l_busy = 0.;
                  l_up = true;
                  l_tx = 0;
@@ -133,7 +131,7 @@ let transmit t dl pkt =
   let backlog_bytes = (if waiting > 0. then waiting else 0.) *. cap /. 8. in
   let size = float_of_int pkt.p_size in
   if not dl.l_up then drop t "link-down"
-  else if backlog_bytes +. size > dl.l_limit then drop t "queue-overflow"
+  else if backlog_bytes +. size > Ff_netsim.Net.queue_limit_bytes then drop t "queue-overflow"
   else begin
     let start = if tnow > dl.l_busy then tnow else dl.l_busy in
     let tx_time = size *. 8. /. cap in

@@ -14,9 +14,9 @@
 
 type t
 
-val create : ?queue_limit_bytes:float -> Ff_topology.Topology.t -> t
-(** Mirrors [Net.create]: every link direction gets a drop-tail queue
-    (default 37500 bytes) and every switch starts with a direct route to
+val create : Ff_topology.Topology.t -> t
+(** Mirrors [Net.create]: every link direction gets a drop-tail queue of
+    [Ff_netsim.Net.queue_limit_bytes] and every switch starts with a direct route to
     each attached host. *)
 
 (** {1 Routing} *)

@@ -20,7 +20,6 @@ type t = {
   topo : Topology.t;
   pairs : (int * int) array; (* slot -> (src host, dst host) *)
   rate_pps : float;
-  packet_size : int;
   duration : float; (* senders stop here *)
   until : float; (* simulate to here (drain slack for in-flight) *)
   route_entries : (int * int * int) list; (* (switch, dst host, next hop) *)
@@ -31,7 +30,7 @@ type counters = {
   time_sum : float array; (* sum of delivery times per slot *)
 }
 
-let make ?(rate_pps = 2_000.) ?(packet_size = 1_000) ?(duration = 0.5) topo =
+let make ?(rate_pps = 2_000.) ?(duration = 0.5) topo =
   let hosts =
     Topology.hosts topo |> List.map (fun (nd : Topology.node) -> nd.Topology.id)
     |> Array.of_list
@@ -54,14 +53,12 @@ let make ?(rate_pps = 2_000.) ?(packet_size = 1_000) ?(duration = 0.5) topo =
     topo;
     pairs;
     rate_pps;
-    packet_size;
     duration;
     until = duration +. 0.05;
     route_entries;
   }
 
-let fat_tree ?(k = 8) ?rate_pps ?packet_size ?duration () =
-  make ?rate_pps ?packet_size ?duration (Topology.fat_tree ~k ())
+let fat_tree ?(k = 8) ?rate_pps ?duration () = make ?rate_pps ?duration (Topology.fat_tree ~k ())
 
 let n_flows t = Array.length t.pairs
 let until t = t.until
@@ -95,7 +92,7 @@ let start t counters nets =
       let src_net = owning src in
       let cbr =
         Flow.Cbr.start src_net ~src ~dst ~rate_pps:t.rate_pps
-          ~at:(start_offset slot) ~stop:t.duration ~packet_size:t.packet_size ()
+          ~at:(start_offset slot) ~stop:t.duration ()
       in
       (* deliveries happen on the net owning [dst]; replace whatever
          receiver [Cbr.start] put on the (possibly different) source-side

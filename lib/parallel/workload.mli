@@ -19,13 +19,12 @@ type counters = {
           any physically plausible schedule difference *)
 }
 
-val make :
-  ?rate_pps:float -> ?packet_size:int -> ?duration:float -> Ff_topology.Topology.t -> t
+val make : ?rate_pps:float -> ?duration:float -> Ff_topology.Topology.t -> t
 (** Defaults: 2000 packets/s per flow, 1000 B packets, senders stop at
     0.5 s; the run extends 50 ms past [duration] to drain in-flight
     packets. Raises [Invalid_argument] with fewer than two hosts. *)
 
-val fat_tree : ?k:int -> ?rate_pps:float -> ?packet_size:int -> ?duration:float -> unit -> t
+val fat_tree : ?k:int -> ?rate_pps:float -> ?duration:float -> unit -> t
 (** The benchmark scenario: [make] over [Topology.fat_tree] (default
     [k = 8]: 128 hosts, 80 switches). *)
 

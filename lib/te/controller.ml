@@ -5,16 +5,15 @@ type t = {
   mutable plan : Solver.plan option;
 }
 
-let start net ~period ?(delay = 0.5) ?(k = 4) ?until ?(prefix_based = true) ~estimate () =
+let start net ~period ~delay ~estimate =
   let t = { count = 0; times = []; observers = []; plan = None } in
   let engine = Ff_netsim.Net.engine net in
-  Ff_netsim.Engine.every engine ~period ?until (fun () ->
+  Ff_netsim.Engine.every engine ~period (fun () ->
       let matrix = estimate () in
-      let plan = Solver.solve ~k (Ff_netsim.Net.topology net) matrix in
+      let plan = Solver.solve ~k:4 (Ff_netsim.Net.topology net) matrix in
       (* the control loop takes [delay] to measure, compute and push rules *)
       Ff_netsim.Engine.after engine ~delay (fun () ->
-          if prefix_based then Solver.install_prefix_based net plan
-          else Solver.install net plan;
+          Solver.install_prefix_based net plan;
           t.plan <- Some plan;
           t.count <- t.count + 1;
           let now = Ff_netsim.Net.now net in

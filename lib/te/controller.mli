@@ -14,17 +14,13 @@ type t
 val start :
   Ff_netsim.Net.t ->
   period:float ->
-  ?delay:float ->
-  ?k:int ->
-  ?until:float ->
-  ?prefix_based:bool ->
+  delay:float ->
   estimate:(unit -> Traffic_matrix.t) ->
-  unit ->
   t
-(** [delay] defaults to 0.5 s. The first re-solve happens one period in.
-    With [prefix_based] (default true) new configurations are installed at
-    destination-prefix granularity ([Solver.install_prefix_based]) — the
-    realistic deployment model. *)
+(** The first re-solve (over 4 candidate paths per pair) happens one
+    period in. New configurations are installed at destination-prefix
+    granularity ([Solver.install_prefix_based]) — the realistic
+    deployment model. *)
 
 val reconfig_count : t -> int
 

@@ -1,10 +1,12 @@
 module Net = Ff_netsim.Net
 module Packet = Ff_dataplane.Packet
 
+(* averaging window, s; pairs below [min_rate] b/s leave the matrix *)
+let window = 2.0
+let min_rate = 10_000.
+
 type t = {
   net : Net.t;
-  window : float;
-  min_rate : float;
   counters : (int * int, Ff_util.Stats.Window_counter.t) Hashtbl.t;
 }
 
@@ -12,7 +14,7 @@ let counter t pair =
   match Hashtbl.find_opt t.counters pair with
   | Some c -> c
   | None ->
-    let c = Ff_util.Stats.Window_counter.create ~width:t.window in
+    let c = Ff_util.Stats.Window_counter.create ~width:window in
     Hashtbl.replace t.counters pair c;
     c
 
@@ -33,9 +35,9 @@ let stage t =
         Net.Continue);
   }
 
-let install net ~switches ?(window = 2.0) ?(min_rate = 10_000.) () =
-  let t = { net; window; min_rate; counters = Hashtbl.create 64 } in
-  List.iter (fun sw -> Net.add_stage net ~sw (stage t)) switches;
+let install net =
+  let t = { net; counters = Hashtbl.create 64 } in
+  List.iter (fun sw -> Net.add_stage net ~sw (stage t)) (Net.switch_ids net);
   t
 
 let rate t ~src ~dst =
@@ -48,7 +50,7 @@ let matrix t =
   Hashtbl.iter
     (fun (src, dst) _ ->
       let r = rate t ~src ~dst in
-      if r >= t.min_rate then Traffic_matrix.set m ~src ~dst r)
+      if r >= min_rate then Traffic_matrix.set m ~src ~dst r)
     t.counters;
   m
 

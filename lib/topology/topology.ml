@@ -57,7 +57,10 @@ let adj t n = if n >= 0 && n < t.nnodes then t.adjacency.(n) else []
 let find_link t a b =
   List.find_map (fun (peer, l) -> if peer = b then Some l else None) (adj t a)
 
-let add_link t ?(capacity = 10_000_000.) ?(delay = 0.001) a b =
+(* the capacity of a link no builder sizes otherwise, b/s *)
+let link_capacity = 10_000_000.
+
+let add_link t ?(capacity = link_capacity) ?(delay = 0.001) a b =
   if a = b then invalid_arg "Topology.add_link: self loop";
   if a < 0 || a >= t.nnodes || b < 0 || b >= t.nnodes then
     invalid_arg "Topology.add_link: unknown node";
@@ -115,14 +118,12 @@ let path_links t p =
 
 let path_delay t p = List.fold_left (fun acc l -> acc +. l.delay) 0. (path_links t p)
 
-let unit_weight (_ : link) = 1.
-
-(* The one Dijkstra loop: fills [dist]/[prev] (all infinity/-1 on entry)
-   from [src] over the whole graph; hosts are never used as transit (only
-   as endpoints), and [stop] is not expanded either (-1 expands every
-   switch). The heap is drained through [min_prio]/[pop_min], which pop in
+(* The one Dijkstra loop, over hop count: fills [dist]/[prev] (all
+   infinity/-1 on entry) from [src] over the whole graph; hosts are never
+   used as transit (only as endpoints), and [stop] is not expanded either
+   (-1 expands every switch). The heap is drained through [min_prio]/[pop_min], which pop in
    the same order as [pop] without boxing a tuple per node. *)
-let dijkstra_tree ~weight t ~src ~stop ~node_banned ~link_banned dist prev =
+let dijkstra_tree t ~src ~stop ~node_banned ~link_banned dist prev =
   let finished = Array.make t.nnodes false in
   let heap = Ff_util.Heap.create () in
   dist.(src) <- 0.;
@@ -139,7 +140,7 @@ let dijkstra_tree ~weight t ~src ~stop ~node_banned ~link_banned dist prev =
           | (v, l) :: tl ->
             rest := tl;
             if not (link_banned l.link_id || node_banned v) then begin
-              let nd = dist.(u) +. weight l in
+              let nd = dist.(u) +. 1. in
               if nd < dist.(v) then begin
                 dist.(v) <- nd;
                 prev.(v) <- u;
@@ -156,22 +157,22 @@ let tree_path ~src prev v =
   let rec build acc v = if v = src then src :: acc else build (v :: acc) prev.(v) in
   build [] v
 
-let dijkstra ~weight t ~src ~dst ~node_banned ~link_banned =
+let dijkstra t ~src ~dst ~node_banned ~link_banned =
   let n = t.nnodes in
   if src < 0 || src >= n || dst < 0 || dst >= n then invalid_arg "Topology.shortest_path";
   let dist = Array.make n infinity and prev = Array.make n (-1) in
-  dijkstra_tree ~weight t ~src ~stop:dst ~node_banned ~link_banned dist prev;
+  dijkstra_tree t ~src ~stop:dst ~node_banned ~link_banned dist prev;
   if dist.(dst) = infinity then None else Some (tree_path ~src prev dst, dist.(dst))
 
 let never (_ : int) = false
 
-let shortest_path_excluding ?(weight = unit_weight) t ~src ~dst ~banned_nodes ~banned_links =
-  dijkstra ~weight t ~src ~dst
+let shortest_path_excluding t ~src ~dst ~banned_nodes ~banned_links =
+  dijkstra t ~src ~dst
     ~node_banned:(fun v -> Hashtbl.mem banned_nodes v)
     ~link_banned:(fun l -> Hashtbl.mem banned_links l)
 
-let shortest_path ?(weight = unit_weight) t ~src ~dst =
-  Option.map fst (dijkstra ~weight t ~src ~dst ~node_banned:never ~link_banned:never)
+let shortest_path t ~src ~dst =
+  Option.map fst (dijkstra t ~src ~dst ~node_banned:never ~link_banned:never)
 
 (* Leaving [dst] unexpanded cannot change its own path: with non-negative
    weights, expanding it only improves nodes farther than it, and a prev
@@ -181,18 +182,14 @@ let shortest_paths_from t ~src =
   let n = t.nnodes in
   if src < 0 || src >= n then invalid_arg "Topology.shortest_paths_from";
   let dist = Array.make n infinity and prev = Array.make n (-1) in
-  dijkstra_tree ~weight:unit_weight t ~src ~stop:(-1) ~node_banned:never ~link_banned:never dist
-    prev;
+  dijkstra_tree t ~src ~stop:(-1) ~node_banned:never ~link_banned:never dist prev;
   fun dst ->
     if dst < 0 || dst >= n then invalid_arg "Topology.shortest_paths_from";
     if dist.(dst) = infinity then None else Some (tree_path ~src prev dst)
 
-let path_weight ?(weight = unit_weight) t p =
-  List.fold_left (fun acc l -> acc +. weight l) 0. (path_links t p)
-
 (* Yen's k-shortest loop-free paths. *)
-let k_shortest_paths ?weight ?(k = 4) t ~src ~dst =
-  match shortest_path ?weight t ~src ~dst with
+let k_shortest_paths ?(k = 4) t ~src ~dst =
+  match shortest_path t ~src ~dst with
   | None -> []
   | Some first ->
     let accepted = ref [ first ] in
@@ -224,7 +221,7 @@ let k_shortest_paths ?weight ?(k = 4) t ~src ~dst =
             !accepted;
           (* ban root nodes except the spur itself *)
           List.iteri (fun j v -> if j < i then Hashtbl.replace banned_nodes v ()) root;
-          match shortest_path_excluding ?weight t ~src:spur ~dst ~banned_nodes ~banned_links with
+          match shortest_path_excluding t ~src:spur ~dst ~banned_nodes ~banned_links with
           | Some (tail, _) -> add_candidate (root @ List.tl tail)
           | None -> ()
         done;
@@ -236,7 +233,7 @@ let k_shortest_paths ?weight ?(k = 4) t ~src ~dst =
               (fun acc p ->
                 match acc with
                 | None -> Some p
-                | Some q -> if path_weight ?weight t p < path_weight ?weight t q then Some p else acc)
+                | Some q -> if List.length p < List.length q then Some p else acc)
               None cs
           in
           (match best with
@@ -332,34 +329,34 @@ let critical_links t ~n =
 (* Builders                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let linear ?(capacity = 10_000_000.) ~n () =
+let linear ~n () =
   assert (n >= 1);
   let t = create () in
   let h0 = add_node t ~kind:Host ~name:"h0" in
   let sw = Array.init n (fun i -> add_node t ~kind:Switch ~name:(Printf.sprintf "s%d" i)) in
   let h1 = add_node t ~kind:Host ~name:"h1" in
-  ignore (add_link t ~capacity h0 sw.(0));
+  ignore (add_link t h0 sw.(0));
   for i = 0 to n - 2 do
-    ignore (add_link t ~capacity sw.(i) sw.(i + 1))
+    ignore (add_link t sw.(i) sw.(i + 1))
   done;
-  ignore (add_link t ~capacity sw.(n - 1) h1);
+  ignore (add_link t sw.(n - 1) h1);
   t
 
-let ring ?(capacity = 10_000_000.) ~n () =
+let ring ~n () =
   assert (n >= 3);
   let t = create () in
   let sw = Array.init n (fun i -> add_node t ~kind:Switch ~name:(Printf.sprintf "s%d" i)) in
   for i = 0 to n - 1 do
-    ignore (add_link t ~capacity sw.(i) sw.((i + 1) mod n))
+    ignore (add_link t sw.(i) sw.((i + 1) mod n))
   done;
   Array.iteri
     (fun i s ->
       let h = add_node t ~kind:Host ~name:(Printf.sprintf "h%d" i) in
-      ignore (add_link t ~capacity:(2. *. capacity) h s))
+      ignore (add_link t ~capacity:(2. *. link_capacity) h s))
     sw;
   t
 
-let dumbbell ?(capacity = 10_000_000.) ?(bottleneck = 10_000_000.) ~pairs () =
+let dumbbell ?(capacity = link_capacity) ?(bottleneck = link_capacity) ~pairs () =
   assert (pairs >= 1);
   let t = create () in
   let sl = add_node t ~kind:Switch ~name:"left" in
@@ -373,7 +370,7 @@ let dumbbell ?(capacity = 10_000_000.) ?(bottleneck = 10_000_000.) ~pairs () =
   done;
   t
 
-let fat_tree ?(capacity = 10_000_000.) ~k () =
+let fat_tree ~k () =
   if k < 2 || k mod 2 <> 0 then invalid_arg "Topology.fat_tree: k must be even and >= 2";
   let t = create () in
   let half = k / 2 in
@@ -391,22 +388,22 @@ let fat_tree ?(capacity = 10_000_000.) ~k () =
     in
     Array.iteri
       (fun ai agg ->
-        Array.iter (fun e -> ignore (add_link t ~capacity agg e)) edges;
+        Array.iter (fun e -> ignore (add_link t agg e)) edges;
         for ci = 0 to half - 1 do
-          ignore (add_link t ~capacity agg cores.((ai * half) + ci))
+          ignore (add_link t agg cores.((ai * half) + ci))
         done)
       aggs;
     Array.iteri
       (fun ei edge ->
         for hi = 0 to half - 1 do
           let h = add_node t ~kind:Host ~name:(Printf.sprintf "h%d_%d_%d" pod ei hi) in
-          ignore (add_link t ~capacity h edge)
+          ignore (add_link t h edge)
         done)
       edges
   done;
   t
 
-let abilene ?(capacity = 10_000_000.) () =
+let abilene () =
   let t = create () in
   let names =
     [| "seattle"; "sunnyvale"; "losangeles"; "denver"; "kansascity"; "houston"; "chicago";
@@ -417,16 +414,18 @@ let abilene ?(capacity = 10_000_000.) () =
     [ (0, 1); (0, 3); (1, 2); (1, 3); (2, 5); (3, 4); (4, 5); (4, 7); (5, 8); (6, 7); (6, 10);
       (7, 8); (8, 9); (9, 10) ]
   in
-  List.iter (fun (a, b) -> ignore (add_link t ~capacity ~delay:0.005 sw.(a) sw.(b))) edges;
+  List.iter (fun (a, b) -> ignore (add_link t ~delay:0.005 sw.(a) sw.(b))) edges;
   Array.iteri
     (fun i s ->
       let h = add_node t ~kind:Host ~name:(Printf.sprintf "h_%s" names.(i)) in
-      ignore (add_link t ~capacity:(4. *. capacity) h s))
+      ignore (add_link t ~capacity:(4. *. link_capacity) h s))
     sw;
   t
 
-let waxman ?(capacity = 10_000_000.) ?(alpha = 0.6) ?(beta = 0.4) ~n ~seed () =
+let waxman ~n ~seed () =
   assert (n >= 2);
+  (* link probability alpha * exp (-d / (beta * dmax)) *)
+  let alpha = 0.6 and beta = 0.4 in
   let rec attempt try_seed =
     let rng = Ff_util.Prng.create ~seed:try_seed in
     let t = create () in
@@ -440,14 +439,14 @@ let waxman ?(capacity = 10_000_000.) ?(alpha = 0.6) ?(beta = 0.4) ~n ~seed () =
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
         let p = alpha *. exp (-.dist i j /. (beta *. dmax)) in
-        if Ff_util.Prng.float rng 1. < p then ignore (add_link t ~capacity sw.(i) sw.(j))
+        if Ff_util.Prng.float rng 1. < p then ignore (add_link t sw.(i) sw.(j))
       done
     done;
     if is_connected t then begin
       Array.iteri
         (fun i s ->
           let h = add_node t ~kind:Host ~name:(Printf.sprintf "h%d" i) in
-          ignore (add_link t ~capacity:(2. *. capacity) h s))
+          ignore (add_link t ~capacity:(2. *. link_capacity) h s))
         sw;
       t
     end
@@ -455,10 +454,10 @@ let waxman ?(capacity = 10_000_000.) ?(alpha = 0.6) ?(beta = 0.4) ~n ~seed () =
   in
   attempt seed
 
-let isp ?(core_capacity = 2_000_000_000.) ?(access_capacity = 1_000_000_000.)
-    ?(host_capacity = 400_000_000.) ?(cores = 12) ?(access_per_core = 2)
-    ?(hosts_per_access = 4) () =
+let isp ?(cores = 12) ?(access_per_core = 2) ?(hosts_per_access = 4) () =
   assert (cores >= 3 && access_per_core >= 1 && hosts_per_access >= 1);
+  let core_capacity = 2_000_000_000. and access_capacity = 1_000_000_000. in
+  let host_capacity = 400_000_000. in
   let t = create () in
   let core =
     Array.init cores (fun i -> add_node t ~kind:Switch ~name:(Printf.sprintf "core%d" i))
@@ -501,8 +500,9 @@ module Fig2 = struct
     detour : int list;
   }
 
-  let build ?(core_capacity = 10_000_000.) ?(detour_capacity = 20_000_000.)
-      ?(edge_capacity = 40_000_000.) ?(bots = 4) ?(normals = 4) () =
+  let build ?(bots = 4) ?(normals = 4) () =
+    let core_capacity = 10_000_000. and detour_capacity = 20_000_000. in
+    let edge_capacity = 40_000_000. in
     let t = create () in
     let sw name = add_node t ~kind:Switch ~name in
     let e1 = sw "e1" and e2 = sw "e2" in

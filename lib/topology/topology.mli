@@ -68,9 +68,9 @@ val path_links : t -> path -> link list
 val path_delay : t -> path -> float
 (** Sum of propagation delays along the path. *)
 
-val shortest_path : ?weight:(link -> float) -> t -> src:int -> dst:int -> path option
-(** Dijkstra. Default weight is hop count (1 per link). Hosts other than
-    the endpoints are never used as transit. *)
+val shortest_path : t -> src:int -> dst:int -> path option
+(** Dijkstra over hop count, the simulator's one path metric. Hosts
+    other than the endpoints are never used as transit. *)
 
 val shortest_paths_from : t -> src:int -> int -> path option
 (** [shortest_paths_from t ~src] runs one hop-count Dijkstra from [src]
@@ -78,9 +78,9 @@ val shortest_paths_from : t -> src:int -> int -> path option
     [shortest_path t ~src ~dst], for every [dst]. Raises
     [Invalid_argument] on a node id outside the topology. *)
 
-val k_shortest_paths : ?weight:(link -> float) -> ?k:int -> t -> src:int -> dst:int -> path list
-(** Yen's algorithm, loop-free paths in increasing weight order
-    (default [k = 4]). *)
+val k_shortest_paths : ?k:int -> t -> src:int -> dst:int -> path list
+(** Yen's algorithm, loop-free paths in increasing hop count (default
+    [k = 4]). *)
 
 val route_tree : t -> dst:int -> (sw:int -> next_hop:int -> unit) -> unit
 (** The shortest-path tree toward host [dst] over switches only (hosts are
@@ -103,32 +103,31 @@ val critical_links : t -> n:int -> link list
 
 (** {1 Builders}
 
-    All builders return the topology plus named landmarks where useful. *)
+    All builders return the topology plus named landmarks where useful.
+    Links are 10 Mb/s unless a builder says otherwise. *)
 
-val linear : ?capacity:float -> n:int -> unit -> t
+val linear : n:int -> unit -> t
 (** [h0 - s0 - s1 - ... - s(n-1) - h1]. *)
 
-val ring : ?capacity:float -> n:int -> unit -> t
-(** n switches in a cycle, one host per switch. *)
+val ring : n:int -> unit -> t
+(** n switches in a cycle, one host per switch on a 20 Mb/s link. *)
 
 val dumbbell : ?capacity:float -> ?bottleneck:float -> pairs:int -> unit -> t
 (** classic dumbbell: [pairs] senders and receivers joined by one
-    bottleneck link. *)
+    bottleneck link; both capacities default to 10 Mb/s. *)
 
-val fat_tree : ?capacity:float -> k:int -> unit -> t
+val fat_tree : k:int -> unit -> t
 (** k-ary fat-tree (k even): (k/2)^2 cores, k pods of k/2+k/2 switches,
     one host per edge switch port. *)
 
-val abilene : ?capacity:float -> unit -> t
-(** The 11-node Abilene research WAN, one host per PoP. *)
+val abilene : unit -> t
+(** The 11-node Abilene research WAN, one host per PoP (40 Mb/s). *)
 
-val waxman : ?capacity:float -> ?alpha:float -> ?beta:float -> n:int -> seed:int -> unit -> t
-(** Random Waxman graph over [n] switches (re-drawn until connected),
-    one host per switch. *)
+val waxman : n:int -> seed:int -> unit -> t
+(** Random Waxman graph over [n] switches (alpha 0.6, beta 0.4; re-drawn
+    until connected), one host per switch on a 20 Mb/s link. *)
 
-val isp :
-  ?core_capacity:float -> ?access_capacity:float -> ?host_capacity:float ->
-  ?cores:int -> ?access_per_core:int -> ?hosts_per_access:int -> unit -> t
+val isp : ?cores:int -> ?access_per_core:int -> ?hosts_per_access:int -> unit -> t
 (** An ISP-like three-tier topology for large hybrid fluid/packet runs:
     [cores] PoP switches in a chorded ring (short paths, little transit
     through any single PoP), [access_per_core] access switches per PoP and
@@ -156,9 +155,7 @@ module Fig2 : sig
     detour : int list;  (** switch ids of the longer detour path *)
   }
 
-  val build :
-    ?core_capacity:float -> ?detour_capacity:float -> ?edge_capacity:float -> ?bots:int ->
-    ?normals:int -> unit -> landmarks
-  (** Defaults: 10 Mb/s critical links, 20 Mb/s detour links (longer
+  val build : ?bots:int -> ?normals:int -> unit -> landmarks
+  (** 10 Mb/s critical links, 20 Mb/s detour links (longer
       delay), 40 Mb/s edges, 4 bots, 4 normal sources. *)
 end

@@ -31,7 +31,8 @@ let resample t ~step ~until =
   in
   grid [] (-1) 0.
 
-let pp_ascii ?(width = 72) ?(height = 16) fmt series =
+let pp_ascii ?(height = 16) fmt series =
+  let width = 72 in
   let all_points = List.concat_map points series in
   if all_points = [] then Format.fprintf fmt "(empty series)@."
   else begin

@@ -5,8 +5,7 @@
 
 type t = { mutable a : int array; mutable len : int }
 
-let create ?(capacity = 8) () =
-  { a = Array.make (max 1 capacity) 0; len = 0 }
+let create () = { a = Array.make 8 0; len = 0 }
 
 let length t = t.len
 

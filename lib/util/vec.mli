@@ -4,7 +4,7 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
+val create : unit -> t
 val length : t -> int
 val clear : t -> unit
 (** [clear] resets the length; capacity is retained. *)

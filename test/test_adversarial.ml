@@ -149,7 +149,8 @@ let rotation_totals_exact =
         (list_size (int_range 0 300) (pair (int_range 0 50) (int_range 1 10)))
         small_int small_int)
     (fun (updates, pipe_seed, new_salt) ->
-      let pipe = Hashpipe.create ~seed:pipe_seed ~stages:2 ~slots_per_stage:8 () in
+      let pipe = Hashpipe.create ~stages:2 ~slots_per_stage:8 () in
+      Hashpipe.reseed pipe pipe_seed;
       List.iter
         (fun (key, w) -> Hashpipe.update pipe ~key ~weight:(float_of_int w))
         updates;

@@ -311,12 +311,12 @@ let test_obfuscator_rewrites_traceroute () =
   let ob = B.Obfuscator.install net ~virtual_path:fake_path in
   (* obfuscation off: see the real path *)
   let real = ref [] in
-  Flow.Traceroute.run net ~src:bot ~dst:decoy ~on_done:(fun h -> real := h) ();
+  Flow.Traceroute.run net ~src:bot ~dst:decoy ~on_done:(fun h -> real := h);
   Engine.run engine ~until:2.;
   (* obfuscation on everywhere: all switch hops must answer as agg *)
   List.iter (fun sw -> B.Common.set_mode (Net.switch net sw) "obfuscate" true) (Net.switch_ids net);
   let fake = ref [] in
-  Flow.Traceroute.run net ~src:bot ~dst:decoy ~on_done:(fun h -> fake := h) ();
+  Flow.Traceroute.run net ~src:bot ~dst:decoy ~on_done:(fun h -> fake := h);
   Engine.run engine ~until:4.;
   Alcotest.(check bool) "real path has distinct hops" true
     (List.length (List.sort_uniq compare (List.map snd !real)) > 2);

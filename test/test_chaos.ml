@@ -374,6 +374,77 @@ let test_spec_rejects_before_scheduling () =
       ("crash:s1@2.0+0", "duration 0 must be finite and > 0");
       ("crash:s1@-2.0+1", "time -2 must be finite and >= 0") ]
 
+(* Fuzz the --chaos grammar: strings built from its verbs, Fig. 2 node
+   names, numbers (nan and inf among them), its separators and random
+   bytes. [parse] never raises, and neither does [check] on what [parse]
+   accepts; a refusal is an [Error] with a message; every directive list
+   both accept schedules only finite times >= 0 and positive spans. *)
+let prop_spec_fuzz =
+  let fig2 = (T.Fig2.build ()).T.Fig2.topo in
+  let names = List.map (fun (n : T.node) -> n.T.name) (T.nodes fig2) in
+  let name id = (T.node fig2 id).T.name in
+  let links = List.map (fun (l : T.link) -> (name l.T.a, name l.T.b)) (T.links fig2) in
+  let gen =
+    QCheck2.Gen.(
+      let node = oneof [ oneofl names; map string_of_int (int_range (-1) 30) ] in
+      (* mostly adjacent pairs, so that cuts and flaps get past the
+         topology check to their numbers *)
+      let link = oneof [ oneofl links; oneofl links; pair node node ] in
+      let number =
+        oneof
+          [ oneofl [ "0"; "1"; "0.3"; "-1"; "nan"; "inf"; "-inf"; "1e-300"; "6.0" ];
+            map (Printf.sprintf "%g") (float_range (-2.) 20.);
+            map string_of_int (int_range 0 9) ]
+      in
+      let directive =
+        oneof
+          [ map3
+              (fun verb (a, b) t -> Printf.sprintf "%s:%s-%s@%s" verb a b t)
+              (oneofl [ "cut"; "heal" ]) link number;
+            map3 (Printf.sprintf "crash:%s@%s+%s") node number number;
+            map3
+              (fun (a, b) (t0, t1) (down, up) ->
+                Printf.sprintf "flap:%s-%s@%s..%s/%s/%s" a b t0 t1 down up)
+              link (pair number number) (pair number number);
+            map3
+              (fun sw rate (opt, v) -> Printf.sprintf "loss:%s@%s%s%s" sw rate opt v)
+              node number
+              (pair (oneofl [ ""; ",ctl"; ",burst=" ]) (oneofl [ ""; "4"; "0.5" ]));
+            map (fun n -> "seed=" ^ n) number ]
+      in
+      let token =
+        frequency
+          [ (4, directive);
+            ( 1,
+              oneofl
+                [ "cut:"; "heal:"; "crash:"; "flap:"; "loss:"; "seed="; "burst="; "ctl"; ".";
+                  ","; "@"; "+"; "-"; "/"; ":"; ";"; "="; ".." ] );
+            (1, node); (1, number); (1, map (String.make 1) char) ]
+      in
+      map2 String.concat (oneofl [ ""; ";"; "; " ]) (list_size (int_range 0 6) token))
+  in
+  QCheck2.Test.make ~name:"chaos spec fuzz: parse and check never raise" ~print:Fun.id
+    ~count:(if Test_seed.deep then 20_000 else 2_000)
+    gen
+    (fun spec ->
+      let refused = function
+        | "" -> QCheck2.Test.fail_reportf "empty refusal of %S" spec
+        | _ -> true
+      in
+      let sane d =
+        let times, spans = Chaos.schedule d in
+        List.for_all (fun t -> Float.is_finite t && t >= 0.) times
+        && List.for_all (fun s -> Float.is_finite s && s > 0.) spans
+      in
+      match Chaos.parse spec with
+      | exception e -> QCheck2.Test.fail_reportf "parse raised %s" (Printexc.to_string e)
+      | Error e -> refused e
+      | Ok ds -> (
+        match Chaos.check fig2 ds with
+        | exception e -> QCheck2.Test.fail_reportf "check raised %s" (Printexc.to_string e)
+        | Error e -> refused e
+        | Ok () -> List.for_all sane ds))
+
 let () =
   Printf.printf "[test_chaos] CHAOS_SEED=%d\n%!" seed;
   Alcotest.run "ff_chaos"
@@ -415,5 +486,6 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick test_spec_rejects_garbage;
           Alcotest.test_case "rejects before scheduling" `Quick
             test_spec_rejects_before_scheduling;
+          Test_seed.to_alcotest prop_spec_fuzz;
         ] );
     ]

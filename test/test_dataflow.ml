@@ -147,7 +147,7 @@ let test_clusters () =
   in
   let p3 = spec "lonely" [ Ppm.Set_meta ("m", Ppm.Const 0.) ] in
   let g = Graph.of_pipeline ~booster:"b" [ p1; p2; p3 ] in
-  let clusters = Graph.clusters ~threshold:1. g in
+  let clusters = Graph.clusters g in
   Alcotest.(check bool) "w,r together" true
     (List.exists (fun c -> List.mem 0 c && List.mem 1 c) clusters);
   Alcotest.(check bool) "lonely alone" true (List.mem [ 2 ] clusters)

@@ -127,7 +127,7 @@ let test_counter_probe () =
   let series =
     Monitor.aggregate_goodput net
       ~probes:[ Monitor.counter_probe (fun () -> Fluid.delivered_bytes fl f) ]
-      ~period:0.5 ~until:10. ~name:"fluid" ()
+      ~period:0.5 ~name:"fluid" ()
   in
   Engine.run engine ~until:10.;
   let pts = Ff_util.Series.points series in
@@ -144,8 +144,7 @@ let test_cbr_probe () =
       ~packet_size:1000 ()
   in
   let series =
-    Monitor.aggregate_goodput net ~probes:[ Monitor.cbr_probe cbr ] ~period:1.
-      ~until:10. ~name:"cbr" ()
+    Monitor.aggregate_goodput net ~probes:[ Monitor.cbr_probe cbr ] ~period:1. ~name:"cbr" ()
   in
   Engine.run engine ~until:10.;
   let pts = Ff_util.Series.points series in

@@ -574,7 +574,7 @@ let test_traceroute_full_path () =
     Net.install_path net ~dst:h0 (List.rev p)
   | None -> Alcotest.fail "no path");
   let result = ref [] in
-  Flow.Traceroute.run net ~src:h0 ~dst:h1 ~on_done:(fun hops -> result := hops) ();
+  Flow.Traceroute.run net ~src:h0 ~dst:h1 ~on_done:(fun hops -> result := hops);
   Engine.run engine ~until:3.;
   let names = List.map (fun (_, r) -> (T.node topo r).T.name) !result in
   Alcotest.(check (list string)) "hops in order" [ "s0"; "s1"; "s2"; "h1" ] names

@@ -170,7 +170,7 @@ let test_metrics_csv () =
 
 let test_profile_counts_events () =
   let span = Profile.start ~events:100 ~trace_events:10 "unit" in
-  let r = Profile.finish span ~events:350 ~trace_events:25 () in
+  let r = Profile.finish span ~events:350 ~trace_events:25 in
   Alcotest.(check int) "events delta" 250 r.Profile.events;
   Alcotest.(check int) "trace delta" 15 r.Profile.trace_events;
   Alcotest.(check bool) "rate positive" true (r.Profile.events_per_s > 0.)

@@ -128,7 +128,7 @@ let test_estimator_measures_rates () =
   let net = Net.create engine topo in
   (* shortest-path routes for all pairs *)
   Net.install_shortest_paths net;
-  let est = Ff_te.Estimator.install net ~switches:(Net.switch_ids net) () in
+  let est = Ff_te.Estimator.install net in
   let src = List.hd lm.T.Fig2.normal_sources in
   (* 100 pps x 1000 B = 800 kb/s *)
   ignore (Ff_netsim.Flow.Cbr.start net ~src ~dst:lm.T.Fig2.victim ~rate_pps:100. ());
@@ -151,7 +151,7 @@ let test_estimator_no_double_counting () =
     Net.install_path net ~dst:h1 p;
     Net.install_path net ~dst:h0 (List.rev p)
   | None -> Alcotest.fail "no path");
-  let est = Ff_te.Estimator.install net ~switches:(Net.switch_ids net) () in
+  let est = Ff_te.Estimator.install net in
   ignore (Ff_netsim.Flow.Cbr.start net ~src:h0 ~dst:h1 ~rate_pps:100. ());
   Engine.run engine ~until:5.;
   let r = Ff_te.Estimator.rate est ~src:h0 ~dst:h1 in
@@ -164,7 +164,7 @@ let test_controller_period_and_delay () =
   let net = Net.create engine lm.T.Fig2.topo in
   let m = TM.empty () in
   TM.set m ~src:(List.hd lm.T.Fig2.normal_sources) ~dst:lm.T.Fig2.victim 1_000_000.;
-  let c = Controller.start net ~period:10. ~delay:0.5 ~estimate:(fun () -> m) () in
+  let c = Controller.start net ~period:10. ~delay:0.5 ~estimate:(fun () -> m) in
   let observed = ref [] in
   Controller.on_reconfig c (fun at -> observed := at :: !observed);
   Engine.run engine ~until:35.;

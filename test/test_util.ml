@@ -596,7 +596,7 @@ let test_series_ascii_renders () =
   for i = 0 to 20 do
     Series.add s ~time:(float_of_int i) (float_of_int (i mod 5))
   done;
-  let out = Format.asprintf "%a" (fun fmt x -> Series.pp_ascii ~width:40 ~height:6 fmt x) [ s ] in
+  let out = Format.asprintf "%a" (fun fmt x -> Series.pp_ascii ~height:6 fmt x) [ s ] in
   let contains hay needle =
     let nl = String.length needle and hl = String.length hay in
     let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
