@@ -2,20 +2,7 @@ module Net = Ff_netsim.Net
 module Engine = Ff_netsim.Engine
 module Packet = Ff_dataplane.Packet
 module Window_counter = Ff_util.Stats.Window_counter
-
-(* All fields float so the record gets OCaml's flat-float layout: the
-   mutable stores in [update_flow] run on every data packet at every
-   detector switch, and a mixed record would box a fresh float per store.
-   [dst] carries an int node id, [suspicious] is a 0./1. flag. *)
-type flow_rec = {
-  first_seen : float;
-  mutable last_seen : float;
-  mutable rate : float; (* bits/s over the last completed window *)
-  mutable window_start : float;
-  mutable window_bytes : float;
-  dst : float;
-  mutable suspicious : float;
-}
+module Int_table = Ff_util.Int_table
 
 type alarm = { switch : int; attack : Packet.attack_kind }
 
@@ -25,9 +12,21 @@ type t = {
   watched : (int * int) list;
   min_age : float;
   clear_hold : float;
-  flows : (int, flow_rec) Hashtbl.t;
+  (* Per-flow state as dense columns, one row per flow seen, in
+     first-seen order: [update_flow] runs on every data packet and [check]
+     scans every row each period, so neither hashes a key or chases a
+     record. *)
+  rows : Int_table.t; (* flow id -> row *)
+  mutable n_rows : int;
+  mutable r_first_seen : float array;
+  mutable r_last_seen : float array;
+  mutable r_rate : float array; (* bits/s over the last completed window *)
+  mutable r_window_start : float array;
+  mutable r_window_bytes : float array;
+  mutable r_dst : int array;
+  mutable r_suspicious : Bytes.t;
   suspicious_srcs : (int, unit) Hashtbl.t;
-  dst_fanout : (int, int) Hashtbl.t; (* dst -> live flows toward it *)
+  dst_fanout : int array; (* dst node -> live flows toward it *)
   (* Offered-load tracking (pre-mitigation): bytes whose *default* route
      crosses a watched egress link, counted in the detector stage — i.e.
      before the dropper polices or the reroute steers them. Hysteresis on
@@ -73,42 +72,72 @@ let suspicious_rate = 1_500_000.
 let dst_flows_min = 8
 let jitter_period = 2.0
 
-let update_flow t now (pkt : Packet.t) =
-  let rec_ =
-    match Hashtbl.find t.flows pkt.flow with
-    | r -> r
-    | exception Not_found ->
-      let r =
-        { first_seen = now; last_seen = now; rate = 0.; window_start = now; window_bytes = 0.;
-          dst = float_of_int pkt.dst; suspicious = 0. }
-      in
-      Hashtbl.replace t.flows pkt.flow r;
-      r
+let grow_rows t =
+  let cap = 2 * Array.length t.r_dst in
+  let grow a x =
+    let b = Array.make cap x in
+    Array.blit a 0 b 0 t.n_rows;
+    b
   in
-  rec_.window_bytes <- rec_.window_bytes +. float_of_int pkt.size;
-  let elapsed = now -. rec_.window_start in
-  if elapsed >= rate_window then begin
-    rec_.rate <- rec_.window_bytes *. 8. /. elapsed;
-    rec_.window_start <- now;
-    rec_.window_bytes <- 0.
-  end;
-  rec_.last_seen <- now;
-  rec_
+  t.r_first_seen <- grow t.r_first_seen 0.;
+  t.r_last_seen <- grow t.r_last_seen 0.;
+  t.r_rate <- grow t.r_rate 0.;
+  t.r_window_start <- grow t.r_window_start 0.;
+  t.r_window_bytes <- grow t.r_window_bytes 0.;
+  t.r_dst <- grow t.r_dst 0;
+  t.r_suspicious <- Bytes.extend t.r_suspicious 0 (cap - Bytes.length t.r_suspicious)
 
-let classify t now rec_ (pkt : Packet.t) =
+let add_row t now (pkt : Packet.t) =
+  let r = t.n_rows in
+  if r = Array.length t.r_dst then grow_rows t;
+  t.n_rows <- r + 1;
+  Int_table.set t.rows pkt.flow r;
+  t.r_first_seen.(r) <- now;
+  t.r_rate.(r) <- 0.;
+  t.r_window_start.(r) <- now;
+  t.r_window_bytes.(r) <- 0.;
+  t.r_dst.(r) <- pkt.dst;
+  Bytes.set t.r_suspicious r '\000';
+  r
+
+(* The flow's row, updated with [pkt]. Flow ids are positive
+   ([Net.fresh_flow_id]), the non-negative keys [Int_table] takes. *)
+let update_flow t (pkt : Packet.t) =
+  let now = Net.now t.net in
+  let r = Int_table.get t.rows pkt.flow ~default:(-1) in
+  let r = if r >= 0 then r else add_row t now pkt in
+  let bytes = t.r_window_bytes.(r) +. float_of_int pkt.size in
+  let elapsed = now -. t.r_window_start.(r) in
+  if elapsed >= rate_window then begin
+    t.r_rate.(r) <- bytes *. 8. /. elapsed;
+    t.r_window_start.(r) <- now;
+    t.r_window_bytes.(r) <- 0.
+  end
+  else t.r_window_bytes.(r) <- bytes;
+  t.r_last_seen.(r) <- now;
+  r
+
+let is_suspicious t r = Bytes.get t.r_suspicious r <> '\000'
+
+(* a destination outside the node range (a spoofed id, dropped no-route
+   after the stages) has no fan-in *)
+let fanout t dst =
+  if dst >= 0 && dst < Array.length t.dst_fanout then t.dst_fanout.(dst) else 0
+
+let classify t r (pkt : Packet.t) =
   (* The Crossfire signature (paper 4.1): persistent, individually low-rate
      flows, many of them converging on the same destination — legitimate
      flows congested down to a low rate do not share the fan-in. *)
-  let age = now -. rec_.first_seen in
-  let fanout = try Hashtbl.find t.dst_fanout (int_of_float rec_.dst) with Not_found -> 0 in
+  let age = Net.now t.net -. t.r_first_seen.(r) in
+  let rate = t.r_rate.(r) in
   if
-    age >= t.min_age && rec_.rate > 0. && rec_.rate < suspicious_rate
-    && fanout >= dst_flows_min
+    age >= t.min_age && rate > 0. && rate < suspicious_rate
+    && fanout t t.r_dst.(r) >= dst_flows_min
   then begin
-    rec_.suspicious <- 1.;
+    Bytes.set t.r_suspicious r '\001';
     Hashtbl.replace t.suspicious_srcs pkt.src ()
   end;
-  if rec_.suspicious > 0. then begin
+  if is_suspicious t r then begin
     pkt.Packet.suspicious <- true;
     t.marks <- t.marks + 1
   end
@@ -120,14 +149,14 @@ let classify t now rec_ (pkt : Packet.t) =
 let classify_key = Common.mode_key Common.mode_classify
 let classifying t ctx = t.alarmed || Common.mode_on ctx.Net.sw classify_key
 
-let count_offered t (ctx : Net.ctx) (pkt : Packet.t) now =
+let count_offered t (ctx : Net.ctx) (pkt : Packet.t) =
   let routes = ctx.Net.sw.Net.routes in
   if pkt.dst >= 0 && pkt.dst < Array.length routes then begin
     let nh = Array.unsafe_get routes pkt.dst in
     if nh >= 0 then begin
       let wi = Array.unsafe_get t.watched_idx nh in
       if wi >= 0 then
-        Window_counter.add t.offered_ctr.(wi) ~now (float_of_int pkt.size *. 8.)
+        Window_counter.add t.offered_ctr.(wi) ~now:(Net.now t.net) (float_of_int pkt.size *. 8.)
     end
   end
 
@@ -138,10 +167,9 @@ let stage t =
       (fun ctx pkt ->
         (match pkt.Packet.payload with
         | Packet.Data ->
-          let tnow = Net.now ctx.Net.net in
-          count_offered t ctx pkt tnow;
-          let rec_ = update_flow t tnow pkt in
-          if classifying t ctx then classify t tnow rec_ pkt
+          count_offered t ctx pkt;
+          let r = update_flow t pkt in
+          if classifying t ctx then classify t r pkt
         | Packet.Traceroute_probe _ ->
           (* a suspicious source's reconnaissance probes are forwarded like
              its data (Crossfire probes are TTL-limited data packets), so
@@ -177,22 +205,21 @@ let watched_capacity t =
       | None -> acc)
     0. t.watched
 
+(* summed in row order *)
 let suspicious_aggregate_rate t now =
-  Hashtbl.fold
-    (fun _ r acc ->
-      if r.suspicious > 0. && now -. r.last_seen < 1.0 then acc +. r.rate else acc)
-    t.flows 0.
+  let acc = ref 0. in
+  for r = 0 to t.n_rows - 1 do
+    if is_suspicious t r && now -. t.r_last_seen.(r) < 1.0 then acc := !acc +. t.r_rate.(r)
+  done;
+  !acc
 
 let refresh_fanout t now =
-  Hashtbl.reset t.dst_fanout;
-  Hashtbl.iter
-    (fun _ r ->
-      if now -. r.last_seen < 2.0 then begin
-        let dst = int_of_float r.dst in
-        Hashtbl.replace t.dst_fanout dst
-          (1 + (try Hashtbl.find t.dst_fanout dst with Not_found -> 0))
-      end)
-    t.flows
+  Array.fill t.dst_fanout 0 (Array.length t.dst_fanout) 0;
+  for r = 0 to t.n_rows - 1 do
+    let dst = t.r_dst.(r) in
+    if now -. t.r_last_seen.(r) < 2.0 && dst >= 0 && dst < Array.length t.dst_fanout then
+      t.dst_fanout.(dst) <- t.dst_fanout.(dst) + 1
+  done
 
 let redraw_thresholds t now =
   if t.threshold_jitter > 0. && now >= t.next_draw then begin
@@ -232,7 +259,7 @@ let check t () =
       if now -. since >= t.clear_hold then begin
         t.alarmed <- false;
         t.calm_since <- None;
-        Hashtbl.iter (fun _ r -> r.suspicious <- 0.) t.flows;
+        Bytes.fill t.r_suspicious 0 t.n_rows '\000';
         Hashtbl.reset t.suspicious_srcs;
         t.on_clear { switch = t.sw; attack = Packet.Lfa }
       end
@@ -261,9 +288,17 @@ let install net ~sw ~watched ~check_period ~threshold_jitter ~seed ~min_age ~cle
       watched;
       min_age;
       clear_hold;
-      flows = Hashtbl.create 256;
+      rows = Int_table.create ~capacity:256 ();
+      n_rows = 0;
+      r_first_seen = Array.make 64 0.;
+      r_last_seen = Array.make 64 0.;
+      r_rate = Array.make 64 0.;
+      r_window_start = Array.make 64 0.;
+      r_window_bytes = Array.make 64 0.;
+      r_dst = Array.make 64 0;
+      r_suspicious = Bytes.make 64 '\000';
       suspicious_srcs = Hashtbl.create 32;
-      dst_fanout = Hashtbl.create 32;
+      dst_fanout = Array.make n_nodes 0;
       watched_idx;
       offered_ctr;
       offered_cap;
@@ -286,10 +321,10 @@ let install net ~sw ~watched ~check_period ~threshold_jitter ~seed ~min_age ~cle
 let alarmed t = t.alarmed
 
 let suspicious_flows t =
-  Hashtbl.fold (fun f r acc -> if r.suspicious > 0. then f :: acc else acc) t.flows []
+  Int_table.fold (fun f r acc -> if is_suspicious t r then f :: acc else acc) t.rows []
   |> List.sort compare
 
 let is_suspicious_source t s = Hashtbl.mem t.suspicious_srcs s
 
-let tracked_flows t = Hashtbl.length t.flows
+let tracked_flows t = t.n_rows
 let marks t = t.marks

@@ -31,17 +31,20 @@ let f_done = 8
 
 (* Members sharing a fluid path class live in one bucket: they share a
    route, so they demote and promote together, and the reevaluation sweep
-   can test hotness once per class instead of once per member. *)
+   can test hotness once per class instead of once per member. The two
+   counts cover [Tier_auto] members only, the ones a sweep can move: they
+   let a walk stop as soon as its bucket has nothing left to change. *)
 type bucket = {
   mutable b_head : member;  (* newest member; [m_next] chains to older ones *)
   mutable b_size : int;
   mutable b_rep : Fluid.flow;  (* any member's flow: path lookups *)
   mutable b_hot : bool;
+  mutable b_live : int;  (* attached to the fluid tier and not done *)
   mutable b_demoted : int;
 }
 
 let nil_bucket =
-  { b_head = -1; b_size = 0; b_rep = -1; b_hot = false; b_demoted = 0 }
+  { b_head = -1; b_size = 0; b_rep = -1; b_hot = false; b_live = 0; b_demoted = 0 }
 
 type t = {
   net : Net.t;
@@ -213,32 +216,33 @@ let silence_packet t m =
 let find_bucket t cid =
   if cid >= 0 && cid < Array.length t.by_cls then t.by_cls.(cid) else nil_bucket
 
-let bucket_demoted t m d =
+let count t m ~live ~demoted =
   let fid = t.m_fluid.(m) in
-  if fid >= 0 then begin
+  if fid >= 0 && tier_of t m = Tier_auto then begin
     let b = find_bucket t (Fluid.class_id t.fl fid) in
-    if b != nil_bucket then b.b_demoted <- b.b_demoted + d
+    if b != nil_bucket then begin
+      b.b_live <- b.b_live + live;
+      b.b_demoted <- b.b_demoted + demoted
+    end
   end
 
+(* [m] is a live [Tier_auto] member: callers check. *)
 let demote t m =
-  let fid = t.m_fluid.(m) in
-  if fid >= 0 && Fluid.is_attached t.fl fid then begin
-    if tier_of t m = Tier_auto && t.demoted >= t.demote_budget then
-      (* over budget: the member stays on the fluid tier at full fidelity's
-         expense — counted so scenarios can report the shortfall. Only
-         Tier_auto members are deniable; Packet_only is a contract. *)
-      t.demote_denied <- t.demote_denied + 1
-    else begin
-      Fluid.detach t.fl fid;
-      start_packet t m ~src:(Fluid.src t.fl fid) ~dst:(Fluid.dst t.fl fid) ~at:(Net.now t.net);
-      set_flag t m f_demoted true;
-      let p = slot_of t m in
-      p.p_demotions <- p.p_demotions + 1;
-      bucket_demoted t m 1;
-      t.demotions <- t.demotions + 1;
-      t.demoted <- t.demoted + 1;
-      if t.demoted > t.demoted_peak then t.demoted_peak <- t.demoted
-    end
+  if t.demoted >= t.demote_budget then
+    (* over budget: the member stays on the fluid tier at full fidelity's
+       expense — counted so scenarios can report the shortfall *)
+    t.demote_denied <- t.demote_denied + 1
+  else begin
+    let fid = t.m_fluid.(m) in
+    Fluid.detach t.fl fid;
+    start_packet t m ~src:(Fluid.src t.fl fid) ~dst:(Fluid.dst t.fl fid) ~at:(Net.now t.net);
+    set_flag t m f_demoted true;
+    let p = slot_of t m in
+    p.p_demotions <- p.p_demotions + 1;
+    count t m ~live:(-1) ~demoted:1;
+    t.demotions <- t.demotions + 1;
+    t.demoted <- t.demoted + 1;
+    if t.demoted > t.demoted_peak then t.demoted_peak <- t.demoted
   end
 
 let promote t m =
@@ -247,7 +251,7 @@ let promote t m =
     let fid = t.m_fluid.(m) in
     if fid >= 0 then Fluid.attach t.fl fid;
     set_flag t m f_demoted false;
-    bucket_demoted t m (-1);
+    count t m ~live:1 ~demoted:(-1);
     t.promotions <- t.promotions + 1;
     t.demoted <- t.demoted - 1
   end
@@ -259,7 +263,9 @@ let bucket_of t fid =
   let b = find_bucket t cid in
   if b != nil_bucket then b
   else begin
-    let b = { b_head = -1; b_size = 0; b_rep = fid; b_hot = false; b_demoted = 0 } in
+    let b =
+      { b_head = -1; b_size = 0; b_rep = fid; b_hot = false; b_live = 0; b_demoted = 0 }
+    in
     Hashtbl.add t.buckets cid b;
     let n = Array.length t.by_cls in
     if cid >= n then begin
@@ -271,48 +277,52 @@ let bucket_of t fid =
     b
   end
 
-(* O(classes + members of classes whose hotness flipped): a mode change on
-   a handful of switches no longer walks the whole member population.
-   Buckets are visited in the Hashtbl's order over class ids and members
-   newest first: that order decides who gets the demote budget. *)
+(* A member the sweep demotes when its bucket is hot. *)
+let live t m =
+  (not (has t m f_done)) && tier_of t m = Tier_auto && Fluid.is_attached t.fl t.m_fluid.(m)
+
+(* Buckets are visited in the Hashtbl's order over class ids and members
+   newest first: that order decides who gets the demote budget. Costs
+   O(classes) plus, per walked bucket, the members up to the last one it
+   demotes or promotes: a hot walk stops when its bucket has no live
+   member left or the budget is spent, a cold one when it has no demoted
+   member left. While the budget is spent, a hot bucket adds its live
+   members to [demote_denied] at every sweep, or all its members once as
+   it turns hot if it has nothing demoted. *)
 let reevaluate t =
   if t.force = Auto then begin
     Fluid.refresh_paths t.fl;
     let n_dem = ref 0 and n_pro = ref 0 in
-    let sweep m hot =
-      if (not (has t m f_done)) && tier_of t m = Tier_auto then begin
-        let fid = t.m_fluid.(m) in
-        if fid >= 0 then
-          if hot && Fluid.is_attached t.fl fid then begin
-            demote t m;
-            if has t m f_demoted then incr n_dem
-          end
-          else if (not hot) && has t m f_demoted then begin
-            promote t m;
-            incr n_pro
-          end
-      end
-    in
     Hashtbl.iter
       (fun _ b ->
         let hot = path_hot t b.b_rep in
-        (* paths may have changed while hotness didn't: flips and hot
-           buckets both rescan, a cold bucket that stayed cold is skipped.
-           A hot bucket with nothing demoted is denied wholesale once the
-           budget is spent — walking its members to deny them one by one
-           made every sweep O(population) at 10^6-flow scale. *)
-        if hot || b.b_hot || b.b_demoted > 0 then begin
-          if hot && b.b_demoted = 0 && t.demoted >= t.demote_budget then begin
+        let m = ref b.b_head in
+        if hot then begin
+          if t.demoted >= t.demote_budget && b.b_demoted = 0 then begin
             if not b.b_hot then t.demote_denied <- t.demote_denied + b.b_size
           end
           else begin
-            let m = ref b.b_head in
-            while !m >= 0 do
-              sweep !m hot;
-              m := t.m_next.(!m)
-            done
+            while b.b_live > 0 && t.demoted < t.demote_budget && !m >= 0 do
+              let x = !m in
+              m := t.m_next.(x);
+              if live t x then begin
+                demote t x;
+                incr n_dem
+              end
+            done;
+            if t.demoted >= t.demote_budget then
+              t.demote_denied <- t.demote_denied + b.b_live
           end
-        end;
+        end
+        else
+          while b.b_demoted > 0 && !m >= 0 do
+            let x = !m in
+            m := t.m_next.(x);
+            if tier_of t x = Tier_auto && has t x f_demoted then begin
+              promote t x;
+              incr n_pro
+            end
+          done;
         b.b_hot <- hot)
       t.buckets;
     Fluid.recompute t.fl;
@@ -362,24 +372,45 @@ let admit t m ~src ~dst =
   b.b_head <- m;
   b.b_size <- b.b_size + 1;
   b.b_rep <- fid;
-  let tier = tier_of t m in
-  if
-    t.force = Auto
-    && (tier = Packet_only || (tier = Tier_auto && t.n_hot > 0 && path_hot t fid))
-  then demote t m
+  if tier_of t m = Tier_auto then begin
+    b.b_live <- b.b_live + 1;
+    if t.force = Auto && t.n_hot > 0 && path_hot t fid then demote t m
+  end
 
 let stop_member t m =
   if not (has t m f_done) then begin
     set_flag t m f_done true;
     if has t m f_demoted then begin
+      count t m ~live:0 ~demoted:(-1);
       set_flag t m f_demoted false;
-      bucket_demoted t m (-1);
       t.demoted <- t.demoted - 1
     end;
     silence_packet t m;
     let fid = t.m_fluid.(m) in
-    if fid >= 0 then Fluid.detach t.fl fid
+    if fid >= 0 && Fluid.is_attached t.fl fid then begin
+      count t m ~live:(-1) ~demoted:0;
+      Fluid.detach t.fl fid
+    end
   end
+
+let check_buckets t =
+  let err = ref None in
+  Hashtbl.iter
+    (fun cid b ->
+      let n_live = ref 0 and n_demoted = ref 0 and m = ref b.b_head in
+      while !m >= 0 do
+        let x = !m in
+        if live t x then incr n_live
+        else if tier_of t x = Tier_auto && has t x f_demoted then incr n_demoted;
+        m := t.m_next.(x)
+      done;
+      if !err = None && (!n_live <> b.b_live || !n_demoted <> b.b_demoted) then
+        err :=
+          Some
+            (Printf.sprintf "class %d counts %d live, %d demoted; its members hold %d, %d" cid
+               b.b_live b.b_demoted !n_live !n_demoted))
+    t.buckets;
+  match !err with None -> Ok () | Some e -> Error e
 
 let grow_members t =
   let n = t.n_members and cap = 2 * Array.length t.m_fluid in

@@ -125,7 +125,17 @@ val demotions : t -> int
 val promotions : t -> int
 
 val demote_denied : t -> int
-(** Demotions suppressed by the [demote_budget] cap (counting each member
-    of a wholesale-denied path class). The denial is sticky until the
-    member's class next changes hotness — freed budget is not
-    retroactively applied. *)
+(** Demotions suppressed by the [demote_budget] cap. While the budget is
+    spent, a hot path class with members already demoted counts each
+    member it still holds on the fluid tier at every sweep; one with none
+    demoted is denied wholesale, counting all its members once, as it
+    turns hot. A sweep that finds budget free demotes what the hot
+    classes still hold. *)
+
+val check_buckets : t -> (unit, string) result
+(** Recounts, from member state, each path class's live (attached and
+    not done) and demoted [Tier_auto] members, and compares them with the
+    counts the sweep keeps. The sweep costs O(classes) plus, per class it
+    walks, the members up to the last one it demotes or promotes; it
+    relies on these counts to stop. [Error] names the first class that
+    disagrees. *)

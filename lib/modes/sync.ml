@@ -1,6 +1,7 @@
 module Net = Ff_netsim.Net
 module Engine = Ff_netsim.Engine
 module Packet = Ff_dataplane.Packet
+module Int_table = Ff_util.Int_table
 
 (* Remote advertisements are nested key-first: [global_value] runs per
    packet in marker stages, and a flat [(origin, key)]-keyed table would
@@ -8,7 +9,7 @@ module Packet = Ff_dataplane.Packet
    just the few origins that mentioned this key. *)
 type sw_state = {
   remote : (int, (int, entry) Hashtbl.t) Hashtbl.t;  (* key -> origin -> entry *)
-  seen : (int * int, unit) Hashtbl.t; (* (origin, round) flood dedup *)
+  seen : Int_table.t; (* flood dedup, keyed [round * n_nodes + origin] *)
 }
 
 (* An advertisement as an all-float record: flat, so its value and time
@@ -27,6 +28,7 @@ type t = {
   staleness : float;
   probe_class : int;
   states : (int, sw_state) Hashtbl.t;
+  n_nodes : int;
   mutable round : int;
   mutable probes_sent : int;
   scan : scan;
@@ -40,9 +42,14 @@ let state t sw =
   match Hashtbl.find t.states sw with
   | s -> s
   | exception Not_found ->
-    let s = { remote = Hashtbl.create 32; seen = Hashtbl.create 64 } in
+    let s = { remote = Hashtbl.create 32; seen = Int_table.create ~capacity:64 () } in
     Hashtbl.replace t.states sw s;
     s
+
+(* -1 for an origin outside the net or a negative round: no switch sends
+   such a probe, so it is absorbed unread *)
+let seen_key t ~origin ~round =
+  if origin < 0 || origin >= t.n_nodes || round < 0 then -1 else (round * t.n_nodes) + origin
 
 let stage t =
   {
@@ -53,9 +60,10 @@ let stage t =
         | Packet.Sync_probe { origin; round; entries } when pkt.Packet.flow = t.probe_class ->
           let sw = ctx.Net.sw.Net.sw_id in
           let st = state t sw in
-          if Hashtbl.mem st.seen (origin, round) then Net.Absorb
+          let key = seen_key t ~origin ~round in
+          if key < 0 || Int_table.mem st.seen key then Net.Absorb
           else begin
-            Hashtbl.replace st.seen (origin, round) ();
+            Int_table.set st.seen key 0;
             let now = Net.now t.net in
             List.iter
               (fun (key, v) ->
@@ -92,7 +100,7 @@ let advertise t () =
         if entries <> [] then begin
           t.probes_sent <- t.probes_sent + 1;
           Net.obs_emit t.net (Ff_obs.Event.Probe { sw; kind = "sync" });
-          Hashtbl.replace (state t sw).seen (sw, t.round) ();
+          Int_table.set (state t sw).seen (seen_key t ~origin:sw ~round:t.round) 0;
           let payload = Packet.Sync_probe { origin = sw; round = t.round; entries } in
           Net.flood_from_switch t.net ~sw ~except:[] (fun () ->
               Packet.make_control ~src:sw ~dst:sw ~flow:t.probe_class ~payload)
@@ -115,6 +123,7 @@ let create net ~participants ~period ~local_view ?(threshold = 0.) ?staleness
       staleness;
       probe_class;
       states = Hashtbl.create 16;
+      n_nodes = Ff_topology.Topology.num_nodes (Net.topology net);
       round = 0;
       probes_sent = 0;
       scan;

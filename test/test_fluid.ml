@@ -217,7 +217,9 @@ let test_sweep_newest_first () =
 (* Pins the whole hybrid scenario bit for bit: 20k benign flows, the
    rolling fluid LFA and a demote budget small enough that the sweep denies
    most hot members. Any change to the member store, the sweep order or
-   the goodput probe's summation order moves one of these values. *)
+   the goodput probe's summation order moves one of these values. The
+   same run with no budget room denies whole classes as they turn hot,
+   and with no budget at all it demotes and promotes every hot member. *)
 let test_hybrid_scenario_pin () =
   let r = Scenario.run_lfa_fluid ~flows:20_000 ~duration:20. ~demote_budget:200 () in
   let series = Buffer.create 1024 in
@@ -237,6 +239,36 @@ let test_hybrid_scenario_pin () =
     (Int64.bits_of_float r.Scenario.fr_delivered_bytes);
   Alcotest.(check string) "goodput series digest" "de7aaf9deeb6b4b2199a80586849d2ef"
     (Digest.to_hex (Digest.string (Buffer.contents series)))
+;
+  let budget name demote_budget ~demotions ~denied ~delivered =
+    let r = Scenario.run_lfa_fluid ~flows:20_000 ~duration:20. ?demote_budget () in
+    Alcotest.(check int) (name ^ ": demotions") demotions r.Scenario.fr_demotions;
+    Alcotest.(check int) (name ^ ": promotions") demotions r.Scenario.fr_promotions;
+    Alcotest.(check int) (name ^ ": demote denied") denied r.Scenario.fr_demote_denied;
+    Alcotest.(check int64) (name ^ ": delivered bytes") delivered
+      (Int64.bits_of_float r.Scenario.fr_delivered_bytes)
+  in
+  budget "budget 0" (Some 0) ~demotions:0 ~denied:17403 ~delivered:4743029687993761793L;
+  budget "no budget" None ~demotions:17347 ~denied:0 ~delivered:4740359519303213715L
+
+(* The benchmark's 10^6-flow scenario (fluid_isp_1m at seed 1), pinned
+   under @deep only: about 3 s and a few hundred MiB. *)
+let test_million_flow_pin () =
+  if deep then begin
+    let r =
+      Scenario.run_lfa_fluid ~flows:1_000_000 ~duration:40. ~seed:11 ~attack_start:10.
+        ~attack_stop:18. ~roll_at:14. ~flow_rate_bps:4_000. ~demote_budget:100_000
+        ~goodput_period:4.0 ()
+    in
+    Alcotest.(check int) "demotions" 183_577 r.Scenario.fr_demotions;
+    Alcotest.(check int) "promotions" 183_577 r.Scenario.fr_promotions;
+    Alcotest.(check int) "demote denied" 785_462 r.Scenario.fr_demote_denied;
+    Alcotest.(check int) "demoted peak" 100_000 r.Scenario.fr_demoted_peak;
+    Alcotest.(check int) "packet hops" 283_324 r.Scenario.fr_packet_tx;
+    Alcotest.(check int) "classes" 9_176 r.Scenario.fr_classes;
+    Alcotest.(check int) "rate events" 177 r.Scenario.fr_rate_events;
+    Alcotest.(check int) "mode changes" 16 r.Scenario.fr_mode_changes
+  end
 
 (* ---------------- incremental solver ---------------- *)
 
@@ -689,6 +721,71 @@ let prop_roundtrip_conserves_delivery =
          CBR rates here bound that well under 10% of total *)
       && Float.abs (got -. base) <= Float.max (0.12 *. base) 10_000.)
 
+(* The sweep's per-class counts against a recount from member state
+   ([Hybrid.check_buckets]) after every hot-set change, stop and
+   admission, over mixed tiers (Packet_only members join a class only
+   under All_fluid) and budgets of 0, 1, a few or none. Two rates keep
+   several members in each path class. *)
+let prop_bucket_counts =
+  QCheck2.Test.make ~count:(if deep then 500 else 100)
+    ~name:"hybrid class counts match a recount from member state"
+    QCheck2.Gen.(
+      let* n = int_range 3 5 in
+      let* force = frequency [ (3, return Hybrid.Auto); (1, return Hybrid.All_fluid) ] in
+      let* budget =
+        oneof [ return (Some 0); return (Some 1); map Option.some (int_range 2 4); return None ]
+      in
+      let* members =
+        list_size (int_range 1 14)
+          (let* s = int_range 0 (n - 1) in
+           let* d_off = int_range 1 (n - 1) in
+           let* tier =
+             frequency
+               [ (6, return Hybrid.Tier_auto); (2, return Hybrid.Fluid_only);
+                 (2, return Hybrid.Packet_only) ]
+           in
+           let* slot = int_range 0 40 in
+           let* rate = oneofl [ 40.; 80. ] in
+           return (s, (s + d_off) mod n, tier, slot, rate))
+      in
+      let* ops =
+        list_size (int_range 1 30)
+          (triple (int_range 1 99) (int_range 0 2) (int_range 0 (max n 14)))
+      in
+      return (n, force, budget, members, ops))
+    (fun (n, force, demote_budget, members, ops) ->
+      let engine, net = make_net (T.ring ~n ()) in
+      let hy = Hybrid.create ~force ?demote_budget ~update_period:0.1 net () in
+      let slot_time k = 0.05 *. float_of_int k in
+      let ms =
+        Array.of_list
+          (List.map
+             (fun (s, d, tier, slot, rate_pps) ->
+               Hybrid.add_flow hy ~src:(ring_host n s) ~dst:(ring_host n d)
+                 ~at:(slot_time slot) ~tier (Hybrid.Cbr { rate_pps; packet_size = 600 }))
+             members)
+      in
+      let err = ref None in
+      let check () =
+        match Hybrid.check_buckets hy with
+        | Ok () -> ()
+        | Error e -> if !err = None then err := Some e
+      in
+      List.iter
+        (fun (slot, op, arg) ->
+          let at = slot_time slot in
+          Engine.schedule engine ~at (fun () ->
+              match op with
+              | 0 -> Hybrid.mark_hot hy ~node:(arg mod n)
+              | 1 -> Hybrid.clear_hot hy ~node:(arg mod n)
+              | _ -> Hybrid.stop_member hy ms.(arg mod Array.length ms));
+          (* after the sweep the change scheduled at the same instant *)
+          Engine.schedule engine ~at:(at +. 0.01) check)
+        ops;
+      Engine.run engine ~until:6.;
+      check ();
+      match !err with None -> true | Some e -> QCheck2.Test.fail_reportf "%s" e)
+
 let () =
   Alcotest.run "fluid"
     [
@@ -712,6 +809,8 @@ let () =
           Alcotest.test_case "isp scenario smoke" `Quick test_hybrid_scenario_smoke;
           Alcotest.test_case "isp scenario pin" `Quick test_hybrid_scenario_pin;
           Alcotest.test_case "sweep newest first" `Quick test_sweep_newest_first;
+          Alcotest.test_case "10^6-flow scenario pin" `Slow test_million_flow_pin;
+          Test_seed.to_alcotest prop_bucket_counts;
         ] );
       ( "incremental",
         [
