@@ -32,11 +32,9 @@ let nonneg_float =
 
 let positive_int = checked Arg.int ~expected:"a positive integer" (fun n -> n > 0)
 
-let fat_tree_arity =
-  checked Arg.int ~expected:"an even arity of at least 2" (fun k -> k >= 2 && k mod 2 = 0)
-
 (* fat-tree(k): (k/2)^2 cores plus k pods of k switches *)
-let check_shards ~k shards =
+let check_shards shards =
+  let k = Perf.perf_k in
   let switches = (k * k / 4) + (k * k) in
   if shards >= 1 && shards <= switches then Ok ()
   else
@@ -132,7 +130,7 @@ let perf_term =
                  topology) and check its allocation, throughput and locality gates.")
   in
   let run shards fluid =
-    match Option.map (check_shards ~k:Perf.perf_k) shards with
+    match Option.map check_shards shards with
     | Some (Error e) -> `Error (false, e)
     | _ -> `Ok (fun () -> Perf.perf ~shards ~fluid)
   in
@@ -271,73 +269,6 @@ let lfa_command =
     Term.(ret (const run $ obs_term $ defense $ duration $ te_period $ rolls $ csv $ bots
                $ normals $ chaos))
 
-let parallel_command =
-  let shards =
-    Arg.(value & opt int 4 & info [ "shards" ] ~docv:"N"
-           ~doc:"Number of topology shards (1 = plain windowed run).")
-  in
-  let k =
-    Arg.(value & opt fat_tree_arity 8 & info [ "k" ] ~docv:"K"
-           ~doc:"Fat-tree arity (k pods, k*k*k/4 hosts).")
-  in
-  let duration =
-    Arg.(value & opt positive_float 2.0 & info [ "duration" ] ~docv:"SECONDS"
-           ~doc:"Simulated seconds of traffic (plus 50 ms drain).")
-  in
-  let rate =
-    Arg.(value & opt positive_float 500. & info [ "rate" ] ~docv:"PPS"
-           ~doc:"Per-flow constant sending rate, packets per second.")
-  in
-  let sequential =
-    Arg.(value & flag & info [ "sequential" ]
-           ~doc:"Force the cooperative single-domain mode (same windowed algorithm, no OS \
-                 threads); results are bit-identical to the domains mode by construction.")
-  in
-  let run obs shards k duration rate_pps sequential =
-    match check_shards ~k shards with
-    | Error e -> `Error (false, e)
-    | Ok () ->
-      let w = Ff_parallel.Workload.fat_tree ~k ~rate_pps ~duration () in
-      let mode = if sequential then Ff_parallel.Psim.Sequential else Ff_parallel.Psim.Auto in
-      Harness.observe obs
-        [ ("parallel",
-            fun () -> Perf.print_parallel w ~k ~shards (Perf.run_psim w ~shards ~mode)) ];
-      `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "parallel"
-       ~doc:"Run the sharded parallel simulation engine on a fat-tree CBR workload and report \
-             throughput.")
-    Term.(ret (const run $ obs_term $ shards $ k $ duration $ rate $ sequential))
-
-let fluid_command =
-  let flows =
-    Arg.(value & opt positive_int 100_000 & info [ "flows" ] ~docv:"N"
-           ~doc:"Concurrent benign flows in the hybrid tier.")
-  in
-  let duration =
-    Arg.(value & opt positive_float 40. & info [ "duration" ] ~docv:"SECONDS"
-           ~doc:"Simulated seconds (the flood runs 10..18 with a roll at 14).")
-  in
-  let force =
-    let tiers =
-      [ ("auto", Ff_fluid.Hybrid.Auto); ("packet", Ff_fluid.Hybrid.All_packet);
-        ("fluid", Ff_fluid.Hybrid.All_fluid) ]
-    in
-    Arg.(value & opt (enum tiers) Ff_fluid.Hybrid.Auto & info [ "force" ] ~docv:"TIER"
-           ~doc:"Engine tier: auto (hybrid: demote on mode activity), packet (all-packet, \
-                 bit-identical to the pure packet engine), or fluid (never demote).")
-  in
-  let run obs flows duration force =
-    Harness.observe obs
-      [ ("fluid", fun () -> Perf.print_fluid [ Perf.measure_fluid ~force ~flows ~duration () ]) ]
-  in
-  Cmd.v
-    (Cmd.info "fluid"
-       ~doc:"Run the hybrid fluid/packet rolling-LFA scenario on the ISP topology and report \
-             packet-equivalent throughput; one point of perf --fluid's sweep.")
-    Term.(const run $ obs_term $ flows $ duration $ force)
-
 (* ------------------------------------------------------------------ *)
 (* Static checks                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -378,5 +309,4 @@ let () =
        (Cmd.group
           (Cmd.info "fastflex" ~version:"1.0.0" ~doc)
           (List.map experiment_command experiments
-          @ [ all_command; lfa_command; parallel_command; fluid_command; verify_command;
-              dot_command ])))
+          @ [ all_command; lfa_command; verify_command; dot_command ])))

@@ -1,10 +1,9 @@
 (* perf, the hot-path regression run: a fixed fat-tree + rolling-LFA
    scenario measured for packets/s, events/s and GC words per packet, with
    the sharded engine (--shards N) and the hybrid fluid sweep (--fluid)
-   beside it. Run from the repository root, it rewrites BENCH_netsim.json
-   (keeping the committed "before" entry); elsewhere it writes nothing.
-   It checks every perf gate of bench/GATES. The parallel and fluid
-   subcommands print through the same two tables. *)
+   beside it. It prints one table per part and checks every perf gate of
+   bench/GATES; it writes no file. Wall-clock comparisons across commits
+   belong to benchmark/, which takes medians over alternating runs. *)
 
 module T = Ff_topology.Topology
 module Scenario = Fastflex.Scenario
@@ -15,17 +14,28 @@ module Workload = Ff_parallel.Workload
 
 let word = float_of_int (Sys.word_size / 8)
 
+(* Runs [f] once after a compaction and returns its result, its wall time
+   and the words it allocated. The minor heap is empty at both ends:
+   OCaml 5 adds young allocation to [Gc.allocated_bytes] only at a minor
+   collection, so a read with a part-filled minor heap moves with when the
+   last one happened. The closing collection is outside the timed span. *)
+let measured f =
+  Gc.compact ();
+  let bytes0 = Gc.allocated_bytes () in
+  let t0 = Unix.gettimeofday () in
+  let x = f () in
+  let wall = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
+  Gc.minor ();
+  (x, wall, (Gc.allocated_bytes () -. bytes0) /. word)
+
 (* ------------------------------------------------------------------ *)
-(* perf: the hot-path regression benchmark (BENCH_netsim.json)         *)
+(* perf: the hot-path regression run                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* A fixed, deterministic scenario that saturates the per-packet path:
    fat-tree(4), pervasive FastFlex deployment (so every packet crosses the
    booster stage pipeline), heavy CBR load plus TCP normal flows, and a
-   rolling LFA. The measured numbers go to BENCH_netsim.json; the "before"
-   entry of an existing file is preserved so the trajectory keeps the
-   pre-optimization baseline from the same machine. *)
-
+   rolling LFA. *)
 let perf_scenario () =
   let topo, id, victim, decoys, lfa = Experiments.fat_tree4 () in
   (* open-loop load from every other pod: the constant-rate senders that
@@ -66,18 +76,13 @@ type perf_sample = {
 }
 
 let measure_perf () =
-  Gc.compact ();
-  let bytes0 = Gc.allocated_bytes () in
   let steps0 = Ff_netsim.Engine.total_steps () in
   let created0 = Ff_dataplane.Packet.created () in
-  let t0 = Unix.gettimeofday () in
-  let net = perf_scenario () in
-  let wall_s = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
+  let net, wall_s, alloc_words = measured perf_scenario in
   Printf.printf "[perf] packets created: %d\n%!" (Ff_dataplane.Packet.created () - created0);
 
   let packets = Ff_netsim.Net.total_tx_packets net in
   let events = Ff_netsim.Engine.total_steps () - steps0 in
-  let alloc_words = (Gc.allocated_bytes () -. bytes0) /. word in
   let drops =
     List.fold_left (fun acc (_, n) -> acc + n) 0 (Ff_netsim.Net.drops_by_reason net)
   in
@@ -91,70 +96,22 @@ let measure_perf () =
     drops;
   }
 
-let perf_json_file = "BENCH_netsim.json"
-
-let sample_to_json s =
-  Printf.sprintf
-    "{ \"packets\": %d, \"events\": %d, \"wall_s\": %.3f, \"packets_per_sec\": %.0f, \
-     \"events_per_sec\": %.0f, \"alloc_words_per_packet\": %.1f, \"drops\": %d }"
-    s.packets s.events s.wall_s s.packets_per_sec s.events_per_sec s.alloc_words_per_packet
-    s.drops
-
-(* Extract the balanced-brace object following "key": from a JSON text.
-   Enough for the file this benchmark itself writes; no JSON dependency. *)
-let extract_object text key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  match
-    (* find the pattern *)
-    let plen = String.length pat and tlen = String.length text in
-    let rec find i =
-      if i + plen > tlen then None
-      else if String.sub text i plen = pat then Some (i + plen)
-      else find (i + 1)
-    in
-    find 0
-  with
-  | None -> None
-  | Some start -> (
-    let tlen = String.length text in
-    let rec skip i = if i < tlen && text.[i] <> '{' then skip (i + 1) else i in
-    let open_ = skip start in
-    if open_ >= tlen then None
-    else
-      let rec scan i depth =
-        if i >= tlen then None
-        else
-          match text.[i] with
-          | '{' -> scan (i + 1) (depth + 1)
-          | '}' -> if depth = 1 then Some (String.sub text open_ (i + 1 - open_)) else scan (i + 1) (depth - 1)
-          | _ -> scan (i + 1) depth
-      in
-      scan open_ 0)
-
-let read_file path =
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
-  end
-  else None
-
 (* ------------------------------------------------------------------ *)
-(* the sharded engine: perf --shards N and the parallel subcommand     *)
+(* the sharded engine: perf --shards N                                 *)
 (* ------------------------------------------------------------------ *)
 
 type psim_run = { r : Psim.result; counters : Workload.counters; wall : float }
 
+(* The words allocated come from [Psim.alloc_bytes], which counts inside
+   every shard's domain, not from the caller's. *)
 let run_psim w ~shards ~mode =
-  Gc.compact ();
   let counters = Workload.fresh_counters w in
-  let t0 = Unix.gettimeofday () in
-  let r =
-    Psim.run ~mode ~shards ~topo:(Workload.topo w) ~setup:(Workload.setup w counters)
-      ~until:(Workload.until w) ()
+  let r, wall, _ =
+    measured (fun () ->
+        Psim.run ~mode ~shards ~topo:(Workload.topo w) ~setup:(Workload.setup w counters)
+          ~until:(Workload.until w) ())
   in
-  { r; counters; wall = Float.max 1e-9 (Unix.gettimeofday () -. t0) }
+  { r; counters; wall }
 
 let pps run = float_of_int (Psim.total_tx run.r) /. run.wall
 let alloc_per_packet run =
@@ -178,71 +135,50 @@ let speedup_armed ~shards =
 
 let mode_name run = match run.r.Psim.mode_used with Psim.Domains -> "domains" | _ -> "sequential"
 
-(* With [baseline] (the same workload on 1 shard, sequential), the table
-   adds the speedup and the determinism verdict. *)
-let print_parallel w ~k ~shards ?baseline run =
-  let r = run.r in
-  let vs_baseline =
-    match baseline with
-    | None -> []
-    | Some b ->
-      [ [ "baseline packets/s"; Printf.sprintf "%.0f" (pps b) ];
-        [ "speedup vs 1 shard"; Printf.sprintf "%.2fx" (b.wall /. run.wall) ];
-        [ "speedup armed"; string_of_bool (speedup_armed ~shards) ];
-        [ "counts identical"; string_of_bool (identical b run) ] ]
-  in
-  Table.print
-    ~header:[ "metric"; "value" ]
-    ~rows:
-      ([ [ "topology"; Printf.sprintf "fat-tree(%d)" k ];
-         [ "flows"; string_of_int (Workload.n_flows w) ];
-         [ "shards / cores";
-           Printf.sprintf "%d / %d" shards (Domain.recommended_domain_count ()) ];
-         [ "mode"; mode_name run ];
-         [ "lookahead (s)"; Printf.sprintf "%g" r.Psim.lookahead ];
-         [ "windows"; string_of_int r.Psim.windows ];
-         [ "cross-shard msgs"; string_of_int r.Psim.exchanged ];
-         [ "sim events"; string_of_int r.Psim.events ];
-         [ "shard imbalance (max/mean)";
-           Printf.sprintf "%.3f (events %s)" (Psim.imbalance r)
-             (String.concat "/" (Array.to_list (Array.map string_of_int (Psim.shard_events r))))
-         ];
-         [ "hop transmissions"; string_of_int (Psim.total_tx r) ];
-         [ "packets delivered"; string_of_int (Workload.total_delivered run.counters) ];
-         [ "wall (s)"; Printf.sprintf "%.3f" run.wall ];
-         [ "packets/s"; Printf.sprintf "%.0f" (pps run) ];
-         [ "alloc words/packet"; Printf.sprintf "%.1f" (alloc_per_packet run) ] ]
-      @ vs_baseline);
-  match Psim.drops_by_reason r with
-  | [] -> ()
-  | drops ->
-    print_endline "drops:";
-    List.iter (fun (reason, n) -> Printf.printf "  %-12s %d\n" reason n) drops
-
 (* perf's sharded scenario is bigger than the sequential one (fat-tree(8):
    80 switches, 128 hosts, one cross-pod CBR flow per host) because the
    parallel engine's purpose is scale; the same run on 1 shard on the same
    windowed code path is the speedup baseline. *)
 let perf_k = 8
 
+(* [baseline] is the same workload on 1 shard, sequential. *)
+let print_parallel w ~shards ~baseline run =
+  let r = run.r in
+  Table.print
+    ~header:[ "metric"; "value" ]
+    ~rows:
+      [ [ "topology"; Printf.sprintf "fat-tree(%d)" perf_k ];
+        [ "flows"; string_of_int (Workload.n_flows w) ];
+        [ "shards / cores";
+          Printf.sprintf "%d / %d" shards (Domain.recommended_domain_count ()) ];
+        [ "mode"; mode_name run ];
+        [ "lookahead (s)"; Printf.sprintf "%g" r.Psim.lookahead ];
+        [ "windows"; string_of_int r.Psim.windows ];
+        [ "cross-shard msgs"; string_of_int r.Psim.exchanged ];
+        [ "sim events"; string_of_int r.Psim.events ];
+        [ "shard imbalance (max/mean)";
+          Printf.sprintf "%.3f (events %s)" (Psim.imbalance r)
+            (String.concat "/" (Array.to_list (Array.map string_of_int (Psim.shard_events r))))
+        ];
+        [ "hop transmissions"; string_of_int (Psim.total_tx r) ];
+        [ "packets delivered"; string_of_int (Workload.total_delivered run.counters) ];
+        [ "wall (s)"; Printf.sprintf "%.3f" run.wall ];
+        [ "packets/s"; Printf.sprintf "%.0f" (pps run) ];
+        [ "alloc words/packet"; Printf.sprintf "%.1f" (alloc_per_packet run) ];
+        [ "baseline packets/s"; Printf.sprintf "%.0f" (pps baseline) ];
+        [ "speedup vs 1 shard"; Printf.sprintf "%.2fx" (baseline.wall /. run.wall) ];
+        [ "speedup armed"; string_of_bool (speedup_armed ~shards) ];
+        [ "counts identical"; string_of_bool (identical baseline run) ] ];
+  match Psim.drops_by_reason r with
+  | [] -> ()
+  | drops ->
+    print_endline "drops:";
+    List.iter (fun (reason, n) -> Printf.printf "  %-12s %d\n" reason n) drops
+
 let measure_parallel ~shards =
   let w = Workload.fat_tree ~k:perf_k ~rate_pps:500. ~duration:2.0 () in
   let baseline = run_psim w ~shards:1 ~mode:Psim.Sequential in
   (w, baseline, run_psim w ~shards ~mode:Psim.Auto)
-
-let parallel_to_json ~shards baseline run =
-  let r = run.r in
-  Printf.sprintf
-    "{ \"shards\": %d, \"cores\": %d, \"mode\": %S, \"packets\": %d, \"events\": %d, \
-     \"windows\": %d, \"exchanged\": %d, \"wall_s\": %.3f, \"packets_per_sec\": %.0f, \
-     \"baseline_pps\": %.0f, \"speedup_vs_1\": %.2f, \"speedup_armed\": %b, \
-     \"alloc_words_per_packet\": %.1f, \"counts_identical\": %b, \"shard_events\": [%s], \
-     \"shard_imbalance\": %.3f }"
-    shards (Domain.recommended_domain_count ()) (mode_name run) (Psim.total_tx r) r.Psim.events
-    r.Psim.windows r.Psim.exchanged run.wall (pps run) (pps baseline) (baseline.wall /. run.wall)
-    (speedup_armed ~shards) (alloc_per_packet run) (identical baseline run)
-    (String.concat ", " (Array.to_list (Array.map string_of_int (Psim.shard_events r))))
-    (Psim.imbalance r)
 
 let check_parallel v ~shards baseline run =
   let module H = Harness in
@@ -273,7 +209,7 @@ let check_parallel v ~shards baseline run =
     (Printf.sprintf "sharded alloc_words_per_packet %.1f exceeds budget %.1f \
                      (shard.alloc-words-per-packet)" alloc budget);
   (* the speedup is recorded everywhere but asserted nowhere: "speedup
-     armed" in the JSON says whether the machine could show it *)
+     armed" in the table says whether the machine could show it *)
   let cores = Domain.recommended_domain_count () and speedup = baseline.wall /. run.wall in
   if speedup_armed ~shards && speedup < 2.5 then
     Printf.printf "[perf] WARNING: %.2fx speedup at %d shards on %d cores (target 2.5x)\n" speedup
@@ -285,7 +221,7 @@ let check_parallel v ~shards baseline run =
       shards cores
 
 (* ------------------------------------------------------------------ *)
-(* the hybrid fluid/packet tier: perf --fluid and the fluid subcommand *)
+(* the hybrid fluid/packet tier: perf --fluid                         *)
 (* ------------------------------------------------------------------ *)
 
 type fluid_sample = { f : Scenario.fluid_result; f_wall_s : float; f_alloc_words_per_equiv : float }
@@ -304,19 +240,15 @@ let equiv_per_s s = s.f.Scenario.fr_packet_equivalents /. s.f_wall_s
    demote budget caps packet-tier churn at the same scale, and the goodput
    probe (O(members) per sample) backs off to keep measurement out of the
    measured number. *)
-let measure_fluid ?force ~flows ~duration () =
+let measure_fluid ~flows =
   let flow_rate_bps = if flows <= 100_000 then 25_000. else 4e9 /. float_of_int flows in
   let demote_budget = if flows > 100_000 then Some 100_000 else None in
   let goodput_period = if flows > 100_000 then 4.0 else 0.5 in
-  Gc.compact ();
-  let bytes0 = Gc.allocated_bytes () in
-  let t0 = Unix.gettimeofday () in
-  let f =
-    Scenario.run_lfa_fluid ~flows ~duration ?force ~flow_rate_bps ?demote_budget ~goodput_period
-      ?obs:(Ff_obs.Trace.ambient ()) ()
+  let f, f_wall_s, alloc_words =
+    measured (fun () ->
+        Scenario.run_lfa_fluid ~flows ~duration:40. ~flow_rate_bps ?demote_budget
+          ~goodput_period ?obs:(Ff_obs.Trace.ambient ()) ())
   in
-  let f_wall_s = Float.max 1e-9 (Unix.gettimeofday () -. t0) in
-  let alloc_words = (Gc.allocated_bytes () -. bytes0) /. word in
   { f; f_wall_s;
     f_alloc_words_per_equiv = alloc_words /. Float.max 1. f.Scenario.fr_packet_equivalents }
 
@@ -365,41 +297,16 @@ let print_fluid samples =
    the pure packet engine cannot finish the 10^6-flow scenario in
    tractable wall time, and its equiv/s is flow-count-insensitive
    (per-packet work), so the 100k figure is the honest denominator for the
-   top-scale speedup (baseline_flows is recorded in the JSON). *)
+   top-scale speedup (perf prints the baseline's flow count beside it). *)
 let fluid_baseline_flows = 100_000
 
 let measure_fluid_baseline () =
-  Gc.compact ();
-  let t0 = Unix.gettimeofday () in
-  let r =
-    Scenario.run_lfa_fluid ~flows:fluid_baseline_flows ~duration:2.5
-      ~force:Ff_fluid.Hybrid.All_packet ~packet_recon:false ()
+  let r, wall, _ =
+    measured (fun () ->
+        Scenario.run_lfa_fluid ~flows:fluid_baseline_flows ~duration:2.5
+          ~force:Ff_fluid.Hybrid.All_packet ~packet_recon:false ())
   in
-  r.Scenario.fr_packet_equivalents /. Float.max 1e-9 (Unix.gettimeofday () -. t0)
-
-let fluid_sample_to_json s =
-  let f = s.f in
-  Printf.sprintf
-    "{ \"flows\": %d, \"classes\": %d, \"wall_s\": %.3f, \"packet_equivalents\": %.0f, \
-     \"equiv_per_sec\": %.0f, \"demoted_frac_peak\": %.4f, \"demotions\": %d, \
-     \"promotions\": %d, \"demote_denied\": %d,\n\
-    \        \"solves\": %d, \"skipped\": %d, \"full_solves\": %d, \"touched_frac\": %.4f, \
-     \"loss_cuts\": %d, \"alloc_words_per_equiv\": %.2f }"
-    f.fr_flows f.fr_classes s.f_wall_s f.fr_packet_equivalents (equiv_per_s s)
-    f.fr_demoted_frac_peak f.fr_demotions f.fr_promotions f.fr_demote_denied
-    f.fr_solver.solves f.fr_solver.skipped f.fr_solver.full_solves f.fr_touched_frac
-    f.fr_solver.loss_cuts s.f_alloc_words_per_equiv
-
-let fluid_to_json ~sweep ~baseline_flows ~baseline_eps ~speedup ~solver_alloc =
-  Printf.sprintf
-    "{ \"scenario\": \"isp(12 cores x 2 x 4), rolling fluid LFA, wide defense, 40 sim \
-     seconds\",\n\
-    \    \"sweep\": [ %s ],\n\
-    \    \"baseline_flows\": %d, \"baseline_equiv_per_sec\": %.0f, \
-     \"speedup_vs_packet\": %.1f,\n\
-    \    \"solver_alloc_words_per_recompute\": %.1f }"
-    (String.concat ",\n      " (List.map fluid_sample_to_json sweep))
-    baseline_flows baseline_eps speedup solver_alloc
+  r.Scenario.fr_packet_equivalents /. wall
 
 (* Steady-state solver allocation, isolated from the scenario: build a
    mid-size population once, then hammer single-link-dirty incremental
@@ -431,13 +338,13 @@ let measure_solver_alloc () =
   Fluid.recompute fl;
   let li = Net.link_index net ~from_:hosts.(0) ~to_:(List.hd (Net.neighbors_of net hosts.(0))) in
   let iters = 2_000 in
-  Gc.compact ();
-  let bytes0 = Gc.allocated_bytes () in
-  for _ = 1 to iters do
-    Fluid.mark_link_dirty fl li;
-    Fluid.recompute fl
-  done;
-  let words = (Gc.allocated_bytes () -. bytes0) /. word in
+  let (), _, words =
+    measured (fun () ->
+        for _ = 1 to iters do
+          Fluid.mark_link_dirty fl li;
+          Fluid.recompute fl
+        done)
+  in
   words /. float_of_int iters
 
 let measure_fluid_sweep () =
@@ -445,7 +352,7 @@ let measure_fluid_sweep () =
     List.map
       (fun flows ->
         Printf.printf "[perf] hybrid fluid run: %d flows\n%!" flows;
-        measure_fluid ~flows ~duration:40. ())
+        measure_fluid ~flows)
       [ 1_000; 10_000; 100_000; 1_000_000 ]
   in
   Printf.printf "[perf] all-packet baseline: %d flows, 2.5 sim seconds\n%!" fluid_baseline_flows;
@@ -494,47 +401,6 @@ let check_fluid v ~top ~speedup ~solver_alloc =
       speedup flows
   else Printf.printf "[perf] hybrid speedup check ok: %.1fx >= 20x at %d flows\n" speedup flows
 
-(* Rewrites the file only where one already exists (the repository root
-   keeps the committed copy), keeping its "before" entry and the last
-   section this run did not measure. A run anywhere else writes nothing:
-   a fresh file there would record this run as its own "before". *)
-let write_json s ~par ~fluid =
-  match read_file perf_json_file with
-  | None ->
-    Printf.printf "[perf] no %s in the working directory: nothing written\n" perf_json_file
-  | Some old_text ->
-    let previous key = Option.value ~default:"null" (extract_object old_text key) in
-    let current = sample_to_json s in
-    let before = Option.value ~default:current (extract_object old_text "before") in
-    let parallel_json =
-      match par with
-      | Some (shards, (_, baseline, run)) -> parallel_to_json ~shards baseline run
-      | None -> previous "parallel"
-    in
-    let fluid_json =
-      match fluid with
-      | Some (sweep, baseline_eps, speedup, solver_alloc) ->
-        fluid_to_json ~sweep ~baseline_flows:fluid_baseline_flows ~baseline_eps ~speedup
-          ~solver_alloc
-      | None -> previous "fluid"
-    in
-    let oc = open_out perf_json_file in
-    Printf.fprintf oc
-      "{\n\
-    \  \"schema\": \"fastflex-netsim-perf/2\",\n\
-    \  \"scenario\": \"fat-tree(4), deploy_wide defense, 6 CBR + 3 TCP flows, rolling LFA, \
-     30 sim seconds\",\n\
-    \  \"note\": \"before = first run recorded on this machine (preserved across reruns); \
-     after = latest run; parallel = sharded engine on fat-tree(8), 128 cross-pod CBR \
-     flows (perf --shards N)\",\n\
-    \  \"before\": %s,\n\
-    \  \"after\": %s,\n\
-    \  \"parallel\": %s,\n\
-    \  \"fluid\": %s\n\
-     }\n"
-      before current parallel_json fluid_json;
-    close_out oc
-
 let perf ~shards ~fluid =
   let s = measure_perf () in
   let par =
@@ -553,7 +419,6 @@ let perf ~shards ~fluid =
     end
     else None
   in
-  write_json s ~par ~fluid;
   Table.print
     ~header:[ "metric"; "value" ]
     ~rows:
@@ -565,7 +430,7 @@ let perf ~shards ~fluid =
         [ "alloc words/packet"; Printf.sprintf "%.1f" s.alloc_words_per_packet ];
         [ "drops"; string_of_int s.drops ] ];
   Option.iter
-    (fun (shards, (w, baseline, run)) -> print_parallel w ~k:perf_k ~shards ~baseline run)
+    (fun (shards, (w, baseline, run)) -> print_parallel w ~shards ~baseline run)
     par;
   Option.iter
     (fun (sweep, baseline_eps, speedup, solver_alloc) ->
@@ -576,7 +441,6 @@ let perf ~shards ~fluid =
         baseline_eps fluid_baseline_flows speedup;
       Printf.printf "[perf] solver steady-state allocation: %.1f words/recompute\n" solver_alloc)
     fluid;
-  Printf.printf "\n[perf] wrote %s\n" perf_json_file;
   let v = Harness.verdicts "perf" in
   let budget = Harness.gate "perf.alloc-words-per-packet" in
   Harness.check v

@@ -25,7 +25,11 @@ type t = {
   mutable r_window_bytes : float array;
   mutable r_dst : int array;
   mutable r_suspicious : Bytes.t;
-  suspicious_srcs : (int, unit) Hashtbl.t;
+  (* Sources seen on suspect flows: one byte per node id, so a packet of a
+     flow that stays suspect re-flags its source with a store and no hash;
+     a spoofed id outside the node range falls back to [other_srcs]. *)
+  src_flags : Bytes.t;
+  other_srcs : (int, unit) Hashtbl.t;
   dst_fanout : int array; (* dst node -> live flows toward it *)
   (* Offered-load tracking (pre-mitigation): bytes whose *default* route
      crosses a watched egress link, counted in the detector stage — i.e.
@@ -119,6 +123,14 @@ let update_flow t (pkt : Packet.t) =
 
 let is_suspicious t r = Bytes.get t.r_suspicious r <> '\000'
 
+let flag_source t src =
+  if src >= 0 && src < Bytes.length t.src_flags then Bytes.set t.src_flags src '\001'
+  else Hashtbl.replace t.other_srcs src ()
+
+let is_suspicious_source t src =
+  if src >= 0 && src < Bytes.length t.src_flags then Bytes.get t.src_flags src <> '\000'
+  else Hashtbl.mem t.other_srcs src
+
 (* a destination outside the node range (a spoofed id, dropped no-route
    after the stages) has no fan-in *)
 let fanout t dst =
@@ -135,7 +147,7 @@ let classify t r (pkt : Packet.t) =
     && fanout t t.r_dst.(r) >= dst_flows_min
   then begin
     Bytes.set t.r_suspicious r '\001';
-    Hashtbl.replace t.suspicious_srcs pkt.src ()
+    flag_source t pkt.src
   end;
   if is_suspicious t r then begin
     pkt.Packet.suspicious <- true;
@@ -174,7 +186,7 @@ let stage t =
           (* a suspicious source's reconnaissance probes are forwarded like
              its data (Crossfire probes are TTL-limited data packets), so
              mark them too — mitigation steers them with the flows *)
-          if classifying t ctx && Hashtbl.mem t.suspicious_srcs pkt.Packet.src then
+          if classifying t ctx && is_suspicious_source t pkt.Packet.src then
             pkt.Packet.suspicious <- true
         | _ -> ());
         Net.Continue);
@@ -260,7 +272,8 @@ let check t () =
         t.alarmed <- false;
         t.calm_since <- None;
         Bytes.fill t.r_suspicious 0 t.n_rows '\000';
-        Hashtbl.reset t.suspicious_srcs;
+        Bytes.fill t.src_flags 0 (Bytes.length t.src_flags) '\000';
+        Hashtbl.reset t.other_srcs;
         t.on_clear { switch = t.sw; attack = Packet.Lfa }
       end
   end
@@ -297,7 +310,8 @@ let install net ~sw ~watched ~check_period ~threshold_jitter ~seed ~min_age ~cle
       r_window_bytes = Array.make 64 0.;
       r_dst = Array.make 64 0;
       r_suspicious = Bytes.make 64 '\000';
-      suspicious_srcs = Hashtbl.create 32;
+      src_flags = Bytes.make n_nodes '\000';
+      other_srcs = Hashtbl.create 1;
       dst_fanout = Array.make n_nodes 0;
       watched_idx;
       offered_ctr;
@@ -323,8 +337,6 @@ let alarmed t = t.alarmed
 let suspicious_flows t =
   Int_table.fold (fun f r acc -> if is_suspicious t r then f :: acc else acc) t.rows []
   |> List.sort compare
-
-let is_suspicious_source t s = Hashtbl.mem t.suspicious_srcs s
 
 let tracked_flows t = t.n_rows
 let marks t = t.marks

@@ -762,7 +762,7 @@ let iter_path_switches t path ~f =
 let install_path t ~dst path =
   iter_path_switches t path ~f:(fun a b -> set_route t ~sw:a ~dst ~next_hop:b)
 
-(* One Dijkstra per source host, installed in the per-pair order
+(* One breadth-first search per source host, installed in the per-pair order
    (destination outer, source inner): hosts never transit, so a source's
    tree holds its shortest path to every host. *)
 let install_shortest_paths t =

@@ -157,7 +157,7 @@ val install_shortest_paths : t -> unit
 (** Default connectivity: for every ordered host pair, [install_path] the
     topology's shortest path (destination-major order, so where two
     sources' paths disagree on a switch the later source's hop wins).
-    One Dijkstra per source host ({!Ff_topology.Topology.shortest_paths_from})
+    One search per source host ({!Ff_topology.Topology.shortest_paths_from})
     gives the same tables as a per-pair {!Ff_topology.Topology.shortest_path}. *)
 
 val install_pair_path : t -> src:int -> dst:int -> Ff_topology.Topology.path -> unit

@@ -37,7 +37,7 @@ let compute_backups net ~around =
           let weight (_ : Topology.link) = 1. in
           ignore weight;
           let alt =
-            (* Dijkstra with [around] banned: emulate by removing it from
+            (* shortest path with [around] banned: emulate by removing it from
                consideration — shortest path on the topology minus the node *)
             let rec bfs fringe seen =
               match fringe with

@@ -118,38 +118,35 @@ let path_links t p =
 
 let path_delay t p = List.fold_left (fun acc l -> acc +. l.delay) 0. (path_links t p)
 
-(* The one Dijkstra loop, over hop count: fills [dist]/[prev] (all
-   infinity/-1 on entry) from [src] over the whole graph; hosts are never
-   used as transit (only as endpoints), and [stop] is not expanded either
-   (-1 expands every switch). The heap is drained through [min_prio]/[pop_min], which pop in
-   the same order as [pop] without boxing a tuple per node. *)
-let dijkstra_tree t ~src ~stop ~node_banned ~link_banned dist prev =
-  let finished = Array.make t.nnodes false in
-  let heap = Ff_util.Heap.create () in
+(* The one shortest-path loop: breadth-first over hop count, the only
+   path metric. Fills [dist]/[prev] (all infinity/-1 on entry) from [src]
+   over the whole graph; hosts are never used as transit (only as
+   endpoints), and [stop] is not expanded either (-1 expands every switch).
+   A node is queued once, when first reached, so [queue] holds at most
+   every node. *)
+let bfs_tree t ~src ~stop ~node_banned ~link_banned dist prev =
+  let queue = Array.make t.nnodes 0 in
+  let head = ref 0 and tail = ref 1 in
   dist.(src) <- 0.;
-  Ff_util.Heap.push heap ~prio:0. src;
-  while not (Ff_util.Heap.is_empty heap) do
-    let d = Ff_util.Heap.min_prio heap in
-    let u = Ff_util.Heap.pop_min heap in
-    if not (finished.(u) || d > dist.(u)) then begin
-      finished.(u) <- true;
-      if u <> stop && (u = src || t.node_arr.(u).kind = Switch) then begin
-        let rest = ref t.adjacency.(u) in
-        while !rest != [] do
-          match !rest with
-          | (v, l) :: tl ->
-            rest := tl;
-            if not (link_banned l.link_id || node_banned v) then begin
-              let nd = dist.(u) +. 1. in
-              if nd < dist.(v) then begin
-                dist.(v) <- nd;
-                prev.(v) <- u;
-                Ff_util.Heap.push heap ~prio:nd v
-              end
-            end
-          | [] -> ()
-        done
-      end
+  queue.(0) <- src;
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    if u <> stop && (u = src || t.node_arr.(u).kind = Switch) then begin
+      let nd = dist.(u) +. 1. in
+      let rest = ref t.adjacency.(u) in
+      while !rest != [] do
+        match !rest with
+        | (v, l) :: tl ->
+          rest := tl;
+          if dist.(v) = infinity && not (link_banned l.link_id || node_banned v) then begin
+            dist.(v) <- nd;
+            prev.(v) <- u;
+            queue.(!tail) <- v;
+            incr tail
+          end
+        | [] -> ()
+      done
     end
   done
 
@@ -157,32 +154,31 @@ let tree_path ~src prev v =
   let rec build acc v = if v = src then src :: acc else build (v :: acc) prev.(v) in
   build [] v
 
-let dijkstra t ~src ~dst ~node_banned ~link_banned =
+let bfs_path t ~src ~dst ~node_banned ~link_banned =
   let n = t.nnodes in
   if src < 0 || src >= n || dst < 0 || dst >= n then invalid_arg "Topology.shortest_path";
   let dist = Array.make n infinity and prev = Array.make n (-1) in
-  dijkstra_tree t ~src ~stop:dst ~node_banned ~link_banned dist prev;
+  bfs_tree t ~src ~stop:dst ~node_banned ~link_banned dist prev;
   if dist.(dst) = infinity then None else Some (tree_path ~src prev dst, dist.(dst))
 
 let never (_ : int) = false
 
 let shortest_path_excluding t ~src ~dst ~banned_nodes ~banned_links =
-  dijkstra t ~src ~dst
+  bfs_path t ~src ~dst
     ~node_banned:(fun v -> Hashtbl.mem banned_nodes v)
     ~link_banned:(fun l -> Hashtbl.mem banned_links l)
 
 let shortest_path t ~src ~dst =
-  Option.map fst (dijkstra t ~src ~dst ~node_banned:never ~link_banned:never)
+  Option.map fst (bfs_path t ~src ~dst ~node_banned:never ~link_banned:never)
 
-(* Leaving [dst] unexpanded cannot change its own path: with non-negative
-   weights, expanding it only improves nodes farther than it, and a prev
-   entry moves only on a strict improvement. So one tree serves every
-   destination. *)
+(* Leaving [dst] unexpanded cannot change its own path: expanding it only
+   reaches nodes farther than it, and a prev entry is written only when its
+   node is first reached. So one tree serves every destination. *)
 let shortest_paths_from t ~src =
   let n = t.nnodes in
   if src < 0 || src >= n then invalid_arg "Topology.shortest_paths_from";
   let dist = Array.make n infinity and prev = Array.make n (-1) in
-  dijkstra_tree t ~src ~stop:(-1) ~node_banned:never ~link_banned:never dist prev;
+  bfs_tree t ~src ~stop:(-1) ~node_banned:never ~link_banned:never dist prev;
   fun dst ->
     if dst < 0 || dst >= n then invalid_arg "Topology.shortest_paths_from";
     if dist.(dst) = infinity then None else Some (tree_path ~src prev dst)

@@ -69,11 +69,11 @@ val path_delay : t -> path -> float
 (** Sum of propagation delays along the path. *)
 
 val shortest_path : t -> src:int -> dst:int -> path option
-(** Dijkstra over hop count, the simulator's one path metric. Hosts
-    other than the endpoints are never used as transit. *)
+(** Breadth-first search over hop count, the simulator's one path
+    metric. Hosts other than the endpoints are never used as transit. *)
 
 val shortest_paths_from : t -> src:int -> int -> path option
-(** [shortest_paths_from t ~src] runs one hop-count Dijkstra from [src]
+(** [shortest_paths_from t ~src] runs one breadth-first search from [src]
     and returns the path lookup of its tree: applied to [dst] it equals
     [shortest_path t ~src ~dst], for every [dst]. Raises
     [Invalid_argument] on a node id outside the topology. *)

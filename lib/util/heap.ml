@@ -16,8 +16,8 @@
    position it vacates. No free stack, no extra allocation.
 
    The tag columns are allocated on the first [push_tagged] and grown with
-   the heap from then on; a heap that never tags (the engine's thunk lane,
-   the Dijkstra queues) keeps them empty and reads its tags as 0. *)
+   the heap from then on; a heap that never tags (the engine's thunk lane)
+   keeps them empty and reads its tags as 0. *)
 type 'a t = {
   mutable prios : float array;
   mutable seqs : int array;

@@ -2,8 +2,8 @@
 
     Everything in this library is deliberately naive: sorted lists instead
     of heaps, association lists instead of dense arrays, repeated
-    edge-list relaxation instead of Dijkstra, a declarative fold instead
-    of a probe flood. Each structure is small enough to audit by eye —
+    edge-list relaxation instead of a breadth-first search, a declarative
+    fold instead of a probe flood. Each structure is small enough to audit by eye —
     that is the point. The differential harness
     ([test/test_differential.ml]) drives the real [Engine]/[Net]/
     [Protocol] stack and these oracles over the same random inputs and

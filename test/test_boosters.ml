@@ -141,6 +141,39 @@ let test_detector_classifies_crossfire_not_normal () =
   Alcotest.(check bool) "bots are suspicious sources" true
     (List.exists (fun b -> B.Lfa_detector.is_suspicious_source det b) lm.T.Fig2.bot_sources)
 
+(* Every packet of a suspect flow records its source, whatever it claims:
+   a spoofed host id, and ids outside the node range, which take the
+   fallback table. The all-clear forgets them all. *)
+let test_detector_records_spoofed_sources () =
+  let lm, engine, net = fig2_net () in
+  let det, _, clears = detector_on_fig2 lm net in
+  let decoy = List.hd lm.T.Fig2.decoys in
+  let bot_flows =
+    List.concat_map
+      (fun bot ->
+        List.init 3 (fun _ ->
+            Flow.Tcp.start net ~src:bot ~dst:decoy ~max_cwnd:4. ~stop:6. ()))
+      lm.T.Fig2.bot_sources
+  in
+  Engine.run engine ~until:5.;
+  let flagged =
+    List.find
+      (fun f -> List.mem f (B.Lfa_detector.suspicious_flows det))
+      (List.map Flow.Tcp.flow_id bot_flows)
+  in
+  let spoofed = [ List.hd lm.T.Fig2.normal_sources; T.num_nodes lm.T.Fig2.topo + 5; -3 ] in
+  let recorded () = List.map (B.Lfa_detector.is_suspicious_source det) spoofed in
+  Alcotest.(check (list bool)) "not yet recorded" [ false; false; false ] (recorded ());
+  List.iter
+    (fun src ->
+      Net.inject_at_switch net ~sw:lm.T.Fig2.agg
+        (Packet.make_data ~size:500 ~seq:0 ~ttl:64 ~src ~dst:decoy ~flow:flagged))
+    spoofed;
+  Alcotest.(check (list bool)) "recorded from a flagged flow" [ true; true; true ] (recorded ());
+  Engine.run engine ~until:15.;
+  Alcotest.(check bool) "cleared" true (List.length !clears >= 1);
+  Alcotest.(check (list bool)) "forgotten at the all-clear" [ false; false; false ] (recorded ())
+
 let test_detector_clears_when_attack_stops () =
   let lm, engine, net = fig2_net () in
   let det, _, clears =
@@ -637,6 +670,8 @@ let () =
             test_detector_classifies_crossfire_not_normal;
           Alcotest.test_case "clears when attack stops" `Quick
             test_detector_clears_when_attack_stops;
+          Alcotest.test_case "records spoofed sources of suspect flows" `Quick
+            test_detector_records_spoofed_sources;
         ] );
       ( "reroute",
         [

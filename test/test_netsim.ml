@@ -360,8 +360,8 @@ let test_current_path_cycle () =
     (Net.current_path net ~src ~dst)
 
 let test_shortest_routes_per_source () =
-  (* one Dijkstra per source must install exactly the tables of one
-     Dijkstra per (src, dst) pair, in the same destination-major order *)
+  (* one search per source must install exactly the tables of one
+     search per (src, dst) pair, in the same destination-major order *)
   let per_pair net topo =
     let hosts = T.hosts topo in
     List.iter
